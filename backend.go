@@ -3,133 +3,96 @@ package floatprint
 import (
 	"math"
 
+	"floatprint/internal/core"
 	"floatprint/internal/fpformat"
-	"floatprint/internal/grisu"
 	"floatprint/internal/ryu"
 	"floatprint/internal/stats"
 	"floatprint/internal/trace"
 )
 
-// This file is the shortest-path backend registry: the one place that
-// decides which digit-generation algorithm a free-format conversion
-// attempts first.  Every fast path follows the decline-don't-error
-// contract — a backend either serves a request with output byte-identical
-// to the exact Burger & Dybvig core or declines, and a decline always
-// falls through to the exact core — so the registry affects speed and the
-// path mix, never the answer.
+// This file is the shortest-path dispatch: the one place that decides
+// whether a free-format conversion attempts a Ryū kernel before the exact
+// Burger & Dybvig core.  Every kernel follows the decline-don't-error
+// contract — it either serves a request with output byte-identical to the
+// exact core or declines, and a decline always falls through to the exact
+// core — so dispatch affects speed and the path mix, never the answer.
 //
-// Applicability is two-layered.  The static layer below rules a backend
-// out per request shape: every fast path needs base 10, the default
-// scale estimator, and a binary64 value; Ryū additionally carries a
-// proof only under the nearest-even reader, where Grisu3's certification
-// is valid under all four reader modes.  The dynamic layer is the
-// backend's own runtime decline (Grisu3 certification failure, Ryū's
-// exact-halfway ties), which surfaces as ok == false at the call site.
+// Applicability is two-layered.  The static layer below rules the kernels
+// out per request shape: they need base 10, the default scale estimator, a
+// binary64 or binary32 value, and BackendAuto.  The reader mode picks the
+// kernel, not whether one runs: the four nearest modes share the nearest
+// kernel, which takes its endpoint flags from the exact core's own mode
+// table, and the two directed modes have one-sided kernels.  The dynamic
+// layer is the kernel's own runtime decline (exact-halfway ties), which
+// surfaces as ok == false at the call site.
 
-// shortestFastpath returns the fast backend the registry selects for a
-// normalized request, or trace.BackendNone when only the exact core
-// applies.  o must be normalized (o.norm) so Base and Backend are valid.
-func shortestFastpath(o Options, val fpformat.Value) trace.Backend {
-	if val.Fmt != fpformat.Binary64 {
-		return trace.BackendNone
-	}
-	return shortestFastpath64(o)
+// kernelShape reports whether a normalized request has the shape every
+// Ryū kernel needs: decimal output under the estimator's K convention,
+// with the fast paths not switched off.
+func kernelShape(o Options) bool {
+	return o.Base == 10 && o.Scaling == ScalingEstimate && o.Backend == BackendAuto
 }
 
-// shortestFastpath64 is shortestFastpath for a value already known to be
-// binary64 — the allocation-free form the float64 append path uses
-// (decoding the value just to learn its format costs a mantissa
-// allocation).
-func shortestFastpath64(o Options) trace.Backend {
-	if o.Base != 10 || o.Scaling != ScalingEstimate {
-		return trace.BackendNone
-	}
-	if o.Reader.directed() {
-		// The directed reader modes print one-sided half-gap output, a
-		// different acceptance test than the nearest-range backends here
-		// certify.  They have their own fast kernels — directedValue
-		// dispatches through directedFastpath to the one-sided Ryū loops —
-		// so this registry hands the request to the exact-path entry, which
-		// routes it there.
-		return trace.BackendNone
-	}
-	switch o.Backend {
-	case BackendAuto:
-		if o.Reader == ReaderNearestEven {
-			return trace.BackendRyu
-		}
-		return trace.BackendGrisu
-	case BackendGrisu:
-		return trace.BackendGrisu
-	case BackendRyu:
-		// Ryū's correctness proof assumes a nearest-even reader; under
-		// the other three modes its output would be wrong-but-plausible,
-		// so the registry routes those to the exact core instead.
-		if o.Reader == ReaderNearestEven {
-			return trace.BackendRyu
-		}
-		return trace.BackendNone
-	default: // BackendExact
-		return trace.BackendNone
-	}
+// nearestFastpath reports whether the nearest kernel may serve a
+// normalized free-format request of a binary64 or binary32 value.  The
+// directed reader modes print one-sided half-gap output, a different
+// acceptance test; they have their own kernels behind directedFastpath.
+func nearestFastpath(o Options) bool {
+	return kernelShape(o) && !o.Reader.directed()
 }
 
 // directedFastpath reports whether the one-sided Ryū kernels
 // (ryu.ShortestBelowInto / ShortestAboveInto) may serve a directed
-// shortest conversion.  The static guards mirror the nearest registry's:
-// binary64 only, base 10 only, the default scale estimator only — the
-// kernels hard-code decimal arithmetic and the estimator's K convention,
-// so a base-16 or ScalingFloatLog request must reach the exact core
-// untouched.  An explicit BackendGrisu or BackendExact selection also
-// routes to the exact core: Grisu3 has no one-sided variant, and
-// BackendExact is the documented way to force the certified-fast paths
-// off (corpus tests diff the two).
+// shortest conversion: binary64 only (directed float32 printing stays on
+// the exact one-sided core), and a request shape the kernels can serve —
+// they hard-code decimal arithmetic and the estimator's K convention, so
+// a base-16 or ScalingFloatLog request must reach the exact core
+// untouched, and BackendExact is the documented way to force the
+// certified fast paths off (corpus tests diff the two).
 func directedFastpath(o Options, val fpformat.Value) bool {
-	return val.Fmt == fpformat.Binary64 &&
-		o.Base == 10 && o.Scaling == ScalingEstimate &&
-		(o.Backend == BackendAuto || o.Backend == BackendRyu)
+	return val.Fmt == fpformat.Binary64 && kernelShape(o)
 }
 
-// shortestFastAttempt runs the selected fast backend for positive finite
-// v, bumping the hit/miss telemetry.  fb must be BackendRyu or
-// BackendGrisu.  The digits land in buf as ASCII bytes '0'..'9', which
-// must hold fastBufLen bytes (ryu emits ASCII natively; grisu's digit
-// values are converted here so callers see one contract).
-func shortestFastAttempt(fb trace.Backend, buf []byte, v float64) (n, k int, ok bool) {
-	if fb == trace.BackendRyu {
-		n, k, ok = ryu.ShortestInto(buf, v)
-		if ok {
-			stats.RyuHits.Inc()
-		} else {
-			stats.RyuMisses.Inc()
-		}
-		return n, k, ok
-	}
-	n, k, ok = grisu.ShortestInto(buf, v)
-	if ok {
-		stats.GrisuHits.Inc()
-		for i := 0; i < n; i++ {
-			buf[i] += '0'
-		}
+// ryuShortest runs the nearest kernel for a positive finite binary64 or
+// binary32 val under mode, bumping the hit/miss telemetry.  The digits
+// land in buf as ASCII bytes '0'..'9'; buf must hold ryu.BufLen bytes.
+func ryuShortest(buf []byte, val fpformat.Value, mode core.ReaderMode) (n, k int, ok bool) {
+	// val is finite (specials are classified before any kernel runs), so
+	// re-encoding it cannot fail.
+	if val.Fmt == fpformat.Binary32 {
+		v, _ := val.Float32()
+		n, k, ok = ryu.Shortest32Into(buf, v, mode)
 	} else {
-		stats.GrisuMisses.Inc()
+		v, _ := val.Float64()
+		n, k, ok = ryu.ShortestModeInto(buf, v, mode)
 	}
+	countRyu(ok)
 	return n, k, ok
 }
 
-// fastBufLen is the digit-buffer size every registered fast backend
-// accepts for its in-place entry point.
-const fastBufLen = 20
+// countRyu records one nearest-kernel attempt in the hit/miss telemetry.
+func countRyu(ok bool) {
+	if ok {
+		stats.RyuHits.Inc()
+	} else {
+		stats.RyuMisses.Inc()
+	}
+}
 
-// The in-place entry points share one buffer size; if either package ever
-// grows its requirement this stops compiling.
-var _ [fastBufLen - grisu.BufLen]struct{}
-var _ [fastBufLen - ryu.BufLen]struct{}
+// kernelDigits converts a kernel result — ASCII digits in buf[:n] — into
+// a base-10 Digits value.
+func kernelDigits(buf []byte, n, k int, neg bool) Digits {
+	digits := make([]byte, n)
+	for i := range digits {
+		digits[i] = buf[i] - '0' // ASCII back to digit values
+	}
+	return Digits{Class: Finite, Neg: neg, Digits: digits, K: k, NSig: n, Base: 10}
+}
 
 // AppendShortestWith is AppendShortest under explicit options: it appends
 // the shortest rendering of v to dst using the options' backend, reader
 // assumption, and notation.  Like AppendShortest it performs no heap
-// allocation beyond growing dst when a fast backend serves the value.  It
+// allocation beyond growing dst when a Ryū kernel serves the value.  It
 // panics on invalid options; use ShortestDigits plus Digits.Append to
 // handle the error instead.
 func AppendShortestWith(dst []byte, v float64, opts *Options) []byte {
@@ -141,8 +104,8 @@ func AppendShortestWith(dst []byte, v float64, opts *Options) []byte {
 }
 
 // appendShortestOpts is the shared allocation-free append path under
-// normalized options: specials inline, then the registry's fast backend
-// into a stack buffer, then the exact fallback for everything declined.
+// normalized options: specials inline, then the nearest kernel into a
+// stack buffer, then the exact fallback for everything declined.
 func appendShortestOpts(dst []byte, v float64, o Options) []byte {
 	// Specials, inline: these never reach digit generation.
 	switch {
@@ -158,17 +121,19 @@ func appendShortestOpts(dst []byte, v float64, o Options) []byte {
 		}
 		return append(dst, '0')
 	}
-	if fb := shortestFastpath64(o); fb != trace.BackendNone {
-		var buf [fastBufLen]byte
-		if n, k, ok := shortestFastAttempt(fb, buf[:], math.Abs(v)); ok {
+	if nearestFastpath(o) {
+		var buf [ryu.BufLen]byte
+		n, k, ok := ryu.ShortestModeInto(buf[:], math.Abs(v), o.Reader.core())
+		countRyu(ok)
+		if ok {
 			if stats.Enabled() {
-				stats.Traces.RecordFast(fb, n)
+				stats.Traces.RecordFast(trace.BackendRyu, n)
 			}
 			return appendFastRender(dst, math.Signbit(v), buf[:], n, k, o)
 		}
-		// The registry's fast attempt declined: run the exact core
-		// directly rather than re-entering through shortestValue, so the
-		// miss above stays counted exactly once.
+		// The kernel declined: run the exact core directly rather than
+		// re-entering through shortestValue, so the miss above stays
+		// counted exactly once.
 		o.Backend = BackendExact
 	}
 	d, err := shortestValue(fpformat.DecodeFloat64(v), o)
@@ -178,7 +143,7 @@ func appendShortestOpts(dst []byte, v float64, o Options) []byte {
 	return d.appendRender(dst, o)
 }
 
-// appendFastRender renders a fast-backend result — ASCII digits in
+// appendFastRender renders a kernel result — ASCII digits in
 // buf[:n], all significant, base 10 — without building a Digits value.
 // It is Digits.appendRender specialized to that shape: marks can never
 // apply (NSig == n), the base-36 alphabet degenerates to ASCII decimal,

@@ -3,7 +3,10 @@ package floatprint
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,15 +29,20 @@ func findRyuDecline(t *testing.T) float64 {
 	return 0
 }
 
-var backendList = []Backend{BackendAuto, BackendGrisu, BackendRyu, BackendExact}
+var backendList = []Backend{BackendAuto, BackendExact}
+
+// nearestModes are the four nearest reader modes, which share the nearest
+// Ryū kernel.
+var nearestModes = []ReaderRounding{
+	ReaderNearestEven, ReaderUnknown, ReaderNearestAway, ReaderNearestTowardZero,
+}
 
 func TestParseBackend(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Backend
 	}{
-		{"", BackendAuto}, {"auto", BackendAuto}, {"grisu", BackendGrisu},
-		{"ryu", BackendRyu}, {"exact", BackendExact},
+		{"", BackendAuto}, {"auto", BackendAuto}, {"exact", BackendExact},
 	} {
 		got, err := ParseBackend(tc.in)
 		if err != nil || got != tc.want {
@@ -44,8 +52,10 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("Backend(%v).String() empty", got)
 		}
 	}
-	if _, err := ParseBackend("dragon4"); err == nil {
-		t.Error("ParseBackend(dragon4) succeeded, want error")
+	for _, name := range []string{"grisu", "ryu", "dragon4"} {
+		if _, err := ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend(%q) succeeded, want error", name)
+		}
 	}
 	if _, err := ShortestDigits(1.5, &Options{Backend: Backend(99)}); err == nil {
 		t.Error("out-of-range Options.Backend accepted")
@@ -84,15 +94,16 @@ func TestBackendsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBackendsAllReaderModes is the satellite-3 mode guard: under every
+// TestBackendsAllReaderModes is the mode guard: under every nearest
 // reader mode × backend selection the output must equal the exact core's
-// for that mode.  Ryū only carries a proof for nearest-even, so the
-// registry must route the other three modes to the exact core (for
-// BackendRyu) or Grisu3 (for BackendAuto) — never through Ryū.
+// for that mode.  The nearest kernel serves all four modes, so this is a
+// differential test of its endpoint flags as much as of the dispatch.
+// It also pins the static dispatch in front of the kernel: every nearest
+// mode, for float64 and float32 and through the append path alike, makes
+// exactly one Ryū attempt (a hit, on 0.3), and the request shapes the
+// kernel cannot serve — another base, a benchmark scaling, the exact
+// backend — run the exact core without an attempt.
 func TestBackendsAllReaderModes(t *testing.T) {
-	modes := []ReaderRounding{
-		ReaderNearestEven, ReaderUnknown, ReaderNearestAway, ReaderNearestTowardZero,
-	}
 	rng := rand.New(rand.NewSource(8))
 	values := make([]float64, 0, 516)
 	for i := 0; i < 500; i++ {
@@ -101,7 +112,7 @@ func TestBackendsAllReaderModes(t *testing.T) {
 	values = append(values, findRyuDecline(t), 0.3, 1e23, 5e-324)
 	for _, v := range values {
 		val := fpformat.DecodeFloat64(v)
-		for _, mode := range modes {
+		for _, mode := range nearestModes {
 			exact, err := core.FreeFormat(val, 10, core.ScalingEstimate,
 				Options{Reader: mode}.Reader.core())
 			if err != nil {
@@ -119,40 +130,44 @@ func TestBackendsAllReaderModes(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestRyuDeclinesNonNearestEven pins the static dispatch decision: an
-// explicit BackendRyu request under a non-nearest-even reader must route
-// to the exact core (no fast-path counters move), and under nearest-even
-// it must serve on Ryū.
-func TestRyuDeclinesNonNearestEven(t *testing.T) {
-	ResetStats()
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
-
-	for _, mode := range []ReaderRounding{ReaderUnknown, ReaderNearestAway, ReaderNearestTowardZero} {
-		ResetStats()
-		if _, err := ShortestDigits(0.3, &Options{Reader: mode, Backend: BackendRyu}); err != nil {
-			t.Fatal(err)
+	for _, mode := range nearestModes {
+		for name, convert := range map[string]func(*Options) error{
+			"float64": func(o *Options) error { _, err := ShortestDigits(0.3, o); return err },
+			"float32": func(o *Options) error { _, err := ShortestDigits32(0.3, o); return err },
+			"append":  func(o *Options) error { AppendShortestWith(nil, 0.3, o); return nil },
+		} {
+			ResetStats()
+			if err := convert(&Options{Reader: mode}); err != nil {
+				t.Fatal(err)
+			}
+			if s := Snapshot(); s.RyuHits != 1 || s.RyuMisses != 0 || s.ExactFree != 0 {
+				t.Errorf("%s, mode %v: %+v, want one ryu hit", name, mode, s)
+			}
+			for _, o := range []Options{
+				{Reader: mode, Base: 16},
+				{Reader: mode, Scaling: ScalingIterative},
+				{Reader: mode, Backend: BackendExact},
+			} {
+				ResetStats()
+				if err := convert(&o); err != nil {
+					t.Fatal(err)
+				}
+				if s := Snapshot(); s.RyuHits != 0 || s.RyuMisses != 0 || s.ExactFree != 1 {
+					t.Errorf("%s, options %+v: %+v, want exact only", name, o, s)
+				}
+			}
 		}
-		s := Snapshot()
-		if s.RyuHits != 0 || s.RyuMisses != 0 || s.GrisuHits != 0 || s.ExactFree != 1 {
-			t.Errorf("mode %v: %+v, want exact only", mode, s)
-		}
-	}
-	ResetStats()
-	if _, err := ShortestDigits(0.3, &Options{Backend: BackendRyu}); err != nil {
-		t.Fatal(err)
-	}
-	if s := Snapshot(); s.RyuHits != 1 || s.ExactFree != 0 {
-		t.Errorf("nearest-even: %+v, want 1 ryu hit", s)
 	}
 }
 
 // TestRyuVsExactCorpus is the acceptance-criteria differential: over the
-// full 250,680-value Schryer corpus, every value Ryū serves must be
-// byte-identical to the exact Burger & Dybvig core, and the decline rate
-// must stay a rounding error.
+// full 250,680-value Schryer corpus, under each of the four nearest
+// reader modes, the public API's default options must produce exactly
+// the bytes BackendExact produces, and every value the kernel declines
+// must be an exact-halfway tie.
 func TestRyuVsExactCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential in -short mode")
@@ -161,27 +176,127 @@ func TestRyuVsExactCorpus(t *testing.T) {
 	if len(corpus) != schryer.CorpusSize {
 		t.Fatalf("corpus size %d, want %d", len(corpus), schryer.CorpusSize)
 	}
-	declines := 0
-	for _, v := range corpus {
-		digits, k, ok := ryu.Shortest(v)
-		if !ok {
-			declines++
-			continue
+	var tr Trace
+	buf := make([]byte, 0, 32)
+	for _, mode := range nearestModes {
+		auto, exact := &Options{Reader: mode}, &Options{Reader: mode, Backend: BackendExact}
+		declines := 0
+		for _, v := range corpus {
+			d, err := ShortestDigitsTraced(v, auto, &tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := ShortestDigits(v, exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(d.Digits, ref.Digits) || d.K != ref.K {
+				t.Fatalf("mode %v, %g [%x]: %v ×10^%d, exact %v ×10^%d",
+					mode, v, math.Float64bits(v), d.Digits, d.K, ref.Digits, ref.K)
+			}
+			if buf = AppendShortestWith(buf[:0], v, auto); string(buf) != ref.String() {
+				t.Fatalf("mode %v: AppendShortestWith(%g) = %q, exact %q", mode, v, buf, ref.String())
+			}
+			if tr.FastPathMiss {
+				declines++
+				if !exactHalfway(v, ref) {
+					t.Errorf("mode %v: ryu declined %g [%x], which is not an exact-halfway tie",
+						mode, v, math.Float64bits(v))
+				}
+			}
 		}
-		exact, err := core.FreeFormat(fpformat.DecodeFloat64(v), 10,
-			core.ScalingEstimate, core.ReaderNearestEven)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(digits, exact.Digits) || k != exact.K {
-			t.Fatalf("ryu(%g [%x]) = %v ×10^%d, exact %v ×10^%d",
-				v, math.Float64bits(v), digits, k, exact.Digits, exact.K)
+		t.Logf("mode %v: ryu declines %d of %d (%.4f%%)",
+			mode, declines, len(corpus), 100*float64(declines)/float64(len(corpus)))
+		if declines > 42 {
+			t.Errorf("mode %v: %d declines, want at most the corpus's 42 exact-halfway ties", mode, declines)
 		}
 	}
-	rate := float64(declines) / float64(len(corpus))
-	t.Logf("ryu declines: %d of %d (%.4f%%)", declines, len(corpus), 100*rate)
-	if rate > 0.001 {
-		t.Errorf("decline rate %.4f%% implausibly high", 100*rate)
+}
+
+// exactHalfway reports whether v lies exactly halfway between two
+// adjacent decimals of the same length and d, its exact-core rendering,
+// is one of them: v's exact decimal expansion ends in a 5, and d is that
+// expansion with the 5 dropped, rounded down or up.
+func exactHalfway(v float64, d Digits) bool {
+	s := strconv.FormatFloat(v, 'e', 767, 64) // every binary64 is exact in 767 digits
+	e := strings.IndexByte(s, 'e')
+	exp, _ := strconv.Atoi(s[e+1:])
+	mant := strings.TrimRight(strings.Replace(s[:e], ".", "", 1), "0")
+	if len(mant) < 2 || mant[len(mant)-1] != '5' {
+		return false
+	}
+	// The candidates below and above v, in units of 10^scale, the weight
+	// of the digit before the 5.
+	lo, _ := new(big.Int).SetString(mant[:len(mant)-1], 10)
+	hi := new(big.Int).Add(lo, big.NewInt(1))
+	scale := exp - (len(mant) - 2)
+	// d is out × 10^(d.K-len(d.Digits)); bring it to the same units.
+	ten := big.NewInt(10)
+	out := new(big.Int)
+	for _, digit := range d.Digits {
+		out.Mul(out, ten).Add(out, big.NewInt(int64(digit)))
+	}
+	if d.K-len(d.Digits) < scale {
+		return false
+	}
+	for i := d.K - len(d.Digits); i > scale; i-- {
+		out.Mul(out, ten)
+	}
+	return out.Cmp(lo) == 0 || out.Cmp(hi) == 0
+}
+
+// TestShortest32MatchesExactAllModes is the float32 sweep: through the
+// public dispatch, ShortestDigits32 must equal the exact core on the
+// binary32 decoding under every nearest reader mode.  The inputs are both
+// ends of every binade (the first and last 32 mantissas of each biased
+// exponent, so both subnormal ends too) and a seeded sample of random bit
+// patterns.
+func TestShortest32MatchesExactAllModes(t *testing.T) {
+	const ends, random = 32, 20000
+	var values []float32
+	for be := uint32(0); be < 255; be++ {
+		for m := uint32(0); m < ends; m++ {
+			values = append(values,
+				math.Float32frombits(be<<23|m),
+				math.Float32frombits(be<<23|(1<<23-1-m)))
+		}
+	}
+	rng := rand.New(rand.NewSource(32))
+	for len(values) < 255*2*ends+random {
+		if b := rng.Uint32() &^ (1 << 31); b>>23 != 255 {
+			values = append(values, math.Float32frombits(b))
+		}
+	}
+	prev := SetStatsEnabled(true)
+	defer SetStatsEnabled(prev)
+	for _, mode := range nearestModes {
+		ResetStats()
+		cm := Options{Reader: mode}.Reader.core()
+		nonzero := 0
+		for _, v := range values {
+			d, err := ShortestDigits32(v, &Options{Reader: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == 0 {
+				continue
+			}
+			nonzero++
+			exact, err := core.FreeFormat(fpformat.DecodeFloat32(v), 10, core.ScalingEstimate, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(d.Digits, exact.Digits) || d.K != exact.K {
+				t.Fatalf("mode %v, float32 %g [%x]: %v ×10^%d, exact %v ×10^%d",
+					mode, v, math.Float32bits(v), d.Digits, d.K, exact.Digits, exact.K)
+			}
+		}
+		s := Snapshot()
+		t.Logf("mode %v: %d float32 values, ryu declines %d", mode, len(values), s.RyuMisses)
+		if s.RyuHits+s.RyuMisses != uint64(nonzero) || s.RyuMisses > uint64(nonzero/100) {
+			t.Errorf("mode %v: ryu hits %d, misses %d over %d nonzero values",
+				mode, s.RyuHits, s.RyuMisses, nonzero)
+		}
 	}
 }
 
@@ -201,7 +316,7 @@ func TestRyuSubnormalFrontier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ShortestDigits(v, &Options{Backend: BackendRyu})
+		got, err := ShortestDigits(v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,8 +49,8 @@ func (r *BatchResult) WriteTo(w io.Writer) (int64, error) {
 
 // BatchShortest converts values to their shortest renderings in one
 // pass, reusing a single output buffer so the per-call overhead of the
-// conversion amortizes across the whole batch: on the certified Grisu3
-// path the entire batch costs two allocations (buffer and offsets)
+// conversion amortizes across the whole batch: on the Ryū kernel's path
+// the entire batch costs two allocations (buffer and offsets)
 // regardless of length.  It is the single-shard engine; the
 // floatprint/batch package runs the same conversion sharded across a
 // worker pool with cancellation.

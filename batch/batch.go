@@ -7,9 +7,9 @@
 // evaluation — millions of conversions measured end to end — where the
 // costs that matter are amortizable: output-buffer growth, offset
 // bookkeeping, and scheduling.  Each shard owns one append buffer for
-// its whole range, reuses the process-wide pooled conversion state
-// (grisu stack buffers, pooled bignat limbs) through
-// floatprint.AppendShortest, and tallies its telemetry locally, folding
+// its whole range, converts through floatprint.AppendShortest (the Ryū
+// kernel into a stack buffer, pooled bignat limbs on the rare exact
+// fallback), and tallies its telemetry locally, folding
 // it into the global counters with one atomic add per shard.  Output is
 // byte-identical to calling floatprint.AppendShortest on each value in
 // order, whatever the shard count.
@@ -43,12 +43,6 @@ type Config struct {
 	// (e.g. []byte{'\n'} for line-oriented output).  Convert never
 	// inserts separators: its packed buffer is delimited by offsets.
 	Sep []byte
-	// Backend selects the shortest-digit backend every shard uses
-	// (floatprint.BackendAuto, the zero value, picks the fastest
-	// applicable fast path per value).  The packed output is
-	// byte-identical for every choice; only the path mix and the
-	// throughput change.
-	Backend floatprint.Backend
 	// ParseBlockBytes is ParseAll's input block target: how many bytes
 	// are buffered (and sharded) per scan-and-write round.  Zero or
 	// negative means 1 MiB.
@@ -68,9 +62,6 @@ type Pool struct {
 	sep        []byte
 	parseBlock int
 	maxToken   int
-	// opts is non-nil only for a non-default backend selection, so the
-	// default path stays on the argument-free AppendShortest fast call.
-	opts *floatprint.Options
 }
 
 // New builds a Pool from cfg, applying defaults.
@@ -91,21 +82,7 @@ func New(cfg Config) *Pool {
 	if maxToken <= 0 {
 		maxToken = 1 << 20
 	}
-	p := &Pool{shards: shards, chunk: chunk, sep: cfg.Sep, parseBlock: parseBlock, maxToken: maxToken}
-	if cfg.Backend != floatprint.BackendAuto {
-		p.opts = &floatprint.Options{Backend: cfg.Backend}
-	}
-	return p
-}
-
-// appendShortest is the per-value conversion every shard runs: the plain
-// fast call under the default backend, the options-carrying variant when
-// the pool pins one.
-func (p *Pool) appendShortest(dst []byte, v float64) []byte {
-	if p.opts == nil {
-		return floatprint.AppendShortest(dst, v)
-	}
-	return floatprint.AppendShortestWith(dst, v, p.opts)
+	return &Pool{shards: shards, chunk: chunk, sep: cfg.Sep, parseBlock: parseBlock, maxToken: maxToken}
 }
 
 // Shards returns the pool's effective worker count.
@@ -156,7 +133,7 @@ func (p *Pool) Convert(ctx context.Context, values []float64) (*floatprint.Batch
 					outs[s].err = ctx.Err()
 					return
 				}
-				buf = p.appendShortest(buf, values[i])
+				buf = floatprint.AppendShortest(buf, values[i])
 				ends = append(ends, len(buf))
 			}
 			outs[s].buf, outs[s].ends = buf, ends
@@ -231,7 +208,7 @@ func (p *Pool) WriteAll(ctx context.Context, values []float64, w io.Writer) (int
 		lo := ci * p.chunk
 		hi := min(lo+p.chunk, n)
 		for i := lo; i < hi; i++ {
-			buf = p.appendShortest(buf, values[i])
+			buf = floatprint.AppendShortest(buf, values[i])
 			buf = append(buf, p.sep...)
 		}
 		return buf

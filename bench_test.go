@@ -252,15 +252,17 @@ func BenchmarkAppendShortest(b *testing.B) {
 }
 
 // TestAppendShortestZeroAlloc pins the zero-allocation contract of the
-// append fast path, under both the default registry routing and an
-// explicit ryu selection: a served value must never touch the heap.  The
+// append fast path, under both the default options and an explicit
+// non-default reader mode: a served value must never touch the heap.  The
 // benchmarks above report allocations but cannot fail on them; this can.
 func TestAppendShortestZeroAlloc(t *testing.T) {
 	floats, _ := benchCorpus()
 	served := make([]float64, 0, 256)
 	var kb [ryu.BufLen]byte
 	for _, f := range floats {
-		if _, _, ok := ryu.ShortestInto(kb[:], f); ok {
+		_, _, ok := ryu.ShortestInto(kb[:], f)
+		_, _, okAway := ryu.ShortestModeInto(kb[:], f, core.ReaderNearestAway)
+		if ok && okAway {
 			served = append(served, f)
 			if len(served) == cap(served) {
 				break
@@ -268,7 +270,7 @@ func TestAppendShortestZeroAlloc(t *testing.T) {
 		}
 	}
 	buf := make([]byte, 0, 64)
-	opts := &Options{Backend: BackendRyu}
+	opts := &Options{Reader: ReaderNearestAway}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, v := range served {
 			buf = AppendShortest(buf[:0], v)

@@ -4,7 +4,7 @@
 //	fpbench -table 2     Table 2: relative cost of the three scaling algorithms
 //	fpbench -table 3     Table 3: free vs fixed vs printf, mis-rounding count
 //	fpbench -stats       §5 statistic: mean shortest-digit count (paper: 15.2)
-//	                     plus the path-hit telemetry (grisu/Gay/exact mix)
+//	                     plus the path-hit telemetry (Ryū/Gay/exact mix)
 //	fpbench -ablation    estimator accuracy: Burger-Dybvig vs Gay
 //	fpbench -parallel    concurrent-conversion scaling with goroutine count
 //	fpbench -batch       batch-engine corpus throughput, 1 shard vs NumCPU
@@ -17,9 +17,10 @@
 //	                     enclosure-guaranteed parse throughput in
 //	                     intervals/s, with corpus-wide enclosure
 //	                     verification
-//	fpbench -shootout    backend head-to-head: grisu vs ryu vs exact vs
-//	                     strconv over the corpus, with decline rates and
-//	                     byte-identity verification
+//	fpbench -shootout    backend head-to-head: the default backend under
+//	                     each nearest reader mode vs exact vs strconv over
+//	                     the corpus, with decline rates and byte-identity
+//	                     verification
 //	fpbench -all         everything
 //	fpbench -n 50000     corpus size (default: the paper's full 250,680)
 //	fpbench -json out    also write results as a BENCH_*.json artifact
@@ -59,7 +60,7 @@ func main() {
 	parseFloor := flag.Float64("parse-floor", 0, "with -batchparse: fail unless the block engine sustains this many MB/s")
 	parseF := flag.Bool("parse", false, "fast-path Parse vs exact reader, with fallback rate")
 	intervalF := flag.Bool("interval", false, "interval print/parse throughput with enclosure verification")
-	shootout := flag.Bool("shootout", false, "backend head-to-head: grisu vs ryu vs exact vs strconv")
+	shootout := flag.Bool("shootout", false, "backend head-to-head: default backend per reader mode vs exact vs strconv")
 	all := flag.Bool("all", false, "run every experiment")
 	n := flag.Int("n", schryer.CorpusSize, "corpus size (max 250680)")
 	jsonOut := flag.String("json", "", "write results as a BENCH JSON artifact to this path (\"-\" for stdout)")
@@ -414,7 +415,7 @@ func runSuccessors(corpus []float64, art *harness.Artifact) error {
 const shootoutPasses = 5
 
 func runShootout(corpus []float64, art *harness.Artifact) error {
-	fmt.Println("== Backend shootout: grisu vs ryu vs exact vs strconv ==")
+	fmt.Println("== Backend shootout: default backend per nearest reader mode vs exact vs strconv ==")
 	fmt.Println("(Gareau-Lemire style head-to-head on the production append path)")
 	rows, err := harness.RunShootout(corpus, shootoutPasses)
 	if err != nil {
@@ -474,8 +475,8 @@ func runStats(corpus []float64) error {
 
 	// Path-hit telemetry: drive the public hot paths over the corpus with
 	// collection enabled and report which algorithm decided each value, so
-	// the throughput tables above are interpretable (a run where grisu
-	// certifies ~99.5% measures fixed-point arithmetic; the rest is the
+	// the throughput tables above are interpretable (a run where Ryū
+	// serves ~99.98% measures 128-bit integer arithmetic; the rest is the
 	// exact big-integer algorithm).
 	fmt.Println("== Path-hit telemetry (floatprint.Snapshot) ==")
 	prev := floatprint.SetStatsEnabled(true)
@@ -483,14 +484,6 @@ func runStats(corpus []float64) error {
 	buf := make([]byte, 0, 64)
 	for _, v := range corpus {
 		buf = floatprint.AppendShortest(buf[:0], v)
-	}
-	// Per-backend decline rates: drive the registered fast backends
-	// explicitly so the snapshot shows each one's hit/miss mix (the
-	// default AppendShortest loop above only exercises the auto
-	// selection, Ryū on this corpus).
-	grisuOpts := &floatprint.Options{Backend: floatprint.BackendGrisu}
-	for _, v := range corpus {
-		buf = floatprint.AppendShortestWith(buf[:0], v, grisuOpts)
 	}
 	// 15 digits keeps Gay's heuristic in its intended regime ("when the
 	// requested number of digits is small"); at 16-17 the accumulated
@@ -509,13 +502,13 @@ func runStats(corpus []float64) error {
 	}
 	delta := floatprint.Snapshot().Sub(before)
 	floatprint.SetStatsEnabled(prev)
-	fmt.Printf("shortest over %d values (auto backend, then grisu), fixed(15) over %d values, Parse over %d shortest strings:\n",
+	fmt.Printf("shortest over %d values, fixed(15) over %d values, Parse over %d shortest strings:\n",
 		len(corpus), min(len(corpus), 20000), parseN)
 	fmt.Print(delta.String())
 	fmt.Println()
 
 	// Estimator behavior on the exact path, measured corpus-wide: the
-	// public API above routes ~99.5% of values through grisu, so the §3.2
+	// public API above routes ~99.98% of values through Ryū, so the §3.2
 	// scale estimator's fixup rate must be measured by driving the exact
 	// algorithm directly over every value.
 	fmt.Println("== Conversion traces: §3.2 estimator fixup rate (exact path, whole corpus) ==")

@@ -105,7 +105,7 @@ func inspect(v float64) {
 }
 
 // explain prints the conversion's execution trace: first what the public
-// API actually did (which usually means the certified Grisu3 fast path),
+// API actually did (which usually means the Ryū kernel),
 // then the exact algorithm's plan for the same value, which is where the
 // paper's machinery — Table-1 case, scale estimate and fixup, loop
 // termination — lives even when a fast path short-circuited it.
@@ -122,12 +122,11 @@ func explain(v float64) {
 	}
 	fmt.Printf("shortest  %s\n", d.String())
 	fmt.Printf("path      %s", tr.Backend)
-	if tr.Backend == floatprint.TraceBackendGrisu {
-		fmt.Printf(" (certified fast path: %d digits in %d loop iterations, exact algorithm skipped)\n",
-			tr.Digits, tr.Iterations)
+	if tr.Backend == floatprint.TraceBackendRyu {
+		fmt.Printf(" (certified fast path: %d digits, exact algorithm skipped)\n", tr.Digits)
 	} else {
 		if tr.FastPathMiss {
-			fmt.Printf(" (grisu3 attempted, failed certification)")
+			fmt.Printf(" (ryu attempted, declined an exact-halfway tie)")
 		}
 		fmt.Println()
 	}

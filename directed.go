@@ -83,7 +83,7 @@ func directedValue(val fpformat.Value, o Options, above bool) (d Digits, fast bo
 	}
 	if directedFastpath(o, val) {
 		if v, verr := abs(val).Float64(); verr == nil {
-			var buf [fastBufLen]byte
+			var buf [ryu.BufLen]byte
 			var n, k int
 			var ok bool
 			if above != val.Neg {
@@ -93,14 +93,7 @@ func directedValue(val fpformat.Value, o Options, above bool) (d Digits, fast bo
 			}
 			if ok {
 				stats.DirectedRyuHits.Inc()
-				digits := make([]byte, n)
-				for i := 0; i < n; i++ {
-					digits[i] = buf[i] - '0' // ASCII back to digit values
-				}
-				return Digits{
-					Class: Finite, Neg: val.Neg,
-					Digits: digits, K: k, NSig: n, Base: 10,
-				}, true, nil
+				return kernelDigits(buf[:], n, k, val.Neg), true, nil
 			}
 			stats.DirectedRyuMisses.Inc()
 		}

@@ -96,7 +96,7 @@ func TestDirectedPrintFastMatchesExact(t *testing.T) {
 
 // TestDirectedDispatchGuards pins the static guards in front of the
 // one-sided kernels: requests the base-10 decimal kernels cannot serve —
-// other bases, non-default scaling, an explicit grisu or exact backend —
+// other bases, non-default scaling, the exact backend —
 // must go to the exact core without so much as an attempted fast call
 // (the kernels would produce well-formed garbage for base 16, so the
 // guard must fire before, not inside, the kernel).
@@ -106,7 +106,6 @@ func TestDirectedDispatchGuards(t *testing.T) {
 		{Base: 2},
 		{Scaling: ScalingIterative},
 		{Scaling: ScalingFloatLog},
-		{Backend: BackendGrisu},
 		{Backend: BackendExact},
 	}
 	for _, o := range guarded {
@@ -134,13 +133,13 @@ func TestDirectedDispatchGuards(t *testing.T) {
 	ResetStats()
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
-	for _, o := range []*Options{nil, {Backend: BackendRyu}, {Backend: BackendAuto}} {
+	for _, o := range []*Options{nil, {Backend: BackendAuto}} {
 		if _, err := ShortestBelowDigits(0.3, o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := Snapshot(); d.DirectedRyuHits != 3 {
-		t.Errorf("eligible options: DirectedRyuHits = %d, want 3", d.DirectedRyuHits)
+	if d := Snapshot(); d.DirectedRyuHits != 2 {
+		t.Errorf("eligible options: DirectedRyuHits = %d, want 2", d.DirectedRyuHits)
 	}
 }
 

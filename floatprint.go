@@ -7,7 +7,7 @@ import (
 	"floatprint/internal/core"
 	"floatprint/internal/fastpath"
 	"floatprint/internal/fpformat"
-	"floatprint/internal/grisu"
+	"floatprint/internal/ryu"
 	"floatprint/internal/stats"
 )
 
@@ -61,31 +61,7 @@ func ShortestDigits32(v float32, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	val := fpformat.DecodeFloat32(v)
-	// Specials are classified before any fast path runs, exactly as in
-	// shortestValue: the grisu guards are an internal defense, not the
-	// API's ±0/Inf/NaN semantics.
-	if d, done := specialDigits(val, o.Base); done {
-		return d, nil
-	}
-	// Ryū here is float64-only, so the float32 fast path is Grisu3 under
-	// BackendAuto or BackendGrisu; an explicit BackendRyu or BackendExact
-	// request routes to the exact core (decline-don't-error: a backend
-	// that cannot serve the format falls through, it never approximates).
-	if o.Base == 10 && o.Scaling == ScalingEstimate &&
-		(o.Backend == BackendAuto || o.Backend == BackendGrisu) {
-		if digits, k, ok := grisu.Shortest32(float32(math.Abs(float64(v)))); ok {
-			stats.GrisuHits.Inc()
-			if stats.Enabled() {
-				stats.Traces.RecordFast(TraceBackendGrisu, len(digits))
-			}
-			return Digits{
-				Class: Finite, Neg: math.Signbit(float64(v)),
-				Digits: digits, K: k, NSig: len(digits), Base: 10,
-			}, nil
-		}
-	}
-	return shortestValue(val, o)
+	return shortestValue(fpformat.DecodeFloat32(v), o)
 }
 
 // shortestValue runs the free-format conversion under already-normalized
@@ -132,39 +108,28 @@ func shortestValueTraced(val fpformat.Value, o Options, tr *Trace) (Digits, erro
 		}
 		return d, err
 	}
-	// Fast-path dispatch through the backend registry (see backend.go):
-	// Ryū for base-10 nearest-even binary64 requests, certified Grisu3
-	// for the other reader modes (its certificate is valid under all
-	// four), honoring an explicit Options.Backend selection.  Both follow
-	// the decline-don't-error contract — the rare declines (Ryū's
-	// exact-halfway ties, ~0.5% Grisu3 certification failures) take the
-	// exact path below, so the output never depends on the backend.
+	// Fast-path dispatch (see backend.go): the nearest Ryū kernel serves
+	// base-10 requests of either format under all four nearest reader
+	// modes.  It follows the decline-don't-error contract — its rare
+	// declines (exact-halfway ties) take the exact path below, so the
+	// output never depends on the path.
 	fastMiss := false
-	if fb := shortestFastpath(o, val); fb != TraceBackendNone {
-		if v, verr := abs(val).Float64(); verr == nil {
-			var buf [fastBufLen]byte
-			if n, k, ok := shortestFastAttempt(fb, buf[:], v); ok {
-				digits := make([]byte, n)
-				for i := 0; i < n; i++ {
-					digits[i] = buf[i] - '0' // ASCII back to digit values
-				}
-				if tr != nil {
-					tr.Reset()
-					tr.Backend = fb
-					tr.Base = 10
-					tr.Mode = o.Reader.String()
-					tr.Iterations = n
-					tr.K = k
-					tr.Digits = n
-					tr.NSig = n
-				}
-				return Digits{
-					Class: Finite, Neg: val.Neg,
-					Digits: digits, K: k, NSig: n, Base: 10,
-				}, nil
+	if nearestFastpath(o) && (val.Fmt == fpformat.Binary64 || val.Fmt == fpformat.Binary32) {
+		var buf [ryu.BufLen]byte
+		if n, k, ok := ryuShortest(buf[:], abs(val), o.Reader.core()); ok {
+			if tr != nil {
+				tr.Reset()
+				tr.Backend = TraceBackendRyu
+				tr.Base = 10
+				tr.Mode = o.Reader.String()
+				tr.Iterations = n
+				tr.K = k
+				tr.Digits = n
+				tr.NSig = n
 			}
-			fastMiss = true
+			return kernelDigits(buf[:], n, k, val.Neg), nil
 		}
+		fastMiss = true
 	}
 	res, err := core.FreeFormatTraced(abs(val), o.Base, o.Scaling.core(), o.Reader.core(), tr)
 	if err != nil {

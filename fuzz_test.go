@@ -98,6 +98,12 @@ func FuzzShortestRoundTrip(f *testing.F) {
 // ties are precisely where the round-up core may legitimately render
 // different digits than strconv's round-to-even, so byte comparison
 // would be wrong there and round-trip identity is the real invariant.
+//
+// strconv knows only the nearest-even reader, so the kernel's other
+// inputs are differenced against the exact core instead: the fuzzed bits
+// under the three other nearest modes, and their low 32 bits as a
+// float32 under all four, must render the same bytes with default
+// options as with BackendExact.
 func FuzzRyuVsStrconv(f *testing.F) {
 	for _, bits := range fuzzSeeds {
 		f.Add(bits)
@@ -107,6 +113,20 @@ func FuzzRyuVsStrconv(f *testing.F) {
 	// round-to-even keeps ...12 but the exact core rounds up to ...13.
 	f.Add(uint64(0x3e60000000000000))
 	f.Fuzz(func(t *testing.T, bits uint64) {
+		f32 := math.Float32frombits(uint32(bits))
+		for _, mode := range []ReaderRounding{ReaderNearestEven, ReaderUnknown, ReaderNearestAway, ReaderNearestTowardZero} {
+			auto, exact := &Options{Reader: mode}, &Options{Reader: mode, Backend: BackendExact}
+			if mode != ReaderNearestEven {
+				v := math.Float64frombits(bits)
+				if got, want := fuzzFormat(ShortestDigits(v, auto)), fuzzFormat(ShortestDigits(v, exact)); got != want {
+					t.Fatalf("mode %v: v=%x default %q, exact %q", mode, bits, got, want)
+				}
+			}
+			if got, want := fuzzFormat(ShortestDigits32(f32, auto)), fuzzFormat(ShortestDigits32(f32, exact)); got != want {
+				t.Fatalf("mode %v: float32 %x default %q, exact %q", mode, uint32(bits), got, want)
+			}
+		}
+
 		v := math.Abs(math.Float64frombits(bits))
 		if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 {
 			t.Skip()
@@ -137,6 +157,15 @@ func FuzzRyuVsStrconv(f *testing.F) {
 				bits, got, k, want, mant, e+1)
 		}
 	})
+}
+
+// fuzzFormat renders a ShortestDigits result, or its error, as one
+// comparable string.
+func fuzzFormat(d Digits, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return d.String()
 }
 
 // inCommonParseGrammar reports whether s lies in the intersection of

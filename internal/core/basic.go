@@ -17,7 +17,7 @@ func BasicFreeFormat(v fpformat.Value, base int, mode ReaderMode) (Result, error
 	if err := checkArgs(v, base); err != nil {
 		return Result{}, err
 	}
-	lowOK, highOK := mode.boundaryOK(v)
+	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 
 	// Step 1: the rounding range (low, high) from v's neighbors.  The
 	// successor gap is always bᵉ; the predecessor gap narrows to bᵉ⁻¹ just

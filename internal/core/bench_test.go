@@ -60,7 +60,7 @@ func (st *state) scaleEstimateNaiveFixup(v fpformat.Value) int {
 
 // convertWith runs a full conversion with the chosen fixup strategy.
 func convertWith(v fpformat.Value, naive bool) Result {
-	lowOK, highOK := ReaderNearestEven.boundaryOK(v)
+	lowOK, highOK := ReaderNearestEven.BoundaryOK(v.MantissaEven())
 	st := newState(v, 10, lowOK, highOK)
 	var k int
 	if naive {

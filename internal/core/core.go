@@ -68,12 +68,16 @@ func (m ReaderMode) String() string {
 	return fmt.Sprintf("ReaderMode(%d)", int(m))
 }
 
-// boundaryOK returns the low-ok?/high-ok? flags of the paper's Figure 1 for
-// a positive value v under reader mode m.
-func (m ReaderMode) boundaryOK(v fpformat.Value) (lowOK, highOK bool) {
+// BoundaryOK returns the low-ok?/high-ok? flags of the paper's Figure 1
+// for a positive value under reader mode m: whether the low and high
+// endpoints of its rounding range read back as the value itself.  even
+// is the parity of the value's integer mantissa (fpformat's
+// Value.MantissaEven), the only property of the value the mapping
+// depends on.  The exact core and the Ryū kernels both take their
+// acceptance flags from here.
+func (m ReaderMode) BoundaryOK(even bool) (lowOK, highOK bool) {
 	switch m {
 	case ReaderNearestEven:
-		even := v.MantissaEven()
 		return even, even
 	case ReaderNearestAway:
 		return true, false

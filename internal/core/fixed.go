@@ -29,7 +29,7 @@ func FixedFormatTraced(v fpformat.Value, base int, mode ReaderMode, j int, tr *t
 	if err := checkArgs(v, base); err != nil {
 		return Result{}, err
 	}
-	lowOK, highOK := mode.boundaryOK(v)
+	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
 	st.tr = tr
 	defer st.release()

@@ -140,7 +140,7 @@ func FreeFormatTraced(v fpformat.Value, base int, method Scaling, mode ReaderMod
 	if err := checkArgs(v, base); err != nil {
 		return Result{}, err
 	}
-	lowOK, highOK := mode.boundaryOK(v)
+	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
 	st.tr = tr
 	defer st.release()

@@ -233,7 +233,7 @@ func ExactScale(v fpformat.Value, base int, mode ReaderMode) (int, error) {
 	if err := checkArgs(v, base); err != nil {
 		return 0, err
 	}
-	lowOK, highOK := mode.boundaryOK(v)
+	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
 	defer st.release()
 	return st.scaleIterative(), nil
@@ -248,7 +248,7 @@ func ScaleOps(v fpformat.Value, base int, method Scaling, mode ReaderMode) (k, o
 	if err := checkArgs(v, base); err != nil {
 		return 0, 0, err
 	}
-	lowOK, highOK := mode.boundaryOK(v)
+	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
 	defer st.release()
 	k = st.scale(method, v)

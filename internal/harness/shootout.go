@@ -1,8 +1,10 @@
-// The backend shootout: a head-to-head of every registered shortest-path
-// backend plus Go's strconv over the same corpus, in the style of Gareau
-// & Lemire's experimental review of shortest-decimal converters.  Each
-// contender runs the same append-style loop the serving and batch layers
-// use, so the numbers measure the production path, not a stripped kernel.
+// The backend shootout: a head-to-head of the shortest-path backends plus
+// Go's strconv over the same corpus, in the style of Gareau & Lemire's
+// experimental review of shortest-decimal converters.  The default
+// backend gets one row per nearest reader mode, since each mode is its
+// own request shape for the dispatch.  Each contender runs the same
+// append-style loop the serving and batch layers use, so the numbers
+// measure the production path, not a stripped kernel.
 
 package harness
 
@@ -25,42 +27,37 @@ type ShootoutRow struct {
 	Median   float64
 	Declines uint64  // fast-path declines over one pass (exact fallbacks)
 	Rate     float64 // Declines / corpus size
-	Verified bool    // byte-identical to the exact backend over the corpus
+	Verified bool    // byte-identical to BackendExact under the same mode
 }
 
-// shootoutContender is one row's driver: a per-value append loop plus
-// the snapshot field that counts its declines.
+// shootoutContender is one row's driver: the options of its per-value
+// append loop (nil for the strconv reference).
 type shootoutContender struct {
-	name     string
-	opts     *floatprint.Options // nil for the strconv reference
-	declines func(floatprint.Stats) uint64
+	name string
+	opts *floatprint.Options
 }
 
-// RunShootout measures every backend over the corpus with `passes` timed
-// passes each (after one warm-up), plus a non-timed telemetry pass for
-// decline rates and a verification pass pinning byte-identity of the
-// floatprint rows against the exact backend.  The strconv row is Go's
-// own Ryū via AppendFloat, the natural external reference.
+// shootoutModes are the nearest reader modes, each a default-backend row.
+var shootoutModes = []floatprint.ReaderRounding{
+	floatprint.ReaderNearestEven, floatprint.ReaderUnknown,
+	floatprint.ReaderNearestAway, floatprint.ReaderNearestTowardZero,
+}
+
+// RunShootout measures every contender over the corpus with `passes`
+// timed passes each (after one warm-up), plus a non-timed telemetry pass
+// for decline rates and a verification pass pinning byte-identity of the
+// floatprint rows against BackendExact under the row's reader mode.  The
+// strconv row is Go's own Ryū via AppendFloat, the natural external
+// reference.
 func RunShootout(corpus []float64, passes int) ([]ShootoutRow, error) {
 	if passes <= 0 {
 		passes = 5
 	}
-	contenders := []shootoutContender{
-		{"grisu", &floatprint.Options{Backend: floatprint.BackendGrisu},
-			func(s floatprint.Stats) uint64 { return s.GrisuMisses }},
-		{"ryu", &floatprint.Options{Backend: floatprint.BackendRyu},
-			func(s floatprint.Stats) uint64 { return s.RyuMisses }},
-		{"exact", &floatprint.Options{Backend: floatprint.BackendExact},
-			func(floatprint.Stats) uint64 { return 0 }},
-		{"strconv", nil, func(floatprint.Stats) uint64 { return 0 }},
+	contenders := []shootoutContender{{"exact", &floatprint.Options{Backend: floatprint.BackendExact}}}
+	for _, m := range shootoutModes {
+		contenders = append(contenders, shootoutContender{"auto/" + m.String(), &floatprint.Options{Reader: m}})
 	}
-
-	// Exact reference output for verification, rendered once.
-	exactOpts := &floatprint.Options{Backend: floatprint.BackendExact}
-	ref := make([][]byte, len(corpus))
-	for i, v := range corpus {
-		ref[i] = floatprint.AppendShortestWith(nil, v, exactOpts)
-	}
+	contenders = append(contenders, shootoutContender{"strconv", nil})
 
 	rows := make([]ShootoutRow, len(contenders))
 	buf := make([]byte, 0, 64)
@@ -82,23 +79,26 @@ func RunShootout(corpus []float64, passes int) ([]ShootoutRow, error) {
 		// rendering differs in shape, not digits, so it is not compared
 		// byte-for-byte here — the differential tests own that).
 		if c.opts != nil {
-			rows[ci].Verified = true
-			for i, v := range corpus {
+			exactOpts := &floatprint.Options{Reader: c.opts.Reader, Backend: floatprint.BackendExact}
+			for _, v := range corpus {
 				buf = runs[ci](buf[:0], v)
-				if string(buf) != string(ref[i]) {
-					return nil, fmt.Errorf("shootout: backend %s diverges from exact for %g: %q vs %q",
-						c.name, v, buf, ref[i])
+				ref := floatprint.AppendShortestWith(nil, v, exactOpts)
+				if string(buf) != string(ref) {
+					return nil, fmt.Errorf("shootout: %s diverges from exact for %g: %q vs %q",
+						c.name, v, buf, ref)
 				}
 			}
+			rows[ci].Verified = true
 		}
 
-		// Telemetry pass: decline mix with collection enabled.
+		// Telemetry pass: decline mix with collection enabled.  Only the
+		// nearest kernel declines; the exact and strconv rows read 0.
 		prev := floatprint.SetStatsEnabled(true)
 		before := floatprint.Snapshot()
 		for _, v := range corpus {
 			buf = runs[ci](buf[:0], v)
 		}
-		rows[ci].Declines = c.declines(floatprint.Snapshot().Sub(before))
+		rows[ci].Declines = floatprint.Snapshot().Sub(before).RyuMisses
 		floatprint.SetStatsEnabled(prev)
 		rows[ci].Rate = float64(rows[ci].Declines) / float64(len(corpus))
 
@@ -140,7 +140,7 @@ func RenderShootout(rows []ShootoutRow, corpusSize, passes int) string {
 			exact = r.Median
 		}
 	}
-	fmt.Fprintf(&sb, "  %-10s %12s %10s %12s %10s\n", "backend", "ns/op", "vs exact", "declines", "verified")
+	fmt.Fprintf(&sb, "  %-26s %12s %10s %12s %10s\n", "backend", "ns/op", "vs exact", "declines", "verified")
 	for _, r := range rows {
 		rel := "-"
 		if exact > 0 {
@@ -150,7 +150,7 @@ func RenderShootout(rows []ShootoutRow, corpusSize, passes int) string {
 		if r.Verified {
 			verified = "yes"
 		}
-		fmt.Fprintf(&sb, "  %-10s %12.1f %10s %7d (%.4f%%) %7s\n",
+		fmt.Fprintf(&sb, "  %-26s %12.1f %10s %7d (%.4f%%) %7s\n",
 			r.Name, r.Median, rel, r.Declines, 100*r.Rate, verified)
 	}
 	return sb.String()

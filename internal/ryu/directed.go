@@ -33,28 +33,6 @@ package ryu
 
 import "math"
 
-// decompose64 splits a positive finite v into Ryū's step-1/2 quantities:
-// the quarter-ulp significand mv = 4·m2, its binary exponent e2, and the
-// lower-boundary shift (1 except at the uneven power-of-two gap).
-func decompose64(v float64) (mv uint64, e2 int, mmShift uint64) {
-	b := math.Float64bits(v)
-	ieeeMantissa := b & (1<<mantBits - 1)
-	ieeeExponent := int(b >> mantBits & (1<<expBits - 1))
-	var m2 uint64
-	if ieeeExponent == 0 {
-		e2 = 1 - bias - mantBits - 2
-		m2 = ieeeMantissa
-	} else {
-		e2 = ieeeExponent - bias - mantBits - 2
-		m2 = 1<<mantBits | ieeeMantissa
-	}
-	mmShift = 0
-	if ieeeMantissa != 0 || ieeeExponent <= 1 {
-		mmShift = 1
-	}
-	return 4 * m2, e2, mmShift
-}
-
 // ShortestBelowInto converts a positive finite v to the shortest decimal
 // in its lower half-gap (v−m⁻, v], writing ASCII digits into buf (at
 // least BufLen bytes) and returning the digit count and K with

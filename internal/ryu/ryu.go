@@ -1,4 +1,4 @@
-// Package ryu implements the Ryū shortest float64-to-decimal conversion
+// Package ryu implements the Ryū shortest float-to-decimal conversion
 // (Ulf Adams, PLDI 2018) — the second-generation successor to Burger &
 // Dybvig's algorithm and the one inside Go's strconv today.
 //
@@ -7,18 +7,24 @@
 // the powers of five so that the three scaled values (the number and its
 // rounding-range boundaries) come out of a single 64×128-bit
 // multiplication each, exactly; the shortest digits then fall out of a
-// small division loop with explicit trailing-zero bookkeeping.  It
-// assumes the IEEE round-to-nearest-even reader, i.e. the paper's
-// ReaderNearestEven mode — under any other reader assumption its output
-// would be wrong-but-plausible, so dispatch layers must guard the mode.
+// small division loop with explicit trailing-zero bookkeeping.
 //
-// Like the other fast paths in this repository (grisu, fastparse), the
-// entry points follow the decline-don't-error contract: out-of-domain
+// The reader's rounding enters exactly where it does in the paper: as
+// the low-ok?/high-ok? pair of Figure 1, which says whether each endpoint
+// of the rounding range may itself be output.  The kernel takes both
+// flags from the exact core's mode table (core.ReaderMode.BoundaryOK),
+// so one kernel serves all four nearest reader modes, for binary64
+// (ShortestModeInto, with ShortestInto as the nearest-even entry) and
+// binary32 (Shortest32Into) alike.  The directed modes print one-sided
+// ranges instead and have their own kernels (directed.go).
+//
+// Like the other fast paths in this repository (fastparse, fastpath),
+// the entry points follow the decline-don't-error contract: out-of-domain
 // inputs (v <= 0, Inf, NaN) and the rare exact-halfway values where Ryū's
 // round-to-even tie policy would diverge from the exact Burger & Dybvig
 // core's round-up policy return ok == false, and the caller falls back to
 // the exact algorithm.  A result with ok == true is byte-identical to the
-// exact core's nearest-even free-format output.
+// exact core's free-format output under the same reader mode.
 //
 // The power tables are generated at package init with this repository's
 // own bignat arithmetic rather than embedded as literals, and every value
@@ -31,6 +37,7 @@ import (
 	"math/bits"
 
 	"floatprint/internal/bignat"
+	"floatprint/internal/core"
 )
 
 const (
@@ -161,34 +168,78 @@ func Shortest(v float64) (digits []byte, k int, ok bool) {
 // path wants: the bytes go to output verbatim, so emitting them printable
 // here saves a conversion pass per call).
 func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
+	return shortest(buf, v, false, core.ReaderNearestEven)
+}
+
+// ShortestModeInto is ShortestInto for a reader that rounds under mode:
+// the output is byte-identical to the exact core's free-format result
+// under the same mode (core.FreeFormat), or the call declines.
+func ShortestModeInto(buf []byte, v float64, mode core.ReaderMode) (n, k int, ok bool) {
+	return shortest(buf, v, false, mode)
+}
+
+// Shortest32Into is ShortestModeInto for a binary32 value: the same
+// kernel on the float32 decomposition, so the digits are the shortest
+// that identify v among float32s (at most 9).
+func Shortest32Into(buf []byte, v float32, mode core.ReaderMode) (n, k int, ok bool) {
+	return shortest(buf, float64(v), true, mode)
+}
+
+// decompose64 splits a positive finite float64 into the kernels'
+// step-1/2 quantities (see decompose).
+func decompose64(v float64) (mv uint64, e2 int, mmShift uint64) {
+	return decompose(math.Float64bits(v), mantBits, expBits, bias)
+}
+
+// decompose splits the IEEE encoding b of a positive finite value
+// (mantBits explicit mantissa bits, expBits exponent bits, exponent bias)
+// into Ryū's step-1/2 quantities: the quarter-ulp significand mv = 4·m2,
+// its binary exponent e2, and the lower-boundary shift (1 except at the
+// uneven power-of-two gap).  Binary32 values lie inside the domain the
+// binary64 tables are built for (m2 below 2^53, e2 within binary64's
+// range), so binary32 runs through them unchanged, as in Go's strconv.
+func decompose(b uint64, mantBits, expBits uint, bias int) (mv uint64, e2 int, mmShift uint64) {
+	ieeeMantissa := b & (1<<mantBits - 1)
+	ieeeExponent := int(b >> mantBits & (1<<expBits - 1))
+	m2 := ieeeMantissa
+	if ieeeExponent == 0 {
+		e2 = 1 - bias - int(mantBits) - 2
+	} else {
+		e2 = ieeeExponent - bias - int(mantBits) - 2
+		m2 |= 1 << mantBits
+	}
+	if ieeeMantissa != 0 || ieeeExponent <= 1 {
+		mmShift = 1
+	}
+	return 4 * m2, e2, mmShift
+}
+
+// shortest is the nearest kernel proper: the shortest decimal in the
+// rounding range of v, a binary64 value or, when f32 is set, a binary32
+// value widened to float64 (exactly), with each range endpoint admissible
+// or not as mode's Figure-1 flags say.  Taking both formats as a float64
+// keeps the entry points cheap enough to inline, so the append path pays
+// one call into the kernel.
+func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, ok bool) {
 	// The guard condenses the domain check: !(v > 0) rejects zero,
 	// negatives, and NaN in one compare, and the only positive
 	// non-finite left is +Inf.
 	if len(buf) < BufLen || !(v > 0) || v > math.MaxFloat64 {
 		return 0, 0, false
 	}
-	b := math.Float64bits(v)
-	ieeeMantissa := b & (1<<mantBits - 1)
-	ieeeExponent := int(b >> mantBits & (1<<expBits - 1))
-
-	var m2 uint64
+	var mv, mmShift uint64
 	var e2 int
-	if ieeeExponent == 0 {
-		e2 = 1 - bias - mantBits - 2
-		m2 = ieeeMantissa
+	if f32 {
+		mv, e2, mmShift = decompose(uint64(math.Float32bits(float32(v))), 23, 8, 127)
 	} else {
-		e2 = ieeeExponent - bias - mantBits - 2
-		m2 = 1<<mantBits | ieeeMantissa
+		mv, e2, mmShift = decompose64(v)
 	}
-	even := m2&1 == 0
-	acceptBounds := even
 
-	// Step 2: boundaries as quarter-ulp integers.
-	mv := 4 * m2
-	mmShift := uint64(0)
-	if ieeeMantissa != 0 || ieeeExponent <= 1 {
-		mmShift = 1
-	}
+	// The endpoint policy: a lower bound the reader rounds up to the
+	// value may itself be output (acceptLow), and so may an upper bound
+	// it rounds down to the value (acceptHigh).  Of the value, only the
+	// parity of m2 = mv/4 matters.
+	acceptLow, acceptHigh := mode.BoundaryOK(mv&4 == 0)
 
 	// Step 3: scale to decimal with one table multiplication per value.
 	var vr, vp, vm uint64
@@ -206,14 +257,19 @@ func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
 		vr = mulShift64(mv, pow5InvSplit[q], i)
 		vp = mulShift64(mv+2, pow5InvSplit[q], i)
 		vm = mulShift64(mv-1-mmShift, pow5InvSplit[q], i)
+		// Only one of mv-1-mmShift, mv, mv+2 can be a multiple of 5, so
+		// at most one of the scaled values is exact.  An exact admissible
+		// lower bound is a candidate (vmIsTrailingZeros); an exact
+		// inadmissible upper bound is not, so the largest candidate is
+		// one below it.
 		if q <= 21 {
-			switch {
-			case mv%5 == 0:
+			if mv%5 == 0 {
 				vrIsTrailingZeros = multipleOfPowerOf5(mv, q)
-			case acceptBounds:
-				vmIsTrailingZeros = multipleOfPowerOf5(mv-1-mmShift, q)
-			default:
-				if multipleOfPowerOf5(mv+2, q) {
+			} else {
+				if acceptLow {
+					vmIsTrailingZeros = multipleOfPowerOf5(mv-1-mmShift, q)
+				}
+				if !acceptHigh && multipleOfPowerOf5(mv+2, q) {
 					vp--
 				}
 			}
@@ -231,10 +287,15 @@ func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
 		vp = mulShift64(mv+2, pow5Split[i], j)
 		vm = mulShift64(mv-1-mmShift, pow5Split[i], j)
 		if q <= 1 {
+			// mv = 4·m2 has at least two trailing zero bits and mv+2
+			// exactly one, and mv-1-mmShift has one iff mmShift == 1:
+			// with q <= 1 the scaled vr and vp are exact, and vm is when
+			// mmShift == 1.
 			vrIsTrailingZeros = true
-			if acceptBounds {
+			if acceptLow {
 				vmIsTrailingZeros = mmShift == 1
-			} else {
+			}
+			if !acceptHigh {
 				vp--
 			}
 		} else if q < 63 {
@@ -242,7 +303,8 @@ func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
 		}
 	}
 
-	// Step 4: find the shortest representation in (vm, vp).
+	// Step 4: find the shortest representation in the range (vm, vp),
+	// closed at either end the policy admits.
 	removed := 0
 	var lastRemovedDigit uint8
 	var out uint64
@@ -267,7 +329,7 @@ func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
 			}
 		}
 		if vrIsTrailingZeros && lastRemovedDigit == 5 && vr%2 == 0 &&
-			(vr != vm || (acceptBounds && vmIsTrailingZeros)) {
+			(vr != vm || vmIsTrailingZeros) {
 			// Exact halfway with an even candidate that is admissible
 			// output: Ryū would round the digits to even (keep vr) but the
 			// exact Burger & Dybvig core rounds ties up, so the two outputs
@@ -279,7 +341,7 @@ func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
 			return 0, 0, false
 		}
 		out = vr
-		if (vr == vm && (!acceptBounds || !vmIsTrailingZeros)) || lastRemovedDigit >= 5 {
+		if (vr == vm && !vmIsTrailingZeros) || lastRemovedDigit >= 5 {
 			out++
 		}
 	} else {

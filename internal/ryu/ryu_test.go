@@ -188,6 +188,9 @@ func TestSpecialsDecline(t *testing.T) {
 		if n, k, ok := ShortestInto(buf[:], v); ok || n != 0 || k != 0 {
 			t.Errorf("ShortestInto(%v) = (%d, %d, %v), want decline", v, n, k, ok)
 		}
+		if n, k, ok := Shortest32Into(buf[:], float32(v), core.ReaderUnknown); ok || n != 0 || k != 0 {
+			t.Errorf("Shortest32Into(%v) = (%d, %d, %v), want decline", v, n, k, ok)
+		}
 	}
 }
 
@@ -195,6 +198,12 @@ func TestShortestIntoShortBuffer(t *testing.T) {
 	var buf [BufLen - 1]byte
 	if n, k, ok := ShortestInto(buf[:], 1.5); ok || n != 0 || k != 0 {
 		t.Errorf("ShortestInto(short buf) = (%d, %d, %v), want decline", n, k, ok)
+	}
+	if n, k, ok := ShortestModeInto(buf[:], 1.5, core.ReaderNearestAway); ok || n != 0 || k != 0 {
+		t.Errorf("ShortestModeInto(short buf) = (%d, %d, %v), want decline", n, k, ok)
+	}
+	if n, k, ok := Shortest32Into(buf[:], 1.5, core.ReaderNearestAway); ok || n != 0 || k != 0 {
+		t.Errorf("Shortest32Into(short buf) = (%d, %d, %v), want decline", n, k, ok)
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package stats is the conversion-path telemetry layer: a handful of
 // process-global atomic counters that record which algorithm actually
-// produced each result — the certified Grisu3 fast path, Gay's
-// fixed-format fast path, or the exact big-integer fallback — plus the
-// aggregate value/byte totals of the batch engine.
+// produced each result — a Ryū kernel, Gay's fixed-format fast path, an
+// Eisel–Lemire parse, or the exact big-integer fallback — plus the
+// aggregate value/byte totals of the batch engines.
 //
 // The counters exist to make the paper's Table-2/3 style measurements
 // self-describing: a throughput number is only meaningful alongside the
-// path mix that produced it (~99.5% of shortest conversions should be
-// certified Grisu3 hits; a corpus that drives the exact path harder is
-// measuring a different algorithm).
+// path mix that produced it (~99.98% of base-10 shortest conversions are
+// Ryū hits under every nearest reader mode; a corpus that drives the
+// exact path harder is measuring a different algorithm).
 //
 // Collection is off by default and enabled with Enable(true): when
 // disabled, every hot-path hook is a single predictable branch on an
@@ -34,7 +34,7 @@ func Enabled() bool { return enabled.Load() }
 // Counter is one telemetry counter, padded so that adjacent counters in
 // the package-level block sit on distinct cache lines (the hooks run on
 // every conversion from every shard; false sharing between, say, the
-// grisu-hit and batch-bytes counters would serialize unrelated workers).
+// ryu-hit and batch-bytes counters would serialize unrelated workers).
 type Counter struct {
 	n atomic.Uint64
 	_ [56]byte
@@ -59,21 +59,16 @@ func (c *Counter) Add(n uint64) {
 func (c *Counter) Load() uint64 { return c.n.Load() }
 
 // The counters.  Hit/miss pairs count only conversions where the fast
-// path was *attempted* (base 10, binary64, default scaling); ExactFree
+// path was *attempted* (base 10, default scaling); ExactFree
 // and ExactFixed count every conversion that ran the exact big-integer
 // algorithm, including those where no fast path applied (other bases,
 // non-default scaling, explicit positions).
 var (
-	// GrisuHits counts shortest conversions certified by the Grisu3 fast
-	// path.
-	GrisuHits Counter
-	// GrisuMisses counts shortest conversions where Grisu3 was attempted
-	// but failed certification and the exact algorithm decided.
-	GrisuMisses Counter
-	// RyuHits counts shortest conversions served by the Ryū fast path.
+	// RyuHits counts nearest-mode shortest conversions served by the Ryū
+	// kernel (binary64 and binary32).
 	RyuHits Counter
 	// RyuMisses counts shortest conversions where Ryū was attempted but
-	// declined (exact-halfway ties) and a fallback decided.
+	// declined (exact-halfway ties) and the exact core decided.
 	RyuMisses Counter
 	// GayHits counts fixed-format conversions certified by Gay's
 	// extended-float fast path.
@@ -140,7 +135,6 @@ var (
 // atomic load, so a snapshot taken while conversions are in flight may
 // straddle an individual conversion but never tears a counter.
 type Snapshot struct {
-	GrisuHits, GrisuMisses         uint64
 	RyuHits, RyuMisses             uint64
 	GayHits, GayMisses             uint64
 	ExactFree, ExactFixed          uint64
@@ -160,8 +154,6 @@ type Snapshot struct {
 // Read snapshots all counters.
 func Read() Snapshot {
 	return Snapshot{
-		GrisuHits:   GrisuHits.Load(),
-		GrisuMisses: GrisuMisses.Load(),
 		RyuHits:     RyuHits.Load(),
 		RyuMisses:   RyuMisses.Load(),
 		GayHits:     GayHits.Load(),
@@ -194,8 +186,6 @@ func Read() Snapshot {
 // work done between two Read calls.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return Snapshot{
-		GrisuHits:   s.GrisuHits - prev.GrisuHits,
-		GrisuMisses: s.GrisuMisses - prev.GrisuMisses,
 		RyuHits:     s.RyuHits - prev.RyuHits,
 		RyuMisses:   s.RyuMisses - prev.RyuMisses,
 		GayHits:     s.GayHits - prev.GayHits,
@@ -228,7 +218,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 // benchmark phases).
 func Reset() {
 	for _, c := range []*Counter{
-		&GrisuHits, &GrisuMisses, &RyuHits, &RyuMisses, &GayHits, &GayMisses,
+		&RyuHits, &RyuMisses, &GayHits, &GayMisses,
 		&ExactFree, &ExactFixed, &BatchValues, &BatchBytes,
 		&ParseFastHits, &ParseFastMisses, &ParseExact,
 		&BatchParseBlocks, &BatchParseValues, &BatchParseBytes, &BatchParseFallbacks,

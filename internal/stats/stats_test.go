@@ -10,9 +10,9 @@ func TestDisabledByDefault(t *testing.T) {
 	if Enabled() {
 		t.Fatal("collection enabled at package init")
 	}
-	GrisuHits.Inc()
-	GrisuHits.Add(10)
-	if got := GrisuHits.Load(); got != 0 {
+	RyuHits.Inc()
+	RyuHits.Add(10)
+	if got := RyuHits.Load(); got != 0 {
 		t.Fatalf("disabled counter advanced to %d", got)
 	}
 }
@@ -23,12 +23,12 @@ func TestEnableIncAndSnapshot(t *testing.T) {
 	defer Enable(prev)
 
 	before := Read()
-	GrisuHits.Inc()
-	GrisuMisses.Add(2)
+	RyuHits.Inc()
+	RyuMisses.Add(2)
 	BatchValues.Add(100)
 	BatchBytes.Add(2400)
 	d := Read().Sub(before)
-	if d.GrisuHits != 1 || d.GrisuMisses != 2 || d.BatchValues != 100 || d.BatchBytes != 2400 {
+	if d.RyuHits != 1 || d.RyuMisses != 2 || d.BatchValues != 100 || d.BatchBytes != 2400 {
 		t.Fatalf("delta = %+v", d)
 	}
 	if d.GayHits != 0 || d.ExactFree != 0 {
@@ -55,7 +55,7 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				GrisuHits.Inc()
+				RyuHits.Inc()
 				BatchBytes.Add(3)
 			}
 		}()
@@ -69,8 +69,8 @@ func TestConcurrentCounters(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := GrisuHits.Load(); got != workers*each {
-		t.Fatalf("GrisuHits = %d, want %d", got, workers*each)
+	if got := RyuHits.Load(); got != workers*each {
+		t.Fatalf("RyuHits = %d, want %d", got, workers*each)
 	}
 	if got := BatchBytes.Load(); got != 3*workers*each {
 		t.Fatalf("BatchBytes = %d, want %d", got, 3*workers*each)

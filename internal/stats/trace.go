@@ -75,8 +75,8 @@ func (a *TraceAgg) Record(c *trace.Conversion) {
 
 // RecordFast folds a certified fast-path conversion without building a
 // full record: the fast paths have no Table-1 state or scale estimate, so
-// backend, digit count, and loop iterations (== digits for Grisu3's digit
-// generator) are the whole story.
+// backend, digit count, and loop iterations (counted as the digits) are
+// the whole story.
 func (a *TraceAgg) RecordFast(b trace.Backend, digits int) {
 	a.conversions.Inc()
 	a.backends[b].Inc()

@@ -20,7 +20,7 @@ func TestTraceAggRecord(t *testing.T) {
 		Iterations: 3, Digits: 3, TieBreak: true, FastPathMiss: true,
 	})
 	a.Record(&trace.Conversion{Backend: trace.BackendNone}) // special: skipped
-	a.RecordFast(trace.BackendGrisu, 7)
+	a.RecordFast(trace.BackendRyu, 7)
 
 	s := a.Snapshot()
 	want := TraceSnapshot{
@@ -28,7 +28,7 @@ func TestTraceAggRecord(t *testing.T) {
 		Iterations: 27, Digits: 27, RoundUps: 1, Ties: 1, FastMisses: 1,
 	}
 	want.Backends[trace.BackendExactFree] = 2
-	want.Backends[trace.BackendGrisu] = 1
+	want.Backends[trace.BackendRyu] = 1
 	if s != want {
 		t.Fatalf("Snapshot = %+v, want %+v", s, want)
 	}
@@ -47,8 +47,8 @@ func TestTraceAggRecord(t *testing.T) {
 // metric names, label values, and line shapes.
 func TestTraceAggWritePrometheus(t *testing.T) {
 	a := NewTraceAgg()
-	a.RecordFast(trace.BackendGrisu, 3)
-	a.RecordFast(trace.BackendGrisu, 17)
+	a.RecordFast(trace.BackendRyu, 3)
+	a.RecordFast(trace.BackendRyu, 17)
 	a.Record(&trace.Conversion{Backend: trace.BackendExactFixed, Iterations: 20, Digits: 20})
 
 	var sb strings.Builder
@@ -58,7 +58,7 @@ func TestTraceAggWritePrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE floatprint_trace_backend_total counter\n",
-		"floatprint_trace_backend_total{backend=\"grisu3\"} 2\n",
+		"floatprint_trace_backend_total{backend=\"ryu\"} 2\n",
 		"floatprint_trace_backend_total{backend=\"exact-fixed\"} 1\n",
 		"# TYPE floatprint_digit_length histogram\n",
 		"floatprint_digit_length_bucket{le=\"3\"} 1\n",

@@ -3,7 +3,7 @@
 // two-flop scale estimate guessed versus what scaling settled on (did the
 // penalty-free fixup fire?), how many digit-loop iterations ran, how the
 // final digit was rounded, and which backend actually produced the digits
-// (certified Grisu3, Gay's fixed fast path, or the exact big-integer
+// (a Ryū kernel, Gay's fixed fast path, or the exact big-integer
 // algorithm).
 //
 // The record turns the paper's headline behavioral claims — "the estimate
@@ -26,8 +26,6 @@ const (
 	// BackendNone marks a record that never reached digit generation
 	// (specials: ±0, Inf, NaN).  Aggregators skip it.
 	BackendNone Backend = iota
-	// BackendGrisu is the certified Grisu3 free-format fast path.
-	BackendGrisu
 	// BackendGay is Gay's certified fixed-format fast path.
 	BackendGay
 	// BackendExactFree is the exact big-integer free-format algorithm.
@@ -38,8 +36,8 @@ const (
 	BackendFastParse
 	// BackendExactParse is the exact big-integer reader (read side).
 	BackendExactParse
-	// BackendRyu is the Ryū free-format fast path (appended after the
-	// original constants so existing values and labels stay stable).
+	// BackendRyu is the Ryū free-format fast path: the nearest kernel
+	// under any nearest reader mode, or a one-sided directed kernel.
 	BackendRyu
 
 	// NumBackends sizes per-backend aggregate arrays.
@@ -48,8 +46,6 @@ const (
 
 func (b Backend) String() string {
 	switch b {
-	case BackendGrisu:
-		return "grisu3"
 	case BackendGay:
 		return "gay-fixed"
 	case BackendExactFree:
@@ -69,7 +65,7 @@ func (b Backend) String() string {
 // Conversion is one conversion's execution trace.  The algorithm that
 // fills it resets the record first, so a value can be reused across calls;
 // nothing in the record aliases algorithm state.  Fields that a given
-// backend does not exercise stay zero (the Grisu3 fast path has no scale
+// backend does not exercise stay zero (the Ryū kernels have no scale
 // estimate; free format has no Position).
 type Conversion struct {
 	// Backend is the algorithm that produced the digits.

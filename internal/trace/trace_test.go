@@ -5,7 +5,6 @@ import "testing"
 func TestBackendStrings(t *testing.T) {
 	for b, want := range map[Backend]string{
 		BackendNone:       "none",
-		BackendGrisu:      "grisu3",
 		BackendGay:        "gay-fixed",
 		BackendExactFree:  "exact-free",
 		BackendExactFixed: "exact-fixed",
@@ -55,7 +54,7 @@ func TestSummary(t *testing.T) {
 
 // TestResetClears: a reused record carries nothing over.
 func TestResetClears(t *testing.T) {
-	c := &Conversion{Backend: BackendGrisu, Iterations: 9, Mode: "nearest-even"}
+	c := &Conversion{Backend: BackendRyu, Iterations: 9, Mode: "nearest-even"}
 	c.Reset()
 	if *c != (Conversion{}) {
 		t.Fatalf("Reset left %+v", *c)

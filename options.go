@@ -89,17 +89,16 @@ func (r ReaderRounding) reader() reader.RoundMode {
 	}
 }
 
-// Backend selects which algorithm generates shortest (free-format)
-// digits.  Every backend produces byte-identical output: the fast paths
-// follow the decline-don't-error contract, falling through to the exact
-// Burger & Dybvig core whenever they cannot certifiably serve a request
-// (non-base-10, non-default scaling, reader modes outside a backend's
-// proof, Ryū's exact-halfway ties, Grisu3 certification failures).
+// Backend selects whether conversions may take the certified fast paths.
+// Every choice produces byte-identical output: the fast paths follow the
+// decline-don't-error contract, falling through to the exact Burger &
+// Dybvig core whenever they cannot certifiably serve a request
+// (non-base-10, non-default scaling, Ryū's exact-halfway ties).
 // Selecting a backend therefore changes the path mix and the speed, never
 // the answer.
 //
 // Backend also gates Parse's certified fast paths: BackendExact forces
-// every parse through the exact big-integer reader, where any other value
+// every parse through the exact big-integer reader, where BackendAuto
 // lets the Eisel–Lemire paths (nearest-even and directed) serve what they
 // can certify.  Parsed values and errors are identical either way — the
 // knob exists so differential tests and benchmarks can pin the exact
@@ -107,48 +106,35 @@ func (r ReaderRounding) reader() reader.RoundMode {
 type Backend int
 
 const (
-	// BackendAuto picks the fastest applicable backend per call: Ryū for
-	// base-10 nearest-even binary64 requests, Grisu3 for the other reader
-	// modes, and the exact core otherwise.  This is the default.
+	// BackendAuto lets the certified fast paths serve what they can: the
+	// Ryū kernels every base-10, default-scaling shortest request of a
+	// binary64 or binary32 value under any reader mode (binary64 only
+	// under the directed modes), and Parse's Eisel–Lemire paths.  This
+	// is the default.
 	BackendAuto Backend = iota
-	// BackendGrisu prefers the certified Grisu3 fast path (~0.5% exact
-	// fallback on certification failure).
-	BackendGrisu
-	// BackendRyu prefers the Ryū fast path (nearest-even reader only;
-	// exact fallback on halfway ties and unsupported modes).
-	BackendRyu
 	// BackendExact always runs the paper's exact big-integer algorithm,
 	// and for Parse the exact big-integer reader.
 	BackendExact
 )
 
 func (b Backend) String() string {
-	switch b {
-	case BackendGrisu:
-		return "grisu"
-	case BackendRyu:
-		return "ryu"
-	case BackendExact:
+	if b == BackendExact {
 		return "exact"
 	}
 	return "auto"
 }
 
-// ParseBackend converts a backend name ("auto", "grisu", "ryu", "exact";
-// "" means auto) to its Backend value.  The serving layer and CLIs use it
-// to accept backend selections as text.
+// ParseBackend converts a backend name ("auto" or "exact"; "" means auto)
+// to its Backend value.  The serving layer and CLIs use it to accept
+// backend selections as text.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "", "auto":
 		return BackendAuto, nil
-	case "grisu":
-		return BackendGrisu, nil
-	case "ryu":
-		return BackendRyu, nil
 	case "exact":
 		return BackendExact, nil
 	}
-	return BackendAuto, fmt.Errorf("floatprint: unknown backend %q (want auto, grisu, ryu, or exact)", s)
+	return BackendAuto, fmt.Errorf("floatprint: unknown backend %q (want auto or exact)", s)
 }
 
 // Notation selects how digit results are rendered as text.
@@ -202,9 +188,9 @@ type Options struct {
 	Notation Notation
 	// Scaling selects the scale-factor algorithm (benchmarking only).
 	Scaling Scaling
-	// Backend selects the shortest-digit generation backend.  Zero
-	// (BackendAuto) picks the fastest applicable fast path per call.
-	// Output never depends on the choice; only speed does.
+	// Backend selects whether the certified fast paths may run.  Zero
+	// (BackendAuto) lets them serve what they can certify.  Output never
+	// depends on the choice; only speed does.
 	Backend Backend
 	// NoMarks renders insignificant trailing digits as '0' instead of the
 	// paper's '#' marks.  The digits still read back correctly; only the

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Regression: ShortestDigits32 used to enter the grisu fast path before
+// Regression: ShortestDigits32 used to enter its fast path before
 // classifying specials, relying on the fast path's internal guards to
 // reject ±0, ±Inf, and NaN.  Specials must be classified first, exactly as
 // shortestValue does for float64.
@@ -143,8 +143,9 @@ func TestAppendShortestMatchesShortest(t *testing.T) {
 		0, math.Copysign(0, -1), 1, -1, 0.1, -0.1, math.Pi, 5e-324,
 		math.MaxFloat64, 1e21, 1e22, 123456.789, -2.2250738585072011e-308,
 		math.Inf(1), math.Inf(-1), math.NaN(),
-		// Values known to fail grisu certification exercise the fallback.
-		3.5844466002796428e298, 8.988465674311579e307,
+		// Two values Grisu3 cannot certify, and 2^-25, an exact-halfway
+		// tie the Ryū kernel declines to the exact core.
+		3.5844466002796428e298, 8.988465674311579e307, 0x1p-25,
 	}
 	buf := make([]byte, 0, 64)
 	for _, v := range vals {

@@ -59,13 +59,25 @@ got="$(curl -fsS "$base/v1/shortest?v=1e23&mode=unknown")"
 [ "$got" = "9.999999999999999e22" ] || fail "mode=unknown = $got"
 
 echo "== /v1/shortest: backend selection =="
-got="$(curl -fsS "$base/v1/shortest?v=0.3&backend=ryu")"
-[ "$got" = "0.3" ] || fail "backend=ryu v=0.3 = $got, want 0.3"
+got="$(curl -fsS "$base/v1/shortest?v=0.3&backend=auto")"
+[ "$got" = "0.3" ] || fail "backend=auto v=0.3 = $got, want 0.3"
 got="$(curl -fsS "$base/v1/shortest?v=0.3&backend=exact")"
 [ "$got" = "0.3" ] || fail "backend=exact v=0.3 = $got, want 0.3"
-# An unknown backend is a client error, not a conversion.
-code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/shortest?v=0.3&backend=bogus")"
-[ "$code" = "400" ] || fail "backend=bogus returned HTTP $code, want 400"
+# An unknown backend is a client error, not a conversion; grisu is not a
+# backend (auto runs the Ryu kernel under every reader mode).
+for b in bogus grisu; do
+  code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/shortest?v=0.3&backend=$b")"
+  [ "$code" = "400" ] || fail "backend=$b returned HTTP $code, want 400"
+done
+
+echo "== /v1/shortest: non-default nearest mode on the Ryu kernel =="
+ryu_hits_now() { curl -fsS "$base/metrics" | awk '$1 == "floatprint_ryu_hits_total" { print $2 }'; }
+before="$(ryu_hits_now)"
+got="$(curl -fsS "$base/v1/shortest?v=0.3&mode=unknown")"
+[ "$got" = "0.3" ] || fail "mode=unknown v=0.3 = $got, want 0.3"
+after="$(ryu_hits_now)"
+[ "$after" -eq $((before + 1)) ] \
+  || fail "mode=unknown did not advance floatprint_ryu_hits_total by one ($before -> $after)"
 
 echo "== /v1/fixed =="
 got="$(curl -fsS "$base/v1/fixed?v=3.14159&n=3")"
@@ -172,28 +184,29 @@ batch_values="$(awk '$1 == "floatprint_batch_values_total" { print $2 }' "$workd
 # fpserved_requests_total is labeled by route; sum the samples for the
 # process total and pin the per-route breakdown exactly.
 requests="$(awk '/^fpserved_requests_total\{/ { sum += $2 } END { print sum+0 }' "$workdir/metrics.txt")"
-# Eighteen conversion requests so far (seven shortest — including the
-# two backend selections, the rejected backend=bogus counted at
-# receipt, and the traceparent-propagation request — one fixed, three
-# parse, three interval, one batch, two batch-parse, and the
-# round-trip batch); /healthz, /metrics, and /debug bypass the
-# instrumented chain and are deliberately not counted.
-[ "$requests" -eq 18 ] || fail "fpserved_requests_total sums to $requests, want 18"
+# Twenty conversion requests so far (nine shortest — including the
+# two backend selections, the rejected backend=bogus and backend=grisu
+# counted at receipt, the mode=unknown request, and the
+# traceparent-propagation request — one fixed, three parse, three
+# interval, one batch, two batch-parse, and the round-trip batch);
+# /healthz, /metrics, and /debug bypass the instrumented chain and are
+# deliberately not counted.
+[ "$requests" -eq 20 ] || fail "fpserved_requests_total sums to $requests, want 20"
 
 echo "== /metrics: per-route RED breakdown =="
-grep -q 'fpserved_requests_total{route="/v1/shortest"} 7' "$workdir/metrics.txt" \
+grep -q 'fpserved_requests_total{route="/v1/shortest"} 9' "$workdir/metrics.txt" \
   || fail "per-route requests_total for /v1/shortest wrong: $(grep 'fpserved_requests_total{route="/v1/shortest"}' "$workdir/metrics.txt")"
 grep -q 'fpserved_requests_total{route="/v1/batch"} 2' "$workdir/metrics.txt" \
   || fail "per-route requests_total for /v1/batch wrong"
-# backend=bogus was the one 4xx on the shortest route; batch-parse saw
-# the malformed-token 400.
-grep -q 'fpserved_request_errors_total{route="/v1/shortest",class="4xx"} 1' "$workdir/metrics.txt" \
+# backend=bogus and backend=grisu were the two 4xx on the shortest
+# route; batch-parse saw the malformed-token 400.
+grep -q 'fpserved_request_errors_total{route="/v1/shortest",class="4xx"} 2' "$workdir/metrics.txt" \
   || fail "per-route 4xx for /v1/shortest wrong"
 grep -q 'fpserved_request_errors_total{route="/v1/batch-parse",class="4xx"} 1' "$workdir/metrics.txt" \
   || fail "per-route 4xx for /v1/batch-parse wrong"
 grep -q 'fpserved_request_errors_total{route="/v1/shortest",class="5xx"} 0' "$workdir/metrics.txt" \
   || fail "per-route 5xx for /v1/shortest wrong"
-grep -q 'fpserved_request_seconds_count{route="/v1/shortest"} 7' "$workdir/metrics.txt" \
+grep -q 'fpserved_request_seconds_count{route="/v1/shortest"} 9' "$workdir/metrics.txt" \
   || fail "per-route latency histogram count for /v1/shortest wrong"
 grep -q 'fpserved_request_seconds_bucket{route="/v1/batch",le="+Inf"} 2' "$workdir/metrics.txt" \
   || fail "per-route latency histogram for /v1/batch wrong"
@@ -245,7 +258,7 @@ parse_exact="$(awk '$1 == "floatprint_parse_exact_total" { print $2 }' "$workdir
 echo "== /metrics: ryu backend counters =="
 ryu_hits="$(awk '$1 == "floatprint_ryu_hits_total" { print $2 }' "$workdir/metrics.txt")"
 [ -n "$ryu_hits" ] || fail "floatprint_ryu_hits_total missing from /metrics"
-# The default registry routes nearest-even shortest conversions to ryu,
+# The Ryu kernel serves every base-10 nearest-mode shortest conversion,
 # so nearly all of the 10k batch lands here (less the rare exact-halfway
 # declines and specials, well under 1%).
 [ "$ryu_hits" -ge 9900 ] || fail "floatprint_ryu_hits_total = $ryu_hits, want >= 9900"
@@ -256,8 +269,6 @@ echo "== /metrics: conversion-trace telemetry =="
 trace_conv="$(awk '$1 == "floatprint_trace_conversions_total" { print $2 }' "$workdir/metrics.txt")"
 [ -n "$trace_conv" ] || fail "floatprint_trace_conversions_total missing from /metrics"
 [ "$trace_conv" -ge 1 ] || fail "floatprint_trace_conversions_total = $trace_conv, want >= 1"
-grep -q '^floatprint_trace_backend_total{backend="grisu3"}' "$workdir/metrics.txt" \
-  || fail "labeled backend mix missing grisu3 from /metrics"
 # The default-mode shortest conversions above ran on the ryu backend.
 grep -q '^floatprint_trace_backend_total{backend="ryu"}' "$workdir/metrics.txt" \
   || fail "labeled backend mix missing ryu from /metrics"

@@ -61,7 +61,7 @@ func optionsFromQuery(q url.Values) (*floatprint.Options, error) {
 	}
 	backend, err := floatprint.ParseBackend(q.Get("backend"))
 	if err != nil {
-		return nil, fmt.Errorf("bad backend %q (want auto, grisu, ryu, exact)", q.Get("backend"))
+		return nil, fmt.Errorf("bad backend %q (want auto, exact)", q.Get("backend"))
 	}
 	opts.Backend = backend
 	return opts, nil
@@ -278,10 +278,20 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(out, '\n'))
 }
 
+// MaxFixedPositions bounds /v1/fixed's digit count n and absolute
+// position |pos|; a request beyond it gets 400.  The exact fixed-format
+// core's cost grows superlinearly in both, so an unbounded query string
+// could pin a core or exhaust memory with one GET.  The cap refuses
+// nothing that carries information: in any base 2–36 the significant
+// digits of a binary64 lie between positions 1023 and −1074 (base 2 is
+// the widest), so every position beyond ±1100, and every digit past the
+// 1100th, is a '#' mark or a zero.
+const MaxFixedPositions = 1100
+
 // handleFixed serves GET /v1/fixed: fixed-format rendering at n
 // significant digits (n=...) or at an absolute digit position
 // (pos=...), with '#' marks past the point of significance unless
-// nomarks is set.
+// nomarks is set.  n and |pos| are capped at MaxFixedPositions.
 func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -303,6 +313,8 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 		case ns != "":
 			if n, err = strconv.Atoi(ns); err != nil {
 				err = fmt.Errorf("bad n %q", ns)
+			} else if n > MaxFixedPositions {
+				err = fmt.Errorf("n %d exceeds the limit of %d digits", n, MaxFixedPositions)
 			} else if bits32 {
 				v, err = parseValue(q, 32)
 			} else {
@@ -311,6 +323,8 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 		default:
 			if pos, err = strconv.Atoi(ps); err != nil {
 				err = fmt.Errorf("bad pos %q", ps)
+			} else if pos > MaxFixedPositions || pos < -MaxFixedPositions {
+				err = fmt.Errorf("pos %d exceeds the limit of ±%d positions", pos, MaxFixedPositions)
 			} else {
 				v, err = parseValue(q, 64)
 			}

@@ -167,7 +167,7 @@ func (m *metrics) writePrometheus(w io.Writer, inFlight, limit int) error {
 }
 
 // handleMetrics serves the combined exposition: the library's
-// conversion-path counters (floatprint.Snapshot — grisu/Gay/exact mix,
+// conversion-path counters (floatprint.Snapshot — Ryū/Gay/exact mix,
 // batch value and byte totals, trace aggregates), the labeled trace
 // telemetry (backend mix, digit-length histogram), the server's
 // per-route RED metrics, and the runtime collector.  It bypasses the

@@ -64,13 +64,18 @@ func TestShortestEndpoint(t *testing.T) {
 		{"v=1e23&mode=unknown", "9.999999999999999e22\n"},
 		{"v=1234.5&notation=sci", "1.2345e3\n"},
 		{"v=0.1&bits=32", "0.1\n"},
+		{"v=0.3&backend=auto", "0.3\n"},
+		{"v=0.3&backend=exact", "0.3\n"},
 	} {
 		code, body := get(t, ts.URL+"/v1/shortest?"+tc.query)
 		if code != http.StatusOK || body != tc.want {
 			t.Errorf("shortest?%s = %d %q, want 200 %q", tc.query, code, body, tc.want)
 		}
 	}
-	for _, q := range []string{"", "v=abc", "v=1&base=99", "v=1&mode=bogus", "v=1&notation=x", "v=1&nomarks=maybe"} {
+	for _, q := range []string{
+		"", "v=abc", "v=1&base=99", "v=1&mode=bogus", "v=1&notation=x", "v=1&nomarks=maybe",
+		"v=0.3&backend=grisu", "v=0.3&backend=ryu",
+	} {
 		if code, _ := get(t, ts.URL+"/v1/shortest?"+q); code != http.StatusBadRequest {
 			t.Errorf("shortest?%s = %d, want 400", q, code)
 		}
@@ -254,6 +259,38 @@ func TestFixedEndpoint(t *testing.T) {
 	for _, q := range []string{"v=1", "v=1&n=3&pos=2", "v=1&n=abc", "v=1&n=0", "v=1&pos=x"} {
 		if code, _ := get(t, ts.URL+"/v1/fixed?"+q); code != http.StatusBadRequest {
 			t.Errorf("fixed?%s = %d, want 400", q, code)
+		}
+	}
+}
+
+// TestFixedEndpointCap pins the MaxFixedPositions bound on /v1/fixed:
+// the limit itself is served, and one past it in either direction is a
+// 400 that names the limit (a negative n is the library's own 400), for
+// both value widths.
+func TestFixedEndpointCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, bits := range []string{"64", "32"} {
+		for _, tc := range []struct {
+			query    string
+			code     int
+			capError bool
+		}{
+			{"n=1100", http.StatusOK, false},
+			{"n=1101", http.StatusBadRequest, true},
+			{"n=-1101", http.StatusBadRequest, false},
+			{"pos=1100", http.StatusOK, false},
+			{"pos=-1100", http.StatusOK, false},
+			{"pos=1101", http.StatusBadRequest, true},
+			{"pos=-1101", http.StatusBadRequest, true},
+		} {
+			q := "v=0.1&bits=" + bits + "&" + tc.query
+			code, body := get(t, ts.URL+"/v1/fixed?"+q)
+			if code != tc.code {
+				t.Errorf("fixed?%s = %d, want %d", q, code, tc.code)
+			}
+			if tc.capError && !strings.Contains(body, "1100") {
+				t.Errorf("fixed?%s error %q does not name the limit", q, body)
+			}
 		}
 	}
 }
@@ -798,7 +835,7 @@ func TestMetricsExposition(t *testing.T) {
 	get(t, ts.URL+"/v1/parse?s=1.25")
 	_, scrape := get(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		"# TYPE floatprint_grisu_hits_total counter",
+		"# TYPE floatprint_ryu_hits_total counter",
 		"# TYPE fpserved_requests_total counter",
 		"# TYPE fpserved_request_seconds histogram",
 		`fpserved_requests_total{route="/v1/shortest"} 2`,

@@ -11,20 +11,24 @@ import (
 // Stats is a snapshot of the package's conversion-path telemetry: how
 // many conversions each algorithm actually decided.  The paper's
 // evaluation is a throughput table; the path mix is what makes such a
-// number interpretable (a corpus where the certified Grisu3 fast path
-// hits ~99.5% measures fixed-point arithmetic, one where it misses
-// measures the exact big-integer algorithm).
+// number interpretable (a corpus where the Ryū kernel serves ~99.98% of
+// shortest conversions measures 128-bit integer arithmetic, one where it
+// declines measures the exact big-integer algorithm).
 //
 // Hit/miss pairs count conversions where the fast path was attempted
-// (base 10, binary64, default scaling); ExactFree and ExactFixed count
+// (base 10, default scaling, BackendAuto); ExactFree and ExactFixed count
 // every run of the exact algorithm, including conversions where no fast
 // path applied at all (other bases, benchmark scalings, absolute
 // positions).  BatchValues and BatchBytes total the batch engine's
 // output.
 type Stats struct {
-	GrisuHits   uint64 // shortest conversions certified by Grisu3
-	GrisuMisses uint64 // Grisu3 attempted, failed certification
-	RyuHits     uint64 // shortest conversions served by Ryū
+	// Deprecated: always zero.  Grisu3 no longer serves any conversion;
+	// the Ryū kernel covers every reader mode (RyuHits).
+	GrisuHits uint64
+	// Deprecated: always zero, like GrisuHits.
+	GrisuMisses uint64
+
+	RyuHits     uint64 // nearest-mode shortest conversions served by Ryū
 	RyuMisses   uint64 // Ryū attempted, declined (exact-halfway ties)
 	GayHits     uint64 // fixed conversions certified by Gay's fast path
 	GayMisses   uint64 // Gay fast path attempted, declined
@@ -117,8 +121,6 @@ func ResetStats() { stats.Reset() }
 // work done between two Snapshot calls.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		GrisuHits:   s.GrisuHits - prev.GrisuHits,
-		GrisuMisses: s.GrisuMisses - prev.GrisuMisses,
 		RyuHits:     s.RyuHits - prev.RyuHits,
 		RyuMisses:   s.RyuMisses - prev.RyuMisses,
 		GayHits:     s.GayHits - prev.GayHits,
@@ -169,7 +171,6 @@ func (s Stats) String() string {
 				100*float64(hits)/float64(total))
 		}
 	}
-	rate("grisu", s.GrisuHits, s.GrisuMisses)
 	rate("ryu", s.RyuHits, s.RyuMisses)
 	rate("gay fast-path", s.GayHits, s.GayMisses)
 	line("exact free-format", s.ExactFree)
@@ -219,8 +220,6 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 		name, help string
 		v          uint64
 	}{
-		{"floatprint_grisu_hits_total", "Shortest conversions certified by the Grisu3 fast path.", s.GrisuHits},
-		{"floatprint_grisu_misses_total", "Shortest conversions where Grisu3 failed certification.", s.GrisuMisses},
 		{"floatprint_ryu_hits_total", "Shortest conversions served by the Ryu fast path.", s.RyuHits},
 		{"floatprint_ryu_misses_total", "Shortest conversions where Ryu declined (exact-halfway ties).", s.RyuMisses},
 		{"floatprint_gay_hits_total", "Fixed conversions certified by Gay's fast path.", s.GayHits},
@@ -258,8 +257,6 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 
 func fromSnap(s stats.Snapshot) Stats {
 	return Stats{
-		GrisuHits:   s.GrisuHits,
-		GrisuMisses: s.GrisuMisses,
 		RyuHits:     s.RyuHits,
 		RyuMisses:   s.RyuMisses,
 		GayHits:     s.GayHits,

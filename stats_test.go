@@ -19,11 +19,11 @@ func TestStatsPathMix(t *testing.T) {
 	defer SetStatsEnabled(prev)
 
 	before := Snapshot()
-	// 0.3 under the default (auto) backend serves on Ryū; an explicit
-	// grisu backend certifies on Grisu3; FixedDigits(0.3, 6) certifies on
-	// Gay's fast path; a base-16 conversion can only take the exact path.
+	// 0.3 serves on Ryū under the default reader and under nearest-away;
+	// FixedDigits(0.3, 6) certifies on Gay's fast path; a base-16
+	// conversion can only take the exact path.
 	Shortest(0.3)
-	if _, err := Format(0.3, &Options{Backend: BackendGrisu}); err != nil {
+	if _, err := Format(0.3, &Options{Reader: ReaderNearestAway}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := FixedDigits(0.3, 6, nil); err != nil {
@@ -36,11 +36,8 @@ func TestStatsPathMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Snapshot().Sub(before)
-	if d.RyuHits != 1 {
-		t.Errorf("RyuHits = %d, want 1", d.RyuHits)
-	}
-	if d.GrisuHits != 1 {
-		t.Errorf("GrisuHits = %d, want 1", d.GrisuHits)
+	if d.RyuHits != 2 {
+		t.Errorf("RyuHits = %d, want 2", d.RyuHits)
 	}
 	if d.GayHits != 1 {
 		t.Errorf("GayHits = %d, want 1", d.GayHits)
@@ -53,7 +50,7 @@ func TestStatsPathMix(t *testing.T) {
 	}
 
 	out := d.String()
-	for _, want := range []string{"grisu hit rate", "ryu hit rate", "gay fast-path hits", "exact free-format"} {
+	for _, want := range []string{"ryu hit rate", "gay fast-path hits", "exact free-format"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Stats.String() missing %q:\n%s", want, out)
 		}
@@ -65,39 +62,28 @@ func TestStatsFallbackCounting(t *testing.T) {
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
 
-	// Find a grisu-uncertified value (~0.5% of the corpus) and convert it
-	// through the explicit grisu backend: one miss, one exact conversion,
-	// no double-counting from the fallback re-entering shortestValue.
-	floats, _ := benchCorpus()
-	grisuOpts := &Options{Backend: BackendGrisu}
-	var hard float64
-	for _, f := range floats {
-		ResetStats()
-		AppendShortestWith(nil, f, grisuOpts)
-		if s := Snapshot(); s.GrisuMisses == 1 {
-			hard = f
-			break
-		}
-	}
-	if hard == 0 {
-		t.Skip("no uncertified value in the bench corpus prefix")
-	}
-	ResetStats()
-	AppendShortestWith(nil, hard, grisuOpts)
-	d := Snapshot()
-	if d.GrisuMisses != 1 || d.ExactFree != 1 || d.GrisuHits != 0 {
-		t.Fatalf("fallback for %x counted %+v, want 1 miss + 1 exact", hard, d)
-	}
-
-	// The same single-count contract for the default (Ryū) backend, on a
-	// value whose shortest form is an exact halfway tie (a genuine Ryū
-	// decline, found by scanning the corpus).
+	// A value whose shortest form is an exact halfway tie (a genuine Ryū
+	// decline, found by scanning the corpus) counts one miss and one
+	// exact conversion, under any nearest reader and through either entry
+	// point: no double-counting from the fallback re-entering
+	// shortestValue.
 	tie := findRyuDecline(t)
-	ResetStats()
-	AppendShortest(nil, tie)
-	d = Snapshot()
-	if d.RyuMisses != 1 || d.ExactFree != 1 || d.RyuHits != 0 {
-		t.Fatalf("ryu fallback for %x counted %+v, want 1 miss + 1 exact", tie, d)
+	for _, mode := range []ReaderRounding{ReaderNearestEven, ReaderUnknown} {
+		for name, convert := range map[string]func(){
+			"append": func() { AppendShortestWith(nil, tie, &Options{Reader: mode}) },
+			"digits": func() {
+				if _, err := ShortestDigits(tie, &Options{Reader: mode}); err != nil {
+					t.Fatal(err)
+				}
+			},
+		} {
+			ResetStats()
+			convert()
+			if d := Snapshot(); d.RyuMisses != 1 || d.ExactFree != 1 || d.RyuHits != 0 {
+				t.Fatalf("%s, mode %v: ryu fallback for %x counted %+v, want 1 miss + 1 exact",
+					name, mode, tie, d)
+			}
+		}
 	}
 }
 
@@ -106,7 +92,6 @@ func TestStatsFallbackCounting(t *testing.T) {
 // built against it depend on these exact metric names and line shapes.
 func TestStatsWritePrometheus(t *testing.T) {
 	s := Stats{
-		GrisuHits: 995, GrisuMisses: 5,
 		RyuHits: 900, RyuMisses: 3,
 		GayHits: 80, GayMisses: 20,
 		ExactFree: 25, ExactFixed: 30,
@@ -124,13 +109,7 @@ func TestStatsWritePrometheus(t *testing.T) {
 	if err := s.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP floatprint_grisu_hits_total Shortest conversions certified by the Grisu3 fast path.
-# TYPE floatprint_grisu_hits_total counter
-floatprint_grisu_hits_total 995
-# HELP floatprint_grisu_misses_total Shortest conversions where Grisu3 failed certification.
-# TYPE floatprint_grisu_misses_total counter
-floatprint_grisu_misses_total 5
-# HELP floatprint_ryu_hits_total Shortest conversions served by the Ryu fast path.
+	want := `# HELP floatprint_ryu_hits_total Shortest conversions served by the Ryu fast path.
 # TYPE floatprint_ryu_hits_total counter
 floatprint_ryu_hits_total 900
 # HELP floatprint_ryu_misses_total Shortest conversions where Ryu declined (exact-halfway ties).

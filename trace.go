@@ -9,10 +9,10 @@ import (
 )
 
 // Trace is a per-conversion execution record: which backend produced the
-// digits (certified Grisu3, Gay's fixed fast path, or the exact
-// big-integer algorithm), the Table-1 case, the §3.2 scale estimate
-// versus the final scale (whether the penalty-free fixup fired), the
-// generate-loop iteration count, and the final rounding decision.
+// digits (a Ryū kernel, Gay's fixed fast path, or the exact big-integer
+// algorithm), the Table-1 case, the §3.2 scale estimate versus the final
+// scale (whether the penalty-free fixup fired), the generate-loop
+// iteration count, and the final rounding decision.
 //
 // Pass a Trace to the *Traced entry points to have it filled (the record
 // is reset first, so one value can be reused across calls).  Tracing
@@ -25,7 +25,6 @@ type Trace = trace.Conversion
 // on the deciding algorithm.
 const (
 	TraceBackendNone       = trace.BackendNone
-	TraceBackendGrisu      = trace.BackendGrisu
 	TraceBackendGay        = trace.BackendGay
 	TraceBackendExactFree  = trace.BackendExactFree
 	TraceBackendExactFixed = trace.BackendExactFixed

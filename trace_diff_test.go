@@ -72,7 +72,7 @@ func TestTracingNeverPerturbsOutput(t *testing.T) {
 func TestTracedSpecials(t *testing.T) {
 	var tr Trace
 	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
-		tr.Backend = TraceBackendGrisu // stale garbage the reset must clear
+		tr.Backend = TraceBackendRyu // stale garbage the reset must clear
 		d, err := ShortestDigitsTraced(v, nil, &tr)
 		if err != nil {
 			t.Fatal(err)
