@@ -127,7 +127,7 @@ func appendShortestOpts(dst []byte, v float64, o Options) []byte {
 		countRyu(ok)
 		if ok {
 			if stats.Enabled() {
-				stats.Traces.RecordFast(trace.BackendRyu, n)
+				stats.RecordFast(trace.BackendRyu, n)
 			}
 			return appendFastRender(dst, math.Signbit(v), buf[:], n, k, o)
 		}

@@ -21,12 +21,13 @@
 // Every conversion request gets a structured access-log line on stderr
 // (log/slog: request_id, method, path, status, bytes, duration) and an
 // X-Request-Id response header.  With -debug, /debug/pprof/* and
-// /debug/exemplars (recent requests slower than -slow-request) are
-// mounted too:
+// /debug/traces are mounted too; with tracing off, recent requests
+// slower than -slow-request and recent 5xx responses appear there as
+// one-span traces carrying their request_id:
 //
 //	fpserved -debug -slow-request 100ms
 //	go tool pprof http://localhost:8080/debug/pprof/profile?seconds=10
-//	curl localhost:8080/debug/exemplars
+//	curl localhost:8080/debug/traces
 //
 // With -trace-sample N, every request runs under a W3C-propagated
 // request span (incoming traceparent identities are adopted, and the
@@ -68,8 +69,8 @@ func main() {
 	shards := flag.Int("shards", 0, "batch pool shards (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "batch pool chunk size in values (0 = 4096)")
 	statsOn := flag.Bool("stats", true, "collect conversion-path telemetry for /metrics")
-	debug := flag.Bool("debug", false, "mount /debug/pprof/* and /debug/exemplars")
-	slowReq := flag.Duration("slow-request", 250*time.Millisecond, "capture requests at least this slow into /debug/exemplars")
+	debug := flag.Bool("debug", false, "mount /debug/pprof/* and /debug/traces")
+	slowReq := flag.Duration("slow-request", 250*time.Millisecond, "capture requests at least this slow into /debug/traces")
 	jsonLog := flag.Bool("log-json", false, "emit the access log as JSON instead of logfmt-style text")
 	traceSample := flag.Int("trace-sample", 0, "request tracing: 1 traces every request, N keeps 1 in N; 0 disables (slow and 5xx requests are always kept when on)")
 	traceRing := flag.Int("trace-ring", 0, "completed traces kept for /debug/traces (0 = 64)")

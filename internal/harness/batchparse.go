@@ -114,16 +114,11 @@ func eachToken(in []byte, f func(string) error) error {
 }
 
 func timeBatchParse(name string, in []byte, pass func() error) (BatchParseRow, error) {
-	var best time.Duration
-	for run := 0; run < batchRuns; run++ {
-		start := time.Now()
-		if err := pass(); err != nil {
-			return BatchParseRow{}, fmt.Errorf("%s: %w", name, err)
-		}
-		if elapsed := time.Since(start); best == 0 || elapsed < best {
-			best = elapsed
-		}
+	elapsed, err := bestOf(batchRuns, pass)
+	if err != nil {
+		return BatchParseRow{}, fmt.Errorf("%s: %w", name, err)
 	}
+	best := elapsed[0]
 	return BatchParseRow{
 		Name:     name,
 		Elapsed:  best,

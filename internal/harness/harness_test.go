@@ -20,6 +20,7 @@ func TestRunTable2ShapeHolds(t *testing.T) {
 		t.Fatalf("want 3 rows, got %d", len(rows))
 	}
 	iter, flog, est := rows[0], rows[1], rows[2]
+	t.Logf("relative time: iterative %.2fx, float-log %.2fx", iter.Relative, flog.Relative)
 	if est.Relative != 1.0 {
 		t.Errorf("estimator row should be the 1.0 baseline, got %v", est.Relative)
 	}

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"floatprint"
-	"floatprint/internal/stats"
 	"floatprint/interval"
 )
 
@@ -124,13 +123,13 @@ func RunInterval(corpus []float64) ([]IntervalRow, error) {
 // out of the timed passes so the throughput numbers never include the
 // per-conversion atomic increments.
 func countDirected(pass func() error, print bool) (hits, misses uint64, err error) {
-	prev := stats.Enable(true)
-	defer stats.Enable(prev)
-	before := stats.Read()
+	prev := floatprint.SetStatsEnabled(true)
+	defer floatprint.SetStatsEnabled(prev)
+	before := floatprint.Snapshot()
 	if err := pass(); err != nil {
 		return 0, 0, err
 	}
-	d := stats.Read().Sub(before)
+	d := floatprint.Snapshot().Sub(before)
 	if print {
 		return d.DirectedRyuHits, d.DirectedRyuMisses, nil
 	}
@@ -138,16 +137,11 @@ func countDirected(pass func() error, print bool) (hits, misses uint64, err erro
 }
 
 func timeInterval(name string, n int, pass func() error) (IntervalRow, error) {
-	var best time.Duration
-	for run := 0; run < batchRuns; run++ {
-		start := time.Now()
-		if err := pass(); err != nil {
-			return IntervalRow{}, fmt.Errorf("%s: %w", name, err)
-		}
-		if elapsed := time.Since(start); best == 0 || elapsed < best {
-			best = elapsed
-		}
+	elapsed, err := bestOf(batchRuns, pass)
+	if err != nil {
+		return IntervalRow{}, fmt.Errorf("%s: %w", name, err)
 	}
+	best := elapsed[0]
 	return IntervalRow{
 		Name:            name,
 		Elapsed:         best,

@@ -75,8 +75,8 @@ type Attr struct {
 
 // Record is one finished span, shaped for JSON at /debug/traces.
 type Record struct {
-	TraceID    string    `json:"trace_id"`
-	SpanID     string    `json:"span_id"`
+	TraceID    string    `json:"trace_id,omitempty"`
+	SpanID     string    `json:"span_id,omitempty"`
 	ParentID   string    `json:"parent_id,omitempty"`
 	Name       string    `json:"name"`
 	Start      time.Time `json:"start"`
@@ -87,7 +87,9 @@ type Record struct {
 // Trace is one completed, published request trace: the root span
 // first, children in end order after it.
 type Trace struct {
-	TraceID string `json:"trace_id"`
+	// TraceID is empty for a request captured without a span (its
+	// server had tracing off): it never had a trace identity.
+	TraceID string `json:"trace_id,omitempty"`
 	// Route is the root span's name, duplicated here so ring readers
 	// can filter without walking spans.
 	Route string `json:"route"`
@@ -113,8 +115,9 @@ type Config struct {
 	// is always published, sampled or not.  Zero disables the slow
 	// trigger.
 	SlowRequest time.Duration
-	// RingCap bounds the completed-trace ring.  Zero means 64.
-	RingCap int
+	// Ring receives the published traces.  Nil means a new 64-trace
+	// ring.
+	Ring *Ring
 	// MaxSpans bounds spans kept per trace; later spans are counted
 	// in Trace.Dropped instead of stored.  Zero means 64.
 	MaxSpans int
@@ -127,19 +130,19 @@ type Config struct {
 	Seed uint64
 }
 
-// Tracer owns the ID generator, the sampling decision, and the
-// completed-trace ring.  All methods are safe for concurrent use.
+// Tracer owns the ID generator and the sampling decision, and publishes
+// completed traces into its ring.  All methods are safe for concurrent
+// use.
 type Tracer struct {
 	cfg   Config
 	seed  uint64
 	state atomic.Uint64 // ID-generator walk, advanced per 8 bytes
-	ring  *Ring
 }
 
 // New builds a Tracer, applying defaults.
 func New(cfg Config) *Tracer {
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = 64
+	if cfg.Ring == nil {
+		cfg.Ring = NewRing(64)
 	}
 	if cfg.MaxSpans <= 0 {
 		cfg.MaxSpans = 64
@@ -153,16 +156,13 @@ func New(cfg Config) *Tracer {
 		rand.Read(b[:]) // per crypto/rand docs, never fails
 		seed = binary.LittleEndian.Uint64(b[:])
 	}
-	t := &Tracer{cfg: cfg, seed: seed, ring: NewRing(cfg.RingCap)}
+	t := &Tracer{cfg: cfg, seed: seed}
 	t.state.Store(seed)
 	return t
 }
 
 // Ring returns the completed-trace ring for readers (/debug/traces).
-func (t *Tracer) Ring() *Ring { return t.ring }
-
-// SampleEvery reports the configured head-sampling rate.
-func (t *Tracer) SampleEvery() int { return t.cfg.SampleEvery }
+func (t *Tracer) Ring() *Ring { return t.cfg.Ring }
 
 // splitmix64 is the SplitMix64 output function: a full-avalanche
 // mixer, used both to walk the ID generator and to hash trace IDs
@@ -421,7 +421,7 @@ func (s *Span) EndRequest(status int) string {
 	dropped := s.trace.dropped
 	s.trace.mu.Unlock()
 
-	s.tracer.ring.Add(&Trace{
+	s.tracer.cfg.Ring.Add(&Trace{
 		TraceID:    root.TraceID,
 		Route:      root.Name,
 		DurationMS: root.DurationMS,

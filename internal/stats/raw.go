@@ -12,8 +12,8 @@ import (
 // when nobody is looking; the serving layer is the opposite regime —
 // its request accounting must always be live, because a /metrics
 // scrape that reads zeros during an incident is worse than no metrics
-// at all.  Same padding discipline as Counter: adjacent counters in a
-// declaration block never false-share.
+// at all.  The padding keeps adjacent counters in a declaration block
+// (or in the Counter array, whose slots are Raw) from false-sharing.
 type Raw struct {
 	n atomic.Uint64
 	_ [56]byte

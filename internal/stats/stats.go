@@ -31,201 +31,151 @@ func Enable(on bool) bool { return enabled.Swap(on) }
 // Enabled reports whether collection is on.
 func Enabled() bool { return enabled.Load() }
 
-// Counter is one telemetry counter, padded so that adjacent counters in
-// the package-level block sit on distinct cache lines (the hooks run on
-// every conversion from every shard; false sharing between, say, the
-// ryu-hit and batch-bytes counters would serialize unrelated workers).
-type Counter struct {
-	n atomic.Uint64
-	_ [56]byte
-}
+// Counter names one telemetry counter: it indexes the package's array
+// of cache-line-padded counters (the hooks run on every conversion from
+// every shard; false sharing between, say, the ryu-hit and batch-bytes
+// counters would serialize unrelated workers).  The counters are
+// constants, so a hook such as RyuHits.Inc() compiles to one atomic add
+// on a fixed address.
+type Counter uint8
+
+// The counters, in the order every derived form lists them.  Hit/miss
+// pairs count only conversions where the fast path was *attempted*
+// (base 10, default scaling); ExactFree and ExactFixed count every
+// conversion that ran the exact big-integer algorithm, including those
+// where no fast path applied (other bases, non-default scaling, explicit
+// positions).
+const (
+	// RyuHits counts nearest-mode shortest conversions served by the Ryū
+	// kernel (binary64 and binary32).
+	RyuHits Counter = iota
+	// RyuMisses counts shortest conversions where Ryū was attempted but
+	// declined (exact-halfway ties) and the exact core decided.
+	RyuMisses
+	// GayHits counts fixed-format conversions certified by Gay's
+	// extended-float fast path.
+	GayHits
+	// GayMisses counts fixed-format conversions where the fast path was
+	// attempted but declined.
+	GayMisses
+	// ExactFree counts exact free-format (shortest) conversions.
+	ExactFree
+	// ExactFixed counts exact fixed-format conversions (relative or
+	// absolute position).
+	ExactFixed
+	// BatchValues counts values converted by the batch engine.
+	BatchValues
+	// BatchBytes counts output bytes produced by the batch engine.
+	BatchBytes
+	// ParseFastHits counts parses certified by the Eisel–Lemire fast
+	// path.
+	ParseFastHits
+	// ParseFastMisses counts parses where the fast path was attempted
+	// (base 10, nearest-even) but declined and the exact reader decided.
+	ParseFastMisses
+	// ParseExact counts parses decided by the exact big-integer reader,
+	// including those where no fast path applied (other bases, directed
+	// modes) and those that ended in a range error.
+	ParseExact
+	// BatchParseBlocks counts contiguous byte ranges scanned by the
+	// block-at-a-time batch parse engine.
+	BatchParseBlocks
+	// BatchParseValues counts values parsed by the batch parse engine.
+	BatchParseValues
+	// BatchParseBytes counts input bytes consumed by the batch parse
+	// engine.
+	BatchParseBytes
+	// BatchParseFallbacks counts batch-parse tokens the chunked block
+	// scanner declined and routed through the per-value parser (specials,
+	// '#' marks, '@' exponents, ties, out-of-range magnitudes).
+	BatchParseFallbacks
+	// DirectedRyuHits counts directed (floor/ceil) shortest conversions
+	// served by the one-sided Ryū kernels.
+	DirectedRyuHits
+	// DirectedRyuMisses counts directed shortest conversions where a
+	// one-sided kernel was attempted but declined and the exact core
+	// decided.
+	DirectedRyuMisses
+	// DirectedFastHits counts directed-rounding parses certified by the
+	// directed Eisel–Lemire fast path.
+	DirectedFastHits
+	// DirectedFastMisses counts directed-rounding parses where the fast
+	// path was attempted (base 10, binary64) but declined and the exact
+	// reader decided.
+	DirectedFastMisses
+	// IntervalPrints counts intervals formatted by the interval package
+	// (one per [lo,hi] pair, not per endpoint; the endpoints' exact
+	// conversions also appear in ExactFree).
+	IntervalPrints
+	// IntervalParses counts intervals read by the interval package (one
+	// per [lo,hi] text; the endpoints' exact conversions also appear in
+	// ParseExact).
+	IntervalParses
+	// TraceConversions counts conversion records folded into the trace
+	// aggregate (specials excluded).  It and the other Trace* counters
+	// are the aggregate's scalars: RecordTrace and RecordFast advance
+	// them without the gate, because their callers check Enabled once
+	// per record.
+	TraceConversions
+	// TraceEstimates counts exact conversions that ran the §3.2
+	// estimator.
+	TraceEstimates
+	// TraceFixups counts estimates one too low, where the penalty-free
+	// fixup fired.
+	TraceFixups
+	// TraceIterations sums generate-loop iterations.
+	TraceIterations
+	// TraceDigits sums significant output digits.
+	TraceDigits
+	// TraceRoundUps counts conversions whose final digit was
+	// incremented.
+	TraceRoundUps
+
+	// NumCounters is the number of counters.
+	NumCounters
+)
+
+// counters holds every Counter's value, one cache line each.
+var counters [NumCounters]Raw
 
 // Inc adds one when collection is enabled.
-func (c *Counter) Inc() {
+func (c Counter) Inc() {
 	if enabled.Load() {
-		c.n.Add(1)
+		counters[c].Inc()
 	}
 }
 
 // Add adds n when collection is enabled.  Batch shards use it to fold a
 // whole chunk's tally into the global counter with one atomic op.
-func (c *Counter) Add(n uint64) {
+func (c Counter) Add(n uint64) {
 	if enabled.Load() {
-		c.n.Add(n)
+		counters[c].Add(n)
 	}
 }
 
-// Load returns the current count regardless of the enabled gate.
-func (c *Counter) Load() uint64 { return c.n.Load() }
+// Snapshot is a copy of every counter, indexed by Counter.  Each
+// element is an atomic load, so a snapshot taken while conversions are
+// in flight may straddle an individual conversion but never tears a
+// counter.
+type Snapshot [NumCounters]uint64
 
-// The counters.  Hit/miss pairs count only conversions where the fast
-// path was *attempted* (base 10, default scaling); ExactFree
-// and ExactFixed count every conversion that ran the exact big-integer
-// algorithm, including those where no fast path applied (other bases,
-// non-default scaling, explicit positions).
-var (
-	// RyuHits counts nearest-mode shortest conversions served by the Ryū
-	// kernel (binary64 and binary32).
-	RyuHits Counter
-	// RyuMisses counts shortest conversions where Ryū was attempted but
-	// declined (exact-halfway ties) and the exact core decided.
-	RyuMisses Counter
-	// GayHits counts fixed-format conversions certified by Gay's
-	// extended-float fast path.
-	GayHits Counter
-	// GayMisses counts fixed-format conversions where the fast path was
-	// attempted but declined.
-	GayMisses Counter
-	// ExactFree counts exact free-format (shortest) conversions.
-	ExactFree Counter
-	// ExactFixed counts exact fixed-format conversions (relative or
-	// absolute position).
-	ExactFixed Counter
-	// BatchValues counts values converted by the batch engine.
-	BatchValues Counter
-	// BatchBytes counts output bytes produced by the batch engine.
-	BatchBytes Counter
-	// ParseFastHits counts parses certified by the Eisel–Lemire fast
-	// path.
-	ParseFastHits Counter
-	// ParseFastMisses counts parses where the fast path was attempted
-	// (base 10, nearest-even) but declined and the exact reader decided.
-	ParseFastMisses Counter
-	// ParseExact counts parses decided by the exact big-integer reader,
-	// including those where no fast path applied (other bases, directed
-	// modes) and those that ended in a range error.
-	ParseExact Counter
-	// BatchParseBlocks counts contiguous byte ranges scanned by the
-	// block-at-a-time batch parse engine.
-	BatchParseBlocks Counter
-	// BatchParseValues counts values parsed by the batch parse engine.
-	BatchParseValues Counter
-	// BatchParseBytes counts input bytes consumed by the batch parse
-	// engine.
-	BatchParseBytes Counter
-	// BatchParseFallbacks counts batch-parse tokens the chunked block
-	// scanner declined and routed through the per-value parser (specials,
-	// '#' marks, '@' exponents, ties, out-of-range magnitudes).
-	BatchParseFallbacks Counter
-	// DirectedRyuHits counts directed (floor/ceil) shortest conversions
-	// served by the one-sided Ryū kernels.
-	DirectedRyuHits Counter
-	// DirectedRyuMisses counts directed shortest conversions where a
-	// one-sided kernel was attempted but declined and the exact core
-	// decided.
-	DirectedRyuMisses Counter
-	// DirectedFastHits counts directed-rounding parses certified by the
-	// directed Eisel–Lemire fast path.
-	DirectedFastHits Counter
-	// DirectedFastMisses counts directed-rounding parses where the fast
-	// path was attempted (base 10, binary64) but declined and the exact
-	// reader decided.
-	DirectedFastMisses Counter
-	// IntervalPrints counts intervals formatted by the interval package
-	// (one per [lo,hi] pair, not per endpoint; the endpoints' exact
-	// conversions also appear in ExactFree).
-	IntervalPrints Counter
-	// IntervalParses counts intervals read by the interval package (one
-	// per [lo,hi] text; the endpoints' exact conversions also appear in
-	// ParseExact).
-	IntervalParses Counter
-)
-
-// Snapshot is a coherent-enough copy of every counter: each field is an
-// atomic load, so a snapshot taken while conversions are in flight may
-// straddle an individual conversion but never tears a counter.
-type Snapshot struct {
-	RyuHits, RyuMisses             uint64
-	GayHits, GayMisses             uint64
-	ExactFree, ExactFixed          uint64
-	BatchValues, BatchBytes        uint64
-	ParseFastHits, ParseFastMisses uint64
-	ParseExact                     uint64
-
-	BatchParseBlocks, BatchParseValues   uint64
-	BatchParseBytes, BatchParseFallbacks uint64
-
-	DirectedRyuHits, DirectedRyuMisses   uint64
-	DirectedFastHits, DirectedFastMisses uint64
-
-	IntervalPrints, IntervalParses uint64
-}
-
-// Read snapshots all counters.
+// Read snapshots all counters, regardless of the enabled gate.
 func Read() Snapshot {
-	return Snapshot{
-		RyuHits:     RyuHits.Load(),
-		RyuMisses:   RyuMisses.Load(),
-		GayHits:     GayHits.Load(),
-		GayMisses:   GayMisses.Load(),
-		ExactFree:   ExactFree.Load(),
-		ExactFixed:  ExactFixed.Load(),
-		BatchValues: BatchValues.Load(),
-		BatchBytes:  BatchBytes.Load(),
-
-		ParseFastHits:   ParseFastHits.Load(),
-		ParseFastMisses: ParseFastMisses.Load(),
-		ParseExact:      ParseExact.Load(),
-
-		BatchParseBlocks:    BatchParseBlocks.Load(),
-		BatchParseValues:    BatchParseValues.Load(),
-		BatchParseBytes:     BatchParseBytes.Load(),
-		BatchParseFallbacks: BatchParseFallbacks.Load(),
-
-		DirectedRyuHits:    DirectedRyuHits.Load(),
-		DirectedRyuMisses:  DirectedRyuMisses.Load(),
-		DirectedFastHits:   DirectedFastHits.Load(),
-		DirectedFastMisses: DirectedFastMisses.Load(),
-
-		IntervalPrints: IntervalPrints.Load(),
-		IntervalParses: IntervalParses.Load(),
+	var s Snapshot
+	for i := range counters {
+		s[i] = counters[i].Load()
 	}
+	return s
 }
 
-// Sub returns the per-field difference s − prev, the path mix of the
-// work done between two Read calls.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	return Snapshot{
-		RyuHits:     s.RyuHits - prev.RyuHits,
-		RyuMisses:   s.RyuMisses - prev.RyuMisses,
-		GayHits:     s.GayHits - prev.GayHits,
-		GayMisses:   s.GayMisses - prev.GayMisses,
-		ExactFree:   s.ExactFree - prev.ExactFree,
-		ExactFixed:  s.ExactFixed - prev.ExactFixed,
-		BatchValues: s.BatchValues - prev.BatchValues,
-		BatchBytes:  s.BatchBytes - prev.BatchBytes,
-
-		ParseFastHits:   s.ParseFastHits - prev.ParseFastHits,
-		ParseFastMisses: s.ParseFastMisses - prev.ParseFastMisses,
-		ParseExact:      s.ParseExact - prev.ParseExact,
-
-		BatchParseBlocks:    s.BatchParseBlocks - prev.BatchParseBlocks,
-		BatchParseValues:    s.BatchParseValues - prev.BatchParseValues,
-		BatchParseBytes:     s.BatchParseBytes - prev.BatchParseBytes,
-		BatchParseFallbacks: s.BatchParseFallbacks - prev.BatchParseFallbacks,
-
-		DirectedRyuHits:    s.DirectedRyuHits - prev.DirectedRyuHits,
-		DirectedRyuMisses:  s.DirectedRyuMisses - prev.DirectedRyuMisses,
-		DirectedFastHits:   s.DirectedFastHits - prev.DirectedFastHits,
-		DirectedFastMisses: s.DirectedFastMisses - prev.DirectedFastMisses,
-
-		IntervalPrints: s.IntervalPrints - prev.IntervalPrints,
-		IntervalParses: s.IntervalParses - prev.IntervalParses,
-	}
-}
-
-// Reset zeroes every counter and the global trace aggregate (tests and
-// benchmark phases).
+// Reset zeroes every counter and the trace aggregate's backend mix and
+// digit-length histogram (tests and benchmark phases).
 func Reset() {
-	for _, c := range []*Counter{
-		&RyuHits, &RyuMisses, &GayHits, &GayMisses,
-		&ExactFree, &ExactFixed, &BatchValues, &BatchBytes,
-		&ParseFastHits, &ParseFastMisses, &ParseExact,
-		&BatchParseBlocks, &BatchParseValues, &BatchParseBytes, &BatchParseFallbacks,
-		&DirectedRyuHits, &DirectedRyuMisses, &DirectedFastHits, &DirectedFastMisses,
-		&IntervalPrints, &IntervalParses,
-	} {
-		c.n.Store(0)
+	for i := range counters {
+		counters[i].n.Store(0)
 	}
-	Traces.Reset()
+	for i := range backends {
+		backends[i].n.Store(0)
+	}
+	digitLen.reset()
 }

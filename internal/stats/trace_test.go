@@ -8,51 +8,64 @@ import (
 )
 
 func TestTraceAggRecord(t *testing.T) {
-	a := NewTraceAgg()
-	a.Record(&trace.Conversion{
+	Reset()
+	RecordTrace(&trace.Conversion{
 		Backend: trace.BackendExactFree, ScaleMethod: "estimate",
 		EstimateK: 0, ScaleK: 1, FixupSteps: 1,
 		Iterations: 17, Digits: 17, RoundedUp: true,
 	})
-	a.Record(&trace.Conversion{
+	RecordTrace(&trace.Conversion{
 		Backend: trace.BackendExactFree, ScaleMethod: "estimate",
 		EstimateK: 1, ScaleK: 1, FixupSteps: 0,
 		Iterations: 3, Digits: 3, TieBreak: true, FastPathMiss: true,
 	})
-	a.Record(&trace.Conversion{Backend: trace.BackendNone}) // special: skipped
-	a.RecordFast(trace.BackendRyu, 7)
+	RecordTrace(&trace.Conversion{Backend: trace.BackendNone}) // special: skipped
+	RecordFast(trace.BackendRyu, 7)
 
-	s := a.Snapshot()
-	want := TraceSnapshot{
-		Conversions: 3, Estimates: 2, Fixups: 1,
-		Iterations: 27, Digits: 27, RoundUps: 1, Ties: 1, FastMisses: 1,
+	var want Snapshot
+	want[TraceConversions], want[TraceEstimates], want[TraceFixups] = 3, 2, 1
+	want[TraceIterations], want[TraceDigits], want[TraceRoundUps] = 27, 27, 1
+	if s := Read(); s != want {
+		t.Fatalf("Read = %+v, want %+v", s, want)
 	}
-	want.Backends[trace.BackendExactFree] = 2
-	want.Backends[trace.BackendRyu] = 1
-	if s != want {
-		t.Fatalf("Snapshot = %+v, want %+v", s, want)
+	var wantBackends [trace.NumBackends]uint64
+	wantBackends[trace.BackendExactFree] = 2
+	wantBackends[trace.BackendRyu] = 1
+	if got := loadBackends(); got != wantBackends {
+		t.Fatalf("backends = %v, want %v", got, wantBackends)
 	}
 
-	a.Reset()
-	if s := a.Snapshot(); s != (TraceSnapshot{}) {
+	Reset()
+	if s := Read(); s != (Snapshot{}) {
 		t.Fatalf("after Reset: %+v", s)
 	}
-	if n := a.digitLen.Count(); n != 0 {
+	if got := loadBackends(); got != ([trace.NumBackends]uint64{}) {
+		t.Fatalf("backends after Reset: %v", got)
+	}
+	if n := digitLen.Count(); n != 0 {
 		t.Fatalf("histogram count after Reset = %d", n)
 	}
+}
+
+func loadBackends() (out [trace.NumBackends]uint64) {
+	for i := range backends {
+		out[i] = backends[i].Load()
+	}
+	return out
 }
 
 // TestTraceAggWritePrometheus pins the labeled backend-mix and histogram
 // exposition byte for byte: scrapes and dashboards depend on these exact
 // metric names, label values, and line shapes.
 func TestTraceAggWritePrometheus(t *testing.T) {
-	a := NewTraceAgg()
-	a.RecordFast(trace.BackendRyu, 3)
-	a.RecordFast(trace.BackendRyu, 17)
-	a.Record(&trace.Conversion{Backend: trace.BackendExactFixed, Iterations: 20, Digits: 20})
+	Reset()
+	RecordFast(trace.BackendRyu, 3)
+	RecordFast(trace.BackendRyu, 17)
+	RecordTrace(&trace.Conversion{Backend: trace.BackendExactFixed, Iterations: 20, Digits: 20})
+	defer Reset()
 
 	var sb strings.Builder
-	if err := a.WritePrometheus(&sb); err != nil {
+	if err := WriteTracePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -143,7 +143,7 @@ func Parse32(s string, opts *Options) (float32, error) {
 		if f, nd, ok := fastparse.Parse32(s); ok {
 			stats.ParseFastHits.Inc()
 			if stats.Enabled() {
-				stats.Traces.RecordFast(TraceBackendFastParse, nd)
+				stats.RecordFast(TraceBackendFastParse, nd)
 			}
 			return f, nil
 		}
@@ -156,7 +156,7 @@ func Parse32(s string, opts *Options) (float32, error) {
 	v, err := reader.Convert(n, fpformat.Binary32, o.Reader.reader())
 	stats.ParseExact.Inc()
 	if stats.Enabled() {
-		stats.Traces.RecordFast(TraceBackendExactParse, len(n.Digits))
+		stats.RecordFast(TraceBackendExactParse, len(n.Digits))
 	}
 	if err != nil {
 		if errors.Is(err, reader.ErrRange) {

@@ -8,10 +8,12 @@
 # traceparent end to end (response header, access log, and
 # /debug/traces), scrape /metrics (including the per-route RED
 # metrics, the runtime collector, and the conversion-trace,
-# batch-parse, and interval gauges), exercise /debug/pprof and
-# /debug/exemplars, verify request ids tie responses to the structured
-# access log, and verify graceful shutdown drains and exits 0 within
-# the drain deadline.
+# batch-parse, and interval gauges), exercise /debug/pprof and the
+# slow-request captures in /debug/traces, verify request ids tie
+# responses to the structured access log, and verify graceful shutdown
+# drains and exits 0 within the drain deadline.  A second, short boot
+# with tracing off checks that -debug still captures a slow request in
+# /debug/traces, as a one-span trace.
 #
 # Run from the repository root:  ./scripts/serve_e2e.sh
 set -euo pipefail
@@ -30,23 +32,44 @@ echo "== build =="
 go build -o "$workdir/fpserved" ./cmd/fpserved
 go build -o "$workdir/fpprint" ./cmd/fpprint
 
-echo "== boot on a random port =="
-# -slow-request 1ns makes every request an exemplar, so the ring is
-# guaranteed non-empty by the time /debug/exemplars is checked;
-# -trace-sample 1 traces every request so /debug/traces is populated.
-"$workdir/fpserved" -addr 127.0.0.1:0 -drain 10s -debug -slow-request 1ns -trace-sample 1 -trace-ring 128 >"$workdir/serve.log" 2>&1 &
-pid=$!
+# boot starts fpserved on a random port with the given flags, logging
+# to $workdir/serve.log, and sets pid and base.
+boot() {
+  "$workdir/fpserved" -addr 127.0.0.1:0 "$@" >"$workdir/serve.log" 2>&1 &
+  pid=$!
+  local addr=""
+  for _ in $(seq 1 100); do
+    addr="$(sed -n 's/^fpserved listening on //p' "$workdir/serve.log" | head -n1)"
+    [ -n "$addr" ] && break
+    kill -0 "$pid" 2>/dev/null || { cat "$workdir/serve.log" >&2; fail "fpserved exited during startup"; }
+    sleep 0.1
+  done
+  [ -n "$addr" ] || fail "no listening line within 10s"
+  base="http://$addr"
+  echo "fpserved up at $base (pid $pid)"
+}
 
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's/^fpserved listening on //p' "$workdir/serve.log" | head -n1)"
-  [ -n "$addr" ] && break
-  kill -0 "$pid" 2>/dev/null || { cat "$workdir/serve.log" >&2; fail "fpserved exited during startup"; }
-  sleep 0.1
-done
-[ -n "$addr" ] || fail "no listening line within 10s"
-base="http://$addr"
-echo "fpserved up at $base (pid $pid)"
+# shutdown sends SIGTERM and requires a clean drain and exit 0 within
+# 15s.
+shutdown() {
+  kill -TERM "$pid"
+  local deadline=$((SECONDS + 15))
+  while kill -0 "$pid" 2>/dev/null; do
+    [ "$SECONDS" -lt "$deadline" ] || fail "fpserved still running 15s after SIGTERM"
+    sleep 0.1
+  done
+  local rc=0
+  wait "$pid" || rc=$?
+  pid=""
+  [ "$rc" -eq 0 ] || { cat "$workdir/serve.log" >&2; fail "fpserved exited $rc, want 0"; }
+  grep -q "drained cleanly" "$workdir/serve.log" || fail "missing 'drained cleanly' in server log"
+}
+
+echo "== boot on a random port =="
+# -slow-request 1ns makes every request a slow capture, and
+# -trace-sample 1 traces every request, so /debug/traces holds every
+# conversion request below (the ring is sized to keep them all).
+boot -drain 10s -debug -slow-request 1ns -trace-sample 1 -trace-ring 128
 
 echo "== /healthz =="
 got="$(curl -fsS "$base/healthz")"
@@ -275,28 +298,44 @@ grep -q '^floatprint_trace_backend_total{backend="ryu"}' "$workdir/metrics.txt" 
 grep -q '^floatprint_digit_length_bucket{le="17"}' "$workdir/metrics.txt" \
   || fail "digit-length histogram missing from /metrics"
 
-echo "== /debug/pprof and /debug/exemplars (enabled by -debug) =="
+echo "== /debug/pprof and /debug/traces captures (enabled by -debug) =="
 curl -fsS "$base/debug/pprof/" | grep -q goroutine || fail "/debug/pprof/ index missing profiles"
-curl -fsS "$base/debug/exemplars" >"$workdir/exemplars.json"
-grep -q '"id"' "$workdir/exemplars.json" || fail "/debug/exemplars has no captured requests"
-grep -q '"path":"/v1/batch"' "$workdir/exemplars.json" \
-  || fail "/debug/exemplars missing the batch request exemplar"
-grep -q "\"id\":\"$req_id\"" "$workdir/exemplars.json" \
-  || fail "/debug/exemplars missing exemplar for request $req_id"
-grep -q "\"trace_id\":\"$upstream_trace\"" "$workdir/exemplars.json" \
-  || fail "/debug/exemplars missing trace_id link for the traced request"
+code="$(curl -s -o /dev/null -w '%{http_code}' "$base/debug/exemplars")"
+[ "$code" = "404" ] || fail "/debug/exemplars returned HTTP $code, want 404"
+curl -fsS "$base/debug/traces" >"$workdir/captures.json"
+grep -q '"route":"/v1/batch"' "$workdir/captures.json" \
+  || fail "/debug/traces missing the batch request capture"
+grep -q "{\"key\":\"request_id\",\"value\":\"$req_id\"}" "$workdir/captures.json" \
+  || fail "/debug/traces missing a request_id attribute for request $req_id"
+grep -q "\"trace_id\":\"$upstream_trace\"" "$workdir/captures.json" \
+  || fail "/debug/traces missing the upstream trace id $upstream_trace"
 
 echo "== graceful shutdown =="
-kill -TERM "$pid"
-deadline=$((SECONDS + 15))
-while kill -0 "$pid" 2>/dev/null; do
-  [ "$SECONDS" -lt "$deadline" ] || fail "fpserved still running 15s after SIGTERM"
+shutdown
+
+echo "== tracing off: -debug captures a slow request as a one-span trace =="
+boot -drain 10s -debug -slow-request 1ns
+hdrs="$(curl -fsS -D - -o /dev/null "$base/v1/shortest?v=0.5" | tr -d '\r')"
+slow_id="$(echo "$hdrs" | sed -n 's/^X-Request-Id: //pI' | head -n1)"
+[ -n "$slow_id" ] || fail "no X-Request-Id header on /v1/shortest"
+if echo "$hdrs" | grep -qi '^X-Trace-Id:'; then fail "tracing off, yet X-Trace-Id was sent"; fi
+# The capture publishes when the request's accounting finishes; give the
+# ring a beat.
+found=""
+for _ in $(seq 1 50); do
+  curl -fsS "$base/debug/traces" >"$workdir/untraced.json"
+  if grep -q '"total":1,' "$workdir/untraced.json"; then found=1; break; fi
   sleep 0.1
 done
-rc=0
-wait "$pid" || rc=$?
-pid=""
-[ "$rc" -eq 0 ] || { cat "$workdir/serve.log" >&2; fail "fpserved exited $rc, want 0"; }
-grep -q "drained cleanly" "$workdir/serve.log" || fail "missing 'drained cleanly' in server log"
+[ -n "$found" ] || { cat "$workdir/untraced.json" >&2; fail "/debug/traces did not capture the slow request"; }
+grep -q '"sample_every":0,' "$workdir/untraced.json" || fail "/debug/traces sample_every not 0 with tracing off"
+grep -q '"route":"/v1/shortest"' "$workdir/untraced.json" || fail "untraced capture missing its route"
+grep -q '"reason":"slow"' "$workdir/untraced.json" || fail "untraced capture reason is not slow"
+grep -q "{\"key\":\"request_id\",\"value\":\"$slow_id\"}" "$workdir/untraced.json" \
+  || fail "untraced capture missing request_id $slow_id"
+[ "$(grep -o '"name":' "$workdir/untraced.json" | wc -l)" -eq 1 ] \
+  || fail "untraced capture is not a one-span trace: $(cat "$workdir/untraced.json")"
+if grep -q '"trace_id"' "$workdir/untraced.json"; then fail "untraced capture carries a trace id"; fi
+shutdown
 
 echo "serve_e2e: PASS"

@@ -4,13 +4,10 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ctxKey keys the serve package's context values.
@@ -50,85 +47,15 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// exemplar is one captured slow or failed (5xx) request, shaped for
-// JSON at /debug/exemplars.  It deliberately carries only what an
-// operator needs to go find the full story elsewhere (the request id
-// links it to the structured log, the trace id — when tracing is on —
-// to /debug/traces; the path, status, and duration say why it was
-// captured).
-type exemplar struct {
-	ID         string    `json:"id"`
-	TraceID    string    `json:"trace_id,omitempty"`
-	Method     string    `json:"method"`
-	Path       string    `json:"path"`
-	Status     int       `json:"status"`
-	Bytes      int64     `json:"bytes"`
-	DurationMS float64   `json:"duration_ms"`
-	Time       time.Time `json:"time"`
-}
-
-// exemplarCap bounds the ring: memory stays fixed no matter how long the
-// process runs or how slow its traffic gets.
-const exemplarCap = 64
-
-// exemplarRing is a bounded mutex-protected ring of the most recent slow
-// requests.  A mutex (not a lock-free structure) is the right tool: the
-// ring is written at most once per slow request — by definition a rare
-// event — and read only by the debug endpoint.
-type exemplarRing struct {
-	mu    sync.Mutex
-	buf   [exemplarCap]exemplar
-	n     int    // filled entries, <= exemplarCap
-	next  int    // ring cursor
-	total uint64 // all-time captures, including overwritten ones
-}
-
-func (r *exemplarRing) add(e exemplar) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % exemplarCap
-	if r.n < exemplarCap {
-		r.n++
-	}
-	r.total++
-}
-
-// snapshot returns the captured exemplars newest-first, plus the
-// all-time capture count.
-func (r *exemplarRing) snapshot() ([]exemplar, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]exemplar, 0, r.n)
-	for i := 1; i <= r.n; i++ {
-		out = append(out, r.buf[(r.next-i+exemplarCap)%exemplarCap])
-	}
-	return out, r.total
-}
-
-// handleExemplars serves GET /debug/exemplars: the slow-request ring as
-// JSON, newest first.  Mounted only when Config.Debug is set.
-func (s *Server) handleExemplars(w http.ResponseWriter, _ *http.Request) {
-	exemplars, total := s.exemplars.snapshot()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		ThresholdMS float64    `json:"threshold_ms"`
-		Total       uint64     `json:"total"`
-		Exemplars   []exemplar `json:"exemplars"`
-	}{float64(s.cfg.SlowRequest) / 1e6, total, exemplars})
-}
-
-// mountDebug registers the opt-in debug surface: net/http/pprof's
-// profiling handlers and the slow-request exemplar ring.  These bypass
-// the limiter like the other ops endpoints — a pprof profile is most
-// valuable exactly when the service is saturated — but are only mounted
-// when Config.Debug is set, so a production deployment does not expose
-// profiling to anyone who can reach the port unless asked to.
+// mountDebug registers net/http/pprof's profiling handlers.  These
+// bypass the limiter like the other ops endpoints — a pprof profile is
+// most valuable exactly when the service is saturated — but are only
+// mounted when Config.Debug is set, so a production deployment does not
+// expose profiling to anyone who can reach the port unless asked to.
 func (s *Server) mountDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/exemplars", s.handleExemplars)
 }

@@ -2,14 +2,19 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"sync"
 	"testing"
 	"time"
+
+	"floatprint/internal/span"
 )
 
 // syncBuffer serializes writes so the slog handler can be driven from
@@ -116,7 +121,8 @@ func (r *recorder) Write(p []byte) (int, error) {
 }
 
 // TestDebugEndpointsGated: the profiling surface must not exist unless
-// asked for.
+// asked for, and /debug/exemplars never does: /debug/traces is the one
+// capture reader.
 func TestDebugEndpointsGated(t *testing.T) {
 	_, off := newTestServer(t, Config{})
 	for _, path := range []string{"/debug/pprof/", "/debug/exemplars"} {
@@ -130,14 +136,16 @@ func TestDebugEndpointsGated(t *testing.T) {
 		!bytes.Contains([]byte(body), []byte("goroutine")) {
 		t.Errorf("with Debug, GET /debug/pprof/ = %d, want 200 with profile index", code)
 	}
-	if code, _ := get(t, on.URL+"/debug/exemplars"); code != http.StatusOK {
-		t.Errorf("with Debug, GET /debug/exemplars = %d, want 200", code)
+	if code, _ := get(t, on.URL+"/debug/exemplars"); code != http.StatusNotFound {
+		t.Errorf("with Debug, GET /debug/exemplars = %d, want 404", code)
 	}
 }
 
-// TestExemplarCapture: with the slow threshold at its floor, every
-// request is an exemplar; the ring returns them newest-first with ids
-// matching the response headers.
+// TestExemplarCapture: with tracing off, Debug on and the slow threshold
+// at its floor, every request is an exemplar, captured in /debug/traces
+// as a one-span trace: reason slow, the route, a positive duration, and
+// the root-span attributes a traced request carries, request_id matching
+// X-Request-Id.  The ring returns them newest first.
 func TestExemplarCapture(t *testing.T) {
 	_, ts := newTestServer(t, Config{Debug: true, SlowRequest: time.Nanosecond})
 
@@ -148,65 +156,68 @@ func TestExemplarCapture(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		if tid := resp.Header.Get("X-Trace-Id"); tid != "" {
+			t.Fatalf("tracing off, yet X-Trace-Id = %q", tid)
+		}
 		ids = append(ids, resp.Header.Get("X-Request-Id"))
 	}
 
-	_, body := get(t, ts.URL+"/debug/exemplars")
-	var got struct {
-		ThresholdMS float64    `json:"threshold_ms"`
-		Total       uint64     `json:"total"`
-		Exemplars   []exemplar `json:"exemplars"`
+	code, got := getTraces(t, ts.URL+"/debug/traces")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/traces = %d, want 200", code)
 	}
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("exemplars JSON: %v\n%s", err, body)
+	if got.SampleEvery != 0 || got.Total != 3 || len(got.Traces) != 3 {
+		t.Fatalf("sample_every=%d total=%d len=%d, want 0, 3 and 3",
+			got.SampleEvery, got.Total, len(got.Traces))
 	}
-	if got.Total != 3 || len(got.Exemplars) != 3 {
-		t.Fatalf("total=%d len=%d, want 3 and 3:\n%s", got.Total, len(got.Exemplars), body)
-	}
-	for i, e := range got.Exemplars { // newest first
-		want := ids[len(ids)-1-i]
-		if e.ID != want {
-			t.Errorf("exemplar[%d].ID = %q, want %q", i, e.ID, want)
+	for i, tr := range got.Traces { // newest first
+		if tr.Route != "/v1/shortest" || tr.Reason != "slow" || tr.TraceID != "" ||
+			tr.DurationMS <= 0 || len(tr.Spans) != 1 {
+			t.Fatalf("trace[%d] = %+v, want one-span /v1/shortest slow capture, no trace id", i, tr)
 		}
-		if e.Path != "/v1/shortest" || e.Status != http.StatusOK || e.DurationMS <= 0 {
-			t.Errorf("exemplar[%d] = %+v, want /v1/shortest 200 with positive duration", i, e)
+		root := tr.Spans[0]
+		if root.Name != "/v1/shortest" || root.DurationMS != tr.DurationMS || root.Start.IsZero() {
+			t.Errorf("trace[%d] root = %+v, want the route, its duration and start", i, root)
+		}
+		want := map[string]string{
+			"request_id": ids[len(ids)-1-i], "method": "GET", "status": "200", "bytes": "4",
+		}
+		if attrs := attrMap(root.Attrs); !reflect.DeepEqual(attrs, want) {
+			t.Errorf("trace[%d] attrs = %v, want %v", i, attrs, want)
 		}
 	}
 }
 
-// TestExemplarRingBounded: the ring never grows past its capacity and
-// keeps the newest entries; concurrent writers and readers are safe
-// (this is the -race twin for the exemplar ring).
-func TestExemplarRingBounded(t *testing.T) {
-	var ring exemplarRing
-	const writers, perWriter = 8, 3 * exemplarCap
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				ring.add(exemplar{ID: fmt.Sprintf("w%d-%d", w, i), Status: 200})
-				if i%16 == 0 {
-					ring.snapshot() // concurrent reads while writing
-				}
-			}
-		}(w)
+// TestExemplarCaptures5xx: with tracing off, a fast 5xx is still an
+// exemplar and reaches the ring, with reason error and status 500; a
+// fast 200 does not.
+func TestExemplarCaptures5xx(t *testing.T) {
+	s := New(Config{Debug: true, Logger: log.New(io.Discard, "", 0)})
+	mux := http.NewServeMux()
+	mux.Handle("/boom", s.instrumented("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "deliberate", http.StatusInternalServerError)
+	})))
+	mux.Handle("/", s.Handler())
+	ts := httptest.NewServer(s.recovered(mux))
+	defer ts.Close()
+	if code, _ := get(t, ts.URL+"/v1/shortest?v=0.3"); code != http.StatusOK {
+		t.Fatal("healthy request failed")
 	}
-	wg.Wait()
+	if code, _ := get(t, ts.URL+"/boom"); code != http.StatusInternalServerError {
+		t.Fatal("handler did not 500")
+	}
+	traces, total := s.traceRing.Snapshot()
+	if total != 1 || len(traces) != 1 || traces[0].Reason != "error" ||
+		attrMap(traces[0].Spans[0].Attrs)["status"] != "500" {
+		t.Fatalf("ring after a fast 200 and a fast 500 = %+v (total %d), want one error capture", traces, total)
+	}
+}
 
-	exemplars, total := ring.snapshot()
-	if total != writers*perWriter {
-		t.Errorf("total = %d, want %d", total, writers*perWriter)
+// attrMap flattens span attributes for comparison.
+func attrMap(attrs []span.Attr) map[string]string {
+	m := map[string]string{}
+	for _, a := range attrs {
+		m[a.Key] = a.Value
 	}
-	if len(exemplars) != exemplarCap {
-		t.Errorf("len = %d, want ring capacity %d", len(exemplars), exemplarCap)
-	}
-	seen := map[string]bool{}
-	for _, e := range exemplars {
-		if e.ID == "" || seen[e.ID] {
-			t.Fatalf("ring holds empty or duplicate entry %q", e.ID)
-		}
-		seen[e.ID] = true
-	}
+	return m
 }

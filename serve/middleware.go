@@ -88,11 +88,12 @@ func (s *Server) recovered(h http.Handler) http.Handler {
 //
 // All post-request accounting runs in a deferred block that also
 // observes panics: a panicking handler still lands in the per-route
-// metrics, access log, exemplar ring, and trace ring as a 500 before
-// the panic is re-raised for the outer recovered middleware to turn
-// into the wire response.  (The net/http abort sentinel keeps the
-// status the handler already committed: an aborted stream is a
-// deliberate mid-response failure, not a 500.)
+// metrics, access log, and trace ring as a 500 before the panic is
+// re-raised for the outer recovered middleware to turn into the wire
+// response.  (The net/http abort sentinel keeps the status the handler
+// already committed: an aborted stream is a deliberate mid-response
+// failure, not a 500.)  A request that ran without a span (tracing off)
+// and turned out slow or 5xx reaches the trace ring as a one-span trace.
 func (s *Server) instrumented(route string, h http.Handler) http.Handler {
 	rm := s.metrics.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -147,12 +148,11 @@ func (s *Server) instrumented(route string, h http.Handler) http.Handler {
 				}
 				s.slog.LogAttrs(r.Context(), level, "request", attrs...)
 			}
-			if dur >= s.cfg.SlowRequest || status >= 500 {
-				s.exemplars.add(exemplar{
-					ID: id, TraceID: traceID, Method: r.Method, Path: r.URL.Path,
-					Status: status, Bytes: sw.bytes,
-					DurationMS: float64(dur) / 1e6, Time: start.UTC(),
-				})
+			if sp == nil && (dur >= s.cfg.SlowRequest || status >= 500) {
+				s.traceRing.Add(untracedTrace(route, start, dur, status,
+					span.Attr{Key: "request_id", Value: id}, span.Attr{Key: "method", Value: r.Method},
+					span.Attr{Key: "status", Value: strconv.Itoa(status)},
+					span.Attr{Key: "bytes", Value: strconv.FormatInt(sw.bytes, 10)}))
 			}
 			if p != nil {
 				panic(p)

@@ -21,6 +21,7 @@ import (
 
 	"floatprint"
 	"floatprint/internal/schryer"
+	"floatprint/internal/stats"
 	"floatprint/interval"
 )
 
@@ -863,6 +864,36 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := metricValue(t, scrape, "fpserved_gomaxprocs"); got != uint64(runtime.GOMAXPROCS(0)) {
 		t.Errorf("fpserved_gomaxprocs = %d, want %d", got, runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestMetricsCarryEveryStatsFamily: every row of the library's counter
+// table reaches a /metrics scrape as its floatprint_<name>_total family,
+// HELP and TYPE lines included.
+func TestMetricsCarryEveryStatsFamily(t *testing.T) {
+	var lib strings.Builder
+	if err := (floatprint.Stats{}).WritePrometheus(&lib); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	_, scrape := get(t, ts.URL+"/metrics")
+	families := 0
+	for _, line := range strings.Split(lib.String(), "\n") {
+		if !strings.HasPrefix(line, "# ") {
+			continue
+		}
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families++
+			if !strings.HasPrefix(name, "floatprint_") || !strings.HasSuffix(name, "_total counter") {
+				t.Errorf("library family %q is not floatprint_<name>_total", name)
+			}
+		}
+		if !strings.Contains(scrape, line+"\n") {
+			t.Errorf("scrape missing %q", line)
+		}
+	}
+	if families != int(stats.NumCounters) {
+		t.Errorf("library exposition has %d families, want one per counter (%d)", families, stats.NumCounters)
 	}
 }
 

@@ -48,17 +48,17 @@
 //	GET  /healthz
 //	GET  /metrics
 //	GET  /debug/pprof/*      (opt-in: Config.Debug)
-//	GET  /debug/exemplars    (opt-in: Config.Debug; recent slow/5xx requests)
-//	GET  /debug/traces       (opt-in: Config.TraceSample > 0; completed
-//	                          request traces, newest first, filterable by
-//	                          ?route= and ?min_ms=)
+//	GET  /debug/traces       (opt-in: Config.TraceSample > 0 or
+//	                          Config.Debug; recent sampled, slow, and
+//	                          5xx requests as traces, newest first,
+//	                          filterable by ?route= and ?min_ms=)
 //
 // Every conversion request is assigned a process-unique request id,
 // returned in the X-Request-Id header and logged (when Config.Slog is
 // set) in a structured access-log record; when tracing is enabled the
 // trace id rides alongside it (X-Trace-Id header, trace_id log attr),
-// so one slow exemplar, one log line, one trace, and one
-// client-observed response tie together by id.
+// so one captured trace, one log line, and one client-observed response
+// tie together by id.
 //
 // The batch response is byte-identical to floatprint.AppendShortest on
 // each value followed by '\n', whatever the shard count — the same
@@ -113,13 +113,14 @@ type Config struct {
 	// still assigned.
 	Slog *slog.Logger
 	// Debug mounts the profiling surface: /debug/pprof/* (net/http/pprof)
-	// and /debug/exemplars (the slow-request ring).  Off by default —
+	// and, when tracing is off, /debug/traces, where slow and 5xx
+	// requests then appear as one-span traces.  Off by default —
 	// profiling endpoints should be a deployment decision, not a given.
 	Debug bool
 	// SlowRequest is the duration at or above which a finished request is
-	// captured into the exemplar ring — and, when tracing is on, always
-	// published to the trace ring whatever the sampling rate said.  Zero
-	// means 250ms.
+	// always published to the trace ring, whatever the sampling rate said
+	// (with tracing off, as a one-span trace).  5xx requests always are.
+	// Zero means 250ms.
 	SlowRequest time.Duration
 	// TraceSample turns on request-span tracing and sets the head
 	// sampling rate: 1 traces every request, N keeps roughly 1 in N
@@ -149,7 +150,7 @@ type Server struct {
 	log       *log.Logger
 	slog      *slog.Logger
 	reqIDs    *requestIDs
-	exemplars *exemplarRing
+	traceRing *span.Ring   // behind /debug/traces
 	tracer    *span.Tracer // nil when Config.TraceSample <= 0
 	runtime   *runtimeStats
 }
@@ -174,6 +175,9 @@ func New(cfg Config) *Server {
 	if cfg.SlowRequest <= 0 {
 		cfg.SlowRequest = 250 * time.Millisecond
 	}
+	if cfg.TraceRing <= 0 {
+		cfg.TraceRing = 64
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.Default()
@@ -190,9 +194,9 @@ func New(cfg Config) *Server {
 		log:       logger,
 		slog:      cfg.Slog,
 		reqIDs:    newRequestIDs(),
-		exemplars: &exemplarRing{},
-		tracer:    newTracer(cfg),
+		traceRing: span.NewRing(cfg.TraceRing),
 	}
+	s.tracer = newTracer(cfg, s.traceRing)
 	s.runtime = newRuntimeStats(s.reqIDs.prefix)
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
@@ -222,10 +226,11 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/batch-parse", s.limited("/v1/batch-parse", http.HandlerFunc(s.handleBatchParse)))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	if s.tracer != nil {
+	if s.tracer != nil || s.cfg.Debug {
 		// Enabling tracing is itself the opt-in for the trace reader,
 		// independent of the pprof surface: there is no point capturing
-		// traces nobody can read.
+		// traces nobody can read.  With tracing off, Debug mounts it for
+		// the one-span captures of slow and 5xx requests.
 		mux.HandleFunc("/debug/traces", s.handleTraces)
 	}
 	if s.cfg.Debug {

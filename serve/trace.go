@@ -2,27 +2,45 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"floatprint"
 	"floatprint/internal/span"
 )
 
-// newTracer builds the request tracer from cfg, or nil when tracing is
-// off (TraceSample <= 0).  A nil tracer short-circuits every
-// instrumentation point to one pointer test — the tracing-disabled
-// overhead budget in CI leans on this.
-func newTracer(cfg Config) *span.Tracer {
+// newTracer builds the request tracer from cfg, publishing into ring,
+// or nil when tracing is off (TraceSample <= 0).  A nil tracer
+// short-circuits every instrumentation point to one pointer test — the
+// tracing-disabled overhead budget in CI leans on this.
+func newTracer(cfg Config, ring *span.Ring) *span.Tracer {
 	if cfg.TraceSample <= 0 {
 		return nil
 	}
 	return span.New(span.Config{
 		SampleEvery: cfg.TraceSample,
 		SlowRequest: cfg.SlowRequest,
-		RingCap:     cfg.TraceRing,
+		Ring:        ring,
 		Seed:        cfg.TraceSeed,
 	})
+}
+
+// untracedTrace is what a request that ran without a span (tracing off)
+// publishes when it turned out slow or failed: a one-span trace whose
+// root carries the attributes a traced root span would, with no trace
+// identity.  It is built only for a request that is kept.
+func untracedTrace(route string, start time.Time, dur time.Duration, status int, attrs ...span.Attr) *span.Trace {
+	reason := "slow"
+	if status >= 500 {
+		reason = "error"
+	}
+	ms := float64(dur) / 1e6
+	return &span.Trace{
+		Route: route, DurationMS: ms, Reason: reason,
+		Spans: []span.Record{{Name: route, Start: start, DurationMS: ms, Attrs: attrs}},
+	}
 }
 
 // attachConversion copies the interesting parts of a per-conversion
@@ -41,24 +59,24 @@ func attachConversion(sp *span.Span, rec *floatprint.Trace) {
 	sp.SetAttr("algorithm", rec.Summary())
 }
 
-// handleTraces serves GET /debug/traces: the completed-trace ring as
-// JSON, newest first, filterable by route (?route=/v1/shortest) and
-// minimum root duration (?min_ms=5).  Mounted only when tracing is on;
-// like the other ops endpoints it bypasses the limiter, because traces
-// of an overloaded service are exactly what the ring is for.
+// handleTraces serves GET /debug/traces: the trace ring as JSON, newest
+// first, filterable by route (?route=/v1/shortest) and minimum root
+// duration (?min_ms=5).  Mounted only when tracing is on or Config.Debug
+// is set; like the other ops endpoints it bypasses the limiter, because
+// traces of an overloaded service are exactly what the ring is for.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	route := q.Get("route")
 	var minMS float64
 	if ms := q.Get("min_ms"); ms != "" {
 		v, err := strconv.ParseFloat(ms, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) {
 			http.Error(w, "bad min_ms "+strconv.Quote(ms), http.StatusBadRequest)
 			return
 		}
 		minMS = v
 	}
-	all, total := s.tracer.Ring().Snapshot()
+	all, total := s.traceRing.Snapshot()
 	traces := make([]*span.Trace, 0, len(all))
 	for _, t := range all {
 		if route != "" && t.Route != route {
@@ -74,5 +92,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		SampleEvery int           `json:"sample_every"`
 		Total       uint64        `json:"total"`
 		Traces      []*span.Trace `json:"traces"`
-	}{s.tracer.SampleEvery(), total, traces})
+	}{max(s.cfg.TraceSample, 0), total, traces})
 }

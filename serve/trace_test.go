@@ -104,12 +104,15 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 
 	// Filters: a non-matching route yields an empty (non-null) list; a
-	// bad min_ms is a 400.
+	// bad min_ms is a 400, NaN included (it parses, but every comparison
+	// with it is false, so it would silently filter nothing).
 	if _, empty := getTraces(t, ts.URL+"/debug/traces?route=/v1/parse"); len(empty.Traces) != 0 {
 		t.Errorf("route filter leaked %d traces", len(empty.Traces))
 	}
-	if code, _ := get(t, ts.URL+"/debug/traces?min_ms=bogus"); code != http.StatusBadRequest {
-		t.Errorf("bad min_ms = %d, want 400", code)
+	for _, bad := range []string{"bogus", "NaN", "nan"} {
+		if code, _ := get(t, ts.URL+"/debug/traces?min_ms="+bad); code != http.StatusBadRequest {
+			t.Errorf("min_ms=%s = %d, want 400", bad, code)
+		}
 	}
 	if _, all := getTraces(t, ts.URL+"/debug/traces?route=/v1/shortest&min_ms=0"); len(all.Traces) != 1 {
 		t.Errorf("matching filter returned %d traces, want 1", len(all.Traces))
@@ -200,7 +203,7 @@ func TestPanicTraceAndHeaders(t *testing.T) {
 		t.Fatalf("panic 500 headers = %v, want X-Request-Id and X-Trace-Id", resp.Header)
 	}
 
-	traces, _ := s.tracer.Ring().Snapshot()
+	traces, _ := s.traceRing.Snapshot()
 	if len(traces) != 1 || traces[0].Reason != "error" {
 		t.Fatalf("trace ring after panic = %+v, want one trace with reason error", traces)
 	}
@@ -220,7 +223,7 @@ func TestPanicTraceAndHeaders(t *testing.T) {
 	if code, _ := get(t, ts2.URL+"/v1/shortest?v=0.3"); code != http.StatusOK {
 		t.Fatal("healthy request failed")
 	}
-	if traces, _ := s2.tracer.Ring().Snapshot(); len(traces) != 0 {
+	if traces, _ := s2.traceRing.Snapshot(); len(traces) != 0 {
 		t.Fatalf("fast 200 published a trace: %+v", traces)
 	}
 }
@@ -279,21 +282,27 @@ func TestTracedResponsesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTracesEndpointGating: without tracing there is no trace reader;
-// with it, /debug/traces exists even when the pprof surface is off.
+// TestTracesEndpointGating: with neither tracing nor Debug there is no
+// trace reader; either one mounts /debug/traces (tracing even when the
+// pprof surface is off).
 func TestTracesEndpointGating(t *testing.T) {
 	_, off := newTestServer(t, Config{})
 	if code, _ := get(t, off.URL+"/debug/traces"); code != http.StatusNotFound {
-		t.Errorf("tracing off: /debug/traces = %d, want 404", code)
+		t.Errorf("tracing and Debug off: /debug/traces = %d, want 404", code)
 	}
 	_, on := newTestServer(t, Config{TraceSample: 1})
 	if code, _ := get(t, on.URL+"/debug/traces"); code != http.StatusOK {
 		t.Errorf("tracing on: /debug/traces = %d, want 200", code)
 	}
+	_, debug := newTestServer(t, Config{Debug: true})
+	if code, _ := get(t, debug.URL+"/debug/traces"); code != http.StatusOK {
+		t.Errorf("Debug on: /debug/traces = %d, want 200", code)
+	}
 }
 
-// TestExemplarCarriesTraceID: with tracing on, captured exemplars link
-// to their trace.
+// TestExemplarCarriesTraceID: with tracing on, a slow request's capture
+// is its own trace, linked by the X-Trace-Id it answered with; no second,
+// untraced capture is published.
 func TestExemplarCarriesTraceID(t *testing.T) {
 	_, ts := newTestServer(t, Config{Debug: true, SlowRequest: time.Nanosecond, TraceSample: 1})
 	resp, err := http.Get(ts.URL + "/v1/shortest?v=0.3")
@@ -303,33 +312,9 @@ func TestExemplarCarriesTraceID(t *testing.T) {
 	resp.Body.Close()
 	want := resp.Header.Get("X-Trace-Id")
 
-	_, body := get(t, ts.URL+"/debug/exemplars")
-	var got struct {
-		Exemplars []exemplar `json:"exemplars"`
-	}
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Exemplars) != 1 || got.Exemplars[0].TraceID != want {
-		t.Fatalf("exemplars = %+v, want one entry with trace id %q", got.Exemplars, want)
-	}
-}
-
-// TestExemplarCaptures5xx: error responses land in the exemplar ring
-// even when they are fast (satellite of the slow-capture rule).
-func TestExemplarCaptures5xx(t *testing.T) {
-	s := New(Config{Debug: true, Logger: log.New(io.Discard, "", 0)})
-	mux := http.NewServeMux()
-	mux.Handle("/boom", s.instrumented("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "deliberate", http.StatusInternalServerError)
-	})))
-	ts := httptest.NewServer(s.recovered(mux))
-	defer ts.Close()
-	if code, _ := get(t, ts.URL+"/boom"); code != http.StatusInternalServerError {
-		t.Fatal("handler did not 500")
-	}
-	exemplars, total := s.exemplars.snapshot()
-	if total != 1 || len(exemplars) != 1 || exemplars[0].Status != http.StatusInternalServerError {
-		t.Fatalf("exemplars after fast 5xx = %+v (total %d), want one 500 capture", exemplars, total)
+	if _, got := getTraces(t, ts.URL+"/debug/traces"); got.Total != 1 || len(got.Traces) != 1 ||
+		got.Traces[0].TraceID != want {
+		t.Fatalf("traced slow request: total=%d traces=%+v, want its one trace %s",
+			got.Total, got.Traces, want)
 	}
 }

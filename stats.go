@@ -92,18 +92,137 @@ type Stats struct {
 	TraceRoundUps    uint64 // conversions whose last digit rounded up
 }
 
+// statRow declares one counter of Stats.  statsTable is indexed by the
+// internal/stats counter that is the row's source, and every derived
+// form walks it in order: Snapshot and Sub through field,
+// WritePrometheus as the counter family name with help, and String as a
+// line labeled label (none when label is empty) followed by the row's
+// ratio line, if any.
+type statRow struct {
+	field      func(*Stats) *uint64
+	name, help string
+	label      string
+	ratio      ratio
+	section    bool // String omits this row and all later ones when this count is zero
+}
+
+// ratio is a String line derived from a row's count v and the count p
+// of the per counter: v/p, or for the misses half of a hit/miss pair
+// (hitRate, per naming the hits) p/(p+v).  It is printed with verb after
+// multiplying by scale, and only when the denominator is nonzero.
+type ratio struct {
+	label   string
+	per     stats.Counter
+	hitRate bool
+	verb    string
+	scale   float64
+}
+
+func hitRate(label string, hits stats.Counter) ratio {
+	return ratio{label, hits, true, "%11.2f%%", 100}
+}
+
+func percentOf(label string, per stats.Counter, verb string) ratio {
+	return ratio{label, per, false, verb, 100}
+}
+
+func meanPer(label string, per stats.Counter) ratio {
+	return ratio{label, per, false, "%12.2f", 1}
+}
+
+var statsTable = [stats.NumCounters]statRow{
+	stats.RyuHits: {field: func(s *Stats) *uint64 { return &s.RyuHits },
+		name: "floatprint_ryu_hits_total", help: "Shortest conversions served by the Ryu fast path.",
+		label: "ryu hits"},
+	stats.RyuMisses: {field: func(s *Stats) *uint64 { return &s.RyuMisses },
+		name: "floatprint_ryu_misses_total", help: "Shortest conversions where Ryu declined (exact-halfway ties).",
+		label: "ryu misses", ratio: hitRate("ryu hit rate", stats.RyuHits)},
+	stats.GayHits: {field: func(s *Stats) *uint64 { return &s.GayHits },
+		name: "floatprint_gay_hits_total", help: "Fixed conversions certified by Gay's fast path.",
+		label: "gay fast-path hits"},
+	stats.GayMisses: {field: func(s *Stats) *uint64 { return &s.GayMisses },
+		name: "floatprint_gay_misses_total", help: "Fixed conversions where Gay's fast path declined.",
+		label: "gay fast-path misses", ratio: hitRate("gay fast-path hit rate", stats.GayHits)},
+	stats.ExactFree: {field: func(s *Stats) *uint64 { return &s.ExactFree },
+		name: "floatprint_exact_free_total", help: "Exact free-format (shortest) conversions.",
+		label: "exact free-format"},
+	stats.ExactFixed: {field: func(s *Stats) *uint64 { return &s.ExactFixed },
+		name: "floatprint_exact_fixed_total", help: "Exact fixed-format conversions.",
+		label: "exact fixed-format"},
+	stats.BatchValues: {field: func(s *Stats) *uint64 { return &s.BatchValues },
+		name: "floatprint_batch_values_total", help: "Values converted by the batch engine.",
+		label: "batch values"},
+	stats.BatchBytes: {field: func(s *Stats) *uint64 { return &s.BatchBytes },
+		name: "floatprint_batch_bytes_total", help: "Bytes produced by the batch engine.",
+		label: "batch bytes"},
+	stats.ParseFastHits: {field: func(s *Stats) *uint64 { return &s.ParseFastHits },
+		name: "floatprint_parse_fast_hits_total", help: "Parses certified by the Eisel-Lemire fast path.",
+		label: "parse fast-path hits"},
+	stats.ParseFastMisses: {field: func(s *Stats) *uint64 { return &s.ParseFastMisses },
+		name: "floatprint_parse_fast_misses_total", help: "Parses where the fast path declined to the exact reader.",
+		label: "parse fast-path misses", ratio: hitRate("parse fast-path hit rate", stats.ParseFastHits)},
+	stats.ParseExact: {field: func(s *Stats) *uint64 { return &s.ParseExact },
+		name: "floatprint_parse_exact_total", help: "Parses decided by the exact big-integer reader.",
+		label: "exact parses"},
+	stats.BatchParseBlocks: {field: func(s *Stats) *uint64 { return &s.BatchParseBlocks },
+		name: "floatprint_batch_parse_blocks_total", help: "Contiguous byte ranges scanned by the batch parse engine.",
+		label: "batch-parse blocks"},
+	stats.BatchParseValues: {field: func(s *Stats) *uint64 { return &s.BatchParseValues },
+		name: "floatprint_batch_parse_values_total", help: "Values parsed by the batch parse engine.",
+		label: "batch-parse values"},
+	stats.BatchParseBytes: {field: func(s *Stats) *uint64 { return &s.BatchParseBytes },
+		name: "floatprint_batch_parse_bytes_total", help: "Input bytes consumed by the batch parse engine.",
+		label: "batch-parse bytes"},
+	stats.BatchParseFallbacks: {field: func(s *Stats) *uint64 { return &s.BatchParseFallbacks },
+		name: "floatprint_batch_parse_fallbacks_total", help: "Batch-parse tokens declined to the per-value parser.",
+		label: "batch-parse fallbacks", ratio: percentOf("batch-parse fb rate", stats.BatchParseValues, "%11.4f%%")},
+	stats.DirectedRyuHits: {field: func(s *Stats) *uint64 { return &s.DirectedRyuHits },
+		name: "floatprint_directed_ryu_hits_total", help: "Directed shortest conversions served by the one-sided Ryu kernels.",
+		label: "directed ryu hits"},
+	stats.DirectedRyuMisses: {field: func(s *Stats) *uint64 { return &s.DirectedRyuMisses },
+		name: "floatprint_directed_ryu_misses_total", help: "Directed shortest conversions where a one-sided kernel declined.",
+		label: "directed ryu misses", ratio: hitRate("directed ryu hit rate", stats.DirectedRyuHits)},
+	stats.DirectedFastHits: {field: func(s *Stats) *uint64 { return &s.DirectedFastHits },
+		name: "floatprint_directed_fast_hits_total", help: "Directed parses certified by the directed Eisel-Lemire fast path.",
+		label: "directed parse hits"},
+	stats.DirectedFastMisses: {field: func(s *Stats) *uint64 { return &s.DirectedFastMisses },
+		name: "floatprint_directed_fast_misses_total", help: "Directed parses where the fast path declined to the exact reader.",
+		label: "directed parse misses", ratio: hitRate("directed parse hit rate", stats.DirectedFastHits)},
+	stats.IntervalPrints: {field: func(s *Stats) *uint64 { return &s.IntervalPrints },
+		name: "floatprint_interval_prints_total", help: "Intervals formatted by the interval package.",
+		label: "interval prints"},
+	stats.IntervalParses: {field: func(s *Stats) *uint64 { return &s.IntervalParses },
+		name: "floatprint_interval_parses_total", help: "Intervals read by the interval package.",
+		label: "interval parses"},
+	stats.TraceConversions: {field: func(s *Stats) *uint64 { return &s.TraceConversions },
+		name: "floatprint_trace_conversions_total", help: "Conversions folded into the trace aggregate.",
+		label: "traced conversions", section: true},
+	stats.TraceEstimates: {field: func(s *Stats) *uint64 { return &s.TraceEstimates },
+		name: "floatprint_trace_estimates_total", help: "Exact conversions that ran the scale estimator.",
+		label: "scale estimates"},
+	stats.TraceFixups: {field: func(s *Stats) *uint64 { return &s.TraceFixups },
+		name: "floatprint_trace_fixups_total", help: "Scale estimates one low, corrected by the fixup loop.",
+		label: "scale fixups", ratio: percentOf("fixup rate", stats.TraceEstimates, "%11.2f%%")},
+	stats.TraceIterations: {field: func(s *Stats) *uint64 { return &s.TraceIterations },
+		name: "floatprint_trace_iterations_total", help: "Summed digit-generation loop iterations.",
+		ratio: meanPer("mean loop iterations", stats.TraceConversions)},
+	stats.TraceDigits: {field: func(s *Stats) *uint64 { return &s.TraceDigits },
+		name: "floatprint_trace_digits_total", help: "Summed significant output digits.",
+		ratio: meanPer("mean output digits", stats.TraceConversions)},
+	stats.TraceRoundUps: {field: func(s *Stats) *uint64 { return &s.TraceRoundUps },
+		name: "floatprint_trace_roundups_total", help: "Conversions whose last digit rounded up.",
+		label: "round-ups"},
+}
+
 // Snapshot returns the current telemetry counters.  Counters only
 // advance while collection is enabled (SetStatsEnabled); a snapshot
 // taken during concurrent conversions is per-field atomic.
 func Snapshot() Stats {
-	s := fromSnap(stats.Read())
-	t := stats.Traces.Snapshot()
-	s.TraceConversions = t.Conversions
-	s.TraceEstimates = t.Estimates
-	s.TraceFixups = t.Fixups
-	s.TraceIterations = t.Iterations
-	s.TraceDigits = t.Digits
-	s.TraceRoundUps = t.RoundUps
+	snap := stats.Read()
+	var s Stats
+	for c, r := range statsTable {
+		*r.field(&s) = snap[c]
+	}
 	return s
 }
 
@@ -120,90 +239,34 @@ func ResetStats() { stats.Reset() }
 // Sub returns the per-field difference s − prev: the path mix of the
 // work done between two Snapshot calls.
 func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		RyuHits:     s.RyuHits - prev.RyuHits,
-		RyuMisses:   s.RyuMisses - prev.RyuMisses,
-		GayHits:     s.GayHits - prev.GayHits,
-		GayMisses:   s.GayMisses - prev.GayMisses,
-		ExactFree:   s.ExactFree - prev.ExactFree,
-		ExactFixed:  s.ExactFixed - prev.ExactFixed,
-		BatchValues: s.BatchValues - prev.BatchValues,
-		BatchBytes:  s.BatchBytes - prev.BatchBytes,
-
-		ParseFastHits:   s.ParseFastHits - prev.ParseFastHits,
-		ParseFastMisses: s.ParseFastMisses - prev.ParseFastMisses,
-		ParseExact:      s.ParseExact - prev.ParseExact,
-
-		BatchParseBlocks:    s.BatchParseBlocks - prev.BatchParseBlocks,
-		BatchParseValues:    s.BatchParseValues - prev.BatchParseValues,
-		BatchParseBytes:     s.BatchParseBytes - prev.BatchParseBytes,
-		BatchParseFallbacks: s.BatchParseFallbacks - prev.BatchParseFallbacks,
-
-		DirectedRyuHits:    s.DirectedRyuHits - prev.DirectedRyuHits,
-		DirectedRyuMisses:  s.DirectedRyuMisses - prev.DirectedRyuMisses,
-		DirectedFastHits:   s.DirectedFastHits - prev.DirectedFastHits,
-		DirectedFastMisses: s.DirectedFastMisses - prev.DirectedFastMisses,
-
-		IntervalPrints: s.IntervalPrints - prev.IntervalPrints,
-		IntervalParses: s.IntervalParses - prev.IntervalParses,
-
-		TraceConversions: s.TraceConversions - prev.TraceConversions,
-		TraceEstimates:   s.TraceEstimates - prev.TraceEstimates,
-		TraceFixups:      s.TraceFixups - prev.TraceFixups,
-		TraceIterations:  s.TraceIterations - prev.TraceIterations,
-		TraceDigits:      s.TraceDigits - prev.TraceDigits,
-		TraceRoundUps:    s.TraceRoundUps - prev.TraceRoundUps,
+	var d Stats
+	for _, r := range statsTable {
+		*r.field(&d) = *r.field(&s) - *r.field(&prev)
 	}
+	return d
 }
 
 // String renders the path mix as a small report, one counter per line,
 // with fast-path hit rates where a ratio is meaningful.
 func (s Stats) String() string {
 	var sb strings.Builder
-	line := func(name string, v uint64) {
-		fmt.Fprintf(&sb, "  %-22s %12d\n", name, v)
-	}
-	rate := func(name string, hits, misses uint64) {
-		line(name+" hits", hits)
-		line(name+" misses", misses)
-		if total := hits + misses; total > 0 {
-			fmt.Fprintf(&sb, "  %-22s %11.2f%%\n", name+" hit rate",
-				100*float64(hits)/float64(total))
+	for _, r := range statsTable {
+		v := *r.field(&s)
+		if r.section && v == 0 {
+			break
 		}
-	}
-	rate("ryu", s.RyuHits, s.RyuMisses)
-	rate("gay fast-path", s.GayHits, s.GayMisses)
-	line("exact free-format", s.ExactFree)
-	line("exact fixed-format", s.ExactFixed)
-	line("batch values", s.BatchValues)
-	line("batch bytes", s.BatchBytes)
-	rate("parse fast-path", s.ParseFastHits, s.ParseFastMisses)
-	line("exact parses", s.ParseExact)
-	line("batch-parse blocks", s.BatchParseBlocks)
-	line("batch-parse values", s.BatchParseValues)
-	line("batch-parse bytes", s.BatchParseBytes)
-	line("batch-parse fallbacks", s.BatchParseFallbacks)
-	if s.BatchParseValues > 0 {
-		fmt.Fprintf(&sb, "  %-22s %11.4f%%\n", "batch-parse fb rate",
-			100*float64(s.BatchParseFallbacks)/float64(s.BatchParseValues))
-	}
-	rate("directed ryu", s.DirectedRyuHits, s.DirectedRyuMisses)
-	rate("directed parse", s.DirectedFastHits, s.DirectedFastMisses)
-	line("interval prints", s.IntervalPrints)
-	line("interval parses", s.IntervalParses)
-	if s.TraceConversions > 0 {
-		line("traced conversions", s.TraceConversions)
-		line("scale estimates", s.TraceEstimates)
-		line("scale fixups", s.TraceFixups)
-		if s.TraceEstimates > 0 {
-			fmt.Fprintf(&sb, "  %-22s %11.2f%%\n", "fixup rate",
-				100*float64(s.TraceFixups)/float64(s.TraceEstimates))
+		if r.label != "" {
+			fmt.Fprintf(&sb, "  %-22s %12d\n", r.label, v)
 		}
-		fmt.Fprintf(&sb, "  %-22s %12.2f\n", "mean loop iterations",
-			float64(s.TraceIterations)/float64(s.TraceConversions))
-		fmt.Fprintf(&sb, "  %-22s %12.2f\n", "mean output digits",
-			float64(s.TraceDigits)/float64(s.TraceConversions))
-		line("round-ups", s.TraceRoundUps)
+		if q := r.ratio; q.label != "" {
+			num, den := v, *statsTable[q.per].field(&s)
+			if q.hitRate {
+				num, den = den, den+num
+			}
+			if den > 0 {
+				fmt.Fprintf(&sb, "  %-22s "+q.verb+"\n", q.label, q.scale*float64(num)/float64(den))
+			}
+		}
 	}
 	return sb.String()
 }
@@ -216,71 +279,10 @@ func (s Stats) String() string {
 // package can bolt the conversion path mix onto its own metrics
 // handler with one call.
 func (s Stats) WritePrometheus(w io.Writer) error {
-	for _, m := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"floatprint_ryu_hits_total", "Shortest conversions served by the Ryu fast path.", s.RyuHits},
-		{"floatprint_ryu_misses_total", "Shortest conversions where Ryu declined (exact-halfway ties).", s.RyuMisses},
-		{"floatprint_gay_hits_total", "Fixed conversions certified by Gay's fast path.", s.GayHits},
-		{"floatprint_gay_misses_total", "Fixed conversions where Gay's fast path declined.", s.GayMisses},
-		{"floatprint_exact_free_total", "Exact free-format (shortest) conversions.", s.ExactFree},
-		{"floatprint_exact_fixed_total", "Exact fixed-format conversions.", s.ExactFixed},
-		{"floatprint_batch_values_total", "Values converted by the batch engine.", s.BatchValues},
-		{"floatprint_batch_bytes_total", "Bytes produced by the batch engine.", s.BatchBytes},
-		{"floatprint_parse_fast_hits_total", "Parses certified by the Eisel-Lemire fast path.", s.ParseFastHits},
-		{"floatprint_parse_fast_misses_total", "Parses where the fast path declined to the exact reader.", s.ParseFastMisses},
-		{"floatprint_parse_exact_total", "Parses decided by the exact big-integer reader.", s.ParseExact},
-		{"floatprint_batch_parse_blocks_total", "Contiguous byte ranges scanned by the batch parse engine.", s.BatchParseBlocks},
-		{"floatprint_batch_parse_values_total", "Values parsed by the batch parse engine.", s.BatchParseValues},
-		{"floatprint_batch_parse_bytes_total", "Input bytes consumed by the batch parse engine.", s.BatchParseBytes},
-		{"floatprint_batch_parse_fallbacks_total", "Batch-parse tokens declined to the per-value parser.", s.BatchParseFallbacks},
-		{"floatprint_directed_ryu_hits_total", "Directed shortest conversions served by the one-sided Ryu kernels.", s.DirectedRyuHits},
-		{"floatprint_directed_ryu_misses_total", "Directed shortest conversions where a one-sided kernel declined.", s.DirectedRyuMisses},
-		{"floatprint_directed_fast_hits_total", "Directed parses certified by the directed Eisel-Lemire fast path.", s.DirectedFastHits},
-		{"floatprint_directed_fast_misses_total", "Directed parses where the fast path declined to the exact reader.", s.DirectedFastMisses},
-		{"floatprint_interval_prints_total", "Intervals formatted by the interval package.", s.IntervalPrints},
-		{"floatprint_interval_parses_total", "Intervals read by the interval package.", s.IntervalParses},
-		{"floatprint_trace_conversions_total", "Conversions folded into the trace aggregate.", s.TraceConversions},
-		{"floatprint_trace_estimates_total", "Exact conversions that ran the scale estimator.", s.TraceEstimates},
-		{"floatprint_trace_fixups_total", "Scale estimates one low, corrected by the fixup loop.", s.TraceFixups},
-		{"floatprint_trace_iterations_total", "Summed digit-generation loop iterations.", s.TraceIterations},
-		{"floatprint_trace_digits_total", "Summed significant output digits.", s.TraceDigits},
-		{"floatprint_trace_roundups_total", "Conversions whose last digit rounded up.", s.TraceRoundUps},
-	} {
-		if err := stats.WriteCounter(w, m.name, m.help, m.v); err != nil {
+	for _, r := range statsTable {
+		if err := stats.WriteCounter(w, r.name, r.help, *r.field(&s)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func fromSnap(s stats.Snapshot) Stats {
-	return Stats{
-		RyuHits:     s.RyuHits,
-		RyuMisses:   s.RyuMisses,
-		GayHits:     s.GayHits,
-		GayMisses:   s.GayMisses,
-		ExactFree:   s.ExactFree,
-		ExactFixed:  s.ExactFixed,
-		BatchValues: s.BatchValues,
-		BatchBytes:  s.BatchBytes,
-
-		ParseFastHits:   s.ParseFastHits,
-		ParseFastMisses: s.ParseFastMisses,
-		ParseExact:      s.ParseExact,
-
-		BatchParseBlocks:    s.BatchParseBlocks,
-		BatchParseValues:    s.BatchParseValues,
-		BatchParseBytes:     s.BatchParseBytes,
-		BatchParseFallbacks: s.BatchParseFallbacks,
-
-		DirectedRyuHits:    s.DirectedRyuHits,
-		DirectedRyuMisses:  s.DirectedRyuMisses,
-		DirectedFastHits:   s.DirectedFastHits,
-		DirectedFastMisses: s.DirectedFastMisses,
-
-		IntervalPrints: s.IntervalPrints,
-		IntervalParses: s.IntervalParses,
-	}
 }

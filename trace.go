@@ -71,7 +71,7 @@ func FixedPositionDigitsTraced(v float64, pos int, opts *Options, tr *Trace) (Di
 // serving layer's /metrics calls both.  The aggregate only advances while
 // collection is enabled (SetStatsEnabled).
 func WriteTraceMetrics(w io.Writer) error {
-	return stats.Traces.WritePrometheus(w)
+	return stats.WriteTracePrometheus(w)
 }
 
 // traceSpecial fills tr for a value that never reaches digit generation
@@ -86,4 +86,4 @@ func traceSpecial(tr *Trace, base int) {
 // recordAggregate folds a finished conversion's trace into the global
 // aggregate.  Callers only build traces for aggregation when collection
 // is enabled, so this is unconditional.
-func recordAggregate(tr *Trace) { stats.Traces.Record(tr) }
+func recordAggregate(tr *Trace) { stats.RecordTrace(tr) }
