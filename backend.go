@@ -7,7 +7,6 @@ import (
 	"floatprint/internal/fpformat"
 	"floatprint/internal/ryu"
 	"floatprint/internal/stats"
-	"floatprint/internal/trace"
 )
 
 // This file is the shortest-path dispatch: the one place that decides
@@ -18,19 +17,18 @@ import (
 // core — so dispatch affects speed and the path mix, never the answer.
 //
 // Applicability is two-layered.  The static layer below rules the kernels
-// out per request shape: they need base 10, the default scale estimator, a
-// binary64 or binary32 value, and BackendAuto.  The reader mode picks the
-// kernel, not whether one runs: the four nearest modes share the nearest
-// kernel, which takes its endpoint flags from the exact core's own mode
-// table, and the two directed modes have one-sided kernels.  The dynamic
-// layer is the kernel's own runtime decline (exact-halfway ties), which
-// surfaces as ok == false at the call site.
+// out per request shape: they need base 10, a binary64 or binary32 value,
+// and BackendAuto.  The reader mode picks the kernel, not whether one
+// runs: the four nearest modes share the nearest kernel, which takes its
+// endpoint flags from the exact core's own mode table, and the two
+// directed modes have one-sided kernels.  The dynamic layer is the
+// kernel's own runtime decline (exact-halfway ties), which surfaces as
+// ok == false at the call site.
 
 // kernelShape reports whether a normalized request has the shape every
-// Ryū kernel needs: decimal output under the estimator's K convention,
-// with the fast paths not switched off.
+// Ryū kernel needs: decimal output, with the fast paths not switched off.
 func kernelShape(o Options) bool {
-	return o.Base == 10 && o.Scaling == ScalingEstimate && o.Backend == BackendAuto
+	return o.Base == 10 && o.Backend == BackendAuto
 }
 
 // nearestFastpath reports whether the nearest kernel may serve a
@@ -45,10 +43,9 @@ func nearestFastpath(o Options) bool {
 // (ryu.ShortestBelowInto / ShortestAboveInto) may serve a directed
 // shortest conversion: binary64 only (directed float32 printing stays on
 // the exact one-sided core), and a request shape the kernels can serve —
-// they hard-code decimal arithmetic and the estimator's K convention, so
-// a base-16 or ScalingFloatLog request must reach the exact core
-// untouched, and BackendExact is the documented way to force the
-// certified fast paths off (corpus tests diff the two).
+// they hard-code decimal arithmetic, so a base-16 request must reach the
+// exact core untouched, and BackendExact is the documented way to force
+// the certified fast paths off (corpus tests diff the two).
 func directedFastpath(o Options, val fpformat.Value) bool {
 	return val.Fmt == fpformat.Binary64 && kernelShape(o)
 }
@@ -126,17 +123,14 @@ func appendShortestOpts(dst []byte, v float64, o Options) []byte {
 		n, k, ok := ryu.ShortestModeInto(buf[:], math.Abs(v), o.Reader.core())
 		countRyu(ok)
 		if ok {
-			if stats.Enabled() {
-				stats.RecordFast(trace.BackendRyu, n)
-			}
 			return appendFastRender(dst, math.Signbit(v), buf[:], n, k, o)
 		}
 		// The kernel declined: run the exact core directly rather than
-		// re-entering through shortestValue, so the miss above stays
-		// counted exactly once.
+		// trying the kernel again inside shortestValueTraced, so the miss
+		// above stays counted exactly once.
 		o.Backend = BackendExact
 	}
-	d, err := shortestValue(fpformat.DecodeFloat64(v), o)
+	d, err := shortestValueTraced(fpformat.DecodeFloat64(v), o, nil)
 	if err != nil {
 		panic("floatprint: " + err.Error()) // unreachable: options validated
 	}

@@ -148,7 +148,6 @@ func TestBackendsAllReaderModes(t *testing.T) {
 			}
 			for _, o := range []Options{
 				{Reader: mode, Base: 16},
-				{Reader: mode, Scaling: ScalingIterative},
 				{Reader: mode, Backend: BackendExact},
 			} {
 				ResetStats()

@@ -46,7 +46,6 @@ import (
 	"floatprint/internal/harness"
 	"floatprint/internal/reader"
 	"floatprint/internal/schryer"
-	"floatprint/internal/trace"
 )
 
 func main() {
@@ -510,32 +509,28 @@ func runStats(corpus []float64) error {
 	// Estimator behavior on the exact path, measured corpus-wide: the
 	// public API above routes ~99.98% of values through Ryū, so the §3.2
 	// scale estimator's fixup rate must be measured by driving the exact
-	// algorithm directly over every value.
+	// algorithm directly over every value.  The exact core counts its
+	// own estimator and digit-loop events, so the telemetry delta is the
+	// measurement.
 	fmt.Println("== Conversion traces: §3.2 estimator fixup rate (exact path, whole corpus) ==")
-	var estimates, fixups, iterations, digits, roundUps uint64
-	var tr trace.Conversion
+	prev = floatprint.SetStatsEnabled(true)
+	before = floatprint.Snapshot()
 	for _, v := range corpus {
-		if _, err := core.FreeFormatTraced(fpformat.DecodeFloat64(v), 10,
-			core.ScalingEstimate, core.ReaderNearestEven, &tr); err != nil {
+		if _, err := core.FreeFormat(fpformat.DecodeFloat64(v), 10,
+			core.ScalingEstimate, core.ReaderNearestEven); err != nil {
 			return err
 		}
-		estimates++
-		if tr.FixupSteps > 0 {
-			fixups++
-		}
-		iterations += uint64(tr.Iterations)
-		digits += uint64(tr.Digits)
-		if tr.RoundedUp {
-			roundUps++
-		}
 	}
-	fmt.Printf("values                %12d\n", estimates)
+	exact := floatprint.Snapshot().Sub(before)
+	floatprint.SetStatsEnabled(prev)
+	n := float64(exact.TraceEstimates)
+	fmt.Printf("values                %12d\n", exact.TraceEstimates)
 	fmt.Printf("fixups (estimate k-1) %12d  (%.2f%%; paper: 'frequently one too small')\n",
-		fixups, 100*float64(fixups)/float64(estimates))
-	fmt.Printf("mean loop iterations  %12.2f\n", float64(iterations)/float64(estimates))
-	fmt.Printf("mean output digits    %12.2f\n", float64(digits)/float64(estimates))
+		exact.TraceFixups, 100*float64(exact.TraceFixups)/n)
+	fmt.Printf("mean loop iterations  %12.2f\n", float64(exact.TraceIterations)/n)
+	fmt.Printf("mean output digits    %12.2f\n", float64(exact.TraceDigits)/n)
 	fmt.Printf("round-ups             %12d  (%.2f%%)\n",
-		roundUps, 100*float64(roundUps)/float64(estimates))
+		exact.TraceRoundUps, 100*float64(exact.TraceRoundUps)/n)
 	fmt.Println()
 	return nil
 }

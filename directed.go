@@ -68,11 +68,12 @@ func ShortestAbove(v float64) string {
 	return d.String()
 }
 
-// directedValue is the directed analog of shortestValue: specials first,
-// then the one-sided Ryū kernels when the request shape admits them, then
-// the one-sided exact core on the magnitude.  above selects the bound in
-// *value* order; for a negative value the magnitude rounding flips (the
-// largest decimal ≤ v is the negation of the smallest decimal ≥ |v|).
+// directedValue is the directed analog of shortestValueTraced: specials
+// first, then the one-sided Ryū kernels when the request shape admits
+// them, then the one-sided exact core on the magnitude.  above selects
+// the bound in *value* order; for a negative value the magnitude rounding
+// flips (the largest decimal ≤ v is the negation of the smallest decimal
+// ≥ |v|).
 // fast reports whether a one-sided kernel served the result (trace
 // attribution); the kernels follow the decline-don't-error contract, so a
 // decline falls through to the exact core and the output never depends on
@@ -100,9 +101,9 @@ func directedValue(val fpformat.Value, o Options, above bool) (d Digits, fast bo
 	}
 	var res core.Result
 	if above != val.Neg {
-		res, err = core.CeilFormat(abs(val), o.Base, o.Scaling.core())
+		res, err = core.CeilFormat(abs(val), o.Base, core.ScalingEstimate)
 	} else {
-		res, err = core.FloorFormat(abs(val), o.Base, o.Scaling.core())
+		res, err = core.FloorFormat(abs(val), o.Base, core.ScalingEstimate)
 	}
 	if err != nil {
 		return Digits{}, false, err

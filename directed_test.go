@@ -96,16 +96,13 @@ func TestDirectedPrintFastMatchesExact(t *testing.T) {
 
 // TestDirectedDispatchGuards pins the static guards in front of the
 // one-sided kernels: requests the base-10 decimal kernels cannot serve —
-// other bases, non-default scaling, the exact backend —
-// must go to the exact core without so much as an attempted fast call
+// other bases, the exact backend — must go to the exact core without so much as an attempted fast call
 // (the kernels would produce well-formed garbage for base 16, so the
 // guard must fire before, not inside, the kernel).
 func TestDirectedDispatchGuards(t *testing.T) {
 	guarded := []*Options{
 		{Base: 16},
 		{Base: 2},
-		{Scaling: ScalingIterative},
-		{Scaling: ScalingFloatLog},
 		{Backend: BackendExact},
 	}
 	for _, o := range guarded {

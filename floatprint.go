@@ -50,7 +50,7 @@ func ShortestDigits(v float64, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return shortestValue(fpformat.DecodeFloat64(v), o)
+	return shortestValueTraced(fpformat.DecodeFloat64(v), o, nil)
 }
 
 // ShortestDigits32 is ShortestDigits for float32 values; the shorter
@@ -61,27 +61,13 @@ func ShortestDigits32(v float32, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return shortestValue(fpformat.DecodeFloat32(v), o)
+	return shortestValueTraced(fpformat.DecodeFloat32(v), o, nil)
 }
 
-// shortestValue runs the free-format conversion under already-normalized
-// options.  When telemetry collection is enabled, a stack-allocated trace
-// rides along and is folded into the global aggregate; otherwise the
-// traced twin runs with a nil record, which is the zero-cost path.
-func shortestValue(val fpformat.Value, o Options) (Digits, error) {
-	if !stats.Enabled() {
-		return shortestValueTraced(val, o, nil)
-	}
-	var tr Trace
-	d, err := shortestValueTraced(val, o, &tr)
-	if err == nil {
-		recordAggregate(&tr)
-	}
-	return d, err
-}
-
-// shortestValueTraced is shortestValue filling tr (nil allowed) with the
-// conversion's execution record.
+// shortestValueTraced runs the free-format conversion under
+// already-normalized options, filling tr (nil allowed) with the
+// conversion's execution record.  The telemetry counters advance where
+// each event happens, so a nil record counts exactly like a non-nil one.
 func shortestValueTraced(val fpformat.Value, o Options, tr *Trace) (Digits, error) {
 	if d, done := specialDigits(val, o.Base); done {
 		traceSpecial(tr, o.Base)
@@ -131,7 +117,7 @@ func shortestValueTraced(val fpformat.Value, o Options, tr *Trace) (Digits, erro
 		}
 		fastMiss = true
 	}
-	res, err := core.FreeFormatTraced(abs(val), o.Base, o.Scaling.core(), o.Reader.core(), tr)
+	res, err := core.FreeFormatTraced(abs(val), o.Base, core.ScalingEstimate, o.Reader.core(), tr)
 	if err != nil {
 		return Digits{}, err
 	}
@@ -151,7 +137,7 @@ func FixedDigits(v float64, n int, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return fixedValue(fpformat.DecodeFloat64(v), n, o)
+	return fixedValueTraced(fpformat.DecodeFloat64(v), n, o, nil)
 }
 
 // FixedDigits32 is FixedDigits for float32 values.
@@ -160,21 +146,7 @@ func FixedDigits32(v float32, n int, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return fixedValue(fpformat.DecodeFloat32(v), n, o)
-}
-
-// fixedValue runs the fixed-format conversion under already-normalized
-// options, with the same enabled-gated aggregate tracing as shortestValue.
-func fixedValue(val fpformat.Value, n int, o Options) (Digits, error) {
-	if !stats.Enabled() {
-		return fixedValueTraced(val, n, o, nil)
-	}
-	var tr Trace
-	d, err := fixedValueTraced(val, n, o, &tr)
-	if err == nil {
-		recordAggregate(&tr)
-	}
-	return d, err
+	return fixedValueTraced(fpformat.DecodeFloat32(v), n, o, nil)
 }
 
 // fixedValueTraced runs the fixed-format conversion under
@@ -244,19 +216,7 @@ func FixedPositionDigits(v float64, pos int, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return fixedPositionValue(fpformat.DecodeFloat64(v), pos, o)
-}
-
-func fixedPositionValue(val fpformat.Value, pos int, o Options) (Digits, error) {
-	if !stats.Enabled() {
-		return fixedPositionValueTraced(val, pos, o, nil)
-	}
-	var tr Trace
-	d, err := fixedPositionValueTraced(val, pos, o, &tr)
-	if err == nil {
-		recordAggregate(&tr)
-	}
-	return d, err
+	return fixedPositionValueTraced(fpformat.DecodeFloat64(v), pos, o, nil)
 }
 
 func fixedPositionValueTraced(val fpformat.Value, pos int, o Options, tr *Trace) (Digits, error) {
@@ -391,7 +351,7 @@ func Format(v float64, opts *Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d, err := shortestValue(fpformat.DecodeFloat64(v), o)
+	d, err := shortestValueTraced(fpformat.DecodeFloat64(v), o, nil)
 	if err != nil {
 		return "", err
 	}
@@ -404,7 +364,7 @@ func FormatFixed(v float64, n int, opts *Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d, err := fixedValue(fpformat.DecodeFloat64(v), n, o)
+	d, err := fixedValueTraced(fpformat.DecodeFloat64(v), n, o, nil)
 	if err != nil {
 		return "", err
 	}
@@ -418,7 +378,7 @@ func FormatFixedPosition(v float64, pos int, opts *Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d, err := fixedPositionValue(fpformat.DecodeFloat64(v), pos, o)
+	d, err := fixedPositionValueTraced(fpformat.DecodeFloat64(v), pos, o, nil)
 	if err != nil {
 		return "", err
 	}

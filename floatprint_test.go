@@ -415,31 +415,6 @@ func TestReaderModeChangesOutput(t *testing.T) {
 	}
 }
 
-func TestScalingOptionsAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 400; i++ {
-		v := math.Float64frombits(r.Uint64())
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		a, err := Format(v, &Options{Scaling: ScalingEstimate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Format(v, &Options{Scaling: ScalingIterative})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Format(v, &Options{Scaling: ScalingFloatLog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b || b != c {
-			t.Fatalf("scaling strategies disagree for %g: %q %q %q", v, a, b, c)
-		}
-	}
-}
-
 func TestReaderRoundingString(t *testing.T) {
 	if ReaderNearestEven.String() != "nearest-even" || ReaderUnknown.String() != "unknown" {
 		t.Errorf("ReaderRounding strings wrong")

@@ -469,7 +469,7 @@ func TestPowOracle(t *testing.T) {
 }
 
 func TestPowCache(t *testing.T) {
-	c := NewPowCache(10)
+	c := NewPowCache(10, 1000)
 	for _, n := range []uint{0, 5, 3, 325, 100} {
 		got := c.Pow(n)
 		want := PowUint(10, n)

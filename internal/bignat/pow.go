@@ -31,8 +31,11 @@ func PowUint(b uint64, n uint) Nat {
 // expt-t lookup table from Figure 2 of the paper ("a table to look up the
 // value of 10^k for 0 <= k <= 325").  Unlike the paper's fixed-size vector
 // it grows on demand and works for any base, so it also serves bases 2-36
-// and the wider synthetic formats.  The zero value is not usable; call
-// NewPowCache.
+// and the wider synthetic formats.  Growth stops at the limit given to
+// NewPowCache: a power above it is computed afresh on every call and not
+// kept, so one request for a huge exponent costs time in proportion to
+// that request and leaves no memory behind.  The zero value is not
+// usable; call NewPowCache.
 //
 // The cache is safe for concurrent use and its read path is lock-free: the
 // table of known powers is an immutable snapshot published through an
@@ -42,22 +45,26 @@ func PowUint(b uint64, n uint) Nat {
 // the largest power its workload needs (see Preload) therefore never takes
 // a lock in steady state.
 type PowCache struct {
-	base Nat
-	snap atomic.Pointer[[]Nat] // (*snap)[i] == base**i; immutable once published
-	mu   sync.Mutex            // serializes growth only; readers never take it
+	base  Nat
+	limit uint                  // largest exponent kept
+	snap  atomic.Pointer[[]Nat] // (*snap)[i] == base**i; immutable once published
+	mu    sync.Mutex            // serializes growth only; readers never take it
 }
 
-// NewPowCache returns a cache of powers of base.
-func NewPowCache(base uint64) *PowCache {
-	c := &PowCache{base: FromUint64(base)}
+// NewPowCache returns a cache of powers of base that keeps exponents up
+// to and including limit.
+func NewPowCache(base uint64, limit uint) *PowCache {
+	c := &PowCache{base: FromUint64(base), limit: limit}
 	p := []Nat{{1}}
 	c.snap.Store(&p)
 	return c
 }
 
-// Pow returns base**n, computing and caching any powers not yet known.
-// The returned Nat is shared with the cache and must not be modified;
-// all bignat operations treat operands as read-only, so normal use is safe.
+// Pow returns base**n, computing and caching any powers not yet known up
+// to the cache's limit; above the limit the power is computed and not
+// kept.  The returned Nat may be shared with the cache and must not be
+// modified; all bignat operations treat operands as read-only, so normal
+// use is safe.
 func (c *PowCache) Pow(n uint) Nat {
 	p := *c.snap.Load()
 	if n < uint(len(p)) {
@@ -67,9 +74,13 @@ func (c *PowCache) Pow(n uint) Nat {
 }
 
 // grow extends the table to cover n under the grow lock and publishes the
-// extended copy.  The previous snapshot's entries are shared, not copied:
-// a Nat in the table is immutable for its lifetime.
+// extended copy, or for n above the limit computes base**n without
+// keeping it.  The previous snapshot's entries are shared, not copied: a
+// Nat in the table is immutable for its lifetime.
 func (c *PowCache) grow(n uint) Nat {
+	if n > c.limit {
+		return Pow(c.base, n)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := *c.snap.Load()
@@ -85,12 +96,13 @@ func (c *PowCache) grow(n uint) Nat {
 	return np[n]
 }
 
-// Preload ensures every power up to and including n is cached, so that
-// later Pow calls up to n are lock-free reads.  Callers that know their
-// workload's largest exponent (e.g. base-10 conversion of binary64 values)
-// preload once at startup and never pay the grow lock again.
+// Preload ensures every power up to and including min(n, limit) is
+// cached, so that later Pow calls up to n are lock-free reads.  Callers
+// that know their workload's largest exponent (e.g. base-10 conversion of
+// binary64 values) preload once at startup and never pay the grow lock
+// again.
 func (c *PowCache) Preload(n uint) {
-	c.Pow(n)
+	c.Pow(min(n, c.limit))
 }
 
 // Cached reports how many powers (exponents 0..Cached()-1) are currently

@@ -11,7 +11,7 @@ import (
 // table in interleaved order.  Run under -race to certify the atomic
 // snapshot discipline.
 func TestPowCacheConcurrentGrow(t *testing.T) {
-	c := NewPowCache(7)
+	c := NewPowCache(7, 1000)
 	want := make([]Nat, 301)
 	want[0] = Nat{1}
 	for i := 1; i <= 300; i++ {
@@ -43,7 +43,7 @@ func TestPowCacheConcurrentGrow(t *testing.T) {
 // TestPowCachePreload pins the steady-state guarantee: after Preload(n),
 // every Pow up to n is served from the existing snapshot without growth.
 func TestPowCachePreload(t *testing.T) {
-	c := NewPowCache(10)
+	c := NewPowCache(10, 1000)
 	c.Preload(50)
 	if got := c.Cached(); got != 51 {
 		t.Fatalf("Cached() after Preload(50) = %d, want 51", got)
@@ -59,5 +59,25 @@ func TestPowCachePreload(t *testing.T) {
 	// call (the read path allocates nothing).
 	if again := c.Pow(50); &again[0] != &snap[0] {
 		t.Errorf("Pow(50) returned a fresh copy; read path should share the snapshot")
+	}
+}
+
+// TestPowCacheLimit: powers above the limit are computed correctly but
+// never kept, and Preload stops at the limit, so no request can grow the
+// table past limit+1 entries.
+func TestPowCacheLimit(t *testing.T) {
+	c := NewPowCache(10, 50)
+	for _, n := range []uint{80, 51, 1000, 50} {
+		if got := c.Pow(n); Cmp(got, PowUint(10, n)) != 0 {
+			t.Errorf("Pow(%d) wrong", n)
+		}
+	}
+	c.Preload(500)
+	if got := c.Cached(); got != 51 {
+		t.Errorf("Cached() = %d after requests past the limit, want 51", got)
+	}
+	// Above the limit nothing is kept: each call computes its own value.
+	if a, b := c.Pow(60), c.Pow(60); &a[0] == &b[0] {
+		t.Errorf("Pow(60) above the limit returned a shared value")
 	}
 }

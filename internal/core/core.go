@@ -143,15 +143,24 @@ var powCaches [37]*bignat.PowCache
 // 2^(1-e) up to 2^1075; on the output side |k| <= ~343 for base 10 (the
 // paper's table stops at 10^325 for the narrower K&R double range), with
 // margin for fixed-format positions beyond the value's own scale.
+//
+// PowCacheLimit bounds what any cache keeps.  It covers every exponent a
+// binary64 conversion in bases 2–36 needs (at most 1075, in base 2) and
+// every fixed-format position the serving layer admits (|pos| and n up
+// to 1100).  Larger exponents, from wider formats or from a library
+// caller asking for tens of thousands of fixed digits, are computed per
+// call: without the bound one FixedDigits(1.0/3, 30000) left every power
+// of ten up to 10^30000 cached for the life of the process (~176 MB).
 const (
-	preloadPow2  = 1100
-	preloadPow10 = 400
-	preloadPow16 = 300
+	preloadPow2   = 1100
+	preloadPow10  = 400
+	preloadPow16  = 300
+	PowCacheLimit = 2048
 )
 
 func init() {
 	for b := 2; b <= 36; b++ {
-		powCaches[b] = bignat.NewPowCache(uint64(b))
+		powCaches[b] = bignat.NewPowCache(uint64(b), PowCacheLimit)
 	}
 	powCaches[2].Preload(preloadPow2)
 	powCaches[10].Preload(preloadPow10)
@@ -169,7 +178,8 @@ func powersOf(base int) *bignat.PowCache {
 
 // PowersOf exposes the shared lock-free power cache for base to sibling
 // packages (the evaluation baselines use it so that timing comparisons
-// measure algorithmic work, not redundant power recomputation).
+// measure algorithmic work, not redundant power recomputation).  It keeps
+// exponents up to PowCacheLimit.
 func PowersOf(base int) *bignat.PowCache {
 	return powersOf(base)
 }

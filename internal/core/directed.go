@@ -79,7 +79,10 @@ func (st *state) generateFloor(k int) ([]byte, int) {
 	for {
 		digits = append(digits, st.nextDigit())
 		if bignat.Cmp(st.r, st.mm) < 0 {
-			return trimLeadingZeros(digits, k)
+			iterations := len(digits)
+			digits, k = trimLeadingZeros(digits, k)
+			st.loop(iterations, len(digits), false).add()
+			return digits, k
 		}
 		st.stepMul()
 	}
@@ -95,13 +98,18 @@ func (st *state) generateCeil(k int) ([]byte, int) {
 	digits := make([]byte, 0, 24)
 	for {
 		digits = append(digits, st.nextDigit())
+		iterations := len(digits)
 		if st.r.IsZero() {
-			return trimLeadingZeros(digits, k)
+			digits, k = trimLeadingZeros(digits, k)
+			st.loop(iterations, len(digits), false).add()
+			return digits, k
 		}
 		st.hn = bignat.AddInto(st.hn, st.r, st.mp)
 		if bignat.Cmp(st.hn, st.s) > 0 {
 			digits, k = incrementLast(digits, st.base, k)
-			return trimLeadingZeros(trimTrailingZeros(digits), k)
+			digits, k = trimLeadingZeros(trimTrailingZeros(digits), k)
+			st.loop(iterations, len(digits), true).add()
+			return digits, k
 		}
 		st.stepMul()
 	}

@@ -26,8 +26,19 @@ func FixedFormat(v fpformat.Value, base int, mode ReaderMode, j int) (Result, er
 // trace into tr when non-nil (reset first); with tr nil it is exactly
 // FixedFormat.
 func FixedFormatTraced(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.Conversion) (Result, error) {
+	res, t, err := fixedFormat(v, base, mode, j, tr)
+	if err == nil {
+		t.add()
+	}
+	return res, err
+}
+
+// fixedFormat is FixedFormatTraced returning the conversion's telemetry
+// tally instead of adding it, so FixedFormatRelativeTraced can count
+// only the pass whose digits it returns.
+func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.Conversion) (Result, tally, error) {
 	if err := checkArgs(v, base); err != nil {
-		return Result{}, err
+		return Result{}, tally{}, err
 	}
 	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
@@ -86,20 +97,24 @@ func FixedFormatTraced(v fpformat.Value, base int, mode ReaderMode, j int, tr *t
 
 	if k <= j {
 		res, err := fixedAllRounded(st, j, k)
-		if tr == nil || err != nil {
-			return res, err
+		if err != nil {
+			return res, tally{}, err
 		}
-		tr.K = res.K
-		tr.Digits = len(res.Digits)
-		tr.NSig = res.NSig
-		tr.RoundedUp = res.Digits[0] == 1
-		tr.Ops = st.ops
-		return res, nil
+		up := res.Digits[0] == 1
+		if tr != nil {
+			tr.K = res.K
+			tr.Digits = len(res.Digits)
+			tr.NSig = res.NSig
+			tr.RoundedUp = up
+			tr.Ops = st.ops
+		}
+		return res, st.loop(0, res.NSig, up), nil
 	}
 
 	maxDigits := k - j
 	digits := make([]byte, 0, maxDigits)
 	var up bool
+	var iterations int
 	term := termination{}
 	for {
 		d := st.nextDigit()
@@ -107,13 +122,14 @@ func FixedFormatTraced(v fpformat.Value, base int, mode ReaderMode, j int, tr *t
 		term = st.conditions()
 		if term.tc1 || term.tc2 {
 			up = st.roundUp(term)
-			st.recordLoop(len(digits), term, up)
+			iterations = len(digits)
+			st.recordLoop(iterations, term, up)
 			break
 		}
 		if len(digits) == maxDigits {
 			// Unreachable: with m± at least Bʲ/2 a termination condition
 			// must hold by position k−j (see DESIGN.md); guard anyway.
-			return Result{}, fmt.Errorf("core: fixed-format loop overran position %d (internal bug)", j)
+			return Result{}, tally{}, fmt.Errorf("core: fixed-format loop overran position %d (internal bug)", j)
 		}
 		st.stepMul()
 	}
@@ -164,7 +180,7 @@ func FixedFormatTraced(v fpformat.Value, base int, mode ReaderMode, j int, tr *t
 		tr.NSig = nsig
 		tr.Ops = st.ops
 	}
-	return Result{Digits: digits, K: k, NSig: nsig}, nil
+	return Result{Digits: digits, K: k, NSig: nsig}, st.loop(iterations, nsig, up), nil
 }
 
 // fixedAllRounded handles k == j, where the requested position is at or
@@ -198,7 +214,9 @@ func FixedFormatRelative(v fpformat.Value, base int, mode ReaderMode, n int) (Re
 // FixedFormatRelativeTraced is FixedFormatRelative recording the
 // conversion's execution trace into tr when non-nil.  Each refinement pass
 // overwrites the record, so the trace describes the pass that produced the
-// returned digits, with Refinements counting the passes taken.
+// returned digits, with Refinements counting the passes taken.  The
+// telemetry counters likewise count only that pass: one conversion, one
+// estimator run.
 func FixedFormatRelativeTraced(v fpformat.Value, base int, mode ReaderMode, n int, tr *trace.Conversion) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("core: digit count %d must be positive", n)
@@ -208,11 +226,12 @@ func FixedFormatRelativeTraced(v fpformat.Value, base int, mode ReaderMode, n in
 	}
 	j := estimateK(v, base) - n
 	for iter := 0; iter < 4; iter++ {
-		res, err := FixedFormatTraced(v, base, mode, j, tr)
+		res, t, err := fixedFormat(v, base, mode, j, tr)
 		if err != nil {
 			return Result{}, err
 		}
 		if len(res.Digits) == n {
+			t.add()
 			if tr != nil {
 				tr.RelativeN = n
 				tr.Refinements = iter + 1

@@ -5,6 +5,7 @@ import (
 
 	"floatprint/internal/bignat"
 	"floatprint/internal/fpformat"
+	"floatprint/internal/stats"
 	"floatprint/internal/trace"
 )
 
@@ -95,6 +96,46 @@ func (st *state) recordLoop(iterations int, t termination, up bool) {
 	st.tr.RoundedUp = up
 }
 
+// tally is one finished exact conversion's contribution to the
+// internal/stats Trace* counters: whether the §3.2 estimator ran and its
+// fixup fired, the digit loop's iterations, the significant digits it
+// produced, and whether its last digit rounded up.  Every exact digit
+// loop (free, fixed, floor, ceil) ends by building one, and the
+// conversion adds it once, so plain and traced calls count alike.
+type tally struct {
+	estimated, fixup   bool
+	iterations, digits int
+	up                 bool
+}
+
+// loop builds the tally of st's conversion for its finished digit loop.
+func (st *state) loop(iterations, digits int, up bool) tally {
+	return tally{st.estimated, st.fixup, iterations, digits, up}
+}
+
+// add counts t.  It inlines to one atomic-bool load when collection is
+// off.
+func (t tally) add() {
+	if stats.Enabled() {
+		t.count()
+	}
+}
+
+// count adds t to the internal/stats Trace* counters.
+func (t tally) count() {
+	if t.estimated {
+		stats.TraceEstimates.Inc()
+		if t.fixup {
+			stats.TraceFixups.Inc()
+		}
+	}
+	stats.TraceIterations.Add(uint64(t.iterations))
+	stats.TraceDigits.Add(uint64(t.digits))
+	if t.up {
+		stats.TraceRoundUps.Inc()
+	}
+}
+
 // incrementLast adds one to the final digit, propagating carries.  If the
 // carry ripples past the first digit the result gains a leading 1 and the
 // scale K rises by one (footnote 2 of the paper).  The returned slice may
@@ -154,6 +195,7 @@ func FreeFormatTraced(v fpformat.Value, base int, method Scaling, mode ReaderMod
 	}
 	k := st.scale(method, v)
 	digits, up := st.generate()
+	iterations := len(digits)
 	if up {
 		var carried int
 		digits, carried = incrementLast(digits, base, k)
@@ -163,6 +205,7 @@ func FreeFormatTraced(v fpformat.Value, base int, method Scaling, mode ReaderMod
 		k = carried
 	}
 	digits = trimTrailingZeros(digits)
+	st.loop(iterations, len(digits), up).add()
 	if tr != nil {
 		tr.K = k
 		tr.Digits = len(digits)

@@ -25,6 +25,9 @@ type state struct {
 	base          int              // output base B
 	pows          *bignat.PowCache // powers of B
 	ops           int              // high-precision operations performed (Table 2 metric)
+	// estimated and fixup record whether scaleEstimate ran and whether
+	// its fixup fired, for the conversion's telemetry count (loop).
+	estimated, fixup bool
 	// tr, when non-nil, receives the execution trace of this conversion.
 	// Every instrumentation point below is guarded by a nil check, so the
 	// untraced hot path pays one predicted branch per recording site and
@@ -60,6 +63,7 @@ func newState(v fpformat.Value, base int, lowOK, highOK bool) *state {
 	st.base = base
 	st.pows = powersOf(base)
 	st.ops = 0
+	st.estimated, st.fixup = false, false
 	st.tr = nil
 	// m⁺ and m⁻ are copied out of the power cache (never shared) because
 	// the digit loop multiplies them in place; the copies land in the

@@ -91,6 +91,9 @@ func (st *state) scaleFloatLog(v fpformat.Value) int {
 // floorK, when non-nil, lower-bounds the estimate; the fixed-format driver
 // passes j−1 because its expanded high endpoint can exceed v by many
 // orders of magnitude, which the value-based estimate knows nothing about.
+//
+// It records in st that the estimator ran and whether the fixup fired,
+// for the conversion's telemetry count (state.loop).
 func (st *state) scaleEstimate(v fpformat.Value, floorK *int) int {
 	k := estimateK(v, st.base)
 	if floorK != nil && *floorK > k {
@@ -99,9 +102,11 @@ func (st *state) scaleEstimate(v fpformat.Value, floorK *int) int {
 	if st.tr != nil {
 		st.tr.EstimateK = k
 	}
+	st.estimated = true
 	st.scaleByPow(k)
 
 	if st.tooLow() {
+		st.fixup = true
 		// Penalty-free fixup: k was one too low.  Rather than multiplying
 		// s by B and then having generate multiply r, m⁺, m⁻ by B (which
 		// would cancel), skip both; the state is now implicitly one digit

@@ -65,15 +65,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// reset zeroes every bucket and the running sum (tests and benchmark
-// phases, alongside the counter Reset).
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var total uint64
@@ -162,12 +153,5 @@ func WriteMetricHead(w io.Writer, name, typ, help string) error {
 // owns quoting and comma-joining).
 func WriteSample(w io.Writer, name, labels string, v uint64) error {
 	_, err := fmt.Fprintf(w, "%s{%s} %d\n", name, labels, v)
-	return err
-}
-
-// writeLabeled emits one sample of an already-declared metric with a
-// single label (HELP/TYPE lines are written once by the caller).
-func writeLabeled(w io.Writer, name, label, value string, v uint64) error {
-	_, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, value, v)
 	return err
 }

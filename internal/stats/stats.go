@@ -14,8 +14,11 @@
 // disabled, every hot-path hook is a single predictable branch on an
 // atomic bool load (a plain MOV on x86), so the telemetry layer costs
 // nothing unless someone is looking.  When enabled, each hook is one
-// uncontended atomic add on a counter padded to its own cache line, so
-// concurrent shards never false-share.
+// atomic add on a counter padded to its own cache line, so different
+// counters never false-share.  Goroutines bumping the same counter do
+// contend on its line: every value a batch shard prints adds to the one
+// RyuHits counter, which is the measured cost of telemetry in the batch
+// engine.
 package stats
 
 import "sync/atomic"
@@ -41,10 +44,9 @@ type Counter uint8
 
 // The counters, in the order every derived form lists them.  Hit/miss
 // pairs count only conversions where the fast path was *attempted*
-// (base 10, default scaling); ExactFree and ExactFixed count every
-// conversion that ran the exact big-integer algorithm, including those
-// where no fast path applied (other bases, non-default scaling, explicit
-// positions).
+// (base 10, fast paths not switched off); ExactFree and ExactFixed count
+// every conversion that ran the exact big-integer algorithm, including
+// those where no fast path applied (other bases, explicit positions).
 const (
 	// RyuHits counts nearest-mode shortest conversions served by the Ryū
 	// kernel (binary64 and binary32).
@@ -111,23 +113,21 @@ const (
 	// per [lo,hi] text; the endpoints' exact conversions also appear in
 	// ParseExact).
 	IntervalParses
-	// TraceConversions counts conversion records folded into the trace
-	// aggregate (specials excluded).  It and the other Trace* counters
-	// are the aggregate's scalars: RecordTrace and RecordFast advance
-	// them without the gate, because their callers check Enabled once
-	// per record.
-	TraceConversions
-	// TraceEstimates counts exact conversions that ran the §3.2
-	// estimator.
+	// TraceEstimates counts exact print conversions that ran the §3.2
+	// scale estimator.  It and the other Trace* counters are advanced by
+	// internal/core, once per exact conversion, when its digit loop
+	// finishes (a fixed-format refinement pass that is thrown away
+	// counts nothing).
 	TraceEstimates
 	// TraceFixups counts estimates one too low, where the penalty-free
 	// fixup fired.
 	TraceFixups
-	// TraceIterations sums generate-loop iterations.
+	// TraceIterations sums exact digit-loop iterations.
 	TraceIterations
-	// TraceDigits sums significant output digits.
+	// TraceDigits sums the significant output digits of exact
+	// conversions.
 	TraceDigits
-	// TraceRoundUps counts conversions whose final digit was
+	// TraceRoundUps counts exact conversions whose final digit was
 	// incremented.
 	TraceRoundUps
 
@@ -168,14 +168,9 @@ func Read() Snapshot {
 	return s
 }
 
-// Reset zeroes every counter and the trace aggregate's backend mix and
-// digit-length histogram (tests and benchmark phases).
+// Reset zeroes every counter (tests and benchmark phases).
 func Reset() {
 	for i := range counters {
 		counters[i].n.Store(0)
 	}
-	for i := range backends {
-		backends[i].n.Store(0)
-	}
-	digitLen.reset()
 }

@@ -15,8 +15,11 @@
 // field, taken only in the traced case.
 //
 // The package sits below everything: it imports nothing from the
-// repository, so internal/core, internal/stats, and the public package can
-// all share the record without cycles.
+// repository, so internal/core and the public package can share the
+// record without cycles.  The record belongs to the caller that asked for
+// it; the process-wide counters of the same events (internal/stats'
+// Trace* counters) are advanced by internal/core while collection is on,
+// whether or not a record is being filled.
 package trace
 
 // Backend identifies which algorithm produced a conversion's digits.
@@ -24,7 +27,7 @@ type Backend uint8
 
 const (
 	// BackendNone marks a record that never reached digit generation
-	// (specials: ±0, Inf, NaN).  Aggregators skip it.
+	// (specials: ±0, Inf, NaN).
 	BackendNone Backend = iota
 	// BackendGay is Gay's certified fixed-format fast path.
 	BackendGay
@@ -39,9 +42,6 @@ const (
 	// BackendRyu is the Ryū free-format fast path: the nearest kernel
 	// under any nearest reader mode, or a one-sided directed kernel.
 	BackendRyu
-
-	// NumBackends sizes per-backend aggregate arrays.
-	NumBackends = int(BackendRyu) + 1
 )
 
 func (b Backend) String() string {
@@ -205,12 +205,4 @@ func appendKV(b []byte, key string, v int) []byte {
 		}
 	}
 	return append(b, d[i:]...)
-}
-
-// Recorder consumes conversion records.  Implementations must tolerate
-// concurrent Record calls when shared across goroutines (the aggregate
-// recorder in internal/stats is the canonical shared implementation); the
-// record is only valid for the duration of the call.
-type Recorder interface {
-	Record(*Conversion)
 }

@@ -56,11 +56,11 @@ func (r ReaderRounding) directed() bool {
 }
 
 // core maps r to the exact core's nearest-range reader assumption.  The
-// directed modes never reach the free-format core (shortestValue routes
-// them to Floor/CeilFormat first); where a nearest-range assumption is
-// still needed — the fixed-format significance analysis — they fall back
-// to the conservative ReaderUnknown, whose output is valid under every
-// reader.
+// directed modes never reach the free-format core (shortestValueTraced
+// routes them to Floor/CeilFormat first); where a nearest-range
+// assumption is still needed — the fixed-format significance analysis —
+// they fall back to the conservative ReaderUnknown, whose output is valid
+// under every reader.
 func (r ReaderRounding) core() core.ReaderMode {
 	switch r {
 	case ReaderUnknown, ReaderTowardNegInf, ReaderTowardPosInf:
@@ -93,7 +93,7 @@ func (r ReaderRounding) reader() reader.RoundMode {
 // Every choice produces byte-identical output: the fast paths follow the
 // decline-don't-error contract, falling through to the exact Burger &
 // Dybvig core whenever they cannot certifiably serve a request
-// (non-base-10, non-default scaling, Ryū's exact-halfway ties).
+// (non-base-10, Ryū's exact-halfway ties).
 // Selecting a backend therefore changes the path mix and the speed, never
 // the answer.
 //
@@ -107,10 +107,10 @@ type Backend int
 
 const (
 	// BackendAuto lets the certified fast paths serve what they can: the
-	// Ryū kernels every base-10, default-scaling shortest request of a
-	// binary64 or binary32 value under any reader mode (binary64 only
-	// under the directed modes), and Parse's Eisel–Lemire paths.  This
-	// is the default.
+	// Ryū kernels every base-10 shortest request of a binary64 or
+	// binary32 value under any reader mode (binary64 only under the
+	// directed modes), and Parse's Eisel–Lemire paths.  This is the
+	// default.
 	BackendAuto Backend = iota
 	// BackendExact always runs the paper's exact big-integer algorithm,
 	// and for Parse the exact big-integer reader.
@@ -150,34 +150,10 @@ const (
 	NotationPositional
 )
 
-// Scaling selects the scale-factor strategy from the paper's Table 2.  The
-// default, ScalingEstimate, is the paper's contribution and is always the
-// right choice outside benchmarks.
-type Scaling int
-
-const (
-	// ScalingEstimate is the paper's two-flop estimator with penalty-free
-	// fixup.
-	ScalingEstimate Scaling = iota
-	// ScalingIterative is Steele & White's search (slow; for comparison).
-	ScalingIterative
-	// ScalingFloatLog estimates with a floating-point logarithm call.
-	ScalingFloatLog
-)
-
-func (s Scaling) core() core.Scaling {
-	switch s {
-	case ScalingIterative:
-		return core.ScalingIterative
-	case ScalingFloatLog:
-		return core.ScalingFloatLog
-	default:
-		return core.ScalingEstimate
-	}
-}
-
 // Options configures conversions.  The zero value is ready to use: base
-// 10, a nearest-even reader, automatic notation, and the fast estimator.
+// 10, a nearest-even reader, automatic notation, and '#' marks.  The
+// exact core always scales with the paper's two-flop estimator; the
+// slower Table 2 strategies are reachable only through the benchmarks.
 type Options struct {
 	// Base is the output (or input, for Parse) base, 2 to 36.
 	// Zero means 10.
@@ -186,8 +162,6 @@ type Options struct {
 	Reader ReaderRounding
 	// Notation controls text rendering.
 	Notation Notation
-	// Scaling selects the scale-factor algorithm (benchmarking only).
-	Scaling Scaling
 	// Backend selects whether the certified fast paths may run.  Zero
 	// (BackendAuto) lets them serve what they can certify.  Output never
 	// depends on the choice; only speed does.
@@ -199,7 +173,7 @@ type Options struct {
 }
 
 // defaultOptions is the normalized form of a nil *Options: base 10,
-// nearest-even reader, automatic notation, the fast estimator, marks on.
+// nearest-even reader, automatic notation, marks on.
 func defaultOptions() Options {
 	return Options{Base: 10}
 }

@@ -41,15 +41,7 @@ func Parse(s string, opts *Options) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !stats.Enabled() {
-		return parse64(s, o, nil)
-	}
-	var tr Trace
-	f, err := parse64(s, o, &tr)
-	if err == nil || errors.Is(err, ErrRange) {
-		recordAggregate(&tr)
-	}
-	return f, err
+	return parse64(s, o, nil)
 }
 
 // ParseTraced is Parse recording which path certified the result into tr:
@@ -57,8 +49,8 @@ func Parse(s string, opts *Options) (float64, error) {
 // TraceBackendExactParse (with FastPathMiss set when the fast path was
 // attempted first) for the exact reader.  A nil tr is allowed and makes it
 // exactly Parse.  Like the print-side *Traced twins, a traced parse is
-// bit-identical to its untraced twin and is not folded into the global
-// aggregate — the record belongs to the caller.
+// bit-identical to its untraced twin and moves the telemetry counters
+// exactly as Parse does; the record belongs to the caller.
 func ParseTraced(s string, opts *Options, tr *Trace) (float64, error) {
 	o, err := opts.norm()
 	if err != nil {
@@ -140,11 +132,8 @@ func Parse32(s string, opts *Options) (float32, error) {
 	// modes go straight to the exact reader (the 64-bit directed kernel's
 	// certificate does not transfer across the narrowing).
 	if o.Base == 10 && o.Backend != BackendExact && o.Reader.reader() == reader.NearestEven {
-		if f, nd, ok := fastparse.Parse32(s); ok {
+		if f, _, ok := fastparse.Parse32(s); ok {
 			stats.ParseFastHits.Inc()
-			if stats.Enabled() {
-				stats.RecordFast(TraceBackendFastParse, nd)
-			}
 			return f, nil
 		}
 		stats.ParseFastMisses.Inc()
@@ -155,9 +144,6 @@ func Parse32(s string, opts *Options) (float32, error) {
 	}
 	v, err := reader.Convert(n, fpformat.Binary32, o.Reader.reader())
 	stats.ParseExact.Inc()
-	if stats.Enabled() {
-		stats.RecordFast(TraceBackendExactParse, len(n.Digits))
-	}
 	if err != nil {
 		if errors.Is(err, reader.ErrRange) {
 			// As in parse64: the reader's saturated result (±Inf, or the

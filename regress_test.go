@@ -4,12 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"floatprint/internal/core"
 )
 
 // Regression: ShortestDigits32 used to enter its fast path before
 // classifying specials, relying on the fast path's internal guards to
 // reject ±0, ±Inf, and NaN.  Specials must be classified first, exactly as
-// shortestValue does for float64.
+// the float64 path does.
 func TestShortestDigits32SpecialsBeforeFastPath(t *testing.T) {
 	cases := []struct {
 		in    float32
@@ -207,4 +209,42 @@ func TestAppendFixed(t *testing.T) {
 	if string(got) != Fixed(1234.5678, 6) {
 		t.Errorf("AppendFixed = %q, want %q", got, Fixed(1234.5678, 6))
 	}
+}
+
+// Regression: the shared power caches kept every power a conversion asked
+// for, so one FixedDigits(1.0/3, 30000) call left 10^0 … 10^30000 cached
+// for the life of the process (~176 MB; 30001 entries).  The caches now
+// stop at core.PowCacheLimit and compute larger powers per call, with the
+// same digits as before.
+func TestHugeFixedRequestsLeavePowerCacheBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		convert func() (Digits, error)
+	}{
+		{"FixedDigits(1/3, 30000)", func() (Digits, error) { return FixedDigits(1.0/3, 30000, nil) }},
+		{"FixedPositionDigits(1/3, -30000)", func() (Digits, error) { return FixedPositionDigits(1.0/3, -30000, nil) }},
+	} {
+		d, err := tc.convert()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(d.Digits) != 30000 || d.NSig != 17 || d.K != 0 {
+			t.Errorf("%s: %d digits, NSig %d, K %d; want 30000, 17, 0", tc.name, len(d.Digits), d.NSig, d.K)
+		}
+		if got := string(digitChars(d.Digits)); got != "33333333333333330"+strings.Repeat("0", 30000-17) {
+			t.Errorf("%s: digits %s…, want 33333333333333330 and zeros", tc.name, got[:20])
+		}
+		if n := core.PowersOf(10).Cached(); n > core.PowCacheLimit+1 {
+			t.Errorf("%s: power-of-ten cache holds %d entries, want at most %d", tc.name, n, core.PowCacheLimit+1)
+		}
+	}
+}
+
+// digitChars renders digit values 0..9 as ASCII.
+func digitChars(d []byte) []byte {
+	out := make([]byte, len(d))
+	for i, v := range d {
+		out[i] = '0' + v
+	}
+	return out
 }

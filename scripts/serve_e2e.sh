@@ -7,8 +7,8 @@
 # through /v1/interval with an enclosure assertion, propagate a W3C
 # traceparent end to end (response header, access log, and
 # /debug/traces), scrape /metrics (including the per-route RED
-# metrics, the runtime collector, and the conversion-trace,
-# batch-parse, and interval gauges), exercise /debug/pprof and the
+# metrics, the runtime collector, and the exact-core, batch-parse,
+# and interval counters), exercise /debug/pprof and the
 # slow-request captures in /debug/traces, verify request ids tie
 # responses to the structured access log, and verify graceful shutdown
 # drains and exits 0 within the drain deadline.  A second, short boot
@@ -84,8 +84,15 @@ got="$(curl -fsS "$base/v1/shortest?v=1e23&mode=unknown")"
 echo "== /v1/shortest: backend selection =="
 got="$(curl -fsS "$base/v1/shortest?v=0.3&backend=auto")"
 [ "$got" = "0.3" ] || fail "backend=auto v=0.3 = $got, want 0.3"
+# The exact core counts its own scale-estimator runs, traced request or
+# not: one exact conversion is one estimate.
+metric_now() { curl -fsS "$base/metrics" | awk -v m="$1" '$1 == m { print $2 }'; }
+before="$(metric_now floatprint_trace_estimates_total)"
 got="$(curl -fsS "$base/v1/shortest?v=0.3&backend=exact")"
 [ "$got" = "0.3" ] || fail "backend=exact v=0.3 = $got, want 0.3"
+after="$(metric_now floatprint_trace_estimates_total)"
+[ -n "$before" ] && [ "$after" -eq $((before + 1)) ] \
+  || fail "traced backend=exact did not advance floatprint_trace_estimates_total by one ($before -> $after)"
 # An unknown backend is a client error, not a conversion; grisu is not a
 # backend (auto runs the Ryu kernel under every reader mode).
 for b in bogus grisu; do
@@ -94,11 +101,10 @@ for b in bogus grisu; do
 done
 
 echo "== /v1/shortest: non-default nearest mode on the Ryu kernel =="
-ryu_hits_now() { curl -fsS "$base/metrics" | awk '$1 == "floatprint_ryu_hits_total" { print $2 }'; }
-before="$(ryu_hits_now)"
+before="$(metric_now floatprint_ryu_hits_total)"
 got="$(curl -fsS "$base/v1/shortest?v=0.3&mode=unknown")"
 [ "$got" = "0.3" ] || fail "mode=unknown v=0.3 = $got, want 0.3"
-after="$(ryu_hits_now)"
+after="$(metric_now floatprint_ryu_hits_total)"
 [ "$after" -eq $((before + 1)) ] \
   || fail "mode=unknown did not advance floatprint_ryu_hits_total by one ($before -> $after)"
 
@@ -287,16 +293,6 @@ ryu_hits="$(awk '$1 == "floatprint_ryu_hits_total" { print $2 }' "$workdir/metri
 [ "$ryu_hits" -ge 9900 ] || fail "floatprint_ryu_hits_total = $ryu_hits, want >= 9900"
 grep -q '^floatprint_ryu_misses_total' "$workdir/metrics.txt" \
   || fail "floatprint_ryu_misses_total missing from /metrics"
-
-echo "== /metrics: conversion-trace telemetry =="
-trace_conv="$(awk '$1 == "floatprint_trace_conversions_total" { print $2 }' "$workdir/metrics.txt")"
-[ -n "$trace_conv" ] || fail "floatprint_trace_conversions_total missing from /metrics"
-[ "$trace_conv" -ge 1 ] || fail "floatprint_trace_conversions_total = $trace_conv, want >= 1"
-# The default-mode shortest conversions above ran on the ryu backend.
-grep -q '^floatprint_trace_backend_total{backend="ryu"}' "$workdir/metrics.txt" \
-  || fail "labeled backend mix missing ryu from /metrics"
-grep -q '^floatprint_digit_length_bucket{le="17"}' "$workdir/metrics.txt" \
-  || fail "digit-length histogram missing from /metrics"
 
 echo "== /debug/pprof and /debug/traces captures (enabled by -debug) =="
 curl -fsS "$base/debug/pprof/" | grep -q goroutine || fail "/debug/pprof/ index missing profiles"

@@ -105,8 +105,10 @@ func writeDigits(w http.ResponseWriter, sp *span.Span, d floatprint.Digits, opts
 }
 
 // convRecord allocates a per-conversion algorithm record when the
-// conversion span is live, nil otherwise — the traced API twins are
-// only worth calling when there is a span to attach the record to.
+// conversion span is live, nil otherwise — a record is only worth
+// filling when there is a span to attach it to.  Handlers always call
+// the traced API twins with it: a nil record makes a twin exactly the
+// plain call, telemetry counters included.
 func convRecord(sp *span.Span) *floatprint.Trace {
 	if sp.Recording() {
 		return new(floatprint.Trace)
@@ -146,11 +148,10 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 		// through the plain API, span timing still applies.
 		conv.SetAttr("bits", "32")
 		d, err = floatprint.ShortestDigits32(float32(v), opts)
-	} else if rec := convRecord(conv); rec != nil {
+	} else {
+		rec := convRecord(conv)
 		d, err = floatprint.ShortestDigitsTraced(v, opts, rec)
 		attachConversion(conv, rec)
-	} else {
-		d, err = floatprint.ShortestDigits(v, opts)
 	}
 	conv.End()
 	if err != nil {
@@ -202,14 +203,8 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		// attached algorithm record describes the read path (fast-path
 		// certification, exact fallback), not the response rendering.
 		rec := convRecord(conv)
-		var v float64
-		var perr error
-		if rec != nil {
-			v, perr = floatprint.ParseTraced(in, opts, rec)
-			attachConversion(conv, rec)
-		} else {
-			v, perr = floatprint.Parse(in, opts)
-		}
+		v, perr := floatprint.ParseTraced(in, opts, rec)
+		attachConversion(conv, rec)
 		if perr != nil && !errors.Is(perr, floatprint.ErrRange) {
 			conv.End()
 			http.Error(w, perr.Error(), http.StatusBadRequest)
@@ -336,22 +331,18 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	conv := sp.StartChild("convert")
-	rec := convRecord(conv)
 	var d floatprint.Digits
-	switch {
-	case ns != "" && bits32:
+	if ns != "" && bits32 {
 		conv.SetAttr("bits", "32")
 		d, err = floatprint.FixedDigits32(float32(v), n, opts)
-	case ns != "" && rec != nil:
-		d, err = floatprint.FixedDigitsTraced(v, n, opts, rec)
+	} else {
+		rec := convRecord(conv)
+		if ns != "" {
+			d, err = floatprint.FixedDigitsTraced(v, n, opts, rec)
+		} else {
+			d, err = floatprint.FixedPositionDigitsTraced(v, pos, opts, rec)
+		}
 		attachConversion(conv, rec)
-	case ns != "":
-		d, err = floatprint.FixedDigits(v, n, opts)
-	case rec != nil:
-		d, err = floatprint.FixedPositionDigitsTraced(v, pos, opts, rec)
-		attachConversion(conv, rec)
-	default:
-		d, err = floatprint.FixedPositionDigits(v, pos, opts)
 	}
 	conv.End()
 	if err != nil {

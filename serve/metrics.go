@@ -167,18 +167,14 @@ func (m *metrics) writePrometheus(w io.Writer, inFlight, limit int) error {
 }
 
 // handleMetrics serves the combined exposition: the library's
-// conversion-path counters (floatprint.Snapshot — Ryū/Gay/exact mix,
-// batch value and byte totals, trace aggregates), the labeled trace
-// telemetry (backend mix, digit-length histogram), the server's
-// per-route RED metrics, and the runtime collector.  It bypasses the
-// limiter: observability must survive the very overload it is there
-// to explain.
+// conversion counters (floatprint.Snapshot — Ryū/Gay/exact mix, batch
+// value and byte totals, the exact core's estimator and digit-loop
+// events), the server's per-route RED metrics, and the runtime
+// collector.  It bypasses the limiter: observability must survive the
+// very overload it is there to explain.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := floatprint.Snapshot().WritePrometheus(w); err != nil {
-		return
-	}
-	if err := floatprint.WriteTraceMetrics(w); err != nil {
 		return
 	}
 	if err := s.metrics.writePrometheus(w, s.limiter.inFlight(), s.limiter.limit()); err != nil {

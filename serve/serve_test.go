@@ -190,11 +190,10 @@ func TestIntervalEndpoint(t *testing.T) {
 }
 
 // TestIntervalEndpointNonDecimalGuard pins the satellite guard at the
-// service boundary: a /v1/interval request in a non-decimal base (or a
-// non-default scaling) flows through optionsFromQuery into the library,
-// where the static dispatch guards must route it to the exact one-sided
-// core — the base-10 directed kernels must never even be attempted, in
-// either direction.  A kernel reached with base=16 would emit
+// service boundary: a /v1/interval request in a non-decimal base flows
+// through optionsFromQuery into the library, where the static dispatch
+// guards must route it to the exact one-sided core — the base-10
+// directed kernels must never even be attempted, in either direction.  A kernel reached with base=16 would emit
 // well-formed decimal garbage, so the telemetry is the test: zero
 // directed attempts, nonzero exact work.
 func TestIntervalEndpointNonDecimalGuard(t *testing.T) {
@@ -864,6 +863,14 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := metricValue(t, scrape, "fpserved_gomaxprocs"); got != uint64(runtime.GOMAXPROCS(0)) {
 		t.Errorf("fpserved_gomaxprocs = %d, want %d", got, runtime.GOMAXPROCS(0))
+	}
+	// Families that only repeated other counters stay out of the scrape.
+	for _, gone := range []string{
+		"floatprint_trace_conversions_total", "floatprint_trace_backend_total", "floatprint_digit_length",
+	} {
+		if strings.Contains(scrape, gone) {
+			t.Errorf("scrape carries the removed family %s", gone)
+		}
 	}
 }
 

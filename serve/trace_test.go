@@ -7,10 +7,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"floatprint"
 	"floatprint/internal/span"
 )
 
@@ -279,6 +282,62 @@ func TestTracedResponsesByteIdentical(t *testing.T) {
 			t.Errorf("%s %s diverges traced vs untraced: (%d,%q,%s) vs (%d,%q,%s)",
 				tc.method, tc.path, codeOff, bodyOff, ctOff, codeOn, bodyOn, ctOn)
 		}
+	}
+}
+
+// TestTracingMovesLibraryCountersAlike: the four single-value GET routes
+// move every floatprint_* family of /metrics by the same amounts with
+// tracing off and with every request traced.  A traced handler hands the
+// library a record, and the library counts each event where it happens,
+// so the record changes nothing a scrape sees.
+func TestTracingMovesLibraryCountersAlike(t *testing.T) {
+	prev := floatprint.SetStatsEnabled(true)
+	defer floatprint.SetStatsEnabled(prev)
+	paths := []string{
+		"/v1/shortest?v=0.3&backend=exact",
+		"/v1/fixed?v=0.1&pos=-30",
+		"/v1/parse?s=1e23",
+		"/v1/interval?lo=0.1&hi=0.3",
+	}
+	libraryCounters := func(t *testing.T, base string) map[string]uint64 {
+		t.Helper()
+		_, scrape := get(t, base+"/metrics")
+		out := map[string]uint64{}
+		for _, line := range strings.Split(scrape, "\n") {
+			name, value, ok := strings.Cut(line, " ")
+			if !ok || !strings.HasPrefix(name, "floatprint_") {
+				continue
+			}
+			v, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q", line)
+			}
+			out[name] = v
+		}
+		return out
+	}
+
+	var deltas [2]map[string]uint64
+	for i, sample := range []int{0, 1} {
+		_, ts := newTestServer(t, Config{TraceSample: sample})
+		before := libraryCounters(t, ts.URL)
+		for _, p := range paths {
+			if code, body := get(t, ts.URL+p); code != http.StatusOK {
+				t.Fatalf("TraceSample %d: GET %s = %d %q", sample, p, code, body)
+			}
+		}
+		deltas[i] = libraryCounters(t, ts.URL)
+		for name, v := range deltas[i] {
+			deltas[i][name] = v - before[name]
+		}
+	}
+	if !reflect.DeepEqual(deltas[0], deltas[1]) {
+		t.Errorf("untraced requests moved %v\ntraced requests moved %v", deltas[0], deltas[1])
+	}
+	d := deltas[0]
+	if est := d["floatprint_trace_estimates_total"]; est == 0 ||
+		est != d["floatprint_exact_free_total"]+d["floatprint_exact_fixed_total"] {
+		t.Errorf("trace_estimates moved %d, want one per exact print conversion: %v", est, d)
 	}
 }
 

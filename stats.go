@@ -16,11 +16,17 @@ import (
 // declines measures the exact big-integer algorithm).
 //
 // Hit/miss pairs count conversions where the fast path was attempted
-// (base 10, default scaling, BackendAuto); ExactFree and ExactFixed count
-// every run of the exact algorithm, including conversions where no fast
-// path applied at all (other bases, benchmark scalings, absolute
-// positions).  BatchValues and BatchBytes total the batch engine's
-// output.
+// (base 10, BackendAuto); ExactFree and ExactFixed count every run of the
+// exact algorithm, including conversions where no fast path applied at
+// all (other bases, absolute positions).  BatchValues and BatchBytes
+// total the batch engine's output.
+//
+// Each counter is advanced once, by the code where its event happens:
+// the dispatch layer counts its own hit/miss/exact decisions and the
+// exact print core counts its estimator and digit-loop events (the
+// Trace* fields).  So every entry point — plain or *Traced, single or
+// batch, library or served — moves the same counters by the same
+// amounts.
 type Stats struct {
 	// Deprecated: always zero.  Grisu3 no longer serves any conversion;
 	// the Ryū kernel covers every reader mode (RyuHits).
@@ -75,21 +81,22 @@ type Stats struct {
 	IntervalPrints uint64 // intervals formatted by interval.AppendShortest
 	IntervalParses uint64 // intervals read by interval.Parse
 
-	// Conversion-trace aggregates (the algorithm-level telemetry fed by
-	// the tracing subsystem; see Trace).  TraceEstimates and TraceFixups
-	// measure the §3.2 scale estimator on the exact path: the fixup rate
-	// TraceFixups/TraceEstimates is the fraction of conversions where the
-	// estimate came in one low and the penalty-free fixup fired.
-	// TraceIterations and TraceDigits are summed over conversions, so
-	// dividing by TraceConversions gives the mean generate-loop length and
-	// mean output digits.  The per-backend mix and the digit-length
-	// histogram are exposed via WriteTraceMetrics.
-	TraceConversions uint64 // traced conversions folded into the aggregate
-	TraceEstimates   uint64 // exact conversions that ran the §3.2 estimator
-	TraceFixups      uint64 // estimator low by one: scale fixup fired
-	TraceIterations  uint64 // summed digit-generation loop iterations
-	TraceDigits      uint64 // summed significant output digits
-	TraceRoundUps    uint64 // conversions whose last digit rounded up
+	// Exact print core events, counted by the core once per exact print
+	// conversion (the quantities a Trace record carries for one
+	// conversion, summed).  Every exact print conversion runs the §3.2
+	// scale estimator, so for this package's conversions TraceEstimates
+	// equals ExactFree + ExactFixed, and the fixup rate
+	// TraceFixups/TraceEstimates is the fraction of exact conversions
+	// whose estimate came in one low and took the penalty-free fixup.
+	// Dividing TraceIterations or TraceDigits by TraceEstimates gives the
+	// mean digit-loop length or significant output digits of an exact
+	// conversion.  The Ryū, Gay and Eisel–Lemire fast paths run no
+	// estimator and count nothing here.
+	TraceEstimates  uint64 // exact conversions that ran the §3.2 estimator
+	TraceFixups     uint64 // estimator low by one: scale fixup fired
+	TraceIterations uint64 // summed digit-generation loop iterations
+	TraceDigits     uint64 // summed significant output digits
+	TraceRoundUps   uint64 // conversions whose last digit rounded up
 }
 
 // statRow declares one counter of Stats.  statsTable is indexed by the
@@ -194,21 +201,18 @@ var statsTable = [stats.NumCounters]statRow{
 	stats.IntervalParses: {field: func(s *Stats) *uint64 { return &s.IntervalParses },
 		name: "floatprint_interval_parses_total", help: "Intervals read by the interval package.",
 		label: "interval parses"},
-	stats.TraceConversions: {field: func(s *Stats) *uint64 { return &s.TraceConversions },
-		name: "floatprint_trace_conversions_total", help: "Conversions folded into the trace aggregate.",
-		label: "traced conversions", section: true},
 	stats.TraceEstimates: {field: func(s *Stats) *uint64 { return &s.TraceEstimates },
 		name: "floatprint_trace_estimates_total", help: "Exact conversions that ran the scale estimator.",
-		label: "scale estimates"},
+		label: "scale estimates", section: true},
 	stats.TraceFixups: {field: func(s *Stats) *uint64 { return &s.TraceFixups },
 		name: "floatprint_trace_fixups_total", help: "Scale estimates one low, corrected by the fixup loop.",
 		label: "scale fixups", ratio: percentOf("fixup rate", stats.TraceEstimates, "%11.2f%%")},
 	stats.TraceIterations: {field: func(s *Stats) *uint64 { return &s.TraceIterations },
 		name: "floatprint_trace_iterations_total", help: "Summed digit-generation loop iterations.",
-		ratio: meanPer("mean loop iterations", stats.TraceConversions)},
+		ratio: meanPer("mean loop iterations", stats.TraceEstimates)},
 	stats.TraceDigits: {field: func(s *Stats) *uint64 { return &s.TraceDigits },
 		name: "floatprint_trace_digits_total", help: "Summed significant output digits.",
-		ratio: meanPer("mean output digits", stats.TraceConversions)},
+		ratio: meanPer("mean output digits", stats.TraceEstimates)},
 	stats.TraceRoundUps: {field: func(s *Stats) *uint64 { return &s.TraceRoundUps },
 		name: "floatprint_trace_roundups_total", help: "Conversions whose last digit rounded up.",
 		label: "round-ups"},
@@ -229,8 +233,10 @@ func Snapshot() Stats {
 // SetStatsEnabled turns telemetry collection on or off, returning the
 // previous setting.  Collection is off by default: when disabled every
 // instrumentation point is a single branch on an atomic bool, so the
-// hot path pays nothing.  When enabled, each conversion adds one
-// cache-line-padded atomic increment.
+// hot path pays nothing.  When enabled, each counted event is one atomic
+// add on its counter's own cache line: one for a fast-path conversion,
+// a handful for an exact one.  Concurrent conversions that count the
+// same event (every batch shard's Ryū hits) share that line.
 func SetStatsEnabled(on bool) bool { return stats.Enable(on) }
 
 // ResetStats zeroes all telemetry counters.

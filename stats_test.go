@@ -1,9 +1,14 @@
 package floatprint
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"floatprint/internal/core"
+	"floatprint/internal/fpformat"
 )
 
 func TestStatsDisabledByDefault(t *testing.T) {
@@ -66,8 +71,8 @@ func TestStatsFallbackCounting(t *testing.T) {
 	// A value whose shortest form is an exact halfway tie (a genuine Ryū
 	// decline, found by scanning the corpus) counts one miss and one
 	// exact conversion, under any nearest reader and through either entry
-	// point: no double-counting from the fallback re-entering
-	// shortestValue.
+	// point: no double-counting from the append path's fallback into the
+	// exact core.
 	tie := findRyuDecline(t)
 	for _, mode := range []ReaderRounding{ReaderNearestEven, ReaderUnknown} {
 		for name, convert := range map[string]func(){
@@ -88,6 +93,152 @@ func TestStatsFallbackCounting(t *testing.T) {
 	}
 }
 
+// TestTracedCallsCountLikePlainCalls: one mixed call set, made once
+// through the plain API and once through the *Traced twins with a
+// record, moves every counter by the same amounts.  Each event is
+// counted where it happens — dispatch counts its hit/miss/exact
+// decisions, the exact core its estimator and digit-loop events — so
+// asking for a record cannot change the telemetry.
+func TestTracedCallsCountLikePlainCalls(t *testing.T) {
+	tie := findRyuDecline(t)
+	prev := SetStatsEnabled(true)
+	defer SetStatsEnabled(prev)
+
+	run := func(tr *Trace) Stats {
+		t.Helper()
+		shortest, fixed, fixedPos, parse := ShortestDigits, FixedDigits, FixedPositionDigits, Parse
+		if tr != nil {
+			shortest = func(v float64, o *Options) (Digits, error) { return ShortestDigitsTraced(v, o, tr) }
+			fixed = func(v float64, n int, o *Options) (Digits, error) { return FixedDigitsTraced(v, n, o, tr) }
+			fixedPos = func(v float64, pos int, o *Options) (Digits, error) { return FixedPositionDigitsTraced(v, pos, o, tr) }
+			parse = func(s string, o *Options) (float64, error) { return ParseTraced(s, o, tr) }
+		}
+		before := Snapshot()
+		for _, c := range []struct {
+			v float64
+			o *Options
+		}{
+			{0.3, nil},                  // Ryū hit
+			{tie, nil},                  // Ryū decline, exact core
+			{255.5, &Options{Base: 16}}, // no kernel in base 16
+			{0.1, &Options{Backend: BackendExact}},
+			{0.3, &Options{Reader: ReaderTowardNegInf}}, // one-sided kernels
+			{0.3, &Options{Reader: ReaderTowardPosInf}},
+			{0.3, &Options{Reader: ReaderTowardNegInf, Backend: BackendExact}},  // floor loop
+			{1e23, &Options{Reader: ReaderTowardPosInf, Backend: BackendExact}}, // ceil loop
+		} {
+			if _, err := shortest(c.v, c.o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range []int{6, 17} { // Gay certifies 6 digits of 0.3, never 17
+			if _, err := fixed(0.3, n, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := fixedPos(123.456, -2, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []string{"0.3", "1e23", "-1e999"} { // fast, exact tie, range error
+			if _, err := parse(in, nil); err != nil && !errors.Is(err, ErrRange) {
+				t.Fatal(err)
+			}
+		}
+		return Snapshot().Sub(before)
+	}
+
+	plain := run(nil)
+	traced := run(new(Trace))
+	if plain != traced {
+		t.Errorf("plain calls counted\n%v\ntraced twins counted\n%v", plain, traced)
+	}
+	if plain.RyuHits == 0 || plain.RyuMisses != 1 || plain.GayHits == 0 || plain.GayMisses == 0 ||
+		plain.DirectedRyuHits != 2 || plain.ParseFastHits == 0 || plain.ParseExact != 2 {
+		t.Errorf("call set missed a path: %+v", plain)
+	}
+	if plain.TraceEstimates == 0 || plain.TraceEstimates != plain.ExactFree+plain.ExactFixed {
+		t.Errorf("TraceEstimates = %d, want one per exact conversion (%d free + %d fixed)",
+			plain.TraceEstimates, plain.ExactFree, plain.ExactFixed)
+	}
+}
+
+// TestExactCoreCountsEstimatorEvents ties the Trace* counters to the
+// per-conversion records: printing N corpus values on the exact path
+// advances TraceEstimates by N and each other Trace* counter by what
+// core.FreeFormatTraced records for the same values.
+func TestExactCoreCountsEstimatorEvents(t *testing.T) {
+	floats, _ := benchCorpus()
+	corpus := floats[:5000]
+	prev := SetStatsEnabled(false)
+	defer SetStatsEnabled(prev)
+
+	var want Stats
+	var tr Trace
+	for _, v := range corpus {
+		val := fpformat.DecodeFloat64(math.Abs(v))
+		if _, err := core.FreeFormatTraced(val, 10, core.ScalingEstimate, core.ReaderNearestEven, &tr); err != nil {
+			t.Fatal(err)
+		}
+		want.TraceEstimates++
+		if tr.FixupSteps > 0 {
+			want.TraceFixups++
+		}
+		want.TraceIterations += uint64(tr.Iterations)
+		want.TraceDigits += uint64(tr.NSig)
+		if tr.RoundedUp {
+			want.TraceRoundUps++
+		}
+	}
+	if want.TraceFixups == 0 || want.TraceRoundUps == 0 {
+		t.Fatalf("corpus slice exercises no fixup or round-up: %+v", want)
+	}
+
+	SetStatsEnabled(true)
+	before := Snapshot()
+	for _, v := range corpus {
+		if _, err := ShortestDigits(v, &Options{Backend: BackendExact}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := Snapshot().Sub(before)
+	got := Stats{
+		TraceEstimates: d.TraceEstimates, TraceFixups: d.TraceFixups,
+		TraceIterations: d.TraceIterations, TraceDigits: d.TraceDigits, TraceRoundUps: d.TraceRoundUps,
+	}
+	if got != want {
+		t.Errorf("counters moved by %+v, records sum to %+v", got, want)
+	}
+}
+
+// TestTelemetryAddsNoAllocs: every counter is an atomic add on a fixed
+// address, so turning collection on changes no entry point's allocation
+// count, on the fast paths or the exact ones.
+func TestTelemetryAddsNoAllocs(t *testing.T) {
+	prev := SetStatsEnabled(false)
+	defer SetStatsEnabled(prev)
+	exact := &Options{Backend: BackendExact}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"ShortestDigits", func() { _, _ = ShortestDigits(0.3, nil) }},
+		{"ShortestDigits exact", func() { _, _ = ShortestDigits(0.3, exact) }},
+		{"FixedDigits", func() { _, _ = FixedDigits(0.3, 6, nil) }},
+		{"FixedDigits exact", func() { _, _ = FixedDigits(0.3, 17, nil) }},
+		{"FixedPositionDigits", func() { _, _ = FixedPositionDigits(123.456, -2, nil) }},
+		{"Format", func() { _, _ = Format(0.3, nil) }},
+		{"Parse", func() { _, _ = Parse("1e23", nil) }},
+	} {
+		SetStatsEnabled(false)
+		off := testing.AllocsPerRun(200, c.call)
+		SetStatsEnabled(true)
+		on := testing.AllocsPerRun(200, c.call)
+		if on != off {
+			t.Errorf("%s: %.0f allocs with telemetry on, %.0f with it off", c.name, on, off)
+		}
+	}
+}
+
 // TestStatsWritePrometheus pins the exposition format byte for byte:
 // the /metrics endpoint of the serving layer and any scraping config
 // built against it depend on these exact metric names and line shapes.
@@ -103,7 +254,7 @@ func TestStatsWritePrometheus(t *testing.T) {
 		DirectedRyuHits: 40, DirectedRyuMisses: 2,
 		DirectedFastHits: 36, DirectedFastMisses: 4,
 		IntervalPrints: 21, IntervalParses: 19,
-		TraceConversions: 1050, TraceEstimates: 55, TraceFixups: 17,
+		TraceEstimates: 55, TraceFixups: 17,
 		TraceIterations: 16000, TraceDigits: 15800, TraceRoundUps: 500,
 	}
 	var sb strings.Builder
@@ -173,9 +324,6 @@ floatprint_interval_prints_total 21
 # HELP floatprint_interval_parses_total Intervals read by the interval package.
 # TYPE floatprint_interval_parses_total counter
 floatprint_interval_parses_total 19
-# HELP floatprint_trace_conversions_total Conversions folded into the trace aggregate.
-# TYPE floatprint_trace_conversions_total counter
-floatprint_trace_conversions_total 1050
 # HELP floatprint_trace_estimates_total Exact conversions that ran the scale estimator.
 # TYPE floatprint_trace_estimates_total counter
 floatprint_trace_estimates_total 55
@@ -200,8 +348,8 @@ floatprint_trace_roundups_total 500
 // TestStatsStringGolden pins Stats.String byte for byte: fpbench -stats
 // prints it and EXPERIMENTS.md records its output.  The cases cover every
 // field set, the trace fields zero (the trace section disappears), and
-// counts whose ratio denominators are zero (no rate lines, and the trace
-// section without a fixup rate).
+// counts whose ratio denominators are zero (no rate lines, and no trace
+// section while TraceEstimates, its gate and denominator, is zero).
 func TestStatsStringGolden(t *testing.T) {
 	full := Stats{
 		GrisuHits: 11, GrisuMisses: 13,
@@ -215,11 +363,11 @@ func TestStatsStringGolden(t *testing.T) {
 		DirectedRyuHits: 40, DirectedRyuMisses: 2,
 		DirectedFastHits: 36, DirectedFastMisses: 4,
 		IntervalPrints: 21, IntervalParses: 19,
-		TraceConversions: 1050, TraceEstimates: 55, TraceFixups: 17,
+		TraceEstimates: 55, TraceFixups: 17,
 		TraceIterations: 16000, TraceDigits: 15800, TraceRoundUps: 500,
 	}
 	untraced := full
-	untraced.TraceConversions, untraced.TraceEstimates, untraced.TraceFixups = 0, 0, 0
+	untraced.TraceEstimates, untraced.TraceFixups = 0, 0
 	untraced.TraceIterations, untraced.TraceDigits, untraced.TraceRoundUps = 0, 0, 0
 
 	const conversionLines = `  ryu hits                     270637
@@ -255,16 +403,15 @@ func TestStatsStringGolden(t *testing.T) {
 		s    Stats
 		want string
 	}{
-		{"every field", full, conversionLines + `  traced conversions             1050
-  scale estimates                  55
+		{"every field", full, conversionLines + `  scale estimates                  55
   scale fixups                     17
   fixup rate                   30.91%
-  mean loop iterations          15.24
-  mean output digits            15.05
+  mean loop iterations         290.91
+  mean output digits           287.27
   round-ups                       500
 `},
 		{"trace fields zero", untraced, conversionLines},
-		{"zero denominators", Stats{TraceConversions: 4, TraceIterations: 10, TraceDigits: 9, TraceRoundUps: 1},
+		{"zero denominators", Stats{TraceIterations: 10, TraceDigits: 9, TraceRoundUps: 1},
 			`  ryu hits                          0
   ryu misses                        0
   gay fast-path hits                0
@@ -286,12 +433,6 @@ func TestStatsStringGolden(t *testing.T) {
   directed parse misses             0
   interval prints                   0
   interval parses                   0
-  traced conversions                4
-  scale estimates                   0
-  scale fixups                      0
-  mean loop iterations           2.50
-  mean output digits             2.25
-  round-ups                         1
 `},
 	} {
 		if got := tc.s.String(); got != tc.want {

@@ -1,10 +1,7 @@
 package floatprint
 
 import (
-	"io"
-
 	"floatprint/internal/fpformat"
-	"floatprint/internal/stats"
 	"floatprint/internal/trace"
 )
 
@@ -16,9 +13,10 @@ import (
 //
 // Pass a Trace to the *Traced entry points to have it filled (the record
 // is reset first, so one value can be reused across calls).  Tracing
-// never perturbs the result: a traced conversion is byte-identical to its
-// untraced twin, and the untraced path's only cost is a nil check at each
-// instrumentation point.
+// never perturbs the result or the telemetry: a traced conversion is
+// byte-identical to its untraced twin and moves the Snapshot counters
+// exactly as the twin does, and the untraced path's only cost is a nil
+// check at each instrumentation point.
 type Trace = trace.Conversion
 
 // Backend constants for Trace.Backend, re-exported for callers matching
@@ -64,16 +62,6 @@ func FixedPositionDigitsTraced(v float64, pos int, opts *Options, tr *Trace) (Di
 	return fixedPositionValueTraced(fpformat.DecodeFloat64(v), pos, o, tr)
 }
 
-// WriteTraceMetrics writes the trace aggregate's labeled backend mix and
-// the digit-length histogram in Prometheus text exposition format — the
-// parts of the conversion trace telemetry that do not fit the flat Stats
-// snapshot.  It complements Stats.WritePrometheus on the same scrape; the
-// serving layer's /metrics calls both.  The aggregate only advances while
-// collection is enabled (SetStatsEnabled).
-func WriteTraceMetrics(w io.Writer) error {
-	return stats.WriteTracePrometheus(w)
-}
-
 // traceSpecial fills tr for a value that never reaches digit generation
 // (±0, Inf, NaN): backend "none", everything else zero.
 func traceSpecial(tr *Trace, base int) {
@@ -82,8 +70,3 @@ func traceSpecial(tr *Trace, base int) {
 		tr.Base = base
 	}
 }
-
-// recordAggregate folds a finished conversion's trace into the global
-// aggregate.  Callers only build traces for aggregation when collection
-// is enabled, so this is unconditional.
-func recordAggregate(tr *Trace) { stats.RecordTrace(tr) }

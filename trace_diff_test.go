@@ -9,8 +9,8 @@ import (
 
 // TestTracingNeverPerturbsOutput is the tracing subsystem's acceptance
 // invariant: across a large corpus, every base and reader mode, the
-// traced conversion is byte-identical to the untraced one — with the
-// aggregate recorder both off and on.  Tracing observes the algorithm;
+// traced conversion is byte-identical to the untraced one — with
+// telemetry collection both off and on.  Tracing observes the algorithm;
 // it must never steer it.
 func TestTracingNeverPerturbsOutput(t *testing.T) {
 	floats, _ := benchCorpus()
@@ -87,50 +87,61 @@ func TestTracedSpecials(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedConversions is the -race twin for the trace
-// recorder: many goroutines convert with per-goroutine Trace records
-// while the shared aggregate recorder is enabled, interleaved with
-// snapshot reads.  Runs under the CI race step (go test -race .).
+// TestConcurrentTracedConversions is the -race twin for tracing and
+// telemetry: many goroutines convert with per-goroutine Trace records
+// while collection is enabled, interleaved with snapshot reads.  The
+// counters must come out exactly as the same calls made sequentially
+// without records leave them.  Runs under the CI race step (go test
+// -race .).
 func TestConcurrentTracedConversions(t *testing.T) {
 	floats, _ := benchCorpus()
-	ResetStats()
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
 
 	const workers = 8
 	const perWorker = 2000
+	convert := func(off int, tr *Trace) error {
+		for i := 0; i < perWorker; i++ {
+			v := floats[(off+i)%len(floats)]
+			if _, err := ShortestDigitsTraced(v, nil, tr); err != nil {
+				return err
+			}
+			if i%5 == 0 {
+				if _, err := FixedDigitsTraced(v, 9, nil, tr); err != nil {
+					return err
+				}
+			}
+			if i%100 == 0 {
+				_ = Snapshot() // concurrent reads of the counters
+			}
+		}
+		return nil
+	}
+
+	ResetStats()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(off int) {
 			defer wg.Done()
-			var tr Trace
-			for i := 0; i < perWorker; i++ {
-				v := floats[(off+i)%len(floats)]
-				if _, err := ShortestDigitsTraced(v, nil, &tr); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%5 == 0 {
-					if _, err := FixedDigits(v, 9, nil); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if i%100 == 0 {
-					_ = Snapshot() // concurrent reads of the aggregate
-				}
+			if err := convert(off, new(Trace)); err != nil {
+				t.Error(err)
 			}
 		}(w * 251)
 	}
 	wg.Wait()
+	concurrent := Snapshot()
 
-	// The untraced public calls (FixedDigits) fold into the aggregate;
-	// the explicitly traced ones do not (the caller owns the record).
-	s := Snapshot()
-	wantFixed := uint64(workers * perWorker / 5)
-	if s.TraceConversions != wantFixed {
-		t.Errorf("TraceConversions = %d, want %d (one per untraced FixedDigits)",
-			s.TraceConversions, wantFixed)
+	ResetStats()
+	for w := 0; w < workers; w++ {
+		if err := convert(w*251, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sequential := Snapshot(); concurrent != sequential {
+		t.Errorf("concurrent traced counters:\n%v\nsequential untraced:\n%v", concurrent, sequential)
+	}
+	if concurrent.TraceEstimates == 0 || concurrent.RyuHits == 0 {
+		t.Errorf("workload reached neither the kernel nor the exact core: %+v", concurrent)
 	}
 }
