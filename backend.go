@@ -63,15 +63,36 @@ func ryuShortest(buf []byte, val fpformat.Value, mode core.ReaderMode) (n, k int
 		v, _ := val.Float64()
 		n, k, ok = ryu.ShortestModeInto(buf, v, mode)
 	}
-	countRyu(ok)
+	ryuResult(ok).count()
 	return n, k, ok
 }
 
-// countRyu records one nearest-kernel attempt in the hit/miss telemetry.
-func countRyu(ok bool) {
+// ryuOutcome is what the nearest Ryū kernel did with one value.  The
+// append path returns it uncounted, so a single-value caller counts it
+// per call and the batch loop sums a run of outcomes and adds each sum
+// to the shared counters once.
+type ryuOutcome uint8
+
+const (
+	ryuNotTried ryuOutcome = iota // a special, or a request outside the kernel's shape
+	ryuHit                        // the kernel served the value
+	ryuMiss                       // the kernel declined; the exact core decided
+)
+
+// ryuResult is the outcome of one kernel attempt.
+func ryuResult(ok bool) ryuOutcome {
 	if ok {
+		return ryuHit
+	}
+	return ryuMiss
+}
+
+// count records r in the hit/miss telemetry.
+func (r ryuOutcome) count() {
+	switch r {
+	case ryuHit:
 		stats.RyuHits.Inc()
-	} else {
+	case ryuMiss:
 		stats.RyuMisses.Inc()
 	}
 }
@@ -97,33 +118,38 @@ func AppendShortestWith(dst []byte, v float64, opts *Options) []byte {
 	if err != nil {
 		panic("floatprint: " + err.Error())
 	}
-	return appendShortestOpts(dst, v, o)
+	dst, r := appendShortestOpts(dst, v, o)
+	r.count()
+	return dst
 }
 
 // appendShortestOpts is the shared allocation-free append path under
 // normalized options: specials inline, then the nearest kernel into a
-// stack buffer, then the exact fallback for everything declined.
-func appendShortestOpts(dst []byte, v float64, o Options) []byte {
+// stack buffer, then the exact fallback for everything declined.  It
+// returns the kernel's outcome uncounted, for the caller to count per
+// call or sum over a batch; the exact fallback counts its own events.
+func appendShortestOpts(dst []byte, v float64, o Options) ([]byte, ryuOutcome) {
 	// Specials, inline: these never reach digit generation.
 	switch {
 	case math.IsNaN(v):
-		return append(dst, "NaN"...)
+		return append(dst, "NaN"...), ryuNotTried
 	case math.IsInf(v, 1):
-		return append(dst, "+Inf"...)
+		return append(dst, "+Inf"...), ryuNotTried
 	case math.IsInf(v, -1):
-		return append(dst, "-Inf"...)
+		return append(dst, "-Inf"...), ryuNotTried
 	case v == 0:
 		if math.Signbit(v) {
-			return append(dst, '-', '0')
+			return append(dst, '-', '0'), ryuNotTried
 		}
-		return append(dst, '0')
+		return append(dst, '0'), ryuNotTried
 	}
+	r := ryuNotTried
 	if nearestFastpath(o) {
 		var buf [ryu.BufLen]byte
 		n, k, ok := ryu.ShortestModeInto(buf[:], math.Abs(v), o.Reader.core())
-		countRyu(ok)
+		r = ryuResult(ok)
 		if ok {
-			return appendFastRender(dst, math.Signbit(v), buf[:], n, k, o)
+			return appendFastRender(dst, math.Signbit(v), buf[:], n, k, o), r
 		}
 		// The kernel declined: run the exact core directly rather than
 		// trying the kernel again inside shortestValueTraced, so the miss
@@ -134,7 +160,7 @@ func appendShortestOpts(dst []byte, v float64, o Options) []byte {
 	if err != nil {
 		panic("floatprint: " + err.Error()) // unreachable: options validated
 	}
-	return d.appendRender(dst, o)
+	return d.appendRender(dst, o), r
 }
 
 // appendFastRender renders a kernel result — ASCII digits in

@@ -57,10 +57,7 @@ func (r *BatchResult) WriteTo(w io.Writer) (int64, error) {
 func BatchShortest(values []float64) *BatchResult {
 	buf := make([]byte, 0, len(values)*meanShortestBytes)
 	offsets := make([]int, len(values)+1)
-	for i, v := range values {
-		buf = AppendShortest(buf, v)
-		offsets[i+1] = len(buf)
-	}
+	buf = AppendShortestBatch(buf, values, nil, offsets[1:])
 	stats.BatchValues.Add(uint64(len(values)))
 	stats.BatchBytes.Add(uint64(len(buf)))
 	return &BatchResult{
@@ -68,4 +65,41 @@ func BatchShortest(values []float64) *BatchResult {
 		Offsets: offsets,
 		Shards:  []BatchShardStats{{Values: len(values), Bytes: len(buf)}},
 	}
+}
+
+// AppendShortestBatch appends the AppendShortest rendering of each
+// value to dst, each followed by sep (nil for none), and returns the
+// extended slice.  If ends is non-nil, ends[i] receives len(dst) after
+// value i and its separator, so a caller can delimit the values without
+// rescanning; it must hold at least len(values) entries.
+//
+// It is the one batch print loop: BatchShortest and the floatprint/batch
+// engines render through it.  The bytes and the telemetry match a
+// per-value AppendShortest loop over the same values exactly, but the
+// nearest kernel's hits and misses are summed in locals and added to
+// the shared counters once per call, so concurrent batch shards do not
+// contend on one counter's cache line for every value.
+func AppendShortestBatch(dst []byte, values []float64, sep []byte, ends []int) []byte {
+	if ends != nil {
+		ends = ends[:len(values)]
+	}
+	o := defaultOptions()
+	var hits, misses uint64
+	for i, v := range values {
+		var r ryuOutcome
+		dst, r = appendShortestOpts(dst, v, o)
+		switch r {
+		case ryuHit:
+			hits++
+		case ryuMiss:
+			misses++
+		}
+		dst = append(dst, sep...)
+		if ends != nil {
+			ends[i] = len(dst)
+		}
+	}
+	stats.RyuHits.Add(hits)
+	stats.RyuMisses.Add(misses)
+	return dst
 }

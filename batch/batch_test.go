@@ -302,7 +302,10 @@ func TestWriteAllWriterError(t *testing.T) {
 
 // TestConcurrentBatchRace is the -race twin: several goroutines run
 // Convert and WriteAll on one shared Pool at once, with telemetry
-// enabled so the counter hooks race-test too.
+// enabled so the counter hooks race-test too.  Each shard folds its
+// chunks' kernel tallies into the shared counters, so the concurrent
+// calls must move every counter by exactly what the same calls made one
+// after another move it by.
 func TestConcurrentBatchRace(t *testing.T) {
 	prev := floatprint.SetStatsEnabled(true)
 	defer floatprint.SetStatsEnabled(prev)
@@ -310,55 +313,117 @@ func TestConcurrentBatchRace(t *testing.T) {
 	values := testCorpus(8000)
 	wantBuf, _ := referenceConcat(values)
 	p := New(Config{Shards: 4, ChunkSize: 256})
+	const calls = 6
+	call := func(g int) {
+		if g%2 == 0 {
+			res, err := p.Convert(context.Background(), values)
+			if err != nil {
+				t.Errorf("Convert: %v", err)
+				return
+			}
+			if !bytes.Equal(res.Buf, wantBuf) {
+				t.Error("concurrent Convert output differs")
+			}
+		} else {
+			var sink bytes.Buffer
+			if _, err := p.WriteAll(context.Background(), values, &sink); err != nil {
+				t.Errorf("WriteAll: %v", err)
+				return
+			}
+			if !bytes.Equal(sink.Bytes(), wantBuf) {
+				t.Error("concurrent WriteAll output differs")
+			}
+		}
+	}
+
+	before := floatprint.Snapshot()
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	for g := 0; g < calls; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 0 {
-				res, err := p.Convert(context.Background(), values)
-				if err != nil {
-					t.Errorf("Convert: %v", err)
-					return
-				}
-				if !bytes.Equal(res.Buf, wantBuf) {
-					t.Error("concurrent Convert output differs")
-				}
-			} else {
-				var sink bytes.Buffer
-				if _, err := p.WriteAll(context.Background(), values, &sink); err != nil {
-					t.Errorf("WriteAll: %v", err)
-					return
-				}
-				if !bytes.Equal(sink.Bytes(), wantBuf) {
-					t.Error("concurrent WriteAll output differs")
-				}
-			}
+			call(g)
 		}(g)
 	}
 	wg.Wait()
+	concurrent := floatprint.Snapshot().Sub(before)
+
+	before = floatprint.Snapshot()
+	for g := 0; g < calls; g++ {
+		call(g)
+	}
+	sequential := floatprint.Snapshot().Sub(before)
+	if concurrent != sequential {
+		t.Errorf("concurrent calls counted\n%v\nthe same calls in sequence counted\n%v", concurrent, sequential)
+	}
+	if sequential.RyuHits == 0 || sequential.BatchValues != calls*uint64(len(values)) {
+		t.Errorf("calls counted too little: %+v", sequential)
+	}
 }
 
+// TestBatchTelemetry pins the batch engines' counting exactly.  Every
+// batch print entry point, at one shard and at several with a ragged
+// last chunk, moves every path counter by exactly what a per-value
+// AppendShortest loop over the same values moves it by, BatchValues by
+// the value count and BatchBytes by the output length.  The engines sum
+// the kernel's hits and misses per chunk and add each sum once, so a
+// lost or doubled chunk tally fails here.
 func TestBatchTelemetry(t *testing.T) {
-	floatprint.ResetStats()
 	prev := floatprint.SetStatsEnabled(true)
 	defer floatprint.SetStatsEnabled(prev)
 
-	values := schryer.CorpusN(4000)
+	// testCorpus leads with ±0, NaN and ±Inf; 0x1p-25 is an exact-halfway
+	// tie the Ryū kernel declines, so the exact core's counters move too.
+	values := append(testCorpus(3000), 0x1p-25)
 	before := floatprint.Snapshot()
-	res, err := New(Config{Shards: 4}).Convert(context.Background(), values)
-	if err != nil {
-		t.Fatal(err)
+	want, _ := referenceConcat(values)
+	perValue := floatprint.Snapshot().Sub(before)
+	if perValue.RyuHits == 0 || perValue.RyuMisses == 0 || perValue.TraceEstimates == 0 {
+		t.Fatalf("input misses a path: per-value loop counted %+v", perValue)
 	}
-	d := floatprint.Snapshot().Sub(before)
-	if d.BatchValues != uint64(len(values)) {
-		t.Fatalf("BatchValues = %d, want %d", d.BatchValues, len(values))
+
+	ctx := context.Background()
+	type run struct {
+		name    string
+		convert func() ([]byte, error)
 	}
-	if d.BatchBytes != uint64(len(res.Buf)) {
-		t.Fatalf("BatchBytes = %d, want %d", d.BatchBytes, len(res.Buf))
+	runs := []run{{"BatchShortest", func() ([]byte, error) {
+		return floatprint.BatchShortest(values).Buf, nil
+	}}}
+	for _, shards := range []int{1, 4} {
+		p := New(Config{Shards: shards, ChunkSize: 256})
+		runs = append(runs,
+			run{fmt.Sprintf("Convert/shards=%d", shards), func() ([]byte, error) {
+				res, err := p.Convert(ctx, values)
+				if err != nil {
+					return nil, err
+				}
+				return res.Buf, nil
+			}},
+			run{fmt.Sprintf("WriteAll/shards=%d", shards), func() ([]byte, error) {
+				var sink bytes.Buffer
+				_, err := p.WriteAll(ctx, values, &sink)
+				return sink.Bytes(), err
+			}})
 	}
-	if d.RyuHits+d.RyuMisses < uint64(len(values)) {
-		t.Fatalf("path telemetry below corpus size: %+v", d)
+	for _, r := range runs {
+		before := floatprint.Snapshot()
+		out, err := r.convert()
+		d := floatprint.Snapshot().Sub(before)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("%s: output differs from per-value AppendShortest", r.name)
+		}
+		if d.BatchValues != uint64(len(values)) || d.BatchBytes != uint64(len(out)) {
+			t.Errorf("%s: BatchValues/BatchBytes moved by %d/%d, want %d/%d",
+				r.name, d.BatchValues, d.BatchBytes, len(values), len(out))
+		}
+		d.BatchValues, d.BatchBytes = 0, 0
+		if d != perValue {
+			t.Errorf("%s counted\n%v\nper-value AppendShortest counted\n%v", r.name, d, perValue)
+		}
 	}
 }
 
@@ -387,22 +452,33 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
+// BenchmarkBatchWriteAll runs with telemetry off (the library default)
+// and, under stats=on, with it on as fpserved ships, where shards add
+// their kernel tallies to the shared counters.
 func BenchmarkBatchWriteAll(b *testing.B) {
 	values := schryer.CorpusN(65536)
-	for _, shards := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p := New(Config{Shards: shards, Sep: []byte{'\n'}})
-			b.SetBytes(int64(len(values) * 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.WriteAll(context.Background(), values, discard{}); err != nil {
-					b.Fatal(err)
+	shardRows := func(b *testing.B) {
+		for _, shards := range []int{1, runtime.NumCPU()} {
+			b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+				p := New(Config{Shards: shards, Sep: []byte{'\n'}})
+				b.SetBytes(int64(len(values) * 8))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.WriteAll(context.Background(), values, discard{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(len(values))*float64(b.N)/b.Elapsed().Seconds(), "values/s")
-		})
+				b.ReportMetric(float64(len(values))*float64(b.N)/b.Elapsed().Seconds(), "values/s")
+			})
+		}
 	}
+	shardRows(b)
+	b.Run("stats=on", func(b *testing.B) {
+		prev := floatprint.SetStatsEnabled(true)
+		defer floatprint.SetStatsEnabled(prev)
+		shardRows(b)
+	})
 }
 
 func BenchmarkBatchSequentialReference(b *testing.B) {

@@ -309,7 +309,9 @@ func Shortest32(v float32) string {
 // allocations per call.  Use AppendShortestWith to select a backend or
 // rendering options explicitly.
 func AppendShortest(dst []byte, v float64) []byte {
-	return appendShortestOpts(dst, v, defaultOptions())
+	dst, r := appendShortestOpts(dst, v, defaultOptions())
+	r.count()
+	return dst
 }
 
 // Fixed returns v correctly rounded to n significant digits in base 10,

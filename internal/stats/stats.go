@@ -16,9 +16,8 @@
 // nothing unless someone is looking.  When enabled, each hook is one
 // atomic add on a counter padded to its own cache line, so different
 // counters never false-share.  Goroutines bumping the same counter do
-// contend on its line: every value a batch shard prints adds to the one
-// RyuHits counter, which is the measured cost of telemetry in the batch
-// engine.
+// contend on its line, so the batch engines tally in locals and Add
+// each total once per chunk or call rather than once per value.
 package stats
 
 import "sync/atomic"
@@ -145,8 +144,9 @@ func (c Counter) Inc() {
 	}
 }
 
-// Add adds n when collection is enabled.  Batch shards use it to fold a
-// whole chunk's tally into the global counter with one atomic op.
+// Add adds n when collection is enabled.  The batch engines use it to
+// fold a whole chunk's or call's tally into the global counter with one
+// atomic op.
 func (c Counter) Add(n uint64) {
 	if enabled.Load() {
 		counters[c].Add(n)

@@ -2,7 +2,8 @@
 # End-to-end exercise of the fpserved conversion service: boot on a
 # random port with the debug surface and request tracing enabled, hit
 # every endpoint, check the 10k-value batch stream byte-for-byte
-# against the fpprint reference, round-trip that output through the
+# against the fpprint reference and its kernel and batch counters
+# exactly, round-trip that output through the
 # /v1/batch-parse ingestion engine and back, round-trip interval text
 # through /v1/interval with an enclosure assertion, propagate a W3C
 # traceparent end to end (response header, access log, and
@@ -187,9 +188,23 @@ echo "== /v1/batch: 10k values, byte-identical to the fpprint reference =="
 awk 'BEGIN { srand(7); for (i = 0; i < 10000; i++) printf "%.17g\n", (rand() - 0.5) * exp((rand() - 0.5) * 200) }' \
   >"$workdir/input.txt"
 "$workdir/fpprint" <"$workdir/input.txt" >"$workdir/want.txt"
+# The batch engine sums the Ryu kernel's hits and misses per chunk and
+# adds each sum once, yet the counts must stay exact: one kernel attempt
+# per nonzero finite value (zeros and specials never reach it), one
+# batch value per line.
+ryu_attempts() { echo $(( $(metric_now floatprint_ryu_hits_total) + $(metric_now floatprint_ryu_misses_total) )); }
+ryu_before="$(ryu_attempts)"
+values_before="$(metric_now floatprint_batch_values_total)"
 curl -fsS -X POST --data-binary "@$workdir/input.txt" "$base/v1/batch" >"$workdir/got.txt"
+ryu_after="$(ryu_attempts)"
+values_after="$(metric_now floatprint_batch_values_total)"
 cmp "$workdir/want.txt" "$workdir/got.txt" || fail "batch output differs from per-value reference"
 [ "$(wc -l <"$workdir/got.txt")" -eq 10000 ] || fail "batch returned $(wc -l <"$workdir/got.txt") lines"
+finite="$(awk '$1 != "0" && $1 != "-0" && $1 != "NaN" && $1 != "+Inf" && $1 != "-Inf"' "$workdir/want.txt" | wc -l)"
+[ "$((ryu_after - ryu_before))" -eq "$finite" ] \
+  || fail "batch moved ryu hits+misses by $((ryu_after - ryu_before)), want $finite (nonzero finite values)"
+[ -n "$values_before" ] && [ "$((values_after - values_before))" -eq 10000 ] \
+  || fail "batch moved floatprint_batch_values_total by $((values_after - values_before)), want 10000"
 
 echo "== /v1/batch-parse: round-trip through the ingestion engine =="
 # Parse the batch output (10k shortest renderings) into packed

@@ -236,7 +236,9 @@ func Snapshot() Stats {
 // hot path pays nothing.  When enabled, each counted event is one atomic
 // add on its counter's own cache line: one for a fast-path conversion,
 // a handful for an exact one.  Concurrent conversions that count the
-// same event (every batch shard's Ryū hits) share that line.
+// same event share that line; the batch print and parse engines sum
+// their per-value counts in locals and add each sum once per chunk or
+// call, so batch shards do not contend on it per value.
 func SetStatsEnabled(on bool) bool { return stats.Enable(on) }
 
 // ResetStats zeroes all telemetry counters.

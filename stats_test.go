@@ -217,6 +217,12 @@ func TestTelemetryAddsNoAllocs(t *testing.T) {
 	prev := SetStatsEnabled(false)
 	defer SetStatsEnabled(prev)
 	exact := &Options{Backend: BackendExact}
+	// Kernel hits and specials only: the batch loop's own tally and fold
+	// must allocate nothing.  (Exact-path rows can differ by one under
+	// -race, whose sync.Pool drops items at random.)
+	batch := []float64{0.3, 1e23, math.Copysign(0, -1), math.NaN(), math.Inf(-1)}
+	var batchBuf []byte
+	batchEnds := make([]int, len(batch))
 	for _, c := range []struct {
 		name string
 		call func()
@@ -228,6 +234,7 @@ func TestTelemetryAddsNoAllocs(t *testing.T) {
 		{"FixedPositionDigits", func() { _, _ = FixedPositionDigits(123.456, -2, nil) }},
 		{"Format", func() { _, _ = Format(0.3, nil) }},
 		{"Parse", func() { _, _ = Parse("1e23", nil) }},
+		{"AppendShortestBatch", func() { batchBuf = AppendShortestBatch(batchBuf[:0], batch, []byte{'\n'}, batchEnds) }},
 	} {
 		SetStatsEnabled(false)
 		off := testing.AllocsPerRun(200, c.call)
