@@ -56,9 +56,9 @@ func FixedDigits(v fpformat.Value, base, n int) (core.Result, error) {
 	bw := bignat.Word(base)
 	num, den := r, s
 	if k >= 0 {
-		den = bignat.Mul(den, core.PowersOf(base).Pow(uint(k)))
+		den = bignat.Mul(den, bignat.Powers(base).Pow(uint(k)))
 	} else {
-		num = bignat.Mul(num, core.PowersOf(base).Pow(uint(-k)))
+		num = bignat.Mul(num, bignat.Powers(base).Pow(uint(-k)))
 	}
 	for bignat.Cmp(num, den) >= 0 { // v >= B^k: k too low
 		den = bignat.MulWord(den, bw)
@@ -159,7 +159,7 @@ func NaivePrintf(v float64, n int) (digits []byte, k int) {
 }
 
 func valueRatio(v fpformat.Value) (r, s bignat.Nat) {
-	pows := core.PowersOf(v.Fmt.Base)
+	pows := bignat.Powers(v.Fmt.Base)
 	if v.E >= 0 {
 		return bignat.Mul(v.F, pows.Pow(uint(v.E))), bignat.Nat{1}
 	}

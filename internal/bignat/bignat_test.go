@@ -257,11 +257,11 @@ func TestMulAddWordOracle(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		x := randNat(r, r.Intn(6))
 		w, a := Word(r.Uint64()), Word(r.Uint64())
-		got := MulAddWord(x, w, a)
+		got := MulAddWordInPlace(x.Clone(), w, a)
 		want := new(big.Int).Mul(toBig(x), new(big.Int).SetUint64(uint64(w)))
 		want.Add(want, new(big.Int).SetUint64(uint64(a)))
 		if toBig(got).Cmp(want) != 0 {
-			t.Fatalf("MulAddWord(%v, %d, %d) wrong", toBig(x), w, a)
+			t.Fatalf("MulAddWordInPlace(%v, %d, %d) wrong", toBig(x), w, a)
 		}
 	}
 }
@@ -312,6 +312,34 @@ func TestDivModOracle(t *testing.T) {
 			t.Fatalf("DivMod(%v, %v) = (%v, %v), want (%v, %v)",
 				toBig(x), toBig(y), toBig(q), toBig(rem), wantQ, wantR)
 		}
+	}
+}
+
+// TestDivModResultsOwned: the quotient and remainder share no storage
+// with the operands, so callers may round them in place; the general case
+// costs two allocations (quotient, and one buffer for the normalized
+// operands that becomes the remainder).
+func TestDivModResultsOwned(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for i := 0; i < 500; i++ {
+		x := randNat(r, 2+r.Intn(8))
+		y := randNat(r, 1+r.Intn(4))
+		if y.IsZero() {
+			continue
+		}
+		x0, y0 := x.Clone(), y.Clone()
+		q, rem := DivMod(x, y)
+		for range 3 {
+			q = AddWordInPlace(q, ^Word(0))
+			rem = MulWordInPlace(rem, ^Word(0))
+		}
+		if Cmp(x, x0) != 0 || Cmp(y, y0) != 0 {
+			t.Fatalf("mutating DivMod's results changed its operands")
+		}
+	}
+	x, y := Nat{1, 2, 3, 4}, Nat{5, 6}
+	if n := testing.AllocsPerRun(50, func() { DivMod(x, y) }); n != 2 {
+		t.Errorf("DivMod allocates %v times, want 2", n)
 	}
 }
 

@@ -78,6 +78,26 @@ func chunkFor(base int) (digits int, value Word) {
 	}
 }
 
+// FromDigits returns the number whose base-base digits, most significant
+// first, are the values ds (each below base; the caller validates them).
+// It folds a word-sized chunk of digits at a time into one result, built
+// in place in a buffer sized up front, so the whole fold costs one
+// allocation.
+func FromDigits(ds []byte, base int) Nat {
+	chunkDigits, _ := chunkFor(base)
+	// ceil(log2 base) bits per digit bound every prefix of the fold.
+	z := make(Nat, 0, (len(ds)*bits.Len(uint(base-1))+wordBits-1)/wordBits)
+	for start := 0; start < len(ds); start += chunkDigits {
+		var chunk, scale Word = 0, 1
+		for _, d := range ds[start:min(start+chunkDigits, len(ds))] {
+			chunk = chunk*Word(base) + Word(d)
+			scale *= Word(base)
+		}
+		z = MulAddWordInPlace(z, scale, chunk)
+	}
+	return z
+}
+
 func reverse(b []byte) {
 	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
 		b[i], b[j] = b[j], b[i]
@@ -94,26 +114,18 @@ func ParseText(s string, base int) (Nat, error) {
 	if len(s) == 0 {
 		return nil, fmt.Errorf("bignat: empty string")
 	}
-	chunkDigits, _ := chunkFor(base)
-	var n Nat
-	for start := 0; start < len(s); {
-		end := min(start+chunkDigits, len(s))
-		var chunk, scale Word = 0, 1
-		for _, c := range []byte(s[start:end]) {
-			d, err := digitValue(c)
-			if err != nil {
-				return nil, err
-			}
-			if d >= base {
-				return nil, fmt.Errorf("bignat: digit %q out of range for base %d", c, base)
-			}
-			chunk = chunk*Word(base) + Word(d)
-			scale *= Word(base)
+	ds := make([]byte, len(s))
+	for i, c := range []byte(s) {
+		d, err := digitValue(c)
+		if err != nil {
+			return nil, err
 		}
-		n = MulAddWord(n, scale, chunk)
-		start = end
+		if d >= base {
+			return nil, fmt.Errorf("bignat: digit %q out of range for base %d", c, base)
+		}
+		ds[i] = byte(d)
 	}
-	return n, nil
+	return FromDigits(ds, base), nil
 }
 
 func digitValue(c byte) (int, error) {

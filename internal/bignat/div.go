@@ -38,13 +38,14 @@ func DivMod(x, y Nat) (q, r Nat) {
 	m := len(x) - n
 
 	// D1: normalize so that the divisor's top bit is set, which keeps the
-	// quotient-digit estimate within one of the true digit.
+	// quotient-digit estimate within one of the true digit.  One buffer
+	// holds the shifted dividend un (len(x)+1 limbs, which becomes the
+	// remainder) and the shifted divisor vn.
 	shift := uint(bits.LeadingZeros(uint(y[n-1])))
-	vn := Shl(y, shift)
-	un := make(Nat, len(x)+1)
-	copy(un, Shl(x, shift))
-	// Shl trims high zeros; re-extend to exactly len(x)+1 limbs.
-	// (copy above already zero-fills the remainder of un.)
+	buf := make(Nat, len(x)+1+n)
+	un, vn := buf[:len(x)+1], buf[len(x)+1:]
+	shlVU(vn, y, shift)
+	un[len(x)] = shlVU(un[:len(x)], x, shift)
 
 	q = make(Nat, m+1)
 	vTop := uint(vn[n-1])
@@ -102,8 +103,8 @@ func DivMod(x, y Nat) (q, r Nat) {
 		q[j] = Word(qhat)
 	}
 
-	// D8: denormalize the remainder.
-	r = Shr(norm(un[:n]), shift)
+	// D8: denormalize the remainder, in place.
+	r = ShrInto(un[:n], un[:n], shift)
 	return norm(q), r
 }
 

@@ -28,6 +28,22 @@ func MulWordInPlace(x Nat, w Word) Nat {
 	return x
 }
 
+// MulAddWordInPlace computes x*w + a in place and returns the result,
+// which reuses x's storage when it fits.
+func MulAddWordInPlace(x Nat, w, a Word) Nat {
+	if len(x) == 0 {
+		if a == 0 {
+			return x[:0]
+		}
+		return append(x[:0], a)
+	}
+	carry := mulAddVWW(x, x, w, a)
+	if carry != 0 {
+		x = append(x, carry)
+	}
+	return x
+}
+
 // AddWordInPlace adds w to x in place.
 func AddWordInPlace(x Nat, w Word) Nat {
 	carry := w
@@ -120,6 +136,31 @@ func MulInto(dst, x, y Nat) Nat {
 			continue
 		}
 		dst[j+len(x)] += addMulVVW(dst[j:j+len(x)], x, yj)
+	}
+	return norm(dst)
+}
+
+// ShrInto computes x >> s into dst's storage (growing it as needed) and
+// returns the result.  dst may be x itself.
+func ShrInto(dst, x Nat, s uint) Nat {
+	limbs, off := int(s/wordBits), s%wordBits
+	if limbs >= len(x) {
+		return dst[:0]
+	}
+	n := len(x) - limbs
+	if cap(dst) < n {
+		dst = make(Nat, n)
+	} else {
+		dst = dst[:n]
+	}
+	for i := range dst {
+		// Reads run ahead of the write index, so an aliased x is
+		// consumed before it is overwritten.
+		w := x[limbs+i] >> off
+		if off != 0 && limbs+i+1 < len(x) {
+			w |= x[limbs+i+1] << (wordBits - off)
+		}
+		dst[i] = w
 	}
 	return norm(dst)
 }

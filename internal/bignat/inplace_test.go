@@ -1,6 +1,8 @@
 package bignat
 
 import (
+	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -164,6 +166,68 @@ func TestDivModSmallQuotientInPlaceStress(t *testing.T) {
 		gotQ, gotR := DivModSmallQuotientInPlace(x.Clone(), y)
 		if gotQ != q || Cmp(gotR, rem) != 0 {
 			t.Fatalf("stress divmod mismatch: y=%v q=%d", toBig(y), q)
+		}
+	}
+}
+
+func TestShrIntoOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for i := 0; i < 2000; i++ {
+		x := randNat(r, r.Intn(6))
+		s := uint(r.Intn(4 * wordBits))
+		want := Shr(x, s)
+		if got := ShrInto(nil, x, s); Cmp(got, want) != 0 {
+			t.Fatalf("ShrInto(nil, %v, %d) = %v, want %v", toBig(x), s, toBig(got), toBig(want))
+		}
+		// In place: dst is x itself.
+		y := x.Clone()
+		if got := ShrInto(y, y, s); Cmp(got, want) != 0 {
+			t.Fatalf("ShrInto(x, x, %d) = %v, want %v", s, toBig(got), toBig(want))
+		}
+	}
+}
+
+func TestMulAddWordInPlaceReusesStorage(t *testing.T) {
+	x := make(Nat, 1, 3)
+	x[0] = 7
+	got := MulAddWordInPlace(x, 10, 3)
+	if &got[0] != &x[0] || Cmp(got, Nat{73}) != 0 {
+		t.Errorf("MulAddWordInPlace(7, 10, 3) = %v, storage reused %v", got, &got[0] == &x[0])
+	}
+	// From zero: the addend alone, in the given storage.
+	z := make(Nat, 0, 2)
+	if got := MulAddWordInPlace(z, 10, 0); len(got) != 0 {
+		t.Errorf("0*10 + 0 = %v, want 0", got)
+	}
+	if got := MulAddWordInPlace(z, 10, 5); Cmp(got, Nat{5}) != 0 || &got[:1][0] != &z[:1][0] {
+		t.Errorf("0*10 + 5 = %v, want 5 in place", got)
+	}
+}
+
+func TestFromDigitsOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	for i := 0; i < 1000; i++ {
+		base := 2 + r.Intn(35)
+		ds := make([]byte, r.Intn(120))
+		text := make([]byte, len(ds))
+		allMax := i%4 == 0 // the largest value of its length: the size bound is tight
+		for j := range ds {
+			ds[j] = byte(r.Intn(base))
+			if allMax {
+				ds[j] = byte(base - 1)
+			}
+			text[j] = digitAlphabet[ds[j]]
+		}
+		want := new(big.Int)
+		if len(text) > 0 {
+			want.SetString(string(text), base)
+		}
+		got := FromDigits(ds, base)
+		if toBig(got).Cmp(want) != 0 {
+			t.Fatalf("FromDigits(%s, %d) = %v, want %v", text, base, toBig(got), want)
+		}
+		if bound := (len(ds)*bits.Len(uint(base-1)) + wordBits - 1) / wordBits; cap(got) > bound {
+			t.Fatalf("FromDigits(%s, %d) regrew its buffer to %d limbs, bound %d", text, base, cap(got), bound)
 		}
 	}
 }

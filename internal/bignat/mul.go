@@ -22,16 +22,6 @@ func MulWord(x Nat, w Word) Nat {
 	return norm(z)
 }
 
-// MulAddWord returns x*w + a in a single pass.
-func MulAddWord(x Nat, w, a Word) Nat {
-	if len(x) == 0 {
-		return FromUint64(uint64(a))
-	}
-	z := make(Nat, len(x)+1)
-	z[len(x)] = mulAddVWW(z[:len(x)], x, w, a)
-	return norm(z)
-}
-
 // mulAddVWW computes z = x*w + a, storing the low len(x) words into z and
 // returning the carry word.  z and x must have equal length; z may alias x.
 func mulAddVWW(z, x Nat, w, a Word) (carry Word) {

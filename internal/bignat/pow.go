@@ -1,6 +1,7 @@
 package bignat
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -113,3 +114,52 @@ func (c *PowCache) Cached() int {
 
 // Base returns the cache's base as a Nat (shared, read-only).
 func (c *PowCache) Base() Nat { return c.base }
+
+// powTables holds the one shared power table per base 2..36, the analog
+// of the paper's expt-t lookup table (Figure 2).  The exact printing core,
+// the exact reader, the format descriptors and the evaluation baselines
+// all read from it.  Reads are a single atomic snapshot load; the tables
+// below are preloaded past the largest exponent a binary64 conversion
+// can request, so steady-state traffic in the common bases never takes
+// the grow lock at all.
+var powTables [37]*PowCache
+
+// Preload spans: binary64 denormals put e >= -1074, so the input side
+// needs 2^(1-e) up to 2^1075; on the output side |k| <= ~343 for base 10
+// (the paper's table stops at 10^325 for the narrower K&R double range),
+// with margin for fixed-format positions beyond the value's own scale.
+//
+// PowersLimit bounds what any shared table keeps.  It covers every
+// exponent a binary64 conversion in bases 2–36 needs (at most 1075, in
+// base 2) and every fixed-format position the serving layer admits (|pos|
+// and n up to 1100).  Larger exponents, from wider formats, from a
+// library caller asking for tens of thousands of fixed digits, or from a
+// parse of thousands of digits, are computed per call: without the bound
+// one FixedDigits(1.0/3, 30000) left every power of ten up to 10^30000
+// cached for the life of the process (~176 MB).
+const (
+	preloadPow2  = 1100
+	preloadPow10 = 400
+	preloadPow16 = 300
+	PowersLimit  = 2048
+)
+
+func init() {
+	for b := 2; b <= 36; b++ {
+		powTables[b] = NewPowCache(uint64(b), PowersLimit)
+	}
+	powTables[2].Preload(preloadPow2)
+	powTables[10].Preload(preloadPow10)
+	powTables[16].Preload(preloadPow16)
+}
+
+// Powers returns the shared power table for base, 2 <= base <= 36.  It
+// keeps exponents up to PowersLimit.  Every Nat it returns is shared and
+// immutable: callers must not modify one, and must copy it before it can
+// escape into a value a caller owns.
+func Powers(base int) *PowCache {
+	if base < 2 || base > 36 {
+		panic(fmt.Sprintf("bignat: no power table for base %d", base))
+	}
+	return powTables[base]
+}

@@ -81,3 +81,35 @@ func TestPowCacheLimit(t *testing.T) {
 		t.Errorf("Pow(60) above the limit returned a shared value")
 	}
 }
+
+// TestSharedPowers: one table per base 2..36, bounded at PowersLimit,
+// returning the same shared entries to every caller; other bases panic.
+func TestSharedPowers(t *testing.T) {
+	for base := 2; base <= 36; base++ {
+		p := Powers(base)
+		if p != Powers(base) {
+			t.Fatalf("Powers(%d) returned two different tables", base)
+		}
+		if got := p.Pow(40); Cmp(got, PowUint(uint64(base), 40)) != 0 {
+			t.Errorf("Powers(%d).Pow(40) wrong", base)
+		}
+		if a, b := p.Pow(40), p.Pow(40); &a[0] != &b[0] {
+			t.Errorf("Powers(%d).Pow(40) returned a copy, want the shared entry", base)
+		}
+	}
+	p := Powers(5)
+	p.Pow(PowersLimit + 10)
+	if n := p.Cached(); n > PowersLimit+1 {
+		t.Errorf("Powers(5) keeps %d entries after a request past the limit, want at most %d", n, PowersLimit+1)
+	}
+	for _, base := range []int{0, 1, 37} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Powers(%d) did not panic", base)
+				}
+			}()
+			Powers(base)
+		}()
+	}
+}

@@ -7,35 +7,25 @@ func Shl(x Nat, s uint) Nat {
 	}
 	limbs, off := int(s/wordBits), s%wordBits
 	z := make(Nat, len(x)+limbs+1)
-	if off == 0 {
-		copy(z[limbs:], x)
-	} else {
-		var carry Word
-		for i, xi := range x {
-			z[limbs+i] = xi<<off | carry
-			carry = xi >> (wordBits - off)
-		}
-		z[limbs+len(x)] = carry
-	}
+	z[limbs+len(x)] = shlVU(z[limbs:limbs+len(x)], x, off)
 	return norm(z)
 }
 
 // Shr returns x >> s.
 func Shr(x Nat, s uint) Nat {
-	limbs, off := int(s/wordBits), s%wordBits
-	if limbs >= len(x) {
-		return nil
+	return ShrInto(nil, x, s)
+}
+
+// shlVU sets z = x << s for s < wordBits and returns the bits shifted
+// out of the top.  len(z) must equal len(x).
+func shlVU(z, x Nat, s uint) (carry Word) {
+	if s == 0 {
+		copy(z, x)
+		return 0
 	}
-	z := make(Nat, len(x)-limbs)
-	if off == 0 {
-		copy(z, x[limbs:])
-	} else {
-		for i := 0; i < len(z); i++ {
-			z[i] = x[limbs+i] >> off
-			if limbs+i+1 < len(x) {
-				z[i] |= x[limbs+i+1] << (wordBits - off)
-			}
-		}
+	for i, xi := range x {
+		z[i] = xi<<s | carry
+		carry = xi >> (wordBits - s)
 	}
-	return norm(z)
+	return carry
 }

@@ -106,15 +106,15 @@ func ratLess(a, b bigrat.Rat, orEqual bool) bool {
 func valueRat(v fpformat.Value) bigrat.Rat {
 	b := v.Fmt.Base
 	if v.E >= 0 {
-		return bigrat.FromNat(bignat.Mul(v.F, powersOf(b).Pow(uint(v.E))))
+		return bigrat.FromNat(bignat.Mul(v.F, bignat.Powers(b).Pow(uint(v.E))))
 	}
-	return bigrat.New(v.F, powersOf(b).Pow(uint(-v.E)))
+	return bigrat.New(v.F, bignat.Powers(b).Pow(uint(-v.E)))
 }
 
 // ratPow returns baseᵏ as an exact rational, k of either sign.
 func ratPow(base, k int) bigrat.Rat {
 	if k >= 0 {
-		return bigrat.FromNat(powersOf(base).Pow(uint(k)))
+		return bigrat.FromNat(bignat.Powers(base).Pow(uint(k)))
 	}
-	return bigrat.New(bignat.Nat{1}, powersOf(base).Pow(uint(-k)))
+	return bigrat.New(bignat.Nat{1}, bignat.Powers(base).Pow(uint(-k)))
 }

@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 
-	"floatprint/internal/bignat"
 	"floatprint/internal/fpformat"
 )
 
@@ -130,58 +129,6 @@ type Result struct {
 	// replaced by any digits without changing the value read back.
 	// Free-format results always have NSig == len(Digits).
 	NSig int
-}
-
-// powCaches holds one lock-free power cache per supported base, the analog
-// of the paper's expt-t lookup table (Figure 2).  Reads are a single atomic
-// snapshot load (see bignat.PowCache); the caches below are preloaded past
-// the largest exponent a binary64 conversion can request, so steady-state
-// traffic in the common bases never takes the grow lock at all.
-var powCaches [37]*bignat.PowCache
-
-// Preload spans: binary64 denormals put e >= -1074, so the input side needs
-// 2^(1-e) up to 2^1075; on the output side |k| <= ~343 for base 10 (the
-// paper's table stops at 10^325 for the narrower K&R double range), with
-// margin for fixed-format positions beyond the value's own scale.
-//
-// PowCacheLimit bounds what any cache keeps.  It covers every exponent a
-// binary64 conversion in bases 2–36 needs (at most 1075, in base 2) and
-// every fixed-format position the serving layer admits (|pos| and n up
-// to 1100).  Larger exponents, from wider formats or from a library
-// caller asking for tens of thousands of fixed digits, are computed per
-// call: without the bound one FixedDigits(1.0/3, 30000) left every power
-// of ten up to 10^30000 cached for the life of the process (~176 MB).
-const (
-	preloadPow2   = 1100
-	preloadPow10  = 400
-	preloadPow16  = 300
-	PowCacheLimit = 2048
-)
-
-func init() {
-	for b := 2; b <= 36; b++ {
-		powCaches[b] = bignat.NewPowCache(uint64(b), PowCacheLimit)
-	}
-	powCaches[2].Preload(preloadPow2)
-	powCaches[10].Preload(preloadPow10)
-	powCaches[16].Preload(preloadPow16)
-}
-
-// powersOf returns the shared power cache for base (2..36, the range
-// checkArgs admits for output bases and fpformat defines for input bases).
-func powersOf(base int) *bignat.PowCache {
-	if base < 2 || base > 36 {
-		panic(fmt.Sprintf("core: no power cache for base %d", base))
-	}
-	return powCaches[base]
-}
-
-// PowersOf exposes the shared lock-free power cache for base to sibling
-// packages (the evaluation baselines use it so that timing comparisons
-// measure algorithmic work, not redundant power recomputation).  It keeps
-// exponents up to PowCacheLimit.
-func PowersOf(base int) *bignat.PowCache {
-	return powersOf(base)
 }
 
 // checkArgs validates the common preconditions of the conversion entry

@@ -55,18 +55,20 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 	}
 
 	// Compute the output half-ulp Bʲ/2 as a numerator over the common
-	// denominator s.  For negative j every quantity is pre-scaled by B⁻ʲ
-	// so the half-ulp stays an integer (s always carries a factor of 2).
-	var mOut bignat.Nat
+	// denominator s, into the hn scratch.  For negative j every quantity
+	// is pre-scaled by B⁻ʲ so the half-ulp stays an integer (s always
+	// carries a factor of 2).  Products ping-pong through the t1 scratch,
+	// as in scaleByPow, so the pooled buffers are reused.
 	if j >= 0 {
-		mOut = bignat.Mul(bignat.Shr(st.s, 1), st.pows.Pow(uint(j)))
+		st.t1 = bignat.ShrInto(st.t1, st.s, 1)
+		st.hn = bignat.MulInto(st.hn, st.t1, st.pows.Pow(uint(j)))
 	} else {
-		mOut = bignat.Shr(st.s, 1)
+		st.hn = bignat.ShrInto(st.hn, st.s, 1)
 		factor := st.pows.Pow(uint(-j))
-		st.r = bignat.Mul(st.r, factor)
-		st.s = bignat.Mul(st.s, factor)
-		st.mp = bignat.Mul(st.mp, factor)
-		st.mm = bignat.Mul(st.mm, factor)
+		st.r, st.t1 = bignat.MulInto(st.t1, st.r, factor), st.r
+		st.s, st.t1 = bignat.MulInto(st.t1, st.s, factor), st.s
+		st.mp, st.t1 = bignat.MulInto(st.t1, st.mp, factor), st.mp
+		st.mm, st.t1 = bignat.MulInto(st.t1, st.mm, factor), st.mm
 	}
 
 	// Widen the rounding range to the union of the value's own range and
@@ -75,12 +77,12 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 	// An endpoint contributed by the output precision is itself a valid
 	// correctly rounded output, so the corresponding termination condition
 	// becomes inclusive.
-	if bignat.Cmp(mOut, st.mp) >= 0 {
-		st.mp = mOut.Clone() // cloned: m⁺ and m⁻ are mutated independently
+	if bignat.Cmp(st.hn, st.mp) >= 0 {
+		st.mp = bignat.CopyInto(st.mp, st.hn) // copied: m⁺ and m⁻ are mutated independently
 		st.highOK = true
 	}
-	if bignat.Cmp(mOut, st.mm) >= 0 {
-		st.mm = mOut.Clone()
+	if bignat.Cmp(st.hn, st.mm) >= 0 {
+		st.mm = bignat.CopyInto(st.mm, st.hn)
 		st.lowOK = true
 	}
 
@@ -155,9 +157,9 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 	// tails, so equality keeps every tail strictly inside.)
 	nsig := len(digits)
 	if len(digits) < maxDigits {
-		acc := bignat.Add(st.r, st.mp)
+		acc := bignat.AddInto(st.hn, st.r, st.mp)
 		if up {
-			acc = bignat.Sub(acc, st.s)
+			acc = bignat.SubInPlace(acc, st.s)
 		}
 		marking := false
 		for m := len(digits); m < maxDigits; m++ {
@@ -170,6 +172,7 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 				acc = bignat.MulWordInPlace(acc, bignat.Word(st.base))
 			}
 		}
+		st.hn = acc
 		if !marking {
 			nsig = len(digits)
 		}
@@ -192,7 +195,9 @@ func fixedAllRounded(st *state, j, k int) (Result, error) {
 	if k < j {
 		return Result{}, fmt.Errorf("core: scale k=%d below requested position j=%d (internal bug)", k, j)
 	}
-	c := bignat.Cmp(bignat.Shl(st.r, 1), bignat.MulWord(st.s, bignat.Word(st.base)))
+	st.hn = bignat.MulWordInPlace(bignat.CopyInto(st.hn, st.r), 2)
+	st.t1 = bignat.MulWordInPlace(bignat.CopyInto(st.t1, st.s), bignat.Word(st.base))
+	c := bignat.Cmp(st.hn, st.t1)
 	d := byte(0)
 	if c >= 0 {
 		d = 1

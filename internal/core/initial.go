@@ -55,13 +55,13 @@ func newState(v fpformat.Value, base int, lowOK, highOK bool) *state {
 	f := v.F
 	e := v.E
 	b := v.Fmt.Base
-	bPows := powersOf(b)
+	bPows := bignat.Powers(b)
 	boundary := v.IsBoundary() && v.E > v.Fmt.MinExp
 
 	st := statePool.Get().(*state)
 	st.lowOK, st.highOK = lowOK, highOK
 	st.base = base
-	st.pows = powersOf(base)
+	st.pows = bignat.Powers(base)
 	st.ops = 0
 	st.estimated, st.fixup = false, false
 	st.tr = nil

@@ -94,7 +94,7 @@ func TestOwnedCopyIsolation(t *testing.T) {
 		t.Fatalf("repeated conversion differs: power cache corrupted")
 	}
 	// And the cache still holds the true power.
-	p := powersOf(10).Pow(100)
+	p := bignat.Powers(10).Pow(100)
 	if bignat.Cmp(p, bignat.PowUint(10, 100)) != 0 {
 		t.Fatalf("10^100 cache entry corrupted")
 	}

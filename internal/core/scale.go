@@ -181,7 +181,7 @@ var logTable = func() [37]float64 {
 func digitLength(f bignat.Nat, b int) int {
 	// Estimate from the bit length, then correct by comparing against
 	// b^(l-1) and b^l.
-	pows := powersOf(b)
+	pows := bignat.Powers(b)
 	l := int(float64(f.BitLen())*logOf(2, b)) + 1
 	if l < 1 {
 		l = 1

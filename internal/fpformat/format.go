@@ -164,13 +164,21 @@ func (v Value) IsBoundary() bool {
 }
 
 // minNormalMantissa returns b^(p-1), the smallest normalized mantissa.
+// It comes from the shared power table: read it, never modify it, and
+// clone it before it goes into a Value.
 func (f *Format) minNormalMantissa() bignat.Nat {
-	return bignat.PowUint(uint64(f.Base), uint(f.Precision-1))
+	return bignat.Powers(f.Base).Pow(uint(f.Precision - 1))
 }
 
-// maxMantissa returns b^p - 1, the largest mantissa.
+// mantissaLimit returns b^p, one above the largest mantissa, from the
+// shared power table (read-only, as for minNormalMantissa).
+func (f *Format) mantissaLimit() bignat.Nat {
+	return bignat.Powers(f.Base).Pow(uint(f.Precision))
+}
+
+// maxMantissa returns b^p - 1, the largest mantissa, freshly allocated.
 func (f *Format) maxMantissa() bignat.Nat {
-	return bignat.SubWord(bignat.PowUint(uint64(f.Base), uint(f.Precision)), 1)
+	return bignat.SubWord(f.mantissaLimit(), 1)
 }
 
 // FromParts builds a finite Value from a sign, mantissa, and exponent,
@@ -181,7 +189,7 @@ func (f *Format) FromParts(neg bool, mant bignat.Nat, e int) (Value, error) {
 	if mant.IsZero() {
 		return Value{Fmt: f, Class: Zero, Neg: neg}, nil
 	}
-	if bignat.Cmp(mant, f.maxMantissa()) > 0 {
+	if bignat.Cmp(mant, f.mantissaLimit()) >= 0 {
 		return Value{}, fmt.Errorf("fpformat: mantissa exceeds %d base-%d digits", f.Precision, f.Base)
 	}
 	// Normalize: multiply mantissa by base while it stays below b^p and the

@@ -221,6 +221,24 @@ func TestIsBoundary(t *testing.T) {
 	}
 }
 
+// TestBoundsReadSharedPowers: IsBoundary compares against the shared
+// b^(p−1) without allocating, and Next at a binade wrap hands out its
+// own copy of that power, so mutating the result leaves the table intact.
+func TestBoundsReadSharedPowers(t *testing.T) {
+	one := DecodeFloat64(1.0)
+	if n := testing.AllocsPerRun(100, func() { one.IsBoundary() }); n != 0 {
+		t.Errorf("IsBoundary allocates %v times per call, want 0", n)
+	}
+	v := Next(DecodeFloat64(math.Nextafter(2, 0)))
+	if f, _ := v.Float64(); f != 2 {
+		t.Fatalf("Next(2⁻) = %v, want 2", f)
+	}
+	bignat.MulWordInPlace(v.F, 3)
+	if got := bignat.Powers(2).Pow(52); bignat.Cmp(got, bignat.Shl(bignat.Nat{1}, 52)) != 0 {
+		t.Fatalf("mutating Next's mantissa changed the shared 2^52 to %v", got)
+	}
+}
+
 func TestMantissaEven(t *testing.T) {
 	if !DecodeFloat64(1.0).MantissaEven() {
 		t.Errorf("f(1.0) = 2^52 is even")

@@ -17,11 +17,11 @@ func Next(v Value) Value {
 	}
 	nf := bignat.AddWord(v.F, 1)
 	e := v.E
-	if bignat.Cmp(nf, f.maxMantissa()) > 0 { // nf == b^p
+	if bignat.Cmp(nf, f.mantissaLimit()) >= 0 { // nf == b^p
 		if e == f.MaxExp {
 			return Value{Fmt: f, Class: Inf, Neg: v.Neg}
 		}
-		nf = f.minNormalMantissa()
+		nf = f.minNormalMantissa().Clone()
 		e++
 	}
 	class := Normal

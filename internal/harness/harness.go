@@ -120,36 +120,44 @@ type Table3Result struct {
 	MeanDigits    float64 // paper: 15.2
 }
 
-// RunTable3 reproduces Table 3 on the given corpus.
+// RunTable3 reproduces Table 3 on the given corpus, timing each column
+// as the best of table2Runs interleaved passes, as RunTable2 does.
 func RunTable3(corpus []float64) (Table3Result, error) {
 	values := decode(corpus)
 	res := Table3Result{Corpus: len(corpus)}
 
-	start := time.Now()
 	totalDigits := 0
-	for _, v := range values {
-		r, err := core.FreeFormat(v, 10, core.ScalingEstimate, core.ReaderNearestEven)
-		if err != nil {
-			return res, err
-		}
-		totalDigits += len(r.Digits)
+	elapsed, err := bestOf(table2Runs,
+		func() error {
+			totalDigits = 0
+			for _, v := range values {
+				r, err := core.FreeFormat(v, 10, core.ScalingEstimate, core.ReaderNearestEven)
+				if err != nil {
+					return err
+				}
+				totalDigits += len(r.Digits)
+			}
+			return nil
+		},
+		func() error {
+			for _, v := range values {
+				if _, err := baseline.FixedDigits(v, 10, 17); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func() error {
+			for _, f := range corpus {
+				baseline.NaivePrintf(f, 17)
+			}
+			return nil
+		})
+	if err != nil {
+		return res, err
 	}
-	res.Free = time.Since(start)
+	res.Free, res.Fixed17, res.Printf = elapsed[0], elapsed[1], elapsed[2]
 	res.MeanDigits = float64(totalDigits) / float64(len(values))
-
-	start = time.Now()
-	for _, v := range values {
-		if _, err := baseline.FixedDigits(v, 10, 17); err != nil {
-			return res, err
-		}
-	}
-	res.Fixed17 = time.Since(start)
-
-	start = time.Now()
-	for _, f := range corpus {
-		baseline.NaivePrintf(f, 17)
-	}
-	res.Printf = time.Since(start)
 
 	// Count printf mis-roundings against the exact fixed-format digits.
 	for i, f := range corpus {
@@ -335,10 +343,10 @@ type BatchRow struct {
 // numbers, since stray scheduling noise only ever slows a run down).
 const batchRuns = 3
 
-// table2Runs is batchRuns for the Table 2 rows.  The estimator's pass
-// over a few thousand values takes ~15 ms, short enough that on a noisy
-// host three of them can all land in a slow spell and shrink the
-// iterative/estimator ratio by a third.
+// table2Runs is batchRuns for the Table 2 and Table 3 rows.  The
+// estimator's pass over a few thousand values takes ~15 ms, short enough
+// that on a noisy host three of them can all land in a slow spell and
+// shrink the iterative/estimator ratio by a third.
 const table2Runs = 5
 
 // bestOf runs each pass the given number of times and returns each

@@ -22,10 +22,11 @@ func ParseText(s string, base int) (Number, error) {
 		return Number{}, fmt.Errorf("reader: base %d out of range [2,36]", base)
 	}
 	orig := s
-	n := Number{Base: base}
 	if s == "" {
 		return Number{}, fmt.Errorf("reader: empty input")
 	}
+	// Every digit is one byte of s, so one buffer of len(s) holds them all.
+	n := Number{Base: base, Digits: make([]byte, 0, len(s))}
 	switch s[0] {
 	case '+':
 		s = s[1:]

@@ -15,7 +15,12 @@
 // The implementation uses exact big-integer arithmetic throughout — the
 // scaled comparison approach of Clinger's AlgorithmM — so results are
 // correctly rounded for all inputs, at the cost of speed on huge
-// exponents.  Exponents so large the value provably overflows (or so
+// exponents.  The digits are folded into one integer in place, a
+// word-sized chunk at a time, and every power it needs (Bᵉˣᵖ, bᵉ,
+// b^(p−1), bᵖ) is read from bignat's shared per-base tables, the same
+// ones the printing core uses.  Those entries are shared and immutable:
+// the reader never modifies one and copies any that becomes a result's
+// mantissa.  Exponents so large the value provably overflows (or so
 // small it provably rounds to zero) are decided by an O(1) magnitude
 // bound instead, so no input costs big-integer work beyond its own
 // digit count.
@@ -99,7 +104,7 @@ var ErrRange = errors.New("reader: value out of range")
 // maxFinite is the largest finite value of f: (b^p − 1) × b^MaxExp, where
 // the truncating directed modes saturate on overflow.
 func maxFinite(f *fpformat.Format, neg bool) fpformat.Value {
-	m := bignat.SubWord(bignat.PowUint(uint64(f.Base), uint(f.Precision)), 1)
+	m := bignat.SubWord(bignat.Powers(f.Base).Pow(uint(f.Precision)), 1)
 	return fpformat.Value{Fmt: f, Class: fpformat.Normal, Neg: neg, F: m, E: f.MaxExp}
 }
 
@@ -142,15 +147,14 @@ func Convert(n Number, f *fpformat.Format, mode RoundMode) (fpformat.Value, erro
 	if n.Base < 2 || n.Base > 36 {
 		return fpformat.Value{}, fmt.Errorf("reader: base %d out of range [2,36]", n.Base)
 	}
-	// Accumulate the digits into one integer D, so the value is
-	// D × Base^(K−len).
-	d := bignat.Nat(nil)
 	for _, dig := range n.Digits {
 		if int(dig) >= n.Base {
 			return fpformat.Value{}, fmt.Errorf("reader: digit %d out of range for base %d", dig, n.Base)
 		}
-		d = bignat.MulAddWord(d, bignat.Word(n.Base), bignat.Word(dig))
 	}
+	// Fold the digits into one integer D, in place, so the value is
+	// D × Base^(K−len).
+	d := bignat.FromDigits(n.Digits, n.Base)
 	if d.IsZero() {
 		return fpformat.Value{Fmt: f, Class: fpformat.Zero, Neg: n.Neg}, nil
 	}
@@ -184,21 +188,24 @@ func Convert(n Number, f *fpformat.Format, mode RoundMode) (fpformat.Value, erro
 		return fpformat.Value{Fmt: f, Class: fpformat.Zero, Neg: n.Neg}, nil
 	}
 
-	// Exact rational x = num/den.
-	num, den := d, bignat.Nat{1}
+	// Exact rational x = num/den.  The power comes from the shared table
+	// and is only read.
+	num, den := d, one
 	if exp >= 0 {
-		num = bignat.Mul(num, bignat.PowUint(uint64(n.Base), uint(exp)))
+		num = bignat.Mul(num, bignat.Powers(n.Base).Pow(uint(exp)))
 	} else {
-		den = bignat.PowUint(uint64(n.Base), uint(-exp))
+		den = bignat.Powers(n.Base).Pow(uint(-exp))
 	}
 	return roundRational(num, den, n.Neg, f, mode)
 }
 
+// one is the denominator of an integer-valued x (shared, read-only).
+var one = bignat.Nat{1}
+
 // roundRational returns the value of format f that num/den (> 0) rounds
 // to under mode; neg carries the sign, which the directed modes need to
-// orient their magnitude rounding.
+// orient their magnitude rounding.  It only reads num and den.
 func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode RoundMode) (fpformat.Value, error) {
-	b := uint64(f.Base)
 	// Estimate e with floor(log_b(x)) − (p−1) from the bit lengths, then
 	// correct by iteration; the estimate is within a couple of units.
 	logBx := float64(num.BitLen()-den.BitLen()) * math.Ln2 / math.Log(float64(f.Base))
@@ -207,8 +214,12 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		e = f.MinExp
 	}
 
-	lo := bignat.PowUint(b, uint(f.Precision-1))
-	hi := bignat.PowUint(b, uint(f.Precision))
+	// lo = b^(p−1), hi = b^p and every bᵉ are shared table entries: none
+	// may be modified or returned in a Value without a copy.
+	pows := bignat.Powers(f.Base)
+	lo := pows.Pow(uint(f.Precision - 1))
+	hi := pows.Pow(uint(f.Precision))
+	var scaled bignat.Nat // num·b⁻ᵉ or den·bᵉ, its buffer reused across passes
 	for {
 		// q = floor(x / bᵉ), computed exactly.  The binade — and therefore
 		// the rounding grain — is chosen from the floor, NOT the rounded
@@ -216,9 +227,11 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		// binade below even if rounding would carry it up.
 		sNum, sDen := num, den
 		if e > 0 {
-			sDen = bignat.Mul(sDen, bignat.PowUint(b, uint(e)))
+			scaled = bignat.MulInto(scaled, den, pows.Pow(uint(e)))
+			sDen = scaled
 		} else if e < 0 {
-			sNum = bignat.Mul(sNum, bignat.PowUint(b, uint(-e)))
+			scaled = bignat.MulInto(scaled, num, pows.Pow(uint(-e)))
+			sNum = scaled
 		}
 		q, rem := bignat.DivMod(sNum, sDen)
 		if bignat.Cmp(q, hi) >= 0 {
@@ -235,11 +248,13 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 			continue
 		}
 
+		inexact := !rem.IsZero()
 		m := roundQuotient(q, rem, sDen, mode, neg)
 		if bignat.Cmp(m, hi) >= 0 {
 			// Rounding carried into the next binade: the value is exactly
-			// bᵖ·bᵉ = b^(p−1)·b^(e+1).
-			m = lo
+			// bᵖ·bᵉ = b^(p−1)·b^(e+1).  The table's b^(p−1) is copied,
+			// never handed out.
+			m = lo.Clone()
 			e++
 		}
 		if m.IsZero() {
@@ -251,7 +266,7 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		if e > f.MaxExp {
 			return overflow(f, neg, mode)
 		}
-		if e == f.MaxExp && !rem.IsZero() && directed(mode) && !magnitudeUp(mode, neg) &&
+		if e == f.MaxExp && inexact && directed(mode) && !magnitudeUp(mode, neg) &&
 			bignat.Cmp(bignat.AddWord(m, 1), hi) == 0 {
 			// IEEE signals overflow from the unbounded-exponent result: a
 			// value strictly above the largest finite number truncates onto
@@ -267,7 +282,9 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 }
 
 // roundQuotient rounds q + rem/den to an integer under mode; neg is the
-// sign of the value, which orients the directed modes.
+// sign of the value, which orients the directed modes.  q and rem must be
+// the caller's own (as DivMod returns them): both are consumed, the
+// result reusing q's storage.
 func roundQuotient(q, rem, den bignat.Nat, mode RoundMode, neg bool) bignat.Nat {
 	if rem.IsZero() {
 		return q
@@ -277,26 +294,26 @@ func roundQuotient(q, rem, den bignat.Nat, mode RoundMode, neg bool) bignat.Nat 
 		// from zero when the mode points outward for this sign, and
 		// truncates otherwise.
 		if magnitudeUp(mode, neg) {
-			return bignat.AddWord(q, 1)
+			return bignat.AddWordInPlace(q, 1)
 		}
 		return q
 	}
-	switch bignat.Cmp(bignat.Shl(rem, 1), den) {
+	switch bignat.Cmp(bignat.MulWordInPlace(rem, 2), den) {
 	case -1:
 		return q
 	case 1:
-		return bignat.AddWord(q, 1)
+		return bignat.AddWordInPlace(q, 1)
 	}
 	// Exact tie.
 	switch mode {
 	case NearestAway:
-		return bignat.AddWord(q, 1)
+		return bignat.AddWordInPlace(q, 1)
 	case NearestTowardZero:
 		return q
 	default: // NearestEven
 		if q.Bit(0) == 0 {
 			return q
 		}
-		return bignat.AddWord(q, 1)
+		return bignat.AddWordInPlace(q, 1)
 	}
 }

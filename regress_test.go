@@ -1,11 +1,12 @@
 package floatprint
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"floatprint/internal/core"
+	"floatprint/internal/bignat"
 )
 
 // Regression: ShortestDigits32 used to enter its fast path before
@@ -214,30 +215,53 @@ func TestAppendFixed(t *testing.T) {
 // Regression: the shared power caches kept every power a conversion asked
 // for, so one FixedDigits(1.0/3, 30000) call left 10^0 … 10^30000 cached
 // for the life of the process (~176 MB; 30001 entries).  The caches now
-// stop at core.PowCacheLimit and compute larger powers per call, with the
-// same digits as before.
+// stop at bignat.PowersLimit and compute larger powers per call, with the
+// same digits as before.  The reader shares the same tables, so a parse
+// of thousands of digits (here 3^3000 as its denominator) is held to the
+// same bound.
 func TestHugeFixedRequestsLeavePowerCacheBounded(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		convert func() (Digits, error)
+		name  string
+		base  int
+		check func() error
 	}{
-		{"FixedDigits(1/3, 30000)", func() (Digits, error) { return FixedDigits(1.0/3, 30000, nil) }},
-		{"FixedPositionDigits(1/3, -30000)", func() (Digits, error) { return FixedPositionDigits(1.0/3, -30000, nil) }},
+		{"FixedDigits(1/3, 30000)", 10, func() error {
+			return checkThirds(FixedDigits(1.0/3, 30000, nil))
+		}},
+		{"FixedPositionDigits(1/3, -30000)", 10, func() error {
+			return checkThirds(FixedPositionDigits(1.0/3, -30000, nil))
+		}},
+		{"Parse(0.111…1 base 3, 3000 digits)", 3, func() error {
+			// (1 − 3⁻³⁰⁰⁰)/2 lies far closer to 0.5 than half an ulp.
+			f, err := Parse("0."+strings.Repeat("1", 3000), &Options{Base: 3})
+			if err == nil && f != 0.5 {
+				err = fmt.Errorf("read %v, want 0.5", f)
+			}
+			return err
+		}},
 	} {
-		d, err := tc.convert()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if err := tc.check(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
-		if len(d.Digits) != 30000 || d.NSig != 17 || d.K != 0 {
-			t.Errorf("%s: %d digits, NSig %d, K %d; want 30000, 17, 0", tc.name, len(d.Digits), d.NSig, d.K)
-		}
-		if got := string(digitChars(d.Digits)); got != "33333333333333330"+strings.Repeat("0", 30000-17) {
-			t.Errorf("%s: digits %s…, want 33333333333333330 and zeros", tc.name, got[:20])
-		}
-		if n := core.PowersOf(10).Cached(); n > core.PowCacheLimit+1 {
-			t.Errorf("%s: power-of-ten cache holds %d entries, want at most %d", tc.name, n, core.PowCacheLimit+1)
+		if n := bignat.Powers(tc.base).Cached(); n > bignat.PowersLimit+1 {
+			t.Errorf("%s: base-%d power table holds %d entries, want at most %d", tc.name, tc.base, n, bignat.PowersLimit+1)
 		}
 	}
+}
+
+// checkThirds checks a 30000-position conversion of 1/3: 17 significant
+// digits, then zeros.
+func checkThirds(d Digits, err error) error {
+	if err != nil {
+		return err
+	}
+	if len(d.Digits) != 30000 || d.NSig != 17 || d.K != 0 {
+		return fmt.Errorf("%d digits, NSig %d, K %d; want 30000, 17, 0", len(d.Digits), d.NSig, d.K)
+	}
+	if got := string(digitChars(d.Digits)); got != "33333333333333330"+strings.Repeat("0", 30000-17) {
+		return fmt.Errorf("digits %s…, want 33333333333333330 and zeros", got[:20])
+	}
+	return nil
 }
 
 // digitChars renders digit values 0..9 as ASCII.
