@@ -26,7 +26,8 @@ import (
 // ok == false at the call site.
 
 // kernelShape reports whether a normalized request has the shape every
-// Ryū kernel needs: decimal output, with the fast paths not switched off.
+// fast kernel needs — the Ryū kernels and Gay's fixed-format path:
+// decimal output, with the fast paths not switched off.
 func kernelShape(o Options) bool {
 	return o.Base == 10 && o.Backend == BackendAuto
 }

@@ -62,7 +62,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for a random port)")
 	inflight := flag.Int("inflight", 64, "max concurrent conversion requests before shedding 429s")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline: bounds request-body reads and stops batch conversion between chunks or blocks; a single-value conversion runs to completion")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	maxBatch := flag.Int64("max-batch-bytes", 1<<30, "request-body cap for /v1/batch and /v1/batch-parse")

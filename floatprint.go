@@ -170,9 +170,10 @@ func fixedValueTraced(val fpformat.Value, n int, o Options, tr *Trace) (Digits, 
 	// Gay's fast-path heuristic (paper §5): when the digit count is small
 	// and extended-float arithmetic can *certify* its result, skip the
 	// exact algorithm.  The certificate guarantees identical output; the
-	// exact path below handles everything the fast path declines.
+	// exact path below handles everything the fast path declines, and
+	// everything BackendExact pins there.
 	fastMiss := false
-	if o.Base == 10 && val.Fmt == fpformat.Binary64 {
+	if kernelShape(o) && val.Fmt == fpformat.Binary64 {
 		v, verr := abs(val).Float64()
 		if verr == nil {
 			if digits, k, ok := fastpath.TryFixed(v, n); ok {

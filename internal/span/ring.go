@@ -43,13 +43,6 @@ func (r *Ring) Add(t *Trace) {
 	s.seq.Store(i + 1)
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Total returns the all-time publication count, overwritten entries
-// included.
-func (r *Ring) Total() uint64 { return r.cursor.Load() }
-
 // Snapshot returns the retained traces newest-first, plus the
 // all-time publication count.  It takes no locks; entries observed
 // mid-overwrite (their publication index no longer matches the

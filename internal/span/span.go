@@ -1,16 +1,15 @@
 // Package span is the request-level tracing layer: spans with IDs,
 // parent links, start/duration, and bounded attributes, propagated
-// through context.Context from the HTTP edge down to the conversion
-// kernels, and collected — per W3C Trace Context identity — into
-// bounded in-memory traces.
+// from the HTTP edge down to the conversion kernels, and collected —
+// per W3C Trace Context identity — into bounded in-memory traces.
 //
 // The package is deliberately self-contained (stdlib only, no
 // OpenTelemetry dependency): the serving layer needs exactly four
 // things from a tracing system — W3C `traceparent` interop so an
-// upstream proxy's trace ID survives into this process, cheap
-// context-carried child spans so handlers can attribute time to
-// decode/convert/encode stages, deterministic head sampling so
-// capture cost is bounded and reproducible, and a bounded ring of
+// upstream proxy's trace ID survives into this process, cheap child
+// spans so handlers can attribute time to decode/convert/encode
+// stages, deterministic head sampling so capture cost is bounded and
+// reproducible, and a bounded ring of
 // completed traces an operator can read without a collector sidecar.
 // Everything else a full tracing SDK adds (exporters, batch
 // processors, resource detection) is weight this process does not
@@ -21,9 +20,9 @@
 // instrumented code paths pay one pointer test.  When tracing is on,
 // spans for *every* request are recorded into a small per-request
 // buffer — not just head-sampled ones — because the capture decision
-// is partly retrospective: a request that turns out slow or ends 5xx
-// is always published, whatever the sampling rate said at its start.
-// The per-request buffer is bounded (MaxSpans, MaxAttrs), so the
+// is partly retrospective: Keep keeps a request that turns out slow
+// or ends 5xx, whatever the sampling rate said at its start.  The
+// per-request buffer is bounded (MaxSpans, MaxAttrs), so the
 // worst-case cost per request is a few hundred bytes and a handful of
 // appends.
 //
@@ -37,10 +36,10 @@
 package span
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,66 +102,47 @@ type Trace struct {
 	Spans   []Record `json:"spans"`
 }
 
-// Config tunes a Tracer.  The zero value of every field gets a
-// default from New except SampleEvery, which callers choose.
+// MaxSpans bounds the child spans kept per trace; later ones are
+// counted in Trace.Dropped instead of stored.  MaxAttrs bounds the
+// attributes kept per span; later SetAttr calls are dropped.
+const (
+	MaxSpans = 64
+	MaxAttrs = 16
+)
+
+// Config tunes a Tracer.
 type Config struct {
 	// SampleEvery is the head-sampling rate: 1 keeps every trace, N>1
 	// keeps roughly 1 in N (decided deterministically per trace ID).
 	// Zero or negative keeps none at the head — slow and error
 	// captures still fire.
 	SampleEvery int
-	// SlowRequest is the root-span duration at or above which a trace
-	// is always published, sampled or not.  Zero disables the slow
-	// trigger.
-	SlowRequest time.Duration
-	// Ring receives the published traces.  Nil means a new 64-trace
-	// ring.
-	Ring *Ring
-	// MaxSpans bounds spans kept per trace; later spans are counted
-	// in Trace.Dropped instead of stored.  Zero means 64.
-	MaxSpans int
-	// MaxAttrs bounds attributes kept per span; later SetAttr calls
-	// are dropped.  Zero means 16.
-	MaxAttrs int
 	// Seed drives ID generation and the sampling decision.  Zero
 	// means a random seed; tests and replica fleets set it for
 	// reproducible decisions.
 	Seed uint64
 }
 
-// Tracer owns the ID generator and the sampling decision, and publishes
-// completed traces into its ring.  All methods are safe for concurrent
-// use.
+// Tracer owns the ID generator and the head-sampling decision.  All
+// methods are safe for concurrent use.
 type Tracer struct {
-	cfg   Config
+	every int
 	seed  uint64
 	state atomic.Uint64 // ID-generator walk, advanced per 8 bytes
 }
 
-// New builds a Tracer, applying defaults.
+// New builds a Tracer.
 func New(cfg Config) *Tracer {
-	if cfg.Ring == nil {
-		cfg.Ring = NewRing(64)
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 64
-	}
-	if cfg.MaxAttrs <= 0 {
-		cfg.MaxAttrs = 16
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		var b [8]byte
 		rand.Read(b[:]) // per crypto/rand docs, never fails
 		seed = binary.LittleEndian.Uint64(b[:])
 	}
-	t := &Tracer{cfg: cfg, seed: seed}
+	t := &Tracer{every: cfg.SampleEvery, seed: seed}
 	t.state.Store(seed)
 	return t
 }
-
-// Ring returns the completed-trace ring for readers (/debug/traces).
-func (t *Tracer) Ring() *Ring { return t.cfg.Ring }
 
 // splitmix64 is the SplitMix64 output function: a full-avalanche
 // mixer, used both to walk the ID generator and to hash trace IDs
@@ -200,7 +180,7 @@ func (t *Tracer) newSpanID() SpanID {
 // when the seeded hash of the ID lands in the 1-in-SampleEvery slice.
 // The same (seed, ID) pair always decides the same way.
 func (t *Tracer) Sampled(id TraceID) bool {
-	n := t.cfg.SampleEvery
+	n := t.every
 	if n <= 0 {
 		return false
 	}
@@ -211,18 +191,17 @@ func (t *Tracer) Sampled(id TraceID) bool {
 	return h%uint64(n) == 0
 }
 
-// activeTrace accumulates one request's finished spans until the root
-// ends and the publish decision is made.
+// activeTrace accumulates one request's finished child spans until the
+// request ends and its capture is decided.
 type activeTrace struct {
 	mu      sync.Mutex
 	spans   []Record
 	dropped int
-	max     int
 }
 
 func (a *activeTrace) add(r Record) {
 	a.mu.Lock()
-	if len(a.spans) < a.max {
+	if len(a.spans) < MaxSpans {
 		a.spans = append(a.spans, r)
 	} else {
 		a.dropped++
@@ -248,12 +227,13 @@ type Span struct {
 	ended   bool
 }
 
-// StartRequest opens a request root span named name (by convention
-// the route).  traceparent, when it parses as a W3C header, donates
-// the trace ID and remote parent — and its sampled flag forces
-// capture; otherwise a fresh trace ID is minted.  The returned
-// context carries the span for FromContext.
-func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (*Span, context.Context) {
+// StartRequest opens a request's root span.  traceparent, when it
+// parses as a W3C header, donates the trace ID and remote parent — and
+// its sampled flag forces capture; otherwise a fresh trace ID is
+// minted.  The root span carries the trace identity and collects the
+// children; the root record itself — name, timing, attributes — is the
+// caller's, handed to Trace when the request ends.
+func (t *Tracer) StartRequest(traceparent string) *Span {
 	var traceID TraceID
 	var parent SpanID
 	forced := false
@@ -262,17 +242,14 @@ func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (*S
 	} else {
 		traceID = t.newTraceID()
 	}
-	s := &Span{
+	return &Span{
 		tracer:  t,
-		trace:   &activeTrace{max: t.cfg.MaxSpans},
+		trace:   &activeTrace{},
 		traceID: traceID,
 		id:      t.newSpanID(),
 		parent:  parent,
-		name:    name,
-		start:   time.Now(),
 		sampled: forced || t.Sampled(traceID),
 	}
-	return s, ContextWithSpan(ctx, s)
 }
 
 // StartChild opens a child span under s.  Nil-safe.
@@ -304,27 +281,10 @@ func (s *Span) TraceID() string {
 	return s.traceID.String()
 }
 
-// ID returns the span's identity as 16 hex digits, "" for nil.
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id.String()
-}
-
-// TraceParent renders the span as an outgoing W3C traceparent header
-// value (for handlers that call further services), "" for nil.
-func (s *Span) TraceParent() string {
-	if s == nil {
-		return ""
-	}
-	return FormatTraceParent(s.traceID, s.id, s.sampled)
-}
-
-// SetAttr attaches one key/value fact, up to the tracer's per-span
-// cap.  Nil-safe.
+// SetAttr attaches one key/value fact, up to MaxAttrs per span.
+// Nil-safe.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil || len(s.attrs) >= s.tracer.cfg.MaxAttrs {
+	if s == nil || len(s.attrs) >= MaxAttrs {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{key, value})
@@ -335,46 +295,7 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, itoa(v))
-}
-
-// itoa avoids strconv for the package's only int formatting need.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-// record converts the span to its finished Record.
-func (s *Span) record(end time.Time) Record {
-	r := Record{
-		TraceID:    s.traceID.String(),
-		SpanID:     s.id.String(),
-		Name:       s.name,
-		Start:      s.start,
-		DurationMS: float64(end.Sub(s.start)) / 1e6,
-		Attrs:      s.attrs,
-	}
-	if !s.parent.IsZero() {
-		r.ParentID = s.parent.String()
-	}
-	return r
+	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
 // End finishes a child span, folding it into the request's trace
@@ -384,65 +305,55 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.trace.add(s.record(time.Now()))
+	r := Record{
+		TraceID:    s.traceID.String(),
+		SpanID:     s.id.String(),
+		ParentID:   s.parent.String(),
+		Name:       s.name,
+		Start:      s.start,
+		DurationMS: float64(time.Since(s.start)) / 1e6,
+		Attrs:      s.attrs,
+	}
+	s.trace.add(r)
 }
 
-// EndRequest finishes a root span and decides publication: the trace
-// lands in the ring when the head decision sampled it, when the
-// request ran at or over the tracer's slow threshold, or when status
-// is a 5xx.  It returns the publish reason ("head", "slow", "error")
-// or "" when the trace was discarded.  Nil-safe.
-func (s *Span) EndRequest(status int) string {
-	if s == nil || s.ended {
-		return ""
-	}
-	s.ended = true
-	end := time.Now()
-	dur := end.Sub(s.start)
-
-	reason := ""
+// Keep is the capture rule for a finished request whose root span is
+// s: it returns why the request's trace is published — "head" when s
+// was head-sampled, "error" for a 5xx status, "slow" when the request
+// took at least slow — or "" when it is discarded.  A nil s (the
+// request ran untraced) has no head verdict; the other two reasons
+// still apply.
+func (s *Span) Keep(status int, dur, slow time.Duration) string {
 	switch {
-	case s.sampled:
-		reason = "head"
+	case s != nil && s.sampled:
+		return "head"
 	case status >= 500:
-		reason = "error"
-	case s.tracer.cfg.SlowRequest > 0 && dur >= s.tracer.cfg.SlowRequest:
-		reason = "slow"
+		return "error"
+	case dur >= slow:
+		return "slow"
 	}
-	if reason == "" {
-		return ""
-	}
+	return ""
+}
 
-	root := s.record(end)
+// Trace assembles the published trace of a request kept for reason:
+// root, the request's own record, stamped with s's identity, then the
+// child spans ended under s so far.  A nil s (the request ran
+// untraced) yields root alone, with no trace identity.
+func (s *Span) Trace(root Record, reason string) *Trace {
+	t := &Trace{Route: root.Name, DurationMS: root.DurationMS, Reason: reason}
+	if s == nil {
+		t.Spans = []Record{root}
+		return t
+	}
+	root.TraceID, root.SpanID = s.traceID.String(), s.id.String()
+	if !s.parent.IsZero() {
+		root.ParentID = s.parent.String()
+	}
+	t.TraceID = root.TraceID
 	s.trace.mu.Lock()
-	spans := make([]Record, 0, len(s.trace.spans)+1)
-	spans = append(spans, root)
-	spans = append(spans, s.trace.spans...)
-	dropped := s.trace.dropped
+	t.Spans = append(make([]Record, 0, len(s.trace.spans)+1), root)
+	t.Spans = append(t.Spans, s.trace.spans...)
+	t.Dropped = s.trace.dropped
 	s.trace.mu.Unlock()
-
-	s.tracer.cfg.Ring.Add(&Trace{
-		TraceID:    root.TraceID,
-		Route:      root.Name,
-		DurationMS: root.DurationMS,
-		Reason:     reason,
-		Dropped:    dropped,
-		Spans:      spans,
-	})
-	return reason
-}
-
-// ctxKey keys the span context value.
-type ctxKey struct{}
-
-// ContextWithSpan stores s on the context.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the context's span, nil when the request is not
-// traced — the nil flows safely into every Span method.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
+	return t
 }

@@ -1,52 +1,47 @@
 package span
 
 import (
-	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
 // TestSpanLifecycle covers the basic shape: a root with two nested
-// children publishes one trace whose records carry the shared trace
-// ID, correct parent links, names, and positive durations, root
-// first.
+// children assembles one trace whose records carry the shared trace
+// ID, correct parent links, names, and positive durations, root first
+// with the caller's record.
 func TestSpanLifecycle(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, Seed: 42})
-	root, ctx := tr.StartRequest(context.Background(), "/v1/shortest", "")
-	if got := FromContext(ctx); got != root {
-		t.Fatalf("FromContext = %p, want the root span %p", got, root)
-	}
-	root.SetAttr("http.method", "GET")
+	root := tr.StartRequest("")
 
-	child := FromContext(ctx).StartChild("convert")
+	child := root.StartChild("convert")
 	child.SetAttrInt("digits", 17)
 	grand := child.StartChild("render")
 	grand.End()
 	child.End()
 
-	if reason := root.EndRequest(200); reason != "head" {
-		t.Fatalf("EndRequest reason = %q, want head (SampleEvery=1)", reason)
+	if reason := root.Keep(200, 0, time.Hour); reason != "head" {
+		t.Fatalf("Keep reason = %q, want head (SampleEvery=1)", reason)
 	}
-
-	traces, total := tr.Ring().Snapshot()
-	if total != 1 || len(traces) != 1 {
-		t.Fatalf("ring total=%d len=%d, want 1 and 1", total, len(traces))
-	}
-	tc := traces[0]
-	if tc.Route != "/v1/shortest" || tc.Reason != "head" || tc.TraceID != root.TraceID() {
-		t.Fatalf("trace = %+v, want route /v1/shortest reason head id %s", tc, root.TraceID())
+	start := time.Now()
+	tc := root.Trace(Record{Name: "/v1/shortest", Start: start, DurationMS: 1.5,
+		Attrs: []Attr{{"http.method", "GET"}}}, "head")
+	if tc.Route != "/v1/shortest" || tc.Reason != "head" || tc.TraceID != root.TraceID() ||
+		tc.DurationMS != 1.5 {
+		t.Fatalf("trace = %+v, want route /v1/shortest reason head id %s duration 1.5", tc, root.TraceID())
 	}
 	if len(tc.Spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(tc.Spans))
 	}
 	rootRec := tc.Spans[0]
-	if rootRec.Name != "/v1/shortest" || rootRec.ParentID != "" || rootRec.SpanID != root.ID() {
+	if rootRec.Name != "/v1/shortest" || rootRec.ParentID != "" || rootRec.SpanID == "" ||
+		!rootRec.Start.Equal(start) || rootRec.DurationMS != 1.5 {
 		t.Fatalf("first record %+v is not the root span", rootRec)
 	}
-	if len(rootRec.Attrs) == 0 || rootRec.Attrs[0] != (Attr{"http.method", "GET"}) {
-		t.Fatalf("root attrs = %v, want http.method=GET first", rootRec.Attrs)
+	if len(rootRec.Attrs) != 1 || rootRec.Attrs[0] != (Attr{"http.method", "GET"}) {
+		t.Fatalf("root attrs = %v, want http.method=GET", rootRec.Attrs)
 	}
 	byName := map[string]Record{}
 	for _, r := range tc.Spans {
@@ -70,24 +65,24 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 // TestNilSpanSafety: every method on a nil span (the tracing-off
-// path) must be a no-op, and an untraced context yields exactly that
-// nil.
+// path) must be a no-op, and its trace is the caller's root record
+// alone, with no trace identity.
 func TestNilSpanSafety(t *testing.T) {
 	var s *Span
-	if s.Recording() || s.TraceID() != "" || s.ID() != "" || s.TraceParent() != "" {
+	if s.Recording() || s.TraceID() != "" {
 		t.Fatal("nil span reports live state")
 	}
 	s.SetAttr("k", "v")
 	s.SetAttrInt("n", 1)
 	s.End()
-	if reason := s.EndRequest(500); reason != "" {
-		t.Fatalf("nil EndRequest reason = %q, want empty", reason)
-	}
 	if c := s.StartChild("x"); c != nil {
 		t.Fatalf("nil StartChild = %v, want nil", c)
 	}
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatalf("FromContext on bare context = %v, want nil", got)
+	root := Record{Name: "/v1/shortest", DurationMS: 2, Attrs: []Attr{{"status", "500"}}}
+	tc := s.Trace(root, "error")
+	if tc.TraceID != "" || tc.Route != "/v1/shortest" || tc.DurationMS != 2 || tc.Reason != "error" ||
+		len(tc.Spans) != 1 || !reflect.DeepEqual(tc.Spans[0], root) {
+		t.Fatalf("nil span trace = %+v, want the root record alone, no trace id", tc)
 	}
 }
 
@@ -138,80 +133,63 @@ func TestSamplingDeterministic(t *testing.T) {
 }
 
 // TestAlwaysCaptureSlowAndError: with head sampling effectively off,
-// slow and 5xx requests still publish, tagged with the right reason;
-// a fast 2xx does not.
+// slow and 5xx requests are still kept, with the right reason, traced
+// or not; a fast 2xx is not.
 func TestAlwaysCaptureSlowAndError(t *testing.T) {
-	tr := New(Config{SampleEvery: 0, SlowRequest: time.Nanosecond, Seed: 1})
-	root, _ := tr.StartRequest(context.Background(), "/slow", "")
-	time.Sleep(time.Microsecond)
-	if reason := root.EndRequest(200); reason != "slow" {
-		t.Fatalf("slow request reason = %q, want slow", reason)
-	}
-
-	tr2 := New(Config{SampleEvery: 0, Seed: 1}) // no slow trigger
-	root, _ = tr2.StartRequest(context.Background(), "/err", "")
-	if reason := root.EndRequest(503); reason != "error" {
-		t.Fatalf("5xx request reason = %q, want error", reason)
-	}
-	root, _ = tr2.StartRequest(context.Background(), "/ok", "")
-	if reason := root.EndRequest(200); reason != "" {
-		t.Fatalf("fast 2xx reason = %q, want discarded", reason)
-	}
-	if _, total := tr2.Ring().Snapshot(); total != 1 {
-		t.Fatalf("ring total = %d, want only the error trace", total)
+	tr := New(Config{SampleEvery: 0, Seed: 1})
+	for _, root := range []*Span{tr.StartRequest(""), nil} {
+		if reason := root.Keep(200, time.Millisecond, time.Millisecond); reason != "slow" {
+			t.Fatalf("slow request reason = %q, want slow", reason)
+		}
+		if reason := root.Keep(503, 0, time.Hour); reason != "error" {
+			t.Fatalf("5xx request reason = %q, want error", reason)
+		}
+		if reason := root.Keep(200, time.Millisecond-1, time.Millisecond); reason != "" {
+			t.Fatalf("fast 2xx reason = %q, want discarded", reason)
+		}
 	}
 }
 
 // TestSpanAndAttrBounds: the per-trace span cap and per-span attr cap
 // hold, with the overflow counted in Dropped rather than grown.
 func TestSpanAndAttrBounds(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, MaxSpans: 4, MaxAttrs: 2, Seed: 3})
-	root, _ := tr.StartRequest(context.Background(), "/", "")
-	for i := 0; i < 10; i++ {
+	tr := New(Config{SampleEvery: 1, Seed: 3})
+	root := tr.StartRequest("")
+	for i := 0; i < MaxSpans+6; i++ {
 		c := root.StartChild(fmt.Sprintf("c%d", i))
-		for j := 0; j < 10; j++ {
+		for j := 0; j < MaxAttrs+4; j++ {
 			c.SetAttrInt("k", int64(j))
 		}
 		c.End()
 	}
-	root.EndRequest(200)
-	traces, _ := tr.Ring().Snapshot()
-	tc := traces[0]
-	if len(tc.Spans) != 5 { // root + MaxSpans children
-		t.Fatalf("kept %d spans, want 5", len(tc.Spans))
+	tc := root.Trace(Record{Name: "/"}, "head")
+	if len(tc.Spans) != MaxSpans+1 { // root + MaxSpans children
+		t.Fatalf("kept %d spans, want %d", len(tc.Spans), MaxSpans+1)
 	}
 	if tc.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", tc.Dropped)
 	}
 	for _, r := range tc.Spans[1:] {
-		if len(r.Attrs) != 2 {
-			t.Fatalf("span %s kept %d attrs, want cap 2", r.Name, len(r.Attrs))
+		if len(r.Attrs) != MaxAttrs {
+			t.Fatalf("span %s kept %d attrs, want cap %d", r.Name, len(r.Attrs), MaxAttrs)
 		}
 	}
 }
 
-// TestDoubleEnd: ending a span twice records it once; EndRequest
-// after End is a no-op.
+// TestDoubleEnd: ending a span twice records it once.
 func TestDoubleEnd(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, Seed: 5})
-	root, _ := tr.StartRequest(context.Background(), "/", "")
+	root := tr.StartRequest("")
 	c := root.StartChild("c")
 	c.End()
 	c.End()
-	if reason := root.EndRequest(200); reason == "" {
-		t.Fatal("first EndRequest discarded")
-	}
-	if reason := root.EndRequest(200); reason != "" {
-		t.Fatalf("second EndRequest republished (%q)", reason)
-	}
-	traces, total := tr.Ring().Snapshot()
-	if total != 1 || len(traces[0].Spans) != 2 {
-		t.Fatalf("total=%d spans=%d, want 1 trace with 2 spans", total, len(traces[0].Spans))
+	if tc := root.Trace(Record{Name: "/"}, "head"); len(tc.Spans) != 2 {
+		t.Fatalf("spans=%d, want root and one child", len(tc.Spans))
 	}
 }
 
-// TestRingEviction: the ring keeps exactly the newest Cap traces,
-// newest-first, and Total keeps counting past the wrap.
+// TestRingEviction: the ring keeps exactly its newest n traces,
+// newest-first, and the publication total keeps counting past the wrap.
 func TestRingEviction(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 11; i++ {
@@ -234,10 +212,10 @@ func TestRingEviction(t *testing.T) {
 // TestRingConcurrent is the -race twin: many goroutines publishing
 // complete traces while others snapshot.  Every snapshot must be
 // consistent — non-nil traces only, each at most once, never more
-// than Cap.
+// than the capacity.
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(8)
-	const writers, perWriter = 8, 200
+	const capacity, writers, perWriter = 8, 8, 200
+	r := NewRing(capacity)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -261,8 +239,8 @@ func TestRingConcurrent(t *testing.T) {
 				default:
 				}
 				traces, _ := r.Snapshot()
-				if len(traces) > r.Cap() {
-					t.Errorf("snapshot len %d > cap %d", len(traces), r.Cap())
+				if len(traces) > capacity {
+					t.Errorf("snapshot len %d > cap %d", len(traces), capacity)
 					return
 				}
 				seen := map[*Trace]bool{}
@@ -283,7 +261,7 @@ func TestRingConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if got := r.Total(); got != writers*perWriter {
+	if _, got := r.Snapshot(); got != writers*perWriter {
 		t.Fatalf("total = %d, want %d", got, writers*perWriter)
 	}
 }
@@ -292,8 +270,8 @@ func TestRingConcurrent(t *testing.T) {
 // trace buffer: children ended from several goroutines (a handler
 // fanning work out) all land in the published trace.
 func TestConcurrentChildSpans(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, MaxSpans: 64, Seed: 11})
-	root, _ := tr.StartRequest(context.Background(), "/fan", "")
+	tr := New(Config{SampleEvery: 1, Seed: 11})
+	root := tr.StartRequest("")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -305,10 +283,8 @@ func TestConcurrentChildSpans(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	root.EndRequest(200)
-	traces, _ := tr.Ring().Snapshot()
-	if len(traces[0].Spans) != 17 {
-		t.Fatalf("published %d spans, want 17", len(traces[0].Spans))
+	if tc := root.Trace(Record{Name: "/fan"}, "head"); len(tc.Spans) != 17 {
+		t.Fatalf("assembled %d spans, want 17", len(tc.Spans))
 	}
 }
 

@@ -50,22 +50,6 @@ func ParseTraceParent(h string) (tid TraceID, parent SpanID, sampled bool, ok bo
 	return tid, parent, flags[0]&sampledFlag != 0, true
 }
 
-// FormatTraceParent renders a version-00 traceparent value for
-// outgoing propagation.
-func FormatTraceParent(tid TraceID, sid SpanID, sampled bool) string {
-	b := make([]byte, 0, 55)
-	b = append(b, "00-"...)
-	b = hex.AppendEncode(b, tid[:])
-	b = append(b, '-')
-	b = hex.AppendEncode(b, sid[:])
-	if sampled {
-		b = append(b, "-01"...)
-	} else {
-		b = append(b, "-00"...)
-	}
-	return string(b)
-}
-
 // isLowerHex reports whether s is entirely lowercase hex digits (the
 // spec forbids uppercase in traceparent).
 func isLowerHex(s string) bool {

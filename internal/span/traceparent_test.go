@@ -1,8 +1,8 @@
 package span
 
 import (
-	"context"
 	"testing"
+	"time"
 )
 
 func TestParseTraceParent(t *testing.T) {
@@ -50,18 +50,6 @@ func TestParseTraceParent(t *testing.T) {
 	}
 }
 
-func TestFormatTraceParentRoundTrip(t *testing.T) {
-	tr := New(Config{Seed: 17})
-	tid, sid := tr.newTraceID(), tr.newSpanID()
-	for _, sampled := range []bool{true, false} {
-		h := FormatTraceParent(tid, sid, sampled)
-		gt, gp, gs, ok := ParseTraceParent(h)
-		if !ok || gt != tid || gp != sid || gs != sampled {
-			t.Fatalf("round trip of %q: ok=%v tid=%s parent=%s sampled=%v", h, ok, gt, gp, gs)
-		}
-	}
-}
-
 // TestPropagationAdoptsUpstreamIdentity: a request arriving with a
 // valid traceparent continues that trace — same trace ID, remote
 // parent on the root span — and the sampled flag forces capture even
@@ -69,29 +57,22 @@ func TestFormatTraceParentRoundTrip(t *testing.T) {
 func TestPropagationAdoptsUpstreamIdentity(t *testing.T) {
 	tr := New(Config{SampleEvery: 0, Seed: 9})
 	const upstream = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	root, _ := tr.StartRequest(context.Background(), "/v1/parse", upstream)
+	root := tr.StartRequest(upstream)
 	if root.TraceID() != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("trace id = %s, want the upstream's", root.TraceID())
 	}
-	if reason := root.EndRequest(200); reason != "head" {
+	reason := root.Keep(200, 0, time.Hour)
+	if reason != "head" {
 		t.Fatalf("reason = %q, want head (upstream sampled flag forces capture)", reason)
 	}
-	traces, _ := tr.Ring().Snapshot()
-	if got := traces[0].Spans[0].ParentID; got != "00f067aa0ba902b7" {
+	if got := root.Trace(Record{Name: "/v1/parse"}, reason).Spans[0].ParentID; got != "00f067aa0ba902b7" {
 		t.Fatalf("root parent = %s, want the upstream span id", got)
-	}
-
-	// The outgoing header hands the trace on with this span as parent.
-	root2, _ := tr.StartRequest(context.Background(), "/v1/parse", upstream)
-	if want := "00-4bf92f3577b34da6a3ce929d0e0e4736-" + root2.ID() + "-01"; root2.TraceParent() != want {
-		t.Fatalf("outgoing traceparent = %q, want %q", root2.TraceParent(), want)
 	}
 
 	// An unsampled upstream header with sampling off: identity adopted,
 	// trace discarded.
-	root3, _ := tr.StartRequest(context.Background(), "/v1/parse",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
-	if reason := root3.EndRequest(200); reason != "" {
+	unsampled := tr.StartRequest("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	if reason := unsampled.Keep(200, 0, time.Hour); reason != "" {
 		t.Fatalf("unsampled upstream captured (%q)", reason)
 	}
 }

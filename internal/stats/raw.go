@@ -30,7 +30,7 @@ func (c *Raw) Load() uint64 { return c.n.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram with atomic
 // counters, shaped for Prometheus exposition: Observe records a value,
-// WritePrometheus emits the classic `_bucket`/`_sum`/`_count` triplet.
+// WriteBuckets emits the classic `_bucket`/`_sum`/`_count` triplet.
 // Buckets are upper bounds in ascending order; values above the last
 // bound land only in the implicit +Inf bucket.  The zero Histogram is
 // unusable — construct with NewHistogram.
@@ -72,25 +72,6 @@ func (h *Histogram) Count() uint64 {
 		total += h.counts[i].Load()
 	}
 	return total
-}
-
-// WritePrometheus emits the histogram under the given metric name in
-// Prometheus text exposition format.
-func (h *Histogram) WritePrometheus(w io.Writer, name, help string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(bound), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-		name, cum, name, math.Float64frombits(h.sum.Load()), name, cum)
-	return err
 }
 
 // WriteBuckets emits the histogram's samples — cumulative buckets,

@@ -46,17 +46,15 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 		t.Fatalf("Count = %d, want 5", got)
 	}
 	var sb strings.Builder
-	if err := h.WritePrometheus(&sb, "x_seconds", "help text"); err != nil {
+	if err := h.WriteBuckets(&sb, "x_seconds", `route="/x"`); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP x_seconds help text
-# TYPE x_seconds histogram
-x_seconds_bucket{le="0.001"} 1
-x_seconds_bucket{le="0.01"} 3
-x_seconds_bucket{le="0.1"} 4
-x_seconds_bucket{le="+Inf"} 5
-x_seconds_sum 5.0605
-x_seconds_count 5
+	want := `x_seconds_bucket{route="/x",le="0.001"} 1
+x_seconds_bucket{route="/x",le="0.01"} 3
+x_seconds_bucket{route="/x",le="0.1"} 4
+x_seconds_bucket{route="/x",le="+Inf"} 5
+x_seconds_sum{route="/x"} 5.0605
+x_seconds_count{route="/x"} 5
 `
 	if sb.String() != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)

@@ -109,7 +109,8 @@ const (
 	// BackendAuto lets the certified fast paths serve what they can: the
 	// Ryū kernels every base-10 shortest request of a binary64 or
 	// binary32 value under any reader mode (binary64 only under the
-	// directed modes), and Parse's Eisel–Lemire paths.  This is the
+	// directed modes), Gay's fast path base-10 fixed-format requests of
+	// a binary64 value, and Parse's Eisel–Lemire paths.  This is the
 	// default.
 	BackendAuto Backend = iota
 	// BackendExact always runs the paper's exact big-integer algorithm,

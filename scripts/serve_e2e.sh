@@ -14,7 +14,8 @@
 # responses to the structured access log, and verify graceful shutdown
 # drains and exits 0 within the drain deadline.  A second, short boot
 # with tracing off checks that -debug still captures a slow request in
-# /debug/traces, as a one-span trace.
+# /debug/traces, as a one-span trace, and that /v1/fixed takes Gay's
+# fast path by default and the exact core under backend=exact.
 #
 # Run from the repository root:  ./scripts/serve_e2e.sh
 set -euo pipefail
@@ -233,7 +234,7 @@ requests="$(awk '/^fpserved_requests_total\{/ { sum += $2 } END { print sum+0 }'
 # counted at receipt, the mode=unknown request, and the
 # traceparent-propagation request — one fixed, three parse, three
 # interval, one batch, two batch-parse, and the round-trip batch);
-# /healthz, /metrics, and /debug bypass the instrumented chain and are
+# /healthz, /metrics, and /debug bypass the per-request wrapper and are
 # deliberately not counted.
 [ "$requests" -eq 20 ] || fail "fpserved_requests_total sums to $requests, want 20"
 
@@ -347,6 +348,23 @@ grep -q "{\"key\":\"request_id\",\"value\":\"$slow_id\"}" "$workdir/untraced.jso
 [ "$(grep -o '"name":' "$workdir/untraced.json" | wc -l)" -eq 1 ] \
   || fail "untraced capture is not a one-span trace: $(cat "$workdir/untraced.json")"
 if grep -q '"trace_id"' "$workdir/untraced.json"; then fail "untraced capture carries a trace id"; fi
+
+echo "== /v1/fixed: backend=exact pins the exact core; the default takes Gay's fast path =="
+gay_before="$(metric_now floatprint_gay_hits_total)"
+exact_before="$(metric_now floatprint_exact_fixed_total)"
+got="$(curl -fsS "$base/v1/fixed?v=3.14159&n=3&backend=exact")"
+[ "$got" = "3.14" ] || fail "/v1/fixed?v=3.14159&n=3&backend=exact = $got, want 3.14"
+exact_after="$(metric_now floatprint_exact_fixed_total)"
+gay_after="$(metric_now floatprint_gay_hits_total)"
+[ "$exact_after" -eq $((exact_before + 1)) ] \
+  || fail "backend=exact fixed moved floatprint_exact_fixed_total $exact_before -> $exact_after, want +1"
+[ "$gay_after" -eq "$gay_before" ] \
+  || fail "backend=exact fixed moved floatprint_gay_hits_total $gay_before -> $gay_after, want +0"
+got="$(curl -fsS "$base/v1/fixed?v=3.14159&n=3")"
+[ "$got" = "3.14" ] || fail "/v1/fixed?v=3.14159&n=3 = $got, want 3.14"
+gay_after="$(metric_now floatprint_gay_hits_total)"
+[ "$gay_after" -eq $((gay_before + 1)) ] \
+  || fail "default fixed moved floatprint_gay_hits_total $gay_before -> $gay_after, want +1"
 shutdown
 
 echo "serve_e2e: PASS"

@@ -80,7 +80,7 @@ func TestAccessLogWarnsOn5xx(t *testing.T) {
 	s, _ := newTestServer(t, Config{
 		Slog: slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
-	h := s.instrumented("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h := s.limited("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "deliberate failure", http.StatusInternalServerError)
 	}))
 	req, _ := http.NewRequest(http.MethodGet, "/v1/shortest?v=1", nil)
@@ -96,7 +96,7 @@ func TestAccessLogWarnsOn5xx(t *testing.T) {
 	}
 }
 
-// newRecorder is a minimal ResponseWriter for driving middleware without
+// newRecorder is a minimal ResponseWriter for driving the wrapper without
 // a network hop.
 type recorder struct {
 	header http.Header
@@ -194,7 +194,7 @@ func TestExemplarCapture(t *testing.T) {
 func TestExemplarCaptures5xx(t *testing.T) {
 	s := New(Config{Debug: true, Logger: log.New(io.Discard, "", 0)})
 	mux := http.NewServeMux()
-	mux.Handle("/boom", s.instrumented("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	mux.Handle("/boom", s.limited("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "deliberate", http.StatusInternalServerError)
 	})))
 	mux.Handle("/", s.Handler())

@@ -123,7 +123,7 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := span.FromContext(r.Context())
+	sp := spanOf(r.Context())
 	dec := sp.StartChild("decode")
 	q := r.URL.Query()
 	opts, err := optionsFromQuery(q)
@@ -174,7 +174,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := span.FromContext(r.Context())
+	sp := spanOf(r.Context())
 	dec := sp.StartChild("decode")
 	q := r.URL.Query()
 	opts, err := optionsFromQuery(q)
@@ -234,7 +234,7 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := span.FromContext(r.Context())
+	sp := spanOf(r.Context())
 	dec := sp.StartChild("decode")
 	q := r.URL.Query()
 	opts, err := optionsFromQuery(q)
@@ -292,7 +292,7 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := span.FromContext(r.Context())
+	sp := spanOf(r.Context())
 	dec := sp.StartChild("decode")
 	q := r.URL.Query()
 	opts, err := optionsFromQuery(q)
@@ -383,7 +383,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// interleave block by block, so per-stage children would mostly
 	// measure each other.  The deferred End keeps the span honest on
 	// the abort path (st.fail panics after output has started).
-	conv := span.FromContext(r.Context()).StartChild("convert")
+	conv := spanOf(r.Context()).StartChild("convert")
 	defer func() {
 		conv.SetAttrInt("values", st.values)
 		conv.End()
@@ -577,7 +577,7 @@ func (s *Server) handleBatchParse(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
 	st := &batchStream{s: s, w: w, r: r}
 	pw := &packedWriter{st: st}
-	conv := span.FromContext(r.Context()).StartChild("convert")
+	conv := spanOf(r.Context()).StartChild("convert")
 	var parsed int64
 	defer func() {
 		conv.SetAttrInt("values", parsed)

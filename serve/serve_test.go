@@ -905,13 +905,20 @@ func TestMetricsCarryEveryStatsFamily(t *testing.T) {
 }
 
 // TestPanicRecovery: a handler panic becomes a 500 and a counter, not
-// a dead server — and the deferred accounting in instrumented records
-// the panic as a 500 in the per-route metrics before re-raising.
+// a dead server — and limited's deferred block, which recovers it,
+// records the panic as a 500 in the per-route metrics.  A panic after
+// the handler has written breaks the connection instead, so the
+// partial response cannot pass for a complete one; it counts the same.
 func TestPanicRecovery(t *testing.T) {
 	s := New(Config{Logger: log.New(io.Discard, "", 0)})
 	mux := http.NewServeMux()
-	mux.Handle("/boom", s.instrumented("/v1/shortest", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	mux.Handle("/boom", s.limited("/v1/shortest", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
+	})))
+	mux.Handle("/late", s.limited("/v1/shortest", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "partial")
+		w.(http.Flusher).Flush()
+		panic("late")
 	})))
 	ts := httptest.NewServer(s.recovered(mux))
 	defer ts.Close()
@@ -928,6 +935,20 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if got := rm.latency.Count(); got != 1 {
 		t.Fatalf("route latency count = %d, want 1", got)
+	}
+
+	if resp, err := http.Get(ts.URL + "/late"); err == nil {
+		body, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rerr == nil {
+			t.Fatalf("panic after output = %d %q, want a broken connection", resp.StatusCode, body)
+		}
+	}
+	if got := s.metrics.panics.Load(); got != 2 {
+		t.Fatalf("panics counter after a late panic = %d, want 2", got)
+	}
+	if got := rm.err5xx.Load(); got != 2 {
+		t.Fatalf("route 5xx counter after a late panic = %d, want 2", got)
 	}
 }
 

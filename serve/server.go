@@ -9,8 +9,11 @@
 //     Retry-After hint instead of queueing unboundedly (a conversion
 //     service's queue is pure memory growth: every queued batch holds
 //     its body buffers while it waits).
-//   - Per-request timeouts, propagated as context cancellation into
-//     batch.Pool.WriteAll, so a stuck client cannot pin a worker set.
+//   - Per-request timeouts: a read deadline bounds body reads on every
+//     conversion route, so a stalled client cannot hold an admission
+//     slot, and the batch routes also stop converting at the deadline
+//     (batch.Pool.WriteAll checks it per chunk, ParseAll per block).
+//     A single-value conversion runs to completion.
 //   - Panic recovery that converts handler panics to 500s and counts
 //     them, without masking net/http's own abort sentinel.
 //   - Graceful shutdown: Shutdown stops accepting and drains in-flight
@@ -88,8 +91,12 @@ type Config struct {
 	// means 64.  /healthz and /metrics are exempt so the service stays
 	// observable under pressure.
 	InFlight int
-	// RequestTimeout bounds each conversion request; it reaches the
-	// batch engine as context cancellation.  Zero means 30s.
+	// RequestTimeout is each conversion request's deadline.  As a read
+	// deadline it bounds body reads on every route; as context
+	// cancellation only the batch routes observe it — /v1/batch between
+	// chunks, /v1/batch-parse between blocks.  A single-value
+	// conversion runs to completion however long it takes.  Zero means
+	// 30s.
 	RequestTimeout time.Duration
 	// RetryAfter is the hint returned with shed responses.  Zero
 	// means 1s.
@@ -196,7 +203,7 @@ func New(cfg Config) *Server {
 		reqIDs:    newRequestIDs(),
 		traceRing: span.NewRing(cfg.TraceRing),
 	}
-	s.tracer = newTracer(cfg, s.traceRing)
+	s.tracer = newTracer(cfg)
 	s.runtime = newRuntimeStats(s.reqIDs.prefix)
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
@@ -207,23 +214,23 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the full middleware-wrapped route set.  It is what
-// the listener serves; tests drive it directly through httptest.
+// Handler returns the route set: each conversion route wrapped by
+// limited, the whole mux guarded by recovered.  It is what the listener
+// serves; tests drive it directly through httptest.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Conversion endpoints go through the full stack; the ops
-	// endpoints skip the limiter (and the request metrics, so scraping
-	// does not pollute the request counters it reports).  The route
-	// string given to limited is the span name and the metrics label,
-	// so it must match the pattern registered on the mux — and must be
-	// one of the routes newMetrics pre-registered, which route()
-	// enforces at wiring time.
-	mux.Handle("/v1/shortest", s.limited("/v1/shortest", http.HandlerFunc(s.handleShortest)))
-	mux.Handle("/v1/parse", s.limited("/v1/parse", http.HandlerFunc(s.handleParse)))
-	mux.Handle("/v1/interval", s.limited("/v1/interval", http.HandlerFunc(s.handleInterval)))
-	mux.Handle("/v1/fixed", s.limited("/v1/fixed", http.HandlerFunc(s.handleFixed)))
-	mux.Handle("/v1/batch", s.limited("/v1/batch", http.HandlerFunc(s.handleBatch)))
-	mux.Handle("/v1/batch-parse", s.limited("/v1/batch-parse", http.HandlerFunc(s.handleBatchParse)))
+	// The ops endpoints skip limited: no admission, and no request
+	// metrics, so scraping does not pollute the request counters it
+	// reports.  The route string given to limited is the trace's route
+	// and the metrics label, so it must match the pattern registered on
+	// the mux — and must be one of the routes newMetrics pre-registered,
+	// which route() enforces at wiring time.
+	mux.Handle("/v1/shortest", s.limited("/v1/shortest", s.handleShortest))
+	mux.Handle("/v1/parse", s.limited("/v1/parse", s.handleParse))
+	mux.Handle("/v1/interval", s.limited("/v1/interval", s.handleInterval))
+	mux.Handle("/v1/fixed", s.limited("/v1/fixed", s.handleFixed))
+	mux.Handle("/v1/batch", s.limited("/v1/batch", s.handleBatch))
+	mux.Handle("/v1/batch-parse", s.limited("/v1/batch-parse", s.handleBatchParse))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	if s.tracer != nil || s.cfg.Debug {
@@ -237,14 +244,6 @@ func (s *Server) Handler() http.Handler {
 		s.mountDebug(mux)
 	}
 	return s.recovered(mux)
-}
-
-// limited wraps a conversion handler with the request middleware, from
-// the outside in: instrumentation (every arrival counts, sheds
-// included; the root span opens here), then admission, then the
-// per-request timeout.
-func (s *Server) limited(route string, h http.Handler) http.Handler {
-	return s.instrumented(route, s.admitted(s.timed(h)))
 }
 
 // Listen binds the configured address.  After Listen, Addr reports the

@@ -5,42 +5,20 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"floatprint"
 	"floatprint/internal/span"
 )
 
-// newTracer builds the request tracer from cfg, publishing into ring,
-// or nil when tracing is off (TraceSample <= 0).  A nil tracer
-// short-circuits every instrumentation point to one pointer test — the
-// tracing-disabled overhead budget in CI leans on this.
-func newTracer(cfg Config, ring *span.Ring) *span.Tracer {
+// newTracer builds the request tracer from cfg, or nil when tracing is
+// off (TraceSample <= 0).  A nil tracer short-circuits every
+// instrumentation point to one pointer test — the tracing-disabled
+// overhead budget in CI leans on this.
+func newTracer(cfg Config) *span.Tracer {
 	if cfg.TraceSample <= 0 {
 		return nil
 	}
-	return span.New(span.Config{
-		SampleEvery: cfg.TraceSample,
-		SlowRequest: cfg.SlowRequest,
-		Ring:        ring,
-		Seed:        cfg.TraceSeed,
-	})
-}
-
-// untracedTrace is what a request that ran without a span (tracing off)
-// publishes when it turned out slow or failed: a one-span trace whose
-// root carries the attributes a traced root span would, with no trace
-// identity.  It is built only for a request that is kept.
-func untracedTrace(route string, start time.Time, dur time.Duration, status int, attrs ...span.Attr) *span.Trace {
-	reason := "slow"
-	if status >= 500 {
-		reason = "error"
-	}
-	ms := float64(dur) / 1e6
-	return &span.Trace{
-		Route: route, DurationMS: ms, Reason: reason,
-		Spans: []span.Record{{Name: route, Start: start, DurationMS: ms, Attrs: attrs}},
-	}
+	return span.New(span.Config{SampleEvery: cfg.TraceSample, Seed: cfg.TraceSeed})
 }
 
 // attachConversion copies the interesting parts of a per-conversion

@@ -39,7 +39,7 @@ func getTraces(t *testing.T, url string) (int, struct {
 }
 
 // TestTraceparentPropagation: an upstream W3C traceparent identity
-// survives through the middleware into the response header and the
+// survives through the wrapper into the response header and the
 // published trace — root span parented on the upstream span, handler
 // children parented on the root, and the conversion span carrying the
 // algorithm record.
@@ -122,10 +122,10 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 }
 
-// TestTraceIDEchoOnErrors is the middleware-ordering pin: the request
-// id and trace id must come back on every error shape — 400s, 429
-// sheds, and panic 500s — because instrumented sets both headers
-// before admission, timeout, or the handler run.
+// TestTraceIDEchoOnErrors is the wrapper-ordering pin: the request id
+// and trace id must come back on every error shape — 400s, 429 sheds,
+// and panic 500s — because limited sets both headers before
+// admission, timeout, or the handler run.
 func TestTraceIDEchoOnErrors(t *testing.T) {
 	s, ts := newTestServer(t, Config{TraceSample: 1, InFlight: 1, RequestTimeout: 30 * time.Second})
 
@@ -182,13 +182,13 @@ func TestTraceIDEchoOnErrors(t *testing.T) {
 }
 
 // TestPanicTraceAndHeaders drives a panicking handler through the full
-// instrumented+recovered stack: the 500 carries both ids, and — with
+// limited+recovered stack: the 500 carries both ids, and — with
 // head sampling effectively off — the trace is still published, with
 // reason "error" (retrospective capture).
 func TestPanicTraceAndHeaders(t *testing.T) {
 	s := New(Config{TraceSample: 1 << 30, TraceSeed: 42, Logger: log.New(io.Discard, "", 0)})
 	mux := http.NewServeMux()
-	mux.Handle("/boom", s.instrumented("/v1/shortest", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	mux.Handle("/boom", s.limited("/v1/shortest", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	})))
 	ts := httptest.NewServer(s.recovered(mux))

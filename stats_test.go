@@ -62,6 +62,17 @@ func TestStatsPathMix(t *testing.T) {
 			t.Errorf("Stats.String() missing %q:\n%s", want, out)
 		}
 	}
+
+	// BackendExact pins fixed format to the exact core: Gay's fast path,
+	// which would certify 3.14159 at 3 digits, is never tried.
+	before = Snapshot()
+	if _, err := FixedDigitsTraced(3.14159, 3, &Options{Backend: BackendExact}, new(Trace)); err != nil {
+		t.Fatal(err)
+	}
+	if e := Snapshot().Sub(before); e.ExactFixed != 1 || e.GayHits != 0 || e.GayMisses != 0 {
+		t.Errorf("BackendExact fixed call moved ExactFixed by %d, GayHits by %d, GayMisses by %d; want 1, 0, 0",
+			e.ExactFixed, e.GayHits, e.GayMisses)
+	}
 }
 
 func TestStatsFallbackCounting(t *testing.T) {
