@@ -7,11 +7,14 @@ import (
 	"testing"
 )
 
-// parseBatchRef is the per-value oracle: tokenize with BatchSep, Parse
-// each token under default options accepting ErrRange, and stop at the
+// parseBatchRef is the per-value oracle: tokenize with BatchSep, parse
+// each token with the exact reader (BackendExact, so the oracle shares
+// no kernel with the engine's Eisel–Lemire fast path; values and error
+// text are identical by contract) accepting ErrRange, and stop at the
 // first real error with the same Record/Offset bookkeeping ParseBatch
 // promises.
 func parseBatchRef(data []byte) ([]float64, error) {
+	exact := &Options{Backend: BackendExact}
 	var out []float64
 	i := 0
 	for {
@@ -25,7 +28,7 @@ func parseBatchRef(data []byte) ([]float64, error) {
 		for i < len(data) && !BatchSep(data[i]) {
 			i++
 		}
-		f, err := Parse(string(data[start:i]), nil)
+		f, err := Parse(string(data[start:i]), exact)
 		if err != nil && !errors.Is(err, ErrRange) {
 			return out, &BatchParseError{Record: len(out), Offset: start, Err: err}
 		}

@@ -114,10 +114,23 @@ func TestCLIFpfuzzSmall(t *testing.T) {
 }
 
 func TestCLIFpinspect(t *testing.T) {
-	out := runTool(t, "fpinspect", "1e23")
-	for _, want := range []string{"even mantissa: true", "shortest", "1e23"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fpinspect missing %q:\n%s", want, out)
+	for _, c := range []struct {
+		args  []string
+		wants []string
+	}{
+		{[]string{"1e23"}, []string{"even mantissa: true", "shortest", "1e23"}},
+		// -trace prints the flags of the Table 1 row the exact core took.
+		// The smallest normal has f = 2^52, yet it is no binade boundary
+		// there: its predecessor is a denormal at the same spacing, so it
+		// takes row 3.
+		{[]string{"-trace", "2.2250738585072014e-308"}, []string{"table-1 case      3  (e>=0: false, binade boundary: false)"}},
+		{[]string{"-trace", "4"}, []string{"table-1 case      4  (e>=0: false, binade boundary: true)"}},
+	} {
+		out := runTool(t, "fpinspect", c.args...)
+		for _, want := range c.wants {
+			if !strings.Contains(out, want) {
+				t.Errorf("fpinspect %v missing %q:\n%s", c.args, want, out)
+			}
 		}
 	}
 }

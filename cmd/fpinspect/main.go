@@ -141,8 +141,11 @@ func explain(v float64) {
 		fatal(err)
 	}
 	fmt.Printf("exact algorithm plan (nearest-even reader):\n")
+	// The flags are the ones the row implies: rows 1–2 have e ≥ 0 and rows
+	// 2 and 4 are the narrow-gap binade boundary, which excludes the
+	// smallest normal (its predecessor is a denormal at the same spacing).
 	fmt.Printf("  table-1 case      %d  (e>=0: %v, binade boundary: %v)\n",
-		etr.Table1Case, val.E >= 0, val.IsBoundary())
+		etr.Table1Case, etr.Table1Case <= 2, etr.Table1Case%2 == 0)
 	fmt.Printf("  scale estimate    k=%d (%s)\n", etr.EstimateK, etr.ScaleMethod)
 	if etr.FixupSteps > 0 {
 		fmt.Printf("  scale fixup       fired: final k=%d (+%d)\n", etr.ScaleK, etr.FixupSteps)

@@ -251,7 +251,8 @@ func TestParseBasics(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, %v; want %v", c.s, got, err, c.want)
 		}
 	}
-	for _, s := range []string{"NaN", "nan", "-NAN"} {
+	// A signed NaN reads as NaN, where strconv.ParseFloat rejects it.
+	for _, s := range []string{"NaN", "nan", "-NAN", "-nan", "+NaN"} {
 		if got, err := Parse(s, nil); err != nil || !math.IsNaN(got) {
 			t.Errorf("Parse(%q) = %v, %v", s, got, err)
 		}

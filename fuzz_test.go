@@ -335,14 +335,17 @@ func FuzzDirectedPrintVsExact(f *testing.F) {
 	})
 }
 
-// FuzzDirectedParseVsExact differences the directed Eisel–Lemire fast
-// path against the exact directed reader through the public Parse
-// dispatch, for arbitrary strings and both directions: identical bits,
-// identical error presence, identical error text.  Error identity is the
+// FuzzParseVsExact differences the certified Eisel–Lemire fast paths
+// against the exact reader through the public Parse and Parse32
+// dispatch, for arbitrary strings under the nearest-even reader and
+// both directed ones: identical bits, identical error presence,
+// identical error text.  Unlike FuzzParseVsStrconv it covers the
+// grammar strconv lacks ('#' marks, '@' exponents, signed NaN), and its
+// oracle shares no code with the fast paths.  Error identity is the
 // load-bearing half — a fast path that truncates overflow onto
 // MaxFloat64 but forgets ErrRange produces correct-looking values with
 // the wrong contract.
-func FuzzDirectedParseVsExact(f *testing.F) {
+func FuzzParseVsExact(f *testing.F) {
 	for _, bits := range fuzzSeeds {
 		f.Add(strconv.FormatFloat(math.Float64frombits(bits), 'g', -1, 64))
 	}
@@ -350,31 +353,40 @@ func FuzzDirectedParseVsExact(f *testing.F) {
 		"1e309", "-1e309", "1.7976931348623158e308", "5e-324", "1e-400",
 		"9007199254740993", "123456789012345678901234567890e-20",
 		"1#5", "12@-3", "inf", "nan", "1e", "..", "0.5", "7450580596923828125e-27",
+		"100.000000000000000#####", "3.33###e2", "1@5", "-2.5@+2", "3.4028235e38",
+		"-nan", "+NaN", "-Infinity", "+inf", "-INF",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		for _, mode := range []ReaderRounding{ReaderTowardNegInf, ReaderTowardPosInf} {
-			fv, ferr := Parse(s, &Options{Reader: mode})
-			ev, eerr := Parse(s, &Options{Reader: mode, Backend: BackendExact})
-			if math.Float64bits(fv) != math.Float64bits(ev) {
-				t.Fatalf("Parse(%q, %v): fast %g (%#x), exact %g (%#x)",
-					s, mode, fv, math.Float64bits(fv), ev, math.Float64bits(ev))
+		same := func(fn string, mode ReaderRounding, fbits, ebits uint64, ferr, eerr error) {
+			t.Helper()
+			if fbits != ebits {
+				t.Fatalf("%s(%q, %v): fast %#x, exact %#x", fn, s, mode, fbits, ebits)
 			}
 			if (ferr == nil) != (eerr == nil) {
-				t.Fatalf("Parse(%q, %v): fast err %v, exact err %v", s, mode, ferr, eerr)
+				t.Fatalf("%s(%q, %v): fast err %v, exact err %v", fn, s, mode, ferr, eerr)
 			}
 			if ferr != nil && ferr.Error() != eerr.Error() {
-				t.Fatalf("Parse(%q, %v): error text diverged\nfast:  %q\nexact: %q",
-					s, mode, ferr.Error(), eerr.Error())
+				t.Fatalf("%s(%q, %v): error text diverged\nfast:  %q\nexact: %q",
+					fn, s, mode, ferr.Error(), eerr.Error())
 			}
+		}
+		for _, mode := range []ReaderRounding{ReaderNearestEven, ReaderTowardNegInf, ReaderTowardPosInf} {
+			fast, exact := &Options{Reader: mode}, &Options{Reader: mode, Backend: BackendExact}
+			fv, ferr := Parse(s, fast)
+			ev, eerr := Parse(s, exact)
+			same("Parse", mode, math.Float64bits(fv), math.Float64bits(ev), ferr, eerr)
+			fv32, ferr := Parse32(s, fast)
+			ev32, eerr := Parse32(s, exact)
+			same("Parse32", mode, uint64(math.Float32bits(fv32)), uint64(math.Float32bits(ev32)), ferr, eerr)
 		}
 	})
 }
 
 // FuzzBatchParseVsParse feeds arbitrary byte streams through the
 // block-at-a-time batch engine and the per-value oracle (BatchSep
-// tokenization + Parse under default options): the engines must agree
+// tokenization + the exact reader): the engines must agree
 // on every value bit for bit, and on the first error's record index,
 // byte offset, and message.  This is the whole-engine form of the SWAR
 // kernel's subset contract — the block scanner may decline any token,

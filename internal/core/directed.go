@@ -63,7 +63,9 @@ func directedFormat(v fpformat.Value, base int, method Scaling, up bool) (Result
 	} else {
 		digits, k = st.generateFloor(k)
 	}
-	return Result{Digits: digits, K: k, NSig: len(digits)}, nil
+	res := st.result(digits, k, len(digits))
+	st.count()
+	return res, nil
 }
 
 // generateFloor runs the truncating digit loop: emit digits of v until the
@@ -79,10 +81,8 @@ func (st *state) generateFloor(k int) ([]byte, int) {
 	for {
 		digits = append(digits, st.nextDigit())
 		if bignat.Cmp(st.r, st.mm) < 0 {
-			iterations := len(digits)
-			digits, k = trimLeadingZeros(digits, k)
-			st.loop(iterations, len(digits), false).add()
-			return digits, k
+			st.rec.Iterations, st.rec.TC1 = len(digits), true
+			return trimLeadingZeros(digits, k)
 		}
 		st.stepMul()
 	}
@@ -98,18 +98,15 @@ func (st *state) generateCeil(k int) ([]byte, int) {
 	digits := make([]byte, 0, 24)
 	for {
 		digits = append(digits, st.nextDigit())
-		iterations := len(digits)
 		if st.r.IsZero() {
-			digits, k = trimLeadingZeros(digits, k)
-			st.loop(iterations, len(digits), false).add()
-			return digits, k
+			st.rec.Iterations, st.rec.TC1 = len(digits), true
+			return trimLeadingZeros(digits, k)
 		}
 		st.hn = bignat.AddInto(st.hn, st.r, st.mp)
 		if bignat.Cmp(st.hn, st.s) > 0 {
+			st.rec.Iterations, st.rec.TC2, st.rec.RoundedUp = len(digits), true, true
 			digits, k = incrementLast(digits, st.base, k)
-			digits, k = trimLeadingZeros(trimTrailingZeros(digits), k)
-			st.loop(iterations, len(digits), true).add()
-			return digits, k
+			return trimLeadingZeros(trimTrailingZeros(digits), k)
 		}
 		st.stepMul()
 	}

@@ -22,37 +22,32 @@ func FixedFormat(v fpformat.Value, base int, mode ReaderMode, j int) (Result, er
 	return FixedFormatTraced(v, base, mode, j, nil)
 }
 
-// FixedFormatTraced is FixedFormat recording the conversion's execution
-// trace into tr when non-nil (reset first); with tr nil it is exactly
-// FixedFormat.
+// FixedFormatTraced is FixedFormat copying the conversion's execution
+// record into tr when non-nil; with tr nil it is exactly FixedFormat.
 func FixedFormatTraced(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.Conversion) (Result, error) {
-	res, t, err := fixedFormat(v, base, mode, j, tr)
-	if err == nil {
-		t.add()
-	}
-	return res, err
-}
-
-// fixedFormat is FixedFormatTraced returning the conversion's telemetry
-// tally instead of adding it, so FixedFormatRelativeTraced can count
-// only the pass whose digits it returns.
-func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.Conversion) (Result, tally, error) {
 	if err := checkArgs(v, base); err != nil {
-		return Result{}, tally{}, err
+		return Result{}, err
 	}
 	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
-	st.tr = tr
 	defer st.release()
-	if tr != nil {
-		tr.Reset()
-		tr.Backend = trace.BackendExactFixed
-		tr.Base = base
-		tr.Mode = mode.String()
-		tr.LowOK, tr.HighOK = lowOK, highOK
-		tr.Table1Case = table1Case(v)
-		tr.Position = j
+	res, err := st.fixed(v, mode, j)
+	if err != nil {
+		return Result{}, err
 	}
+	st.count()
+	if tr != nil {
+		*tr = st.rec
+	}
+	return res, nil
+}
+
+// fixed runs the fixed-format algorithm at position j on st, freshly
+// initialized for v under mode.  It leaves counting the record to the
+// caller, so FixedFormatRelativeTraced can count only the pass whose
+// digits it returns.
+func (st *state) fixed(v fpformat.Value, mode ReaderMode, j int) (Result, error) {
+	st.rec.Backend, st.rec.Mode, st.rec.Position = trace.BackendExactFixed, mode.String(), j
 
 	// Compute the output half-ulp Bʲ/2 as a numerator over the common
 	// denominator s, into the hn scratch.  For negative j every quantity
@@ -91,47 +86,23 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 	// the estimate is floored at j−1; the fixup loop does the rest.
 	floorK := j - 1
 	k := st.scaleEstimate(v, &floorK)
-	if tr != nil {
-		tr.ScaleMethod = ScalingEstimate.String()
-		tr.ScaleK = k
-		tr.FixupSteps = k - tr.EstimateK
-	}
-
 	if k <= j {
-		res, err := fixedAllRounded(st, j, k)
-		if err != nil {
-			return res, tally{}, err
-		}
-		up := res.Digits[0] == 1
-		if tr != nil {
-			tr.K = res.K
-			tr.Digits = len(res.Digits)
-			tr.NSig = res.NSig
-			tr.RoundedUp = up
-			tr.Ops = st.ops
-		}
-		return res, st.loop(0, res.NSig, up), nil
+		return st.fixedAllRounded(j, k)
 	}
 
 	maxDigits := k - j
 	digits := make([]byte, 0, maxDigits)
 	var up bool
-	var iterations int
-	term := termination{}
 	for {
-		d := st.nextDigit()
-		digits = append(digits, d)
-		term = st.conditions()
-		if term.tc1 || term.tc2 {
-			up = st.roundUp(term)
-			iterations = len(digits)
-			st.recordLoop(iterations, term, up)
+		digits = append(digits, st.nextDigit())
+		if t := st.conditions(); t.tc1 || t.tc2 {
+			up = st.roundUp(len(digits), t)
 			break
 		}
 		if len(digits) == maxDigits {
 			// Unreachable: with m± at least Bʲ/2 a termination condition
 			// must hold by position k−j (see DESIGN.md); guard anyway.
-			return Result{}, tally{}, fmt.Errorf("core: fixed-format loop overran position %d (internal bug)", j)
+			return Result{}, fmt.Errorf("core: fixed-format loop overran position %d (internal bug)", j)
 		}
 		st.stepMul()
 	}
@@ -139,10 +110,8 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 		// A rippling carry can grow the digit string by one and raise K,
 		// which also moves the final position: len stays == K − j.
 		var carried int
-		digits, carried = incrementLast(digits, base, k)
-		if tr != nil {
-			tr.CarriedK = carried != k
-		}
+		digits, carried = incrementLast(digits, st.base, k)
+		st.rec.CarriedK = carried != k
 		k = carried
 		maxDigits = k - j
 	}
@@ -177,32 +146,26 @@ func fixedFormat(v fpformat.Value, base int, mode ReaderMode, j int, tr *trace.C
 			nsig = len(digits)
 		}
 	}
-	if tr != nil {
-		tr.K = k
-		tr.Digits = len(digits)
-		tr.NSig = nsig
-		tr.Ops = st.ops
-	}
-	return Result{Digits: digits, K: k, NSig: nsig}, st.loop(iterations, nsig, up), nil
+	return st.result(digits, k, nsig), nil
 }
 
 // fixedAllRounded handles k == j, where the requested position is at or
 // above the leading digit of high and the output is a single digit at
 // position j: 0 when v < Bʲ/2, 1 (i.e. the value Bʲ) when v > Bʲ/2, ties
-// rounding up.  After scaling, v·B^(1−k) = r/s, so the comparison
-// v ≷ Bʲ/2 = Bᵏ/2 becomes 2r ≷ B·s.
-func fixedAllRounded(st *state, j, k int) (Result, error) {
+// rounding up, which it records as the rounding.  After scaling,
+// v·B^(1−k) = r/s, so the comparison v ≷ Bʲ/2 = Bᵏ/2 becomes 2r ≷ B·s.
+func (st *state) fixedAllRounded(j, k int) (Result, error) {
 	if k < j {
 		return Result{}, fmt.Errorf("core: scale k=%d below requested position j=%d (internal bug)", k, j)
 	}
 	st.hn = bignat.MulWordInPlace(bignat.CopyInto(st.hn, st.r), 2)
 	st.t1 = bignat.MulWordInPlace(bignat.CopyInto(st.t1, st.s), bignat.Word(st.base))
-	c := bignat.Cmp(st.hn, st.t1)
+	st.rec.RoundedUp = bignat.Cmp(st.hn, st.t1) >= 0
 	d := byte(0)
-	if c >= 0 {
+	if st.rec.RoundedUp {
 		d = 1
 	}
-	return Result{Digits: []byte{d}, K: j + 1, NSig: 1}, nil
+	return st.result([]byte{d}, j+1, 1), nil
 }
 
 // FixedFormatRelative converts v to exactly n significant digit positions
@@ -216,12 +179,12 @@ func FixedFormatRelative(v fpformat.Value, base int, mode ReaderMode, n int) (Re
 	return FixedFormatRelativeTraced(v, base, mode, n, nil)
 }
 
-// FixedFormatRelativeTraced is FixedFormatRelative recording the
-// conversion's execution trace into tr when non-nil.  Each refinement pass
-// overwrites the record, so the trace describes the pass that produced the
-// returned digits, with Refinements counting the passes taken.  The
-// telemetry counters likewise count only that pass: one conversion, one
-// estimator run.
+// FixedFormatRelativeTraced is FixedFormatRelative copying the
+// conversion's execution record into tr when non-nil.  Each refinement
+// pass starts a fresh record, so the copy describes the pass that
+// produced the returned digits, with Refinements counting the passes
+// taken.  The telemetry counters likewise count only that pass: one
+// conversion, one estimator run.
 func FixedFormatRelativeTraced(v fpformat.Value, base int, mode ReaderMode, n int, tr *trace.Conversion) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("core: digit count %d must be positive", n)
@@ -229,17 +192,21 @@ func FixedFormatRelativeTraced(v fpformat.Value, base int, mode ReaderMode, n in
 	if err := checkArgs(v, base); err != nil {
 		return Result{}, err
 	}
+	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
+	st := statePool.Get().(*state)
+	defer st.release()
 	j := estimateK(v, base) - n
-	for iter := 0; iter < 4; iter++ {
-		res, t, err := fixedFormat(v, base, mode, j, tr)
+	for pass := 1; pass <= 4; pass++ {
+		st.init(v, base, lowOK, highOK)
+		res, err := st.fixed(v, mode, j)
 		if err != nil {
 			return Result{}, err
 		}
 		if len(res.Digits) == n {
-			t.add()
+			st.rec.RelativeN, st.rec.Refinements = n, pass
+			st.count()
 			if tr != nil {
-				tr.RelativeN = n
-				tr.Refinements = iter + 1
+				*tr = st.rec
 			}
 			return res, nil
 		}

@@ -48,18 +48,20 @@ func (st *state) nextDigit() byte {
 	return byte(d)
 }
 
-// roundUp decides, once a termination condition holds, whether the last
-// digit must be incremented: condition (2) alone forces rounding up,
-// condition (1) alone forces rounding down, and when both hold the closer
-// candidate wins, rounding up on a tie as in the paper's Figure 1.
-func (st *state) roundUp(t termination) bool {
-	switch {
-	case t.tc1 && !t.tc2:
-		return false
-	case t.tc2 && !t.tc1:
-		return true
+// roundUp decides, once a termination condition holds at the
+// iterations-th digit, whether the last digit must be incremented:
+// condition (2) alone forces rounding up, condition (1) alone forces
+// rounding down, and when both hold the closer candidate wins, rounding up
+// on a tie as in the paper's Figure 1.  It records how the loop ended.
+func (st *state) roundUp(iterations int, t termination) bool {
+	up := t.tc2
+	if t.tc1 && t.tc2 {
+		up = st.mulBy2Cmp() >= 0
 	}
-	return st.mulBy2Cmp() >= 0
+	st.rec.Iterations = iterations
+	st.rec.TC1, st.rec.TC2, st.rec.TieBreak = t.tc1, t.tc2, t.tc1 && t.tc2
+	st.rec.RoundedUp = up
+	return up
 }
 
 // generate runs the free-format digit loop, returning the digits and
@@ -70,68 +72,39 @@ func (st *state) roundUp(t termination) bool {
 func (st *state) generate() (digits []byte, up bool) {
 	digits = make([]byte, 0, 24)
 	for {
-		d := st.nextDigit()
-		digits = append(digits, d)
-		t := st.conditions()
-		if t.tc1 || t.tc2 {
-			up = st.roundUp(t)
-			st.recordLoop(len(digits), t, up)
-			return digits, up
+		digits = append(digits, st.nextDigit())
+		if t := st.conditions(); t.tc1 || t.tc2 {
+			return digits, st.roundUp(len(digits), t)
 		}
 		st.stepMul()
 	}
 }
 
-// recordLoop fills the generate-loop portion of the trace: iteration
-// count, the termination condition(s) that fired, and the final rounding
-// decision.  One call per conversion, after the loop — the loop body
-// itself carries no instrumentation.
-func (st *state) recordLoop(iterations int, t termination, up bool) {
-	if st.tr == nil {
+// result records the conversion's outcome V = 0.d₁…dₙ × Bᴷ, with nsig
+// significant digits, and returns it.
+func (st *state) result(digits []byte, k, nsig int) Result {
+	st.rec.K, st.rec.Digits, st.rec.NSig = k, len(digits), nsig
+	return Result{Digits: digits, K: k, NSig: nsig}
+}
+
+// count adds the finished conversion's record to the internal/stats
+// Trace* counters: whether the §3.2 estimator ran and its fixup fired,
+// the digit loop's iterations, the significant digits it produced, and
+// whether its last digit rounded up.  Every exact entry point calls it
+// once per conversion, so plain and traced calls count alike.
+func (st *state) count() {
+	if !stats.Enabled() {
 		return
 	}
-	st.tr.Iterations = iterations
-	st.tr.TC1, st.tr.TC2 = t.tc1, t.tc2
-	st.tr.TieBreak = t.tc1 && t.tc2
-	st.tr.RoundedUp = up
-}
-
-// tally is one finished exact conversion's contribution to the
-// internal/stats Trace* counters: whether the §3.2 estimator ran and its
-// fixup fired, the digit loop's iterations, the significant digits it
-// produced, and whether its last digit rounded up.  Every exact digit
-// loop (free, fixed, floor, ceil) ends by building one, and the
-// conversion adds it once, so plain and traced calls count alike.
-type tally struct {
-	estimated, fixup   bool
-	iterations, digits int
-	up                 bool
-}
-
-// loop builds the tally of st's conversion for its finished digit loop.
-func (st *state) loop(iterations, digits int, up bool) tally {
-	return tally{st.estimated, st.fixup, iterations, digits, up}
-}
-
-// add counts t.  It inlines to one atomic-bool load when collection is
-// off.
-func (t tally) add() {
-	if stats.Enabled() {
-		t.count()
-	}
-}
-
-// count adds t to the internal/stats Trace* counters.
-func (t tally) count() {
-	if t.estimated {
+	if st.rec.ScaleMethod == ScalingEstimate.String() {
 		stats.TraceEstimates.Inc()
-		if t.fixup {
+		if st.rec.FixupSteps > 0 {
 			stats.TraceFixups.Inc()
 		}
 	}
-	stats.TraceIterations.Add(uint64(t.iterations))
-	stats.TraceDigits.Add(uint64(t.digits))
-	if t.up {
+	stats.TraceIterations.Add(uint64(st.rec.Iterations))
+	stats.TraceDigits.Add(uint64(st.rec.NSig))
+	if st.rec.RoundedUp {
 		stats.TraceRoundUps.Inc()
 	}
 }
@@ -171,46 +144,33 @@ func FreeFormat(v fpformat.Value, base int, method Scaling, mode ReaderMode) (Re
 	return FreeFormatTraced(v, base, method, mode, nil)
 }
 
-// FreeFormatTraced is FreeFormat recording the conversion's execution
-// trace into tr when non-nil: the Table-1 case, scale estimate versus
+// FreeFormatTraced is FreeFormat copying the conversion's execution
+// record into tr when non-nil: the Table-1 case, scale estimate versus
 // final scale (whether the penalty-free fixup fired), generate-loop
-// iteration count, and the final rounding decision.  The record is reset
-// before filling.  Tracing never changes the digits: with tr nil this is
-// exactly FreeFormat, and every instrumentation point is a nil check.
+// iteration count, and the final rounding decision.  The core records
+// every conversion, so tracing never changes the digits or the
+// counters: with tr nil this is exactly FreeFormat, minus the copy.
 func FreeFormatTraced(v fpformat.Value, base int, method Scaling, mode ReaderMode, tr *trace.Conversion) (Result, error) {
 	if err := checkArgs(v, base); err != nil {
 		return Result{}, err
 	}
 	lowOK, highOK := mode.BoundaryOK(v.MantissaEven())
 	st := newState(v, base, lowOK, highOK)
-	st.tr = tr
 	defer st.release()
-	if tr != nil {
-		tr.Reset()
-		tr.Backend = trace.BackendExactFree
-		tr.Base = base
-		tr.Mode = mode.String()
-		tr.LowOK, tr.HighOK = lowOK, highOK
-		tr.Table1Case = table1Case(v)
-	}
+	st.rec.Backend, st.rec.Mode = trace.BackendExactFree, mode.String()
 	k := st.scale(method, v)
 	digits, up := st.generate()
-	iterations := len(digits)
 	if up {
 		var carried int
 		digits, carried = incrementLast(digits, base, k)
-		if tr != nil {
-			tr.CarriedK = carried != k
-		}
+		st.rec.CarriedK = carried != k
 		k = carried
 	}
 	digits = trimTrailingZeros(digits)
-	st.loop(iterations, len(digits), up).add()
+	res := st.result(digits, k, len(digits))
+	st.count()
 	if tr != nil {
-		tr.K = k
-		tr.Digits = len(digits)
-		tr.NSig = len(digits)
-		tr.Ops = st.ops
+		*tr = st.rec
 	}
-	return Result{Digits: digits, K: k, NSig: len(digits)}, nil
+	return res, nil
 }

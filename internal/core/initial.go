@@ -24,53 +24,55 @@ type state struct {
 	lowOK, highOK bool
 	base          int              // output base B
 	pows          *bignat.PowCache // powers of B
-	ops           int              // high-precision operations performed (Table 2 metric)
-	// estimated and fixup record whether scaleEstimate ran and whether
-	// its fixup fired, for the conversion's telemetry count (loop).
-	estimated, fixup bool
-	// tr, when non-nil, receives the execution trace of this conversion.
-	// Every instrumentation point below is guarded by a nil check, so the
-	// untraced hot path pays one predicted branch per recording site and
-	// nothing else.
-	tr *trace.Conversion
+	// rec is the conversion's execution record, written unconditionally
+	// as each step runs: init its Table 1 row, scaling the estimate and
+	// final k, the digit loop its iterations, termination and rounding,
+	// and every high-precision operation rec.Ops (the Table 2 metric).
+	// A finished conversion adds it to the Trace* counters (count), and
+	// a traced entry point copies it to the caller.
+	rec trace.Conversion
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // release returns st to the pool.  The limb buffers stay attached so the
-// next conversion starts with warmed capacity; the trace pointer must not
-// be (a pooled state may surface on another goroutine).
+// next conversion starts with warmed capacity.
 func (st *state) release() {
 	st.pows = nil
-	st.tr = nil
 	statePool.Put(st)
 }
 
-// newState initializes r, s, m⁺, and m⁻ from the mantissa and exponent of v
-// according to Table 1 of the paper.  The four rows are distinguished by
-// the sign of e and by whether v sits just above a binade boundary
-// (f = b^(p−1) with e above the minimum exponent), where the gap to the
-// predecessor is one b-th of the gap to the successor.
+// newState takes a state from the pool and initializes it for v (init).
 func newState(v fpformat.Value, base int, lowOK, highOK bool) *state {
+	st := statePool.Get().(*state)
+	st.init(v, base, lowOK, highOK)
+	return st
+}
+
+// init sets r, s, m⁺, and m⁻ from the mantissa and exponent of v
+// according to Table 1 of the paper, and starts a fresh record with the
+// row it takes.  The four rows are distinguished by the sign of e and by
+// whether v sits just above a binade boundary (f = b^(p−1) with e above
+// the minimum exponent), where the gap to the predecessor is one b-th of
+// the gap to the successor.
+func (st *state) init(v fpformat.Value, base int, lowOK, highOK bool) {
 	f := v.F
 	e := v.E
 	b := v.Fmt.Base
 	bPows := bignat.Powers(b)
 	boundary := v.IsBoundary() && v.E > v.Fmt.MinExp
 
-	st := statePool.Get().(*state)
 	st.lowOK, st.highOK = lowOK, highOK
 	st.base = base
 	st.pows = bignat.Powers(base)
-	st.ops = 0
-	st.estimated, st.fixup = false, false
-	st.tr = nil
+	st.rec = trace.Conversion{Base: base, LowOK: lowOK, HighOK: highOK}
 	// m⁺ and m⁻ are copied out of the power cache (never shared) because
 	// the digit loop multiplies them in place; the copies land in the
 	// pooled buffers.
 	switch {
 	case e >= 0 && !boundary:
 		// r = f·bᵉ·2, s = 2, m⁺ = m⁻ = bᵉ
+		st.rec.Table1Case = 1
 		be := bPows.Pow(uint(e))
 		st.r = bignat.MulWordInPlace(bignat.MulInto(st.r, f, be), 2)
 		st.s = append(st.s[:0], 2)
@@ -78,6 +80,7 @@ func newState(v fpformat.Value, base int, lowOK, highOK bool) *state {
 		st.mm = bignat.CopyInto(st.mm, be)
 	case e >= 0 && boundary:
 		// r = f·bᵉ⁺¹·2, s = b·2, m⁺ = bᵉ⁺¹, m⁻ = bᵉ
+		st.rec.Table1Case = 2
 		be := bPows.Pow(uint(e))
 		be1 := bPows.Pow(uint(e) + 1)
 		st.r = bignat.MulWordInPlace(bignat.MulInto(st.r, f, be1), 2)
@@ -86,34 +89,19 @@ func newState(v fpformat.Value, base int, lowOK, highOK bool) *state {
 		st.mm = bignat.CopyInto(st.mm, be)
 	case !boundary:
 		// e < 0: r = f·2, s = b⁻ᵉ·2, m⁺ = m⁻ = 1
+		st.rec.Table1Case = 3
 		st.r = bignat.MulWordInPlace(bignat.CopyInto(st.r, f), 2)
 		st.s = bignat.MulWordInPlace(bignat.CopyInto(st.s, bPows.Pow(uint(-e))), 2)
 		st.mp = append(st.mp[:0], 1)
 		st.mm = append(st.mm[:0], 1)
 	default:
 		// e < 0 at a boundary: r = f·b·2, s = b¹⁻ᵉ·2, m⁺ = b, m⁻ = 1
+		st.rec.Table1Case = 4
 		st.r = bignat.MulWordInPlace(bignat.CopyInto(st.r, f), bignat.Word(2*b))
 		st.s = bignat.MulWordInPlace(bignat.CopyInto(st.s, bPows.Pow(uint(1-e))), 2)
 		st.mp = append(st.mp[:0], bignat.Word(b))
 		st.mm = append(st.mm[:0], 1)
 	}
-	return st
-}
-
-// table1Case reports which row of the paper's Table 1 initializes the
-// state for v, mirroring the branch structure of newState: 1 (e ≥ 0),
-// 2 (e ≥ 0 at a binade boundary), 3 (e < 0), 4 (e < 0 at a boundary).
-func table1Case(v fpformat.Value) int {
-	boundary := v.IsBoundary() && v.E > v.Fmt.MinExp
-	switch {
-	case v.E >= 0 && !boundary:
-		return 1
-	case v.E >= 0:
-		return 2
-	case !boundary:
-		return 3
-	}
-	return 4
 }
 
 // tooLow reports whether the current scale underestimates k: the high
@@ -121,7 +109,7 @@ func table1Case(v fpformat.Value) int {
 // When the high endpoint is an admissible output (highOK) the comparison is
 // inclusive, matching "k is the smallest integer such that high < Bᵏ".
 func (st *state) tooLow() bool {
-	st.ops += 2 // add + compare
+	st.rec.Ops += 2 // add + compare
 	st.hn = bignat.AddInto(st.hn, st.r, st.mp)
 	if st.highOK {
 		return bignat.Cmp(st.hn, st.s) >= 0
@@ -132,7 +120,7 @@ func (st *state) tooLow() bool {
 // tooHigh reports whether the current scale overestimates k: even after
 // one more digit position the high endpoint stays below 1/B.
 func (st *state) tooHigh() bool {
-	st.ops += 3 // add + multiply + compare
+	st.rec.Ops += 3 // add + multiply + compare
 	st.hn = bignat.AddInto(st.hn, st.r, st.mp)
 	st.hn = bignat.MulWordInPlace(st.hn, bignat.Word(st.base))
 	if st.highOK {
@@ -149,12 +137,12 @@ func (st *state) scaleByPow(est int) {
 	if est == 0 {
 		return // B^0 = 1: multiplying through would only copy
 	}
-	st.ops++ // one multiplication by a (cached) power
+	st.rec.Ops++ // one multiplication by a (cached) power
 	if est > 0 {
 		st.s, st.t1 = bignat.MulInto(st.t1, st.s, st.pows.Pow(uint(est))), st.s
 		return
 	}
-	st.ops += 2 // two more multiplications on the numerator side
+	st.rec.Ops += 2 // two more multiplications on the numerator side
 	scale := st.pows.Pow(uint(-est))
 	st.r, st.t1 = bignat.MulInto(st.t1, st.r, scale), st.r
 	st.mp, st.t1 = bignat.MulInto(st.t1, st.mp, scale), st.mp
@@ -164,7 +152,7 @@ func (st *state) scaleByPow(est int) {
 // stepMul advances the numerators one digit position: r, m⁺, m⁻ ×= B,
 // mutating in place (the state owns these values exclusively).
 func (st *state) stepMul() {
-	st.ops += 3
+	st.rec.Ops += 3
 	w := bignat.Word(st.base)
 	st.r = bignat.MulWordInPlace(st.r, w)
 	st.mp = bignat.MulWordInPlace(st.mp, w)

@@ -18,37 +18,36 @@ const estimateSlack = 1e-10
 // generation can begin, using the selected strategy.  On return the state
 // is positioned for generate: the first digit is ⌊r/s⌋ (the initial ×B
 // multiplication of the paper's Figure 1 generate has already been folded
-// in, or skipped when the penalty-free fixup made it unnecessary).
-func (st *state) scale(method Scaling, v fpformat.Value) (k int) {
+// in, or skipped when the penalty-free fixup made it unnecessary).  Each
+// strategy records its estimate and the final k (scaled).
+func (st *state) scale(method Scaling, v fpformat.Value) int {
 	switch method {
 	case ScalingIterative:
-		k = st.scaleIterative()
-		if st.tr != nil {
-			// Iterative search has no estimate to be wrong; record the
-			// found k so FixupSteps reads 0 rather than nonsense.
-			st.tr.EstimateK = k
-		}
+		return st.scaleIterative()
 	case ScalingFloatLog:
-		k = st.scaleFloatLog(v)
-	default:
-		k = st.scaleEstimate(v, nil)
+		return st.scaleFloatLog(v)
 	}
-	if st.tr != nil {
-		st.tr.ScaleMethod = method.String()
-		st.tr.ScaleK = k
-		st.tr.FixupSteps = k - st.tr.EstimateK
-	}
+	return st.scaleEstimate(v, nil)
+}
+
+// scaled records a finished scaling: the strategy, its initial guess
+// est, and the k it settled on, whose difference is the fixup.  It
+// returns k.
+func (st *state) scaled(method Scaling, est, k int) int {
+	st.rec.ScaleMethod = method.String()
+	st.rec.EstimateK, st.rec.ScaleK, st.rec.FixupSteps = est, k, k-est
 	return k
 }
 
 // scaleIterative is Steele & White's search: repeatedly multiply one side
 // by B until the scale is correct.  It performs O(|log_B v|)
-// high-precision operations — the first row of Table 2.
+// high-precision operations — the first row of Table 2.  It has no
+// estimate to be wrong, so it records the found k as its own estimate.
 func (st *state) scaleIterative() int {
 	k := 0
 	for st.tooLow() {
 		k++
-		st.ops++
+		st.rec.Ops++
 		st.s = bignat.MulWordInPlace(st.s, bignat.Word(st.base))
 	}
 	for st.tooHigh() {
@@ -56,7 +55,7 @@ func (st *state) scaleIterative() int {
 		st.stepMul()
 	}
 	st.stepMul() // fold in generate's entry multiplication
-	return k
+	return st.scaled(ScalingIterative, k, k)
 }
 
 // scaleFloatLog estimates k with a floating-point logarithm of v itself,
@@ -64,15 +63,12 @@ func (st *state) scaleIterative() int {
 // Table 2.  Unlike the penalty-free fixup below, an off-by-one estimate
 // here pays an extra multiplication of s by B, as in the paper's Figure 2.
 func (st *state) scaleFloatLog(v fpformat.Value) int {
-	logB := logBValue(v, st.base)
-	k := int(math.Ceil(logB - estimateSlack))
-	if st.tr != nil {
-		st.tr.EstimateK = k
-	}
-	st.scaleByPow(k)
+	est := int(math.Ceil(logBValue(v, st.base) - estimateSlack))
+	st.scaleByPow(est)
+	k := est
 	for st.tooLow() {
 		k++
-		st.ops++
+		st.rec.Ops++
 		st.s = bignat.MulWordInPlace(st.s, bignat.Word(st.base))
 	}
 	for st.tooHigh() {
@@ -80,7 +76,7 @@ func (st *state) scaleFloatLog(v fpformat.Value) int {
 		st.stepMul()
 	}
 	st.stepMul()
-	return k
+	return st.scaled(ScalingFloatLog, est, k)
 }
 
 // scaleEstimate is the paper's fast scaling (Section 3.2): a two-flop
@@ -91,22 +87,15 @@ func (st *state) scaleFloatLog(v fpformat.Value) int {
 // floorK, when non-nil, lower-bounds the estimate; the fixed-format driver
 // passes j−1 because its expanded high endpoint can exceed v by many
 // orders of magnitude, which the value-based estimate knows nothing about.
-//
-// It records in st that the estimator ran and whether the fixup fired,
-// for the conversion's telemetry count (state.loop).
 func (st *state) scaleEstimate(v fpformat.Value, floorK *int) int {
-	k := estimateK(v, st.base)
-	if floorK != nil && *floorK > k {
-		k = *floorK
+	est := estimateK(v, st.base)
+	if floorK != nil && *floorK > est {
+		est = *floorK
 	}
-	if st.tr != nil {
-		st.tr.EstimateK = k
-	}
-	st.estimated = true
-	st.scaleByPow(k)
+	st.scaleByPow(est)
+	k := est
 
 	if st.tooLow() {
-		st.fixup = true
 		// Penalty-free fixup: k was one too low.  Rather than multiplying
 		// s by B and then having generate multiply r, m⁺, m⁻ by B (which
 		// would cancel), skip both; the state is now implicitly one digit
@@ -121,7 +110,7 @@ func (st *state) scaleEstimate(v fpformat.Value, floorK *int) int {
 		// makes the fixup penalty-free.
 		if v.Fmt.Base > st.base || floorK != nil {
 			for {
-				st.ops += 3 // add + multiply + compare
+				st.rec.Ops += 3 // add + multiply + compare
 				st.hn = bignat.AddInto(st.hn, st.r, st.mp)
 				st.t1 = bignat.MulWordInPlace(bignat.CopyInto(st.t1, st.s), bignat.Word(st.base))
 				c := bignat.Cmp(st.hn, st.t1)
@@ -129,11 +118,11 @@ func (st *state) scaleEstimate(v fpformat.Value, floorK *int) int {
 					break
 				}
 				k++
-				st.ops++
+				st.rec.Ops++
 				st.s = bignat.MulWordInPlace(st.s, bignat.Word(st.base))
 			}
 		}
-		return k
+		return st.scaled(ScalingEstimate, est, k)
 	}
 	for st.tooHigh() {
 		// Unreachable for the paper's estimator (it never overshoots) but
@@ -143,7 +132,7 @@ func (st *state) scaleEstimate(v fpformat.Value, floorK *int) int {
 		st.stepMul()
 	}
 	st.stepMul()
-	return k
+	return st.scaled(ScalingEstimate, est, k)
 }
 
 // estimateK computes the paper's estimate ⌈(e + len_b(f) − 1)·log_B(b) − ε⌉
@@ -257,5 +246,5 @@ func ScaleOps(v fpformat.Value, base int, method Scaling, mode ReaderMode) (k, o
 	st := newState(v, base, lowOK, highOK)
 	defer st.release()
 	k = st.scale(method, v)
-	return k, st.ops, nil
+	return k, st.rec.Ops, nil
 }

@@ -272,13 +272,3 @@ func ParseToken64(b []byte) (f float64, n int, ok bool) {
 	}
 	return f, n, true
 }
-
-// ParseBytes64 is Parse64 over a whole byte token: the fused scanner
-// must consume every byte of b.
-func ParseBytes64(b []byte) (f float64, ok bool) {
-	d, n, ok := scanToken(b)
-	if !ok || n != len(b) {
-		return 0, false
-	}
-	return finish64(d)
-}

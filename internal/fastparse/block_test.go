@@ -150,11 +150,18 @@ func TestParseToken64StopsAtSeparators(t *testing.T) {
 	}
 }
 
+// parseBytes64 is ParseToken64 over a whole byte token: the fused
+// scanner must consume every byte of b.
+func parseBytes64(b []byte) (float64, bool) {
+	f, n, ok := ParseToken64(b)
+	return f, ok && n == len(b)
+}
+
 // TestParseBytes64VsStrconv certifies the end-to-end block kernel
 // against the strconv oracle on the grammar intersection.
 func TestParseBytes64VsStrconv(t *testing.T) {
 	for _, s := range blockScanInputs() {
-		f, ok := ParseBytes64([]byte(s))
+		f, ok := parseBytes64([]byte(s))
 		if !ok {
 			continue
 		}
@@ -162,10 +169,10 @@ func TestParseBytes64VsStrconv(t *testing.T) {
 		if err != nil {
 			// scanBytes accepts "1." / ".5"-style forms strconv also
 			// accepts; anything else here would be a grammar leak.
-			t.Fatalf("ParseBytes64 accepted %q but strconv rejects: %v", s, err)
+			t.Fatalf("parseBytes64 accepted %q but strconv rejects: %v", s, err)
 		}
 		if math.Float64bits(f) != math.Float64bits(want) {
-			t.Fatalf("ParseBytes64(%q) = %x, strconv = %x",
+			t.Fatalf("parseBytes64(%q) = %x, strconv = %x",
 				s, math.Float64bits(f), math.Float64bits(want))
 		}
 	}
@@ -179,13 +186,13 @@ func TestParseBytes64Corpus(t *testing.T) {
 	declined := 0
 	for _, v := range vals {
 		s := strconv.FormatFloat(v, 'g', -1, 64)
-		f, ok := ParseBytes64([]byte(s))
+		f, ok := parseBytes64([]byte(s))
 		if !ok {
 			declined++
 			continue
 		}
 		if math.Float64bits(f) != math.Float64bits(v) {
-			t.Fatalf("ParseBytes64(%q) = %x, want %x",
+			t.Fatalf("parseBytes64(%q) = %x, want %x",
 				s, math.Float64bits(f), math.Float64bits(v))
 		}
 	}
@@ -196,11 +203,11 @@ func TestParseBytes64Corpus(t *testing.T) {
 	}
 }
 
-func BenchmarkParseBytes64(b *testing.B) {
+func BenchmarkParseToken64(b *testing.B) {
 	tok := []byte("3.141592653589793")
 	b.SetBytes(int64(len(tok)))
 	for i := 0; i < b.N; i++ {
-		if _, ok := ParseBytes64(tok); !ok {
+		if _, _, ok := ParseToken64(tok); !ok {
 			b.Fatal("declined")
 		}
 	}

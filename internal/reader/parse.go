@@ -2,7 +2,6 @@ package reader
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"floatprint/internal/fpformat"
@@ -119,27 +118,6 @@ func digitVal(c byte) (int, bool) {
 		return int(c-'A') + 10, true
 	}
 	return 0, false
-}
-
-// ParseFloat64 parses a base-10 string to the nearest float64 with IEEE
-// ties-to-even, like strconv.ParseFloat but via this package's exact
-// arithmetic.  Overflow returns ±Inf and ErrRange.
-func ParseFloat64(s string) (float64, error) {
-	n, err := ParseText(s, 10)
-	if err != nil {
-		return 0, err
-	}
-	v, err := Convert(n, fpformat.Binary64, NearestEven)
-	if err != nil {
-		if v.Class == fpformat.Inf {
-			if v.Neg {
-				return math.Inf(-1), err
-			}
-			return math.Inf(1), err
-		}
-		return 0, err
-	}
-	return v.Float64()
 }
 
 // Parse parses a base-B string directly to a value of format f.

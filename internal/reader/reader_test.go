@@ -13,6 +13,20 @@ import (
 	"floatprint/internal/fpformat"
 )
 
+// parseFloat64 reads the base-10 string s to the nearest float64 with
+// ties-to-even through Parse; overflow gives ±Inf with ErrRange.
+func parseFloat64(s string) (float64, error) {
+	v, err := Parse(s, 10, fpformat.Binary64, NearestEven)
+	if err != nil && v.Class != fpformat.Inf {
+		return 0, err
+	}
+	f, ferr := v.Float64()
+	if ferr != nil {
+		return 0, ferr
+	}
+	return f, err
+}
+
 func TestParseFloat64AgainstStrconv(t *testing.T) {
 	cases := []string{
 		"0", "1", "-1", "0.5", "3.14159265358979", "1e0", "1e1", "1e-1",
@@ -50,20 +64,20 @@ func TestParseFloat64AgainstStrconv(t *testing.T) {
 		cases = append(cases, sb.String())
 	}
 	for _, s := range cases {
-		got, gotErr := ParseFloat64(s)
+		got, gotErr := parseFloat64(s)
 		want, wantErr := strconv.ParseFloat(s, 64)
 		if math.IsInf(want, 0) {
 			if !math.IsInf(got, int(math.Copysign(1, want))) || gotErr != ErrRange || wantErr == nil {
-				t.Errorf("ParseFloat64(%q) = %v, %v; strconv = %v, %v", s, got, gotErr, want, wantErr)
+				t.Errorf("parseFloat64(%q) = %v, %v; strconv = %v, %v", s, got, gotErr, want, wantErr)
 			}
 			continue
 		}
 		if gotErr != nil {
-			t.Errorf("ParseFloat64(%q) error: %v", s, gotErr)
+			t.Errorf("parseFloat64(%q) error: %v", s, gotErr)
 			continue
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("ParseFloat64(%q) = %v (%x), strconv = %v (%x)",
+			t.Errorf("parseFloat64(%q) = %v (%x), strconv = %v (%x)",
 				s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
@@ -74,9 +88,9 @@ func TestParseFloat64Denormals(t *testing.T) {
 	for i := uint64(1); i < 1<<52; i = i*3 + 1 {
 		v := math.Float64frombits(i)
 		s := strconv.FormatFloat(v, 'e', -1, 64)
-		got, err := ParseFloat64(s)
+		got, err := parseFloat64(s)
 		if err != nil || got != v {
-			t.Fatalf("denormal %x: ParseFloat64(%q) = %v, %v", i, s, got, err)
+			t.Fatalf("denormal %x: parseFloat64(%q) = %v, %v", i, s, got, err)
 		}
 	}
 }
@@ -178,7 +192,7 @@ func TestConvertOverflowUnderflow(t *testing.T) {
 func TestRoundModesAtMidpoint(t *testing.T) {
 	// 1 + 2^-53 is exactly between 1 and 1+2^-52.
 	mid := "1.00000000000000011102230246251565404236316680908203125"
-	even, err := ParseFloat64(mid)
+	even, err := parseFloat64(mid)
 	if err != nil || even != 1.0 {
 		t.Errorf("midpoint nearest-even = %v (%v), want 1", even, err)
 	}
@@ -199,7 +213,7 @@ func TestRoundModesAtMidpoint(t *testing.T) {
 	}
 	// Midpoint between 1-ulp/2 and 1 (odd lower mantissa): even rounds up.
 	mid2 := "0.999999999999999944488848768742172978818416595458984375"
-	f, err = ParseFloat64(mid2)
+	f, err = parseFloat64(mid2)
 	if err != nil || f != 1.0 {
 		t.Errorf("lower midpoint nearest-even = %v, want 1", f)
 	}
@@ -331,11 +345,11 @@ func TestRoundModeString(t *testing.T) {
 }
 
 func TestParseHashMarksReadAsZeros(t *testing.T) {
-	f1, err := ParseFloat64("100.000000000000000#####")
+	f1, err := parseFloat64("100.000000000000000#####")
 	if err != nil || f1 != 100 {
 		t.Errorf("hash-marked 100 = %v (%v)", f1, err)
 	}
-	f2, err := ParseFloat64("3.33###e2")
+	f2, err := parseFloat64("3.33###e2")
 	if err != nil || f2 != 333 {
 		t.Errorf("3.33###e2 = %v (%v), want 333", f2, err)
 	}
@@ -355,9 +369,9 @@ func TestBinadeBoundaryRoundUp(t *testing.T) {
 	for _, bits := range cases {
 		v := math.Float64frombits(bits)
 		s := strconv.FormatFloat(v, 'e', -1, 64)
-		got, err := ParseFloat64(s)
+		got, err := parseFloat64(s)
 		if err != nil || math.Float64bits(got) != bits {
-			t.Errorf("ParseFloat64(%q) = %x (%v), want %x", s, math.Float64bits(got), err, bits)
+			t.Errorf("parseFloat64(%q) = %x (%v), want %x", s, math.Float64bits(got), err, bits)
 		}
 		// And one ulp above, which lands exactly on the boundary.
 		up := math.Nextafter(v, math.Inf(1))
@@ -365,9 +379,9 @@ func TestBinadeBoundaryRoundUp(t *testing.T) {
 			continue
 		}
 		su := strconv.FormatFloat(up, 'e', -1, 64)
-		gotUp, err := ParseFloat64(su)
+		gotUp, err := parseFloat64(su)
 		if err != nil || gotUp != up {
-			t.Errorf("ParseFloat64(%q) = %v (%v), want %v", su, gotUp, err, up)
+			t.Errorf("parseFloat64(%q) = %v (%v), want %v", su, gotUp, err, up)
 		}
 	}
 }
@@ -382,9 +396,9 @@ func TestAllOnesMantissaSweep(t *testing.T) {
 			continue
 		}
 		s := strconv.FormatFloat(v, 'e', -1, 64)
-		got, err := ParseFloat64(s)
+		got, err := parseFloat64(s)
 		if err != nil || math.Float64bits(got) != bits {
-			t.Fatalf("all-ones be=%d: ParseFloat64(%q) = %x, want %x",
+			t.Fatalf("all-ones be=%d: parseFloat64(%q) = %x, want %x",
 				be, s, math.Float64bits(got), bits)
 		}
 	}

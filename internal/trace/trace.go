@@ -9,17 +9,18 @@
 // The record turns the paper's headline behavioral claims — "the estimate
 // is never more than one too low" (§3.2), "the loop emits the minimal
 // digit count" (§2) — into observable, continuously measurable events
-// instead of comments.  It is filled by the algorithm layers when the
-// caller supplies a non-nil *Conversion and costs nothing otherwise: every
-// instrumentation point in the hot path is a nil check on a pooled state
-// field, taken only in the traced case.
+// instead of comments.  The exact core keeps one record per conversion
+// in its pooled state and writes every step into it unconditionally; a
+// traced call copies the finished record to the caller, and an untraced
+// call copies nothing.  The fast paths fill the caller's record only
+// when one is supplied.
 //
 // The package sits below everything: it imports nothing from the
 // repository, so internal/core and the public package can share the
-// record without cycles.  The record belongs to the caller that asked for
-// it; the process-wide counters of the same events (internal/stats'
-// Trace* counters) are advanced by internal/core while collection is on,
-// whether or not a record is being filled.
+// record without cycles.  The process-wide counters of the same events
+// (internal/stats' Trace* counters) are internal/core's records summed:
+// each finished exact conversion adds its record while collection is
+// on, whether or not a caller asked for a copy.
 package trace
 
 // Backend identifies which algorithm produced a conversion's digits.

@@ -23,10 +23,12 @@ var ErrRange = errors.New("floatprint: value out of range")
 // exact inverse of this package's printing: Parse(Shortest(v)) == v, and
 // the same holds for every base and reader mode pair when the options
 // match.  '#' marks in the input are read as zeros, so fixed-format output
-// parses back directly.  The strings "NaN", "Inf", "Infinity" (any case,
-// optional sign) are accepted like strconv.ParseFloat — except in bases
-// where every letter is itself a valid digit (base ≥ 24 for "inf"/"nan",
-// ≥ 35 for "infinity"), where the string reads as the number it spells.
+// parses back directly.  The strings "NaN", "Inf", "Infinity" are
+// accepted in any case with an optional sign.  That matches
+// strconv.ParseFloat except for NaN: strconv rejects a signed NaN
+// ("-nan", "+NaN"), while Parse reads it as NaN.  In bases where every
+// letter is itself a valid digit (base ≥ 24 for "inf"/"nan", ≥ 35 for
+// "infinity") the string reads as the number it spells.
 //
 // Base-10 inputs take a certified Eisel–Lemire fast path
 // (internal/fastparse): the classic nearest-even variant under the

@@ -1,6 +1,7 @@
 package floatprint
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -175,20 +176,84 @@ func TestTracedCallsCountLikePlainCalls(t *testing.T) {
 }
 
 // TestExactCoreCountsEstimatorEvents ties the Trace* counters to the
-// per-conversion records: printing N corpus values on the exact path
-// advances TraceEstimates by N and each other Trace* counter by what
-// core.FreeFormatTraced records for the same values.
+// per-conversion records: printing N values on the exact path advances
+// TraceEstimates by N and each other Trace* counter by what the traced
+// core entries (FreeFormatTraced, FixedFormatRelativeTraced,
+// FixedFormatTraced) record for the same conversions.
 func TestExactCoreCountsEstimatorEvents(t *testing.T) {
 	floats, _ := benchCorpus()
 	corpus := floats[:5000]
 	prev := SetStatsEnabled(false)
 	defer SetStatsEnabled(prev)
+	exact := &Options{Backend: BackendExact}
+
+	// One exact conversion, made by a traced core entry and by its plain
+	// public twin.
+	type conversion struct {
+		traced func(*Trace) (core.Result, error)
+		plain  func() (Digits, error)
+	}
+	free := func(v float64) conversion {
+		val := fpformat.DecodeFloat64(math.Abs(v))
+		return conversion{
+			func(tr *Trace) (core.Result, error) {
+				return core.FreeFormatTraced(val, 10, core.ScalingEstimate, core.ReaderNearestEven, tr)
+			},
+			func() (Digits, error) { return ShortestDigits(v, exact) },
+		}
+	}
+	relative := func(v float64, n int) conversion {
+		val := fpformat.DecodeFloat64(math.Abs(v))
+		return conversion{
+			func(tr *Trace) (core.Result, error) {
+				return core.FixedFormatRelativeTraced(val, 10, core.ReaderNearestEven, n, tr)
+			},
+			func() (Digits, error) { return FixedDigits(v, n, exact) },
+		}
+	}
+	position := func(v float64, pos int) conversion {
+		val := fpformat.DecodeFloat64(math.Abs(v))
+		return conversion{
+			func(tr *Trace) (core.Result, error) {
+				return core.FixedFormatTraced(val, 10, core.ReaderNearestEven, pos, tr)
+			},
+			func() (Digits, error) { return FixedPositionDigits(v, pos, nil) },
+		}
+	}
+
+	var tr Trace
+	// The fixed entries' own branches: a two-pass relative refinement
+	// (9.97 to two digits is "10"), the single-digit k ≤ j branch (5 at
+	// the hundreds is 0), and a round-up into a new leading digit (999999
+	// at the thousands is 1000 thousands, K 7).
+	for _, c := range []struct {
+		name   string
+		conv   conversion
+		digits []byte
+		ok     func(Trace) bool
+	}{
+		{"9.97 n=2", relative(9.97, 2), []byte{1, 0}, func(tr Trace) bool { return tr.Refinements == 2 }},
+		{"5 pos=2", position(5, 2), []byte{0}, func(tr Trace) bool { return tr.Iterations == 0 && !tr.RoundedUp }},
+		{"999999 pos=3", position(999999, 3), []byte{1, 0, 0, 0}, func(tr Trace) bool { return tr.RoundedUp && tr.K == 7 }},
+	} {
+		res, err := c.conv.traced(&tr)
+		if err != nil || !bytes.Equal(res.Digits, c.digits) || !c.ok(tr) {
+			t.Errorf("%s: digits %v, err %v, record %+v; want digits %v", c.name, res.Digits, err, tr, c.digits)
+		}
+	}
+
+	convs := []conversion{relative(9.97, 2), position(5, 2), position(999999, 3)}
+	for _, v := range corpus {
+		convs = append(convs, free(v))
+	}
+	for i, v := range corpus[:1000] {
+		lead := int(math.Floor(math.Log10(math.Abs(v))))
+		convs = append(convs, relative(v, 1+i%20), position(v, lead+2-i%24))
+	}
 
 	var want Stats
-	var tr Trace
-	for _, v := range corpus {
-		val := fpformat.DecodeFloat64(math.Abs(v))
-		if _, err := core.FreeFormatTraced(val, 10, core.ScalingEstimate, core.ReaderNearestEven, &tr); err != nil {
+	for _, c := range convs {
+		if _, err := c.traced(&tr); err != nil {
 			t.Fatal(err)
 		}
 		want.TraceEstimates++
@@ -207,8 +272,8 @@ func TestExactCoreCountsEstimatorEvents(t *testing.T) {
 
 	SetStatsEnabled(true)
 	before := Snapshot()
-	for _, v := range corpus {
-		if _, err := ShortestDigits(v, &Options{Backend: BackendExact}); err != nil {
+	for _, c := range convs {
+		if _, err := c.plain(); err != nil {
 			t.Fatal(err)
 		}
 	}

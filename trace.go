@@ -12,11 +12,11 @@ import (
 // iteration count, and the final rounding decision.
 //
 // Pass a Trace to the *Traced entry points to have it filled (the record
-// is reset first, so one value can be reused across calls).  Tracing
+// is overwritten, so one value can be reused across calls).  Tracing
 // never perturbs the result or the telemetry: a traced conversion is
 // byte-identical to its untraced twin and moves the Snapshot counters
-// exactly as the twin does, and the untraced path's only cost is a nil
-// check at each instrumentation point.
+// exactly as the twin does.  The exact algorithm records every
+// conversion anyway, so tracing one costs a copy of its record.
 type Trace = trace.Conversion
 
 // Backend constants for Trace.Backend, re-exported for callers matching
