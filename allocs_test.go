@@ -50,3 +50,24 @@ func TestExactPathAllocBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestParseAllocs pins that a base-10 parse the fast path certifies
+// allocates nothing, specials included: the special-name check folds
+// case in place, and the scanner reads the string without copying it
+// (the 41-byte literal is past the compiler's 32-byte stack buffer for
+// a copied conversion).
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	for _, s := range []string{
+		"0.3", "1.5E10", "NaN", "-Infinity", "0.000000000000000000000000000000000012345",
+	} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = Parse(s, nil) }); n != 0 {
+			t.Errorf("Parse(%q): %v allocations, want 0", s, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = Parse32(s, nil) }); n != 0 {
+			t.Errorf("Parse32(%q): %v allocations, want 0", s, n)
+		}
+	}
+}

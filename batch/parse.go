@@ -110,7 +110,10 @@ func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, e
 		}
 		cut := lastSep + 1 // consume through the last separator
 		if cut == 0 {
-			if !eof {
+			// Without a separator the fill stops only past the cap or at
+			// EOF, and a stream's last read may carry EOF with its bytes:
+			// the cap holds for the final token too.
+			if len(buf) > p.maxToken {
 				return written, &floatprint.BatchParseError{
 					Record: recBase, Offset: offBase,
 					Err: fmt.Errorf("floatprint: token exceeds %d bytes", p.maxToken),

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	stdiotest "testing/iotest"
 
 	"floatprint"
 	"floatprint/internal/schryer"
@@ -166,6 +167,13 @@ func TestParseAllMaxTokenBytes(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "exceeds 1024 bytes") {
 		t.Fatalf("error text %q missing cap", err)
+	}
+	// A reader whose last read returns its bytes together with io.EOF
+	// (as net/http's request body does) meets the same cap.
+	out.Reset()
+	_, err = p.ParseAll(context.Background(), stdiotest.DataErrReader(strings.NewReader(strings.Repeat("1", 2000))), &out)
+	if !errors.As(err, &be) || be.Record != 0 || be.Offset != 0 || !strings.Contains(err.Error(), "exceeds 1024 bytes") {
+		t.Fatalf("final-read token: err = %v, want the cap error at record 0 offset 0", err)
 	}
 	// A long-but-capped token still parses when the cap allows it.
 	p = New(Config{ParseBlockBytes: 512, MaxTokenBytes: 1 << 20})

@@ -1,25 +1,25 @@
-// Block-at-a-time parsing support: the byte-stream twin of the string
-// scanner, built for the batch ingestion engine (Lemire, "Number
-// Parsing at a Gigabyte per Second").  Three costs dominate a bulk
-// parse that a per-value loop pays in full for every number: finding
-// the token boundary, validating that bytes are digits, and folding
-// digits into the significand one multiply at a time.  ParseToken64
-// amortizes all three the way the paper prescribes — it consumes the
-// leading number directly out of the stream (no separate tokenization
-// pass), validates digit runs eight bytes per 64-bit SWAR test, folds
-// eight validated digits into the significand with one multiply-by-10⁸,
-// and accumulates optimistically in the same pass (a wrap is impossible
-// while the significant digit count stays ≤ 19; longer runs take a rare
-// recompute) — then hands the scanned decimal to the same certified
-// Eisel–Lemire kernel as the per-value path, so a block result can
-// never differ from a per-value result.
+// The scanner every fast read shares, built first for the batch
+// ingestion engine (Lemire, "Number Parsing at a Gigabyte per Second").
+// Three costs dominate a bulk parse that a per-value loop pays in full
+// for every number: finding the token boundary, validating that bytes
+// are digits, and folding digits into the significand one multiply at a
+// time.  ParseToken64 amortizes all three the way the paper prescribes —
+// it consumes the leading number directly out of the stream (no separate
+// tokenization pass), validates digit runs eight bytes per 64-bit SWAR
+// test, folds eight validated digits into the significand with one
+// multiply-by-10⁸, and accumulates optimistically in the same pass (a
+// wrap is impossible while the significant digit count stays ≤ 19;
+// longer runs take a rare recompute) — then hands the scanned decimal to
+// the certified Eisel–Lemire kernel.  Parse64, Parse32 and
+// ParseDirected64 run the same scanner over their whole input, so a
+// block result can never differ from a per-value result.
 //
-// The grammar here is the chunked common case only: [+|-] digits with
-// at most one point, then an optional e/E exponent, terminated by a
-// separator or the end of input.  Everything the per-value scanner
-// additionally accepts ('#' marks, '@' exponents) is declined, keeping
-// the decline-don't-error contract: the caller falls back to the
-// per-value parser, which is the bit-identity oracle anyway.
+// The grammar is the common case only: [+|-] digits with at most one
+// point, then an optional e/E exponent, terminated by a separator or the
+// end of input.  Everything else the exact reader accepts ('#' marks,
+// '@' exponents, specials, other bases) is declined, keeping the
+// decline-don't-error contract: the caller falls back to floatprint's
+// parse, whose exact reader is the reference for values and error text.
 
 package fastparse
 
@@ -63,11 +63,10 @@ func eightDigitsValue(v uint64) uint64 {
 // test and multiply while a full chunk remains.  The accumulation is
 // optimistic — digits fold into man as they are read, which cannot wrap
 // while the significant digit count stays ≤ 19 (10¹⁹−1 < 2⁶⁴) — and
-// the rare longer token is recomputed by scanLong under scan()'s exact
+// the rare longer token is recomputed by scanLong under the exact
 // 19-digit cap and dp/trunc bookkeeping.  n is the number of bytes
 // consumed; the token must end at a separator or the end of input.
-// The decimal produced is identical to scan()'s on every accepted
-// token; anything outside the subset grammar returns ok=false.
+// Anything outside the grammar returns ok=false.
 func scanToken(b []byte) (d decimal, n int, ok bool) {
 	i := 0
 	if i < len(b) && (b[i] == '+' || b[i] == '-') {
@@ -147,7 +146,7 @@ func scanToken(b []byte) (d decimal, n int, ok bool) {
 	}
 	if i != len(b) && !sepTable[b[i]] {
 		// Anything else before the separator — '#' marks, '@' exponents,
-		// a second point, junk — declines to the per-value path.
+		// a second point, junk — declines to the exact reader.
 		return decimal{}, 0, false
 	}
 
@@ -177,8 +176,8 @@ func scanToken(b []byte) (d decimal, n int, ok bool) {
 	return scanLong(b, d.neg, intStart, intLen, fracStart, fracLen, exp, i)
 }
 
-// scanLong recomputes a >19-significant-digit token under scan()'s
-// exact bookkeeping: at most 19 digits fold into man, dropped integer
+// scanLong recomputes a >19-significant-digit token under exact
+// bookkeeping: at most 19 digits fold into man, dropped integer
 // digits still scale the value, and any nonzero drop marks man as
 // truncated.
 func scanLong(b []byte, neg bool, intStart, intLen, fracStart, fracLen, exp, n int) (decimal, int, bool) {
@@ -232,7 +231,7 @@ func accumDigits(man uint64, run []byte) uint64 {
 }
 
 // finish64 runs the scanned decimal through the certified Eisel–Lemire
-// kernel, with Parse64's truncation re-verification.
+// kernel, re-verifying a truncated significand.
 func finish64(d decimal) (float64, bool) {
 	if d.man == 0 {
 		// Every digit was zero: the value is exactly ±0 at any scale.
@@ -243,8 +242,10 @@ func finish64(d decimal) (float64, bool) {
 		return 0, false
 	}
 	if d.trunc {
-		// As in Parse64: both endpoints of (man, man+1) × 10^exp10 must
-		// certify and round identically, or the truncation is in doubt.
+		// man truncates the true significand, which lies in the open
+		// interval (man, man+1) × 10^exp10.  Rounding is monotone, so if
+		// both endpoints certify and round to the same binary64, every
+		// value between them does too.
 		g, gok := eiselLemire64(d.man+1, d.exp10, d.neg)
 		if !gok || math.Float64bits(f) != math.Float64bits(g) {
 			return 0, false
@@ -258,9 +259,9 @@ func finish64(d decimal) (float64, bool) {
 // bytes consumed.  The contract is the same decline-don't-error as
 // Parse64: ok=true certifies a result bit-identical to the exact
 // reader's for the consumed token; ok=false means the caller must
-// delimit the token itself and use the per-value parser (which also
-// covers the grammar this scanner deliberately omits — specials, '#'
-// marks, '@' exponents).
+// delimit the token itself and use the exact reader (which also covers
+// the grammar this scanner deliberately omits — specials, '#' marks,
+// '@' exponents).
 func ParseToken64(b []byte) (f float64, n int, ok bool) {
 	d, n, ok := scanToken(b)
 	if !ok {

@@ -40,7 +40,7 @@ func TestEightDigitsValue(t *testing.T) {
 	}
 }
 
-// blockScanInputs is the shared stimulus set: handcrafted edge cases
+// blockScanInputs is the block-scan stimulus set: handcrafted edge cases
 // around every dp/trunc/19-digit branch, plus deterministic random
 // literals that exercise long digit runs and exponents.
 func blockScanInputs() []string {
@@ -54,7 +54,7 @@ func blockScanInputs() []string {
 		"5e-324", "4.9e-324", "1e23", "-1e23", "8.98846567431158e307",
 		"1e0", "1e+0", "1e-0", "1E10", "1e-10", "123e45", "123E-45",
 		"0.000000000000000000000000000000001", "1000000000000000000000000",
-		// Grammar the block scanner must decline (per-value path covers it).
+		// Grammar the scanner must decline (the exact reader covers it).
 		"", "+", "-", ".", "-.", "1e", "1e+", "1e-", "1ex", "1.2.3",
 		"1x", "x1", "1 ", " 1", "nan", "inf", "-inf", "NaN", "Infinity",
 		"1#", "12##", "1#.#", "1@5", "12@-3", "1e99999999", "1e16777217",
@@ -88,37 +88,6 @@ func blockScanInputs() []string {
 		in = append(in, string(b))
 	}
 	return in
-}
-
-// TestScanTokenVsScan pins the subset contract: every token the fused
-// block scanner accepts, the per-value scanner accepts with the
-// identical decimal — same significand, scale, digit count, sign, and
-// truncation flag — so a chunked scan can never diverge from the
-// certified path.  The comparison is over the consumed prefix s[:n],
-// since scanToken stops at stream separators the per-value grammar
-// rejects.
-func TestScanTokenVsScan(t *testing.T) {
-	accepted := 0
-	for _, s := range blockScanInputs() {
-		bd, n, bok := scanToken([]byte(s))
-		if !bok {
-			continue
-		}
-		accepted++
-		if n < len(s) && !IsSep(s[n]) {
-			t.Fatalf("scanToken(%q) stopped at %d on non-separator %q", s, n, s[n])
-		}
-		sd, sok := scan(s[:n])
-		if !sok {
-			t.Fatalf("scanToken accepted %q but scan declined", s[:n])
-		}
-		if bd != sd {
-			t.Fatalf("scanToken(%q) = %+v, scan = %+v", s[:n], bd, sd)
-		}
-	}
-	if accepted < 1000 {
-		t.Fatalf("stimulus too weak: only %d accepted tokens", accepted)
-	}
 }
 
 // TestParseToken64StopsAtSeparators pins the fused tokenizer contract:

@@ -58,7 +58,7 @@ var pow5 = [28]uint64{
 // declines so the reader's saturation value and ErrRange text stay
 // byte-identical to the pre-fast-path behavior.
 func ParseDirected64(s string, towardPos bool) (f float64, digits int, ok bool) {
-	d, ok := scan(s)
+	d, ok := scanWhole(s)
 	if !ok {
 		return 0, 0, false
 	}

@@ -13,13 +13,19 @@
 // and a provably thin band of truncated products — everything else is
 // exact without any big-integer arithmetic.
 //
-// The contract with the caller is decline-don't-error: Parse64/Parse32
-// either certify a correctly rounded result (ok=true) or report ok=false
-// for *any* reason — unsupported syntax, uncertainty, ties, overflow
-// into Inf, underflow into the subnormal range, an exponent outside the
-// table.  The caller falls back to the exact big-integer reader, which
-// also keeps every error message and range condition byte-identical to
-// the pre-fast-path behavior.
+// Every entry — Parse64, Parse32, ParseDirected64 and the batch
+// engine's ParseToken64 — reads its input with one scanner, scanToken
+// (block.go), and shares its grammar: [+|-] digits with at most one
+// point, then an optional e/E exponent.
+//
+// The contract with the caller is decline-don't-error: each entry
+// either certifies a correctly rounded result (ok=true) or reports
+// ok=false for *any* reason — syntax outside that grammar ('#' marks
+// and '@' exponents included), uncertainty, ties, overflow into Inf,
+// underflow into the subnormal range, an exponent outside the table.
+// The caller falls back to the exact big-integer reader, which also
+// keeps every error message and range condition byte-identical to the
+// pre-fast-path behavior.
 package fastparse
 
 import (
@@ -45,102 +51,12 @@ type decimal struct {
 	trunc bool
 }
 
-// scan reads s against the subset of internal/reader's base-10 grammar
-// the fast path accepts: [+|-] digits-and-#-marks with at most one
-// point, then an optional '@'/'e'/'E' exponent with optional sign and
-// decimal digits.  '#' marks read as zeros and, as in the reader, no
-// digit may follow a mark.  Any deviation — including an exponent
-// literal past the reader's cap — returns ok=false.
-func scan(s string) (d decimal, ok bool) {
-	i := 0
-	if i < len(s) && (s[i] == '+' || s[i] == '-') {
-		d.neg = s[i] == '-'
-		i++
-	}
-	sawDigit := false
-	sawDot := false
-	marks := false
-	dp := 0 // scale correction: digits after the point each shift by -1
-scanMantissa:
-	for ; i < len(s); i++ {
-		c := s[i]
-		var dig byte
-		switch {
-		case c == '.':
-			if sawDot {
-				return decimal{}, false
-			}
-			sawDot = true
-			continue
-		case c == '#':
-			marks = true
-			dig = 0
-		case '0' <= c && c <= '9':
-			if marks {
-				return decimal{}, false // reader: "digit after # mark"
-			}
-			dig = c - '0'
-		case c == 'e' || c == 'E' || c == '@':
-			break scanMantissa
-		default:
-			return decimal{}, false
-		}
-		sawDigit = true
-		if dig == 0 && d.nd == 0 {
-			// Leading zero: contributes no significand, only scale.
-			if sawDot {
-				dp--
-			}
-			continue
-		}
-		if d.nd < 19 {
-			// 19 digits always fit: 10¹⁹−1 < 2⁶⁴.
-			d.man = d.man*10 + uint64(dig)
-			d.nd++
-			if sawDot {
-				dp--
-			}
-		} else {
-			// Dropped digit: left of the point it still scales the
-			// value; anywhere, a nonzero drop marks man as truncated.
-			if !sawDot {
-				dp++
-			}
-			if dig != 0 {
-				d.trunc = true
-			}
-		}
-	}
-	if !sawDigit {
-		return decimal{}, false
-	}
-	exp := 0
-	if i < len(s) {
-		i++ // the exponent marker
-		eneg := false
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			eneg = s[i] == '-'
-			i++
-		}
-		if i == len(s) {
-			return decimal{}, false // reader: "missing exponent digits"
-		}
-		for ; i < len(s); i++ {
-			c := s[i]
-			if c < '0' || c > '9' {
-				return decimal{}, false
-			}
-			exp = exp*10 + int(c-'0')
-			if exp > maxExponent {
-				return decimal{}, false // reader: "exponent overflow"
-			}
-		}
-		if eneg {
-			exp = -exp
-		}
-	}
-	d.exp10 = dp + exp
-	return d, true
+// scanWhole scans all of s with scanToken.  A token that ends before the
+// last byte, at a separator, declines, so "1 2" is no number here.  The
+// conversion does not copy s: scanToken neither keeps nor writes b.
+func scanWhole(s string) (decimal, bool) {
+	d, n, ok := scanToken([]byte(s))
+	return d, ok && n == len(s)
 }
 
 // Parse64 converts a base-10 literal to the binary64 nearest to its
@@ -150,27 +66,12 @@ scanMantissa:
 // exact reader; when ok=true the result is certified identical to the
 // exact reader's.
 func Parse64(s string) (f float64, digits int, ok bool) {
-	d, ok := scan(s)
+	d, ok := scanWhole(s)
 	if !ok {
 		return 0, 0, false
 	}
-	if d.man == 0 {
-		// Every digit was zero: the value is exactly ±0 at any scale.
-		return math.Float64frombits(signBit(d.neg)), d.nd, true
-	}
-	f, ok = eiselLemire64(d.man, d.exp10, d.neg)
-	if !ok {
+	if f, ok = finish64(d); !ok {
 		return 0, 0, false
-	}
-	if d.trunc {
-		// man truncates the true significand, which lies in the open
-		// interval (man, man+1) × 10^exp10.  Rounding is monotone, so if
-		// both endpoints certify and round to the same binary64, every
-		// value between them does too.
-		g, gok := eiselLemire64(d.man+1, d.exp10, d.neg)
-		if !gok || math.Float64bits(f) != math.Float64bits(g) {
-			return 0, 0, false
-		}
 	}
 	return f, d.nd, true
 }
@@ -178,7 +79,7 @@ func Parse64(s string) (f float64, digits int, ok bool) {
 // Parse32 is Parse64 targeting binary32: one rounding, directly to
 // single precision.
 func Parse32(s string) (f float32, digits int, ok bool) {
-	d, ok := scan(s)
+	d, ok := scanWhole(s)
 	if !ok {
 		return 0, 0, false
 	}

@@ -82,7 +82,6 @@ func TestParse64VsStrconv(t *testing.T) {
 		"9.999999999999999e22", "1.0000000000000001e23",
 		"2.2250738585072014e-308", "1.7976931348623157e308",
 		"123456789012345678", "1.8446744073709552e19",
-		"100.000000000000000#####", "1#", "12.5##", "#",
 		"6.62607015e-34", "+42",
 	}
 	for _, s := range mustHit {
@@ -91,13 +90,21 @@ func TestParse64VsStrconv(t *testing.T) {
 			t.Errorf("Parse64(%q) declined, want certify", s)
 			continue
 		}
-		want, err := strconv.ParseFloat(strings.Map(dropMarks, s), 64)
+		want, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			t.Fatalf("oracle rejects %q: %v", s, err)
 		}
 		if math.Float64bits(f) != math.Float64bits(want) {
 			t.Errorf("Parse64(%q) = %v (%#x), want %v (%#x)",
 				s, f, math.Float64bits(f), want, math.Float64bits(want))
+		}
+	}
+	// '#' marks are outside the scanner's grammar: the exact reader
+	// reads them (the root package's TestParseMarkedLiterals pins the
+	// values).
+	for _, s := range []string{"100.000000000000000#####", "1#", "12.5##", "#"} {
+		if _, _, ok := Parse64(s); ok {
+			t.Errorf("Parse64(%q) certified, want decline", s)
 		}
 	}
 
@@ -181,6 +188,7 @@ func TestParseDeclines(t *testing.T) {
 		"5e-324",     // subnormal: rounds at a shifted bit position
 		"1.9e308",    // overflow into +Inf
 		"2.5e-1#x",
+		"1,5", "1\n2", "1\t", // a separator inside the string
 	} {
 		if _, _, ok := Parse64(s); ok {
 			t.Errorf("Parse64(%q) certified, want decline", s)
@@ -204,8 +212,26 @@ func TestParseDeclines(t *testing.T) {
 }
 
 // TestParseTruncatedLongInputs drives >19-digit significands, where the
-// fast path must prove both truncation endpoints round identically.
+// fast path must prove both truncation endpoints round identically, and
+// pins the reported digit count: significant digits, capped at the 19
+// the significand holds.
 func TestParseTruncatedLongInputs(t *testing.T) {
+	for _, c := range []struct {
+		s  string
+		nd int
+	}{
+		{"-0.0", 0}, {"0.000123", 3}, {"120", 3}, {"1234567890123456789", 19},
+		{"1.2345678901234567890123", 19}, {"00012345678901234567890123e-30", 19},
+		{"0.0000012345678901234567890123", 19},
+	} {
+		_, nd, ok := Parse64(c.s)
+		_, ndd, dok := ParseDirected64(c.s, true)
+		if !ok || !dok || nd != c.nd || ndd != c.nd {
+			t.Errorf("Parse64(%q) digits %d (ok %v), ParseDirected64 digits %d (ok %v); want %d",
+				c.s, nd, ok, ndd, dok, c.nd)
+		}
+	}
+
 	cases := []string{
 		"123456789012345678901234567890",
 		"0.33333333333333333333333333333333",
@@ -238,9 +264,16 @@ func TestParseTruncatedLongInputs(t *testing.T) {
 	}
 }
 
-// TestNegativeZero checks the sign of zero survives every zero spelling.
+// TestNegativeZero checks the sign of zero survives every zero spelling
+// the scanner accepts; the marked "-0.#" is the exact reader's.
 func TestNegativeZero(t *testing.T) {
-	for _, s := range []string{"-0", "-0.0", "-0e10", "-0.00000e-20", "-.0", "-0.#"} {
+	if _, _, ok := Parse64("-0.#"); ok {
+		t.Error(`Parse64("-0.#") certified, want decline`)
+	}
+	if _, _, ok := Parse32("-0.#"); ok {
+		t.Error(`Parse32("-0.#") certified, want decline`)
+	}
+	for _, s := range []string{"-0", "-0.0", "-0e10", "-0.00000e-20", "-.0"} {
 		f, _, ok := Parse64(s)
 		if !ok {
 			t.Errorf("Parse64(%q) declined", s)
@@ -258,15 +291,6 @@ func TestNegativeZero(t *testing.T) {
 			t.Errorf("Parse32(%q) = %#x, want negative zero", s, math.Float32bits(f32))
 		}
 	}
-}
-
-// dropMarks maps '#' to '0' so strconv can act as an oracle for marked
-// literals (the reader defines '#' to read as zero).
-func dropMarks(r rune) rune {
-	if r == '#' {
-		return '0'
-	}
-	return r
 }
 
 // randomLiteral emits a literal from the shared base-10 grammar, biased
@@ -303,6 +327,17 @@ func BenchmarkParse64(b *testing.B) {
 	strs := make([]string, 1024)
 	for i := range strs {
 		strs[i] = strconv.FormatFloat(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)), 'g', -1, 64)
+	}
+	// Shortest renderings certify but for exact ties (one here:
+	// -6.212746984426634e+16), so more declines mean a broken scanner.
+	declined := 0
+	for _, s := range strs {
+		if _, _, ok := Parse64(s); !ok {
+			declined++
+		}
+	}
+	if declined > len(strs)/100 {
+		b.Fatalf("Parse64 declined %d of %d shortest renderings", declined, len(strs))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -34,10 +34,11 @@ var ErrRange = errors.New("floatprint: value out of range")
 // (internal/fastparse): the classic nearest-even variant under the
 // default reader, and a directed variant proving the truncated quotient
 // under ReaderTowardNegInf/ReaderTowardPosInf.  Everything neither can
-// certify — other bases, the remaining tie modes, exact ties, subnormal
-// or out-of-range magnitudes — falls back to the exact big-integer
-// reader with identical results and errors.  BackendExact in the options
-// forces the exact reader for every input.
+// certify — other bases, the remaining tie modes, '#' marks, '@'
+// exponents, exact ties, subnormal or out-of-range magnitudes — falls
+// back to the exact big-integer reader with identical results and
+// errors.  BackendExact in the options forces the exact reader for
+// every input.
 func Parse(s string, opts *Options) (float64, error) {
 	o, err := opts.norm()
 	if err != nil {
@@ -214,31 +215,35 @@ func parseDigits(d Digits) (float64, error) {
 }
 
 // parseSpecial recognizes the textual specials "nan", "inf", and
-// "infinity" (any case, optional sign) — but only when the word could not
-// be a digit string in the requested base.  From base 24 up, every letter
-// of "inf" and "nan" is a valid digit (i=18, n=23, f=15), and from base
-// 35 up so is all of "infinity" (t=29, y=34); there the positional parse
-// must win, exactly as the reader grammar defines it.
+// "infinity" (any ASCII case, optional sign) — but only when the word
+// could not be a digit string in the requested base.  From base 24 up,
+// every letter of "inf" and "nan" is a valid digit (i=18, n=23, f=15),
+// and from base 35 up so is all of "infinity" (t=29, y=34); there the
+// positional parse must win, exactly as the reader grammar defines it.
 func parseSpecial(s string, base int) (float64, bool) {
 	t := s
 	neg := false
-	switch {
-	case strings.HasPrefix(t, "+"):
-		t = t[1:]
-	case strings.HasPrefix(t, "-"):
-		neg = true
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		neg = t[0] == '-'
 		t = t[1:]
 	}
-	lower := strings.ToLower(t)
-	switch lower {
-	case "nan", "inf", "infinity":
+	// Gate on length first, then fold case without allocating: every
+	// input reaches this check before any fast path.
+	var word string
+	switch {
+	case len(t) == 3 && strings.EqualFold(t, "nan"):
+		word = "nan"
+	case len(t) == 3 && strings.EqualFold(t, "inf"):
+		word = "inf"
+	case len(t) == 8 && strings.EqualFold(t, "infinity"):
+		word = "infinity"
 	default:
 		return 0, false
 	}
-	if digitsInBase(lower, base) {
+	if digitsInBase(word, base) {
 		return 0, false
 	}
-	if lower == "nan" {
+	if word == "nan" {
 		return math.NaN(), true
 	}
 	return infFor(neg), true

@@ -94,6 +94,43 @@ func TestParseFastVsExactReader32(t *testing.T) {
 	}
 }
 
+// TestParseMarkedLiterals pins the values of '#'-marked and '@'-exponent
+// literals, which the fast path's scanner declines and the exact reader
+// decides: under every reader mode with a base-10 fast path, Parse reads
+// '#' as 0 and '@' as the exponent marker, Parse32 agrees, and the trace
+// records an exact parse after a fast-path miss.
+func TestParseMarkedLiterals(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want float64
+	}{
+		{"100.000000000000000#####", 100},
+		{"1#", 10},
+		{"12.5##", 12.5},
+		{"#", 0},
+		{"-0.#", math.Copysign(0, -1)},
+		{"1.5@2", 150},
+		{"-25@-1", -2.5},
+	} {
+		for _, r := range []ReaderRounding{ReaderNearestEven, ReaderTowardNegInf, ReaderTowardPosInf} {
+			var tr Trace
+			got, err := ParseTraced(c.in, &Options{Reader: r}, &tr)
+			if err != nil || math.Float64bits(got) != math.Float64bits(c.want) {
+				t.Fatalf("Parse(%q, %v) = %g (%#x), %v; want %g (%#x)",
+					c.in, r, got, math.Float64bits(got), err, c.want, math.Float64bits(c.want))
+			}
+			if tr.Backend != TraceBackendExactParse || !tr.FastPathMiss {
+				t.Errorf("Parse(%q, %v) traced %v (fast-path miss %v), want an exact parse after a miss",
+					c.in, r, tr.Backend, tr.FastPathMiss)
+			}
+		}
+		got32, err := Parse32(c.in, nil)
+		if err != nil || math.Float32bits(got32) != math.Float32bits(float32(c.want)) {
+			t.Fatalf("Parse32(%q) = %g, %v; want %g", c.in, got32, err, c.want)
+		}
+	}
+}
+
 // TestParseSpecialsBaseAware pins the satellite bugfix: "inf", "nan",
 // and "infinity" are special names only while they contain at least one
 // rune that is not a digit of the requested base.  In base 24 and up,

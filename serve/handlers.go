@@ -67,6 +67,19 @@ func optionsFromQuery(q url.Values) (*floatprint.Options, error) {
 	return opts, nil
 }
 
+// bitsFromQuery reads the bits query parameter of /v1/shortest,
+// /v1/parse and /v1/fixed: "" or "64" selects binary64, "32" binary32.
+func bitsFromQuery(q url.Values) (bits32 bool, err error) {
+	switch b := q.Get("bits"); b {
+	case "", "64":
+		return false, nil
+	case "32":
+		return true, nil
+	default:
+		return false, fmt.Errorf("bad bits %q (want 32, 64)", b)
+	}
+}
+
 // parseValue reads the v query parameter.  Out-of-range literals keep
 // strconv's IEEE semantics (±Inf) instead of failing: a client that
 // sends 1e999 gets back what a float64 read of 1e999 is.
@@ -127,7 +140,10 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 	dec := sp.StartChild("decode")
 	q := r.URL.Query()
 	opts, err := optionsFromQuery(q)
-	bits32 := q.Get("bits") == "32"
+	var bits32 bool
+	if err == nil {
+		bits32, err = bitsFromQuery(q)
+	}
 	var v float64
 	if err == nil {
 		if bits32 {
@@ -178,6 +194,10 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	dec := sp.StartChild("decode")
 	q := r.URL.Query()
 	opts, err := optionsFromQuery(q)
+	var bits32 bool
+	if err == nil {
+		bits32, err = bitsFromQuery(q)
+	}
 	in := q.Get("s")
 	if err == nil && in == "" {
 		err = errors.New("missing s parameter")
@@ -189,7 +209,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	}
 	conv := sp.StartChild("convert")
 	var d floatprint.Digits
-	if q.Get("bits") == "32" {
+	if bits32 {
 		conv.SetAttr("bits", "32")
 		v, perr := floatprint.Parse32(in, opts)
 		if perr != nil && !errors.Is(perr, floatprint.ErrRange) {
@@ -286,7 +306,8 @@ const MaxFixedPositions = 1100
 // handleFixed serves GET /v1/fixed: fixed-format rendering at n
 // significant digits (n=...) or at an absolute digit position
 // (pos=...), with '#' marks past the point of significance unless
-// nomarks is set.  n and |pos| are capped at MaxFixedPositions.
+// nomarks is set.  n and |pos| are capped at MaxFixedPositions; bits=32
+// applies to n only.
 func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -300,9 +321,12 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 	if err == nil && (ns == "") == (ps == "") {
 		err = errors.New("exactly one of n (significant digits) or pos (absolute position) is required")
 	}
+	var bits32 bool
+	if err == nil {
+		bits32, err = bitsFromQuery(q)
+	}
 	var n, pos int
 	var v float64
-	bits32 := q.Get("bits") == "32"
 	if err == nil {
 		switch {
 		case ns != "":
@@ -320,6 +344,8 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 				err = fmt.Errorf("bad pos %q", ps)
 			} else if pos > MaxFixedPositions || pos < -MaxFixedPositions {
 				err = fmt.Errorf("pos %d exceeds the limit of ±%d positions", pos, MaxFixedPositions)
+			} else if bits32 {
+				err = errors.New("pos does not take bits=32: there is no single-precision absolute-position conversion")
 			} else {
 				v, err = parseValue(q, 64)
 			}
@@ -332,7 +358,7 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 	}
 	conv := sp.StartChild("convert")
 	var d floatprint.Digits
-	if ns != "" && bits32 {
+	if bits32 {
 		conv.SetAttr("bits", "32")
 		d, err = floatprint.FixedDigits32(float32(v), n, opts)
 	} else {

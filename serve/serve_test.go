@@ -65,6 +65,7 @@ func TestShortestEndpoint(t *testing.T) {
 		{"v=1e23&mode=unknown", "9.999999999999999e22\n"},
 		{"v=1234.5&notation=sci", "1.2345e3\n"},
 		{"v=0.1&bits=32", "0.1\n"},
+		{"v=0.1&bits=64", "0.1\n"},
 		{"v=0.3&backend=auto", "0.3\n"},
 		{"v=0.3&backend=exact", "0.3\n"},
 	} {
@@ -75,7 +76,7 @@ func TestShortestEndpoint(t *testing.T) {
 	}
 	for _, q := range []string{
 		"", "v=abc", "v=1&base=99", "v=1&mode=bogus", "v=1&notation=x", "v=1&nomarks=maybe",
-		"v=0.3&backend=grisu", "v=0.3&backend=ryu",
+		"v=0.3&backend=grisu", "v=0.3&backend=ryu", "v=0.1&bits=16", "v=0.1&bits=x",
 	} {
 		if code, _ := get(t, ts.URL+"/v1/shortest?"+q); code != http.StatusBadRequest {
 			t.Errorf("shortest?%s = %d, want 400", q, code)
@@ -105,6 +106,7 @@ func TestParseEndpoint(t *testing.T) {
 		{"s=1e999", "+Inf\n"},  // out of range keeps IEEE semantics
 		{"s=-1e999", "-Inf\n"}, //
 		{"s=0.1&bits=32", "0.1\n"},
+		{"s=0.1&bits=64", "0.1\n"},
 		{"s=1234.5&notation=sci", "1.2345e3\n"},
 		{"s=%2Binf", "+Inf\n"},
 		{"s=inf&base=36", "inf\n"}, // base 36: "inf" is a digit string (24171)
@@ -114,7 +116,7 @@ func TestParseEndpoint(t *testing.T) {
 			t.Errorf("parse?%s = %d %q, want 200 %q", tc.query, code, body, tc.want)
 		}
 	}
-	for _, q := range []string{"", "s=bogus", "s=1..2", "s=1&base=99", "s=1&mode=bogus", "s=ff&base=10"} {
+	for _, q := range []string{"", "s=bogus", "s=1..2", "s=1&base=99", "s=1&mode=bogus", "s=ff&base=10", "s=0.1&bits=16"} {
 		if code, _ := get(t, ts.URL+"/v1/parse?"+q); code != http.StatusBadRequest {
 			t.Errorf("parse?%s = %d, want 400", q, code)
 		}
@@ -250,23 +252,32 @@ func TestFixedEndpoint(t *testing.T) {
 		{"v=0.1&n=20", "0.10000000000000000###\n"},
 		{"v=0.1&n=20&nomarks=1", "0.10000000000000000000\n"},
 		{"v=0.1&n=10&bits=32", "0.100000000#\n"},
+		{"v=0.1&n=12&bits=64", "0.100000000000\n"},
+		{"v=0.1&pos=-12&bits=64", "0.100000000000\n"},
 	} {
 		code, body := get(t, ts.URL+"/v1/fixed?"+tc.query)
 		if code != http.StatusOK || body != tc.want {
 			t.Errorf("fixed?%s = %d %q, want 200 %q", tc.query, code, body, tc.want)
 		}
 	}
-	for _, q := range []string{"v=1", "v=1&n=3&pos=2", "v=1&n=abc", "v=1&n=0", "v=1&pos=x"} {
+	for _, q := range []string{
+		"v=1", "v=1&n=3&pos=2", "v=1&n=abc", "v=1&n=0", "v=1&pos=x",
+		"v=0.1&n=12&bits=16", "v=0.1&pos=-12&bits=16", "v=0.1&pos=-12&bits=32",
+	} {
 		if code, _ := get(t, ts.URL+"/v1/fixed?"+q); code != http.StatusBadRequest {
 			t.Errorf("fixed?%s = %d, want 400", q, code)
 		}
+	}
+	if _, body := get(t, ts.URL+"/v1/fixed?v=0.1&n=12&bits=16"); !strings.Contains(body, `bad bits "16" (want 32, 64)`) {
+		t.Errorf("fixed?v=0.1&n=12&bits=16 error %q does not name the bad bits", body)
 	}
 }
 
 // TestFixedEndpointCap pins the MaxFixedPositions bound on /v1/fixed:
 // the limit itself is served, and one past it in either direction is a
 // 400 that names the limit (a negative n is the library's own 400), for
-// both value widths.
+// both value widths.  pos takes no bits=32, so there every pos is a 400,
+// and the cap is still checked first.
 func TestFixedEndpointCap(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, bits := range []string{"64", "32"} {
@@ -284,9 +295,13 @@ func TestFixedEndpointCap(t *testing.T) {
 			{"pos=-1101", http.StatusBadRequest, true},
 		} {
 			q := "v=0.1&bits=" + bits + "&" + tc.query
+			want := tc.code
+			if bits == "32" && strings.HasPrefix(tc.query, "pos=") {
+				want = http.StatusBadRequest
+			}
 			code, body := get(t, ts.URL+"/v1/fixed?"+q)
-			if code != tc.code {
-				t.Errorf("fixed?%s = %d, want %d", q, code, tc.code)
+			if code != want {
+				t.Errorf("fixed?%s = %d, want %d", q, code, want)
 			}
 			if tc.capError && !strings.Contains(body, "1100") {
 				t.Errorf("fixed?%s error %q does not name the limit", q, body)

@@ -30,7 +30,7 @@
 // Endpoints:
 //
 //	GET  /v1/shortest?v=0.3[&base=16&mode=unknown&notation=sci&nomarks=1&bits=32]
-//	GET  /v1/parse?s=1.25e-3            read with the library's certified
+//	GET  /v1/parse?s=1.25e-3[&bits=32]  read with the library's certified
 //	                                    fast-path reader (same base/mode
 //	                                    options); responds with the value's
 //	                                    shortest rendering
@@ -39,7 +39,8 @@
 //	                                    interval text with outward rounding
 //	                                    and respond with the enclosing
 //	                                    rendering of the parsed endpoints
-//	GET  /v1/fixed?v=3.14159&n=3        (or &pos=-2 for absolute position)
+//	GET  /v1/fixed?v=3.14159&n=3        (or &pos=-2 for absolute position;
+//	                                    bits=32 takes n only)
 //	POST /v1/batch                      NDJSON lines, or packed little-endian
 //	                                    float64s with Content-Type
 //	                                    application/octet-stream; responds with
