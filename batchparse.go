@@ -37,8 +37,8 @@ func (e *BatchParseError) Unwrap() error { return e.Err }
 // in input order.  Each token goes through the block-at-a-time fast
 // scanner — digit runs validated eight bytes per SWAR test and folded
 // into the significand eight digits per multiply, then certified by the
-// Eisel–Lemire kernel — and any token the block scanner declines falls
-// back to the per-value parser, so every value is bit-identical to
+// Eisel–Lemire kernel — and any token the block scanner declines goes to
+// the specials and the exact reader, so every value is bit-identical to
 // Parse(token) under default options.  Out-of-range tokens follow
 // Parse's IEEE semantics: the value is ±Inf and scanning continues.
 //
@@ -75,15 +75,15 @@ func AppendParseBatch(dst []float64, data []byte) ([]float64, error) {
 			continue
 		}
 		// The block scanner declined: specials, '#' marks, '@' exponents,
-		// unresolved ties, out-of-range magnitudes, or genuine garbage.
-		// Delimit the token the general way and hand it to the per-value
-		// path, the oracle for all of them.
+		// subnormal or out-of-range magnitudes, or genuine garbage.
+		// Delimit the token the general way and read it as Parse would,
+		// minus the fast path it has just failed.
 		start := i
 		for i < len(data) && !fastparse.IsSep(data[i]) {
 			i++
 		}
 		fallbacks++
-		f, perr := parse64(string(data[start:i]), defaultOptions(), nil)
+		f, perr := parseDeclined(string(data[start:i]))
 		if perr != nil && !errors.Is(perr, ErrRange) {
 			err = &BatchParseError{Record: records, Offset: start, Err: perr}
 			break
@@ -97,4 +97,14 @@ func AppendParseBatch(dst []float64, data []byte) ([]float64, error) {
 		stats.BatchParseFallbacks.Add(fallbacks)
 	}
 	return dst, err
+}
+
+// parseDeclined reads a token the block scanner declined exactly as Parse
+// would under default options, without retrying the same scanner and
+// kernel: a special, or the exact reader's value and error.
+func parseDeclined(s string) (float64, error) {
+	if f, ok := parseSpecial(s, 10); ok {
+		return f, nil
+	}
+	return parseExact64(s, defaultOptions(), nil, false)
 }

@@ -185,3 +185,23 @@ func TestParseBatchStats(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBatchFallbackGoesExact pins the fallback route: a token the
+// block scanner declines goes straight to the exact reader, without a
+// second run of the same scanner and kernel, so it counts one exact
+// parse and no fast-path miss.
+func TestParseBatchFallbackGoesExact(t *testing.T) {
+	prev := SetStatsEnabled(true)
+	defer SetStatsEnabled(prev)
+
+	before := Snapshot()
+	vals, err := ParseBatch([]byte("5e-324\n0.3\n"))
+	if err != nil || len(vals) != 2 || vals[0] != 5e-324 || vals[1] != 0.3 {
+		t.Fatalf("ParseBatch = %v, %v; want [5e-324 0.3]", vals, err)
+	}
+	d := Snapshot().Sub(before)
+	if d.BatchParseFallbacks != 1 || d.ParseExact != 1 || d.ParseFastMisses != 0 {
+		t.Errorf("fallbacks %d, exact parses %d, fast-path misses %d; want 1, 1, 0",
+			d.BatchParseFallbacks, d.ParseExact, d.ParseFastMisses)
+	}
+}

@@ -16,6 +16,7 @@ package floatprint
 // pass/fail shape checks.
 
 import (
+	"math"
 	"strconv"
 	"sync"
 	"testing"
@@ -400,6 +401,57 @@ func BenchmarkParse_FastPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(strs[i%len(strs)], nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchModeStrs holds the shortest renderings BenchmarkParseModes reads:
+// the first 1,024 corpus values whose magnitude lies in binary32's normal
+// range, so both widths read every string through the kernel.
+var (
+	benchModeOnce sync.Once
+	benchModeStrs []string
+)
+
+func benchModeStrings() []string {
+	benchModeOnce.Do(func() {
+		floats, _ := benchCorpus()
+		for _, f := range floats {
+			if a := math.Abs(f); a >= 0x1p-126 && a <= math.MaxFloat32 && len(benchModeStrs) < 1024 {
+				benchModeStrs = append(benchModeStrs, Shortest(f))
+			}
+		}
+	})
+	return benchModeStrs
+}
+
+// BenchmarkParseModes is the per-pair cost row of the read side: Parse
+// and Parse32 under each reader mode over one shared set of shortest
+// renderings.  One kernel serves all ten pairs, so every row reads at
+// 0 allocs/op; a pair that fell back to the exact reader would show its
+// allocations here.
+func BenchmarkParseModes(b *testing.B) {
+	strs := benchModeStrings()
+	widths := []struct {
+		name  string
+		parse func(string, *Options) error
+	}{
+		{"binary64", func(s string, o *Options) error { _, err := Parse(s, o); return err }},
+		{"binary32", func(s string, o *Options) error { _, err := Parse32(s, o); return err }},
+	}
+	for _, w := range widths {
+		for _, mode := range []ReaderRounding{
+			ReaderNearestEven, ReaderNearestAway, ReaderNearestTowardZero, ReaderTowardNegInf, ReaderTowardPosInf,
+		} {
+			o := &Options{Reader: mode}
+			b.Run(w.name+"/"+mode.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := w.parse(strs[i%len(strs)], o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -9,9 +9,9 @@
 // Convert mode reads benchmark lines from stdin and writes JSON to
 // stdout.  Compare mode loads two JSON artifacts, matches benchmarks by
 // name, compares median ns/op, and exits 1 when any benchmark present
-// in both is more than -max-regress percent slower in head; medians
-// over repeated -count runs make the gate robust to a single noisy
-// pass.
+// in both is more than -max-regress percent slower in head, or reports
+// a median of 0 allocs/op in base and more in head; medians over
+// repeated -count runs make the gate robust to a single noisy pass.
 //
 // -floor adds an absolute acceptance bar on the head artifact alone:
 // every benchmark whose name contains the substring must report a

@@ -335,11 +335,10 @@ func FuzzDirectedPrintVsExact(f *testing.F) {
 	})
 }
 
-// FuzzParseVsExact differences the certified Eisel–Lemire fast paths
+// FuzzParseVsExact differences the certified Eisel–Lemire fast path
 // against the exact reader through the public Parse and Parse32
-// dispatch, for arbitrary strings under the nearest-even reader and
-// both directed ones: identical bits, identical error presence,
-// identical error text.  Unlike FuzzParseVsStrconv it covers the
+// dispatch, for arbitrary strings under all five reader modes:
+// identical bits, identical error presence, identical error text.  Unlike FuzzParseVsStrconv it covers the
 // grammar strconv lacks ('#' marks, '@' exponents, signed NaN), and its
 // oracle shares no code with the fast paths.  Error identity is the
 // load-bearing half — a fast path that truncates overflow onto
@@ -355,6 +354,10 @@ func FuzzParseVsExact(f *testing.F) {
 		"1#5", "12@-3", "inf", "nan", "1e", "..", "0.5", "7450580596923828125e-27",
 		"100.000000000000000#####", "3.33###e2", "1@5", "-2.5@+2", "3.4028235e38",
 		"-nan", "+NaN", "-Infinity", "+inf", "-INF",
+		// Cases the kernel decides since it serves every mode: dyadic
+		// ties, decimal ties, the binary32 overflow and normal frontiers.
+		"4503599627370496.5", "524288.03125", "16777217", "-1e23",
+		"3.4028235677973366e38", "1.1754943508222875e-38",
 	} {
 		f.Add(s)
 	}
@@ -372,7 +375,9 @@ func FuzzParseVsExact(f *testing.F) {
 					fn, s, mode, ferr.Error(), eerr.Error())
 			}
 		}
-		for _, mode := range []ReaderRounding{ReaderNearestEven, ReaderTowardNegInf, ReaderTowardPosInf} {
+		for _, mode := range []ReaderRounding{
+			ReaderNearestEven, ReaderNearestAway, ReaderNearestTowardZero, ReaderTowardNegInf, ReaderTowardPosInf,
+		} {
 			fast, exact := &Options{Reader: mode}, &Options{Reader: mode, Backend: BackendExact}
 			fv, ferr := Parse(s, fast)
 			ev, eerr := Parse(s, exact)

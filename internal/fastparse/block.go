@@ -10,9 +10,9 @@
 // multiply-by-10⁸, and accumulates optimistically in the same pass (a
 // wrap is impossible while the significant digit count stays ≤ 19;
 // longer runs take a rare recompute) — then hands the scanned decimal to
-// the certified Eisel–Lemire kernel.  Parse64, Parse32 and
-// ParseDirected64 run the same scanner over their whole input, so a
-// block result can never differ from a per-value result.
+// the certified Eisel–Lemire kernel.  Read64, Read32 and their wrappers
+// run the same scanner over their whole input, so a block result can
+// never differ from a per-value result.
 //
 // The grammar is the common case only: [+|-] digits with at most one
 // point, then an optional e/E exponent, terminated by a separator or the
@@ -26,6 +26,8 @@ package fastparse
 import (
 	"encoding/binary"
 	"math"
+
+	"floatprint/internal/reader"
 )
 
 // sepTable marks the separator bytes of the batch grammar: newline,
@@ -230,46 +232,22 @@ func accumDigits(man uint64, run []byte) uint64 {
 	return man
 }
 
-// finish64 runs the scanned decimal through the certified Eisel–Lemire
-// kernel, re-verifying a truncated significand.
-func finish64(d decimal) (float64, bool) {
-	if d.man == 0 {
-		// Every digit was zero: the value is exactly ±0 at any scale.
-		return math.Float64frombits(signBit(d.neg)), true
-	}
-	f, ok := eiselLemire64(d.man, d.exp10, d.neg)
-	if !ok {
-		return 0, false
-	}
-	if d.trunc {
-		// man truncates the true significand, which lies in the open
-		// interval (man, man+1) × 10^exp10.  Rounding is monotone, so if
-		// both endpoints certify and round to the same binary64, every
-		// value between them does too.
-		g, gok := eiselLemire64(d.man+1, d.exp10, d.neg)
-		if !gok || math.Float64bits(f) != math.Float64bits(g) {
-			return 0, false
-		}
-	}
-	return f, true
-}
-
 // ParseToken64 parses the number token at the head of b, stopping at
 // the first separator (see IsSep) or the end of input, and reports the
-// bytes consumed.  The contract is the same decline-don't-error as
-// Parse64: ok=true certifies a result bit-identical to the exact
-// reader's for the consumed token; ok=false means the caller must
-// delimit the token itself and use the exact reader (which also covers
-// the grammar this scanner deliberately omits — specials, '#' marks,
-// '@' exponents).
+// bytes consumed, under round-to-nearest-even.  The contract is the
+// same decline-don't-error as Read64: ok=true certifies a result
+// bit-identical to the exact reader's for the consumed token; ok=false
+// means the caller must delimit the token itself and use the exact
+// reader (which also covers the grammar this scanner deliberately omits
+// — specials, '#' marks, '@' exponents).
 func ParseToken64(b []byte) (f float64, n int, ok bool) {
 	d, n, ok := scanToken(b)
 	if !ok {
 		return 0, 0, false
 	}
-	f, ok = finish64(d)
+	v, ok := round[uint64](&d, reader.NearestEven)
 	if !ok {
 		return 0, 0, false
 	}
-	return f, n, true
+	return math.Float64frombits(v), n, true
 }

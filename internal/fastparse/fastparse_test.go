@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"floatprint/internal/fpformat"
+	"floatprint/internal/reader"
 )
 
 // TestPow10TableOracle regenerates the table with math/big and compares
@@ -141,9 +144,9 @@ func TestParse32VsStrconv(t *testing.T) {
 		"1.5", "-2.5e-1",
 	}
 	for _, s := range mustHit {
-		f, _, ok := Parse32(s)
+		f, _, ok := Read32(s, reader.NearestEven)
 		if !ok {
-			t.Errorf("Parse32(%q) declined, want certify", s)
+			t.Errorf("Read32(%q) declined, want certify", s)
 			continue
 		}
 		want64, err := strconv.ParseFloat(s, 32)
@@ -151,7 +154,7 @@ func TestParse32VsStrconv(t *testing.T) {
 			t.Fatalf("oracle rejects %q: %v", s, err)
 		}
 		if math.Float32bits(f) != math.Float32bits(float32(want64)) {
-			t.Errorf("Parse32(%q) = %v (%#x), want %v (%#x)",
+			t.Errorf("Read32(%q) = %v (%#x), want %v (%#x)",
 				s, f, math.Float32bits(f), float32(want64), math.Float32bits(float32(want64)))
 		}
 	}
@@ -159,16 +162,16 @@ func TestParse32VsStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 100000; i++ {
 		s := randomLiteral(rng)
-		f, _, ok := Parse32(s)
+		f, _, ok := Read32(s, reader.NearestEven)
 		if !ok {
 			continue
 		}
 		want64, err := strconv.ParseFloat(s, 32)
 		if err != nil {
-			t.Fatalf("Parse32(%q) certified but oracle rejects: %v", s, err)
+			t.Fatalf("Read32(%q) certified but oracle rejects: %v", s, err)
 		}
 		if math.Float32bits(f) != math.Float32bits(float32(want64)) {
-			t.Fatalf("Parse32(%q) = %#x, want %#x",
+			t.Fatalf("Read32(%q) = %#x, want %#x",
 				s, math.Float32bits(f), math.Float32bits(float32(want64)))
 		}
 	}
@@ -176,8 +179,8 @@ func TestParse32VsStrconv(t *testing.T) {
 
 // TestParseDeclines pins the decline contract: syntax the exact reader
 // would reject, exponents past its cap or outside the table, subnormal
-// and overflowing magnitudes, and exact round-to-even ties must all come
-// back ok=false, never a wrong certify.
+// and overflowing magnitudes must all come back ok=false, never a wrong
+// certify.  Exact round-to-even ties are the kernel's to decide.
 func TestParseDeclines(t *testing.T) {
 	for _, s := range []string{
 		"", "+", "-", ".", "+.", "e5", ".e5", "1e", "1e+", "1e-",
@@ -193,21 +196,23 @@ func TestParseDeclines(t *testing.T) {
 		if _, _, ok := Parse64(s); ok {
 			t.Errorf("Parse64(%q) certified, want decline", s)
 		}
-		if _, _, ok := Parse32(s); ok {
-			t.Errorf("Parse32(%q) certified, want decline", s)
+		if _, _, ok := Read32(s, reader.NearestEven); ok {
+			t.Errorf("Read32(%q) certified, want decline", s)
 		}
 	}
-	// Exact round-to-even ties decline at the precision where they are
-	// ties: 2⁵³+1 and the famous 1e23 are halfway between two binary64
-	// values (2⁵³+1 rounds cleanly at binary32 geometry), and 2²⁴+1 is
-	// the binary32 twin.
+	// Exact round-to-even ties certify, at the precision where they are
+	// ties, with the exact reader's value: 2⁵³+1 and the famous 1e23 are
+	// halfway between two binary64 values, and 2²⁴+1 is the binary32
+	// twin.
 	for _, s := range []string{"9007199254740993", "1e23", "-1e23"} {
-		if _, _, ok := Parse64(s); ok {
-			t.Errorf("Parse64(%q) certified, want tie decline", s)
+		f, _, ok := Parse64(s)
+		if want := exactValue(t, s, fpformat.Binary64, reader.NearestEven); !ok || f != want {
+			t.Errorf("Parse64(%q) = %v, %v; want the exact reader's %v", s, f, ok, want)
 		}
 	}
-	if _, _, ok := Parse32("16777217"); ok {
-		t.Error(`Parse32("16777217") certified, want tie decline`)
+	f, _, ok := Read32("16777217", reader.NearestEven)
+	if want := float32(exactValue(t, "16777217", fpformat.Binary32, reader.NearestEven)); !ok || f != want {
+		t.Errorf(`Read32("16777217") = %v, %v; want the exact reader's %v`, f, ok, want)
 	}
 }
 
@@ -270,8 +275,8 @@ func TestNegativeZero(t *testing.T) {
 	if _, _, ok := Parse64("-0.#"); ok {
 		t.Error(`Parse64("-0.#") certified, want decline`)
 	}
-	if _, _, ok := Parse32("-0.#"); ok {
-		t.Error(`Parse32("-0.#") certified, want decline`)
+	if _, _, ok := Read32("-0.#", reader.NearestEven); ok {
+		t.Error(`Read32("-0.#") certified, want decline`)
 	}
 	for _, s := range []string{"-0", "-0.0", "-0e10", "-0.00000e-20", "-.0"} {
 		f, _, ok := Parse64(s)
@@ -282,13 +287,13 @@ func TestNegativeZero(t *testing.T) {
 		if math.Float64bits(f) != 1<<63 {
 			t.Errorf("Parse64(%q) = %#x, want negative zero", s, math.Float64bits(f))
 		}
-		f32, _, ok := Parse32(s)
+		f32, _, ok := Read32(s, reader.NearestEven)
 		if !ok {
-			t.Errorf("Parse32(%q) declined", s)
+			t.Errorf("Read32(%q) declined", s)
 			continue
 		}
 		if math.Float32bits(f32) != 1<<31 {
-			t.Errorf("Parse32(%q) = %#x, want negative zero", s, math.Float32bits(f32))
+			t.Errorf("Read32(%q) = %#x, want negative zero", s, math.Float32bits(f32))
 		}
 	}
 }
@@ -328,8 +333,8 @@ func BenchmarkParse64(b *testing.B) {
 	for i := range strs {
 		strs[i] = strconv.FormatFloat(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)), 'g', -1, 64)
 	}
-	// Shortest renderings certify but for exact ties (one here:
-	// -6.212746984426634e+16), so more declines mean a broken scanner.
+	// Shortest renderings of normal values all certify, so more than a
+	// stray decline means a broken scanner or kernel.
 	declined := 0
 	for _, s := range strs {
 		if _, _, ok := Parse64(s); !ok {

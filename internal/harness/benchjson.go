@@ -131,14 +131,19 @@ func median(xs []float64) float64 {
 
 // CompareArtifacts matches benchmarks by name and reports every pair
 // whose head median ns/op exceeds the base median by more than
-// maxRegress percent.  Benchmarks present on only one side are listed
-// but never fail the gate (new benchmarks have no baseline; removed
-// ones have no head).
+// maxRegress percent, and every pair whose base median allocs/op is 0
+// while its head median is above 0 (when both sides report allocs/op).
+// Time is noisy, so it gets a threshold; a zero allocation count is
+// exact, so losing it fails outright.  Counts above zero are not
+// gated: amortized ones move with b.N.  Benchmarks present on only one
+// side are listed but never fail the gate (new benchmarks have no
+// baseline; removed ones have no head).
 func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int, report string) {
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b
 	}
+	slower, allocating := 0, 0
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-52s %14s %14s %9s\n", "benchmark", "base ns/op", "head ns/op", "delta")
 	for _, h := range head.Benchmarks {
@@ -148,14 +153,22 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 			continue
 		}
 		delete(baseBy, h.Name)
+		mark := ""
+		if ba, ha := b.Metrics["allocs/op"], h.Metrics["allocs/op"]; len(ba) > 0 && len(ha) > 0 &&
+			median(ba) == 0 && median(ha) > 0 {
+			allocating++
+			mark = fmt.Sprintf("  ALLOCS 0 -> %g", median(ha))
+		}
 		if b.MedianNsPerOp == 0 {
+			if mark != "" {
+				fmt.Fprintf(&sb, "%-52s %14s %14s %9s%s\n", h.Name, "", "", "", mark)
+			}
 			continue
 		}
 		deltaPct := 100 * (h.MedianNsPerOp - b.MedianNsPerOp) / b.MedianNsPerOp
-		mark := ""
 		if deltaPct > maxRegress {
-			regressions++
-			mark = "  REGRESSION"
+			slower++
+			mark = "  REGRESSION" + mark
 		}
 		fmt.Fprintf(&sb, "%-52s %14.1f %14.1f %+8.1f%%%s\n",
 			h.Name, b.MedianNsPerOp, h.MedianNsPerOp, deltaPct, mark)
@@ -165,12 +178,16 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 			fmt.Fprintf(&sb, "%-52s %14.1f %14s %9s\n", b.Name, b.MedianNsPerOp, "(removed)", "")
 		}
 	}
-	if regressions > 0 {
-		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) regressed more than %.0f%%\n", regressions, maxRegress)
-	} else {
-		fmt.Fprintf(&sb, "ok: no benchmark regressed more than %.0f%%\n", maxRegress)
+	if slower > 0 {
+		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) regressed more than %.0f%%\n", slower, maxRegress)
 	}
-	return regressions, sb.String()
+	if allocating > 0 {
+		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) went from 0 allocs/op to more\n", allocating)
+	}
+	if slower+allocating == 0 {
+		fmt.Fprintf(&sb, "ok: no benchmark regressed more than %.0f%% or started allocating\n", maxRegress)
+	}
+	return slower + allocating, sb.String()
 }
 
 // CheckFloor enforces an absolute throughput floor on an artifact:

@@ -127,6 +127,40 @@ func TestCompareArtifactsFlagsRegression(t *testing.T) {
 	}
 }
 
+// TestCompareArtifactsFlagsNewAllocs pins the exact half of the gate: a
+// benchmark whose base median allocs/op is 0 fails when its head median
+// is above 0, however fast it got, while nonzero counts that move, a
+// lone nonzero run under a zero median, and sides that do not report
+// allocs pass.
+func TestCompareArtifactsFlagsNewAllocs(t *testing.T) {
+	withAllocs := func(name string, ns float64, allocs ...float64) Benchmark {
+		return Benchmark{Name: name, Runs: len(allocs), MedianNsPerOp: ns,
+			Metrics: map[string][]float64{"allocs/op": allocs}}
+	}
+	base := &Artifact{Benchmarks: []Benchmark{
+		withAllocs("Lost", 100, 0, 0, 0),
+		withAllocs("Amortized", 100, 15, 15, 16),
+		withAllocs("Blip", 100, 0, 0, 0),
+		withAllocs("NoHeadAllocs", 100, 0, 0, 0),
+	}}
+	head := &Artifact{Benchmarks: []Benchmark{
+		withAllocs("Lost", 50, 6, 6, 6),
+		withAllocs("Amortized", 100, 16, 16, 16),
+		withAllocs("Blip", 100, 0, 1, 0),
+		{Name: "NoHeadAllocs", Runs: 1, MedianNsPerOp: 100},
+	}}
+	regressions, report := CompareArtifacts(base, head, 10)
+	if regressions != 1 {
+		t.Fatalf("regressions = %d, want 1 (Lost only)\n%s", regressions, report)
+	}
+	if !strings.Contains(report, "ALLOCS 0 -> 6") || !strings.Contains(report, "FAIL: 1 benchmark(s) went from 0 allocs/op") {
+		t.Errorf("report lacks the allocs failure:\n%s", report)
+	}
+	if strings.Contains(report, "regressed more than") {
+		t.Errorf("a faster benchmark was reported as a time regression:\n%s", report)
+	}
+}
+
 func TestParseFloorSpec(t *testing.T) {
 	substr, metric, min, err := ParseFloorSpec("BatchParse/block:MB/s:300")
 	if err != nil || substr != "BatchParse/block" || metric != "MB/s" || min != 300 {

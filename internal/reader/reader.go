@@ -81,15 +81,60 @@ func (m RoundMode) String() string {
 	return fmt.Sprintf("RoundMode(%d)", int(m))
 }
 
-// directed reports whether m is one of the two directed modes.
-func directed(m RoundMode) bool { return m == TowardNegInf || m == TowardPosInf }
+// Directed reports whether m is one of the two directed modes.
+func (m RoundMode) Directed() bool { return uint(m-TowardNegInf) <= 1 }
 
 // magnitudeUp reports whether mode rounds an inexact value of the given
 // sign away from zero in magnitude: TowardPosInf pushes positive values up
 // and TowardNegInf pushes negative values down, both of which grow |v|.
-// The nearest modes answer false; their ties are resolved in roundQuotient.
+// The nearest modes answer false; RoundsUp resolves their ties.
 func magnitudeUp(mode RoundMode, neg bool) bool {
 	return (mode == TowardPosInf && !neg) || (mode == TowardNegInf && neg)
+}
+
+// Class places the remainder a rounding drops — the part of the value
+// below the last place it keeps — against half of that place: zero (the
+// kept significand is exact), below half, exactly half (a tie), or above
+// half.  The exact reader reads it off its quotient's remainder and the
+// Eisel–Lemire kernel (internal/fastparse) off the bits below its cut;
+// both then round by RoundsUp, so the two readers cannot drift.
+type Class uint8
+
+const (
+	Zero Class = iota
+	BelowHalf
+	Half
+	AboveHalf
+)
+
+// roundUp[mode] holds one nibble per class, Zero lowest, and in each
+// nibble one bit per sign and parity, at bit 2·neg + odd: set where that
+// mode increments the truncated significand.  Every mode keeps an exact
+// value; a directed mode increments every inexact value of the sign it
+// grows (0b0011 positive, 0b1100 negative); a nearest mode increments
+// above half (0b1111), and at half by its tie rule (0b1010: odd only).
+var roundUp = [...]uint16{
+	NearestEven:       0b1111_1010_0000_0000,
+	NearestAway:       0b1111_1111_0000_0000,
+	NearestTowardZero: 0b1111_0000_0000_0000,
+	TowardNegInf:      0b1100_1100_1100_0000,
+	TowardPosInf:      0b0011_0011_0011_0000,
+}
+
+// RoundsUp reports whether mode increments a truncated significand whose
+// dropped remainder has class c: neg is the value's sign, which orients
+// the directed modes, and odd the significand's parity, which breaks a
+// nearest-even tie.  mode must be one of the five named modes.
+func RoundsUp(c Class, mode RoundMode, neg, odd bool) bool {
+	rule := roundUp[mode]
+	if neg {
+		rule >>= 2
+	}
+	i := uint(c) << 2
+	if odd {
+		i++
+	}
+	return rule>>(i&15)&1 != 0
 }
 
 // ErrRange reports that a parsed value overflows the target format.  Under
@@ -120,7 +165,7 @@ func minDenormal(f *fpformat.Format, neg bool) fpformat.Value {
 // nearest modes and the outward-pointing directed mode, the largest finite
 // value for the truncating one.  Either way the result is out of range.
 func overflow(f *fpformat.Format, neg bool, mode RoundMode) (fpformat.Value, error) {
-	if directed(mode) && !magnitudeUp(mode, neg) {
+	if mode.Directed() && !magnitudeUp(mode, neg) {
 		return maxFinite(f, neg), ErrRange
 	}
 	return fpformat.Value{Fmt: f, Class: fpformat.Inf, Neg: neg}, ErrRange
@@ -266,7 +311,7 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		if e > f.MaxExp {
 			return overflow(f, neg, mode)
 		}
-		if e == f.MaxExp && inexact && directed(mode) && !magnitudeUp(mode, neg) &&
+		if e == f.MaxExp && inexact && mode.Directed() && !magnitudeUp(mode, neg) &&
 			bignat.Cmp(bignat.AddWord(m, 1), hi) == 0 {
 			// IEEE signals overflow from the unbounded-exponent result: a
 			// value strictly above the largest finite number truncates onto
@@ -286,34 +331,13 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 // the caller's own (as DivMod returns them): both are consumed, the
 // result reusing q's storage.
 func roundQuotient(q, rem, den bignat.Nat, mode RoundMode, neg bool) bignat.Nat {
-	if rem.IsZero() {
-		return q
+	c := Zero
+	if !rem.IsZero() {
+		// 2·rem against den places the remainder below, at or above half.
+		c = Class(int(Half) + bignat.Cmp(bignat.MulWordInPlace(rem, 2), den))
 	}
-	if directed(mode) {
-		// Directed rounding has no ties: any nonzero remainder moves away
-		// from zero when the mode points outward for this sign, and
-		// truncates otherwise.
-		if magnitudeUp(mode, neg) {
-			return bignat.AddWordInPlace(q, 1)
-		}
-		return q
-	}
-	switch bignat.Cmp(bignat.MulWordInPlace(rem, 2), den) {
-	case -1:
-		return q
-	case 1:
+	if RoundsUp(c, mode, neg, q.Bit(0) == 1) {
 		return bignat.AddWordInPlace(q, 1)
 	}
-	// Exact tie.
-	switch mode {
-	case NearestAway:
-		return bignat.AddWordInPlace(q, 1)
-	case NearestTowardZero:
-		return q
-	default: // NearestEven
-		if q.Bit(0) == 0 {
-			return q
-		}
-		return bignat.AddWordInPlace(q, 1)
-	}
+	return q
 }

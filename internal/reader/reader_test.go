@@ -333,6 +333,37 @@ func TestParseOtherFormats(t *testing.T) {
 	}
 }
 
+// TestRoundsUpTable checks the packed rounding rule against the modes'
+// definitions, for every class, sign and parity: an exact value is
+// kept, a directed mode grows every inexact magnitude of the sign it
+// points away from zero, and a nearest mode goes up above half and at
+// half by its tie rule.
+func TestRoundsUpTable(t *testing.T) {
+	for _, mode := range []RoundMode{NearestEven, NearestAway, NearestTowardZero, TowardNegInf, TowardPosInf} {
+		for c := Zero; c <= AboveHalf; c++ {
+			for _, neg := range []bool{false, true} {
+				for _, odd := range []bool{false, true} {
+					var want bool
+					switch {
+					case c == Zero:
+					case mode == TowardNegInf:
+						want = neg
+					case mode == TowardPosInf:
+						want = !neg
+					case c == AboveHalf:
+						want = true
+					case c == Half:
+						want = mode == NearestAway || mode == NearestEven && odd
+					}
+					if got := RoundsUp(c, mode, neg, odd); got != want {
+						t.Errorf("RoundsUp(class %d, %v, neg %v, odd %v) = %v, want %v", c, mode, neg, odd, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRoundModeString(t *testing.T) {
 	for m, want := range map[RoundMode]string{
 		NearestEven: "nearest-even", NearestAway: "nearest-away",

@@ -68,15 +68,16 @@ const (
 	BatchValues
 	// BatchBytes counts output bytes produced by the batch engine.
 	BatchBytes
-	// ParseFastHits counts parses certified by the Eisel–Lemire fast
-	// path.
+	// ParseFastHits counts nearest-mode parses, in either width,
+	// certified by the Eisel–Lemire fast path.
 	ParseFastHits
-	// ParseFastMisses counts parses where the fast path was attempted
-	// (base 10, nearest-even) but declined and the exact reader decided.
+	// ParseFastMisses counts nearest-mode parses, in either width, where
+	// the fast path was attempted (base 10) but declined and the exact
+	// reader decided.
 	ParseFastMisses
 	// ParseExact counts parses decided by the exact big-integer reader,
-	// including those where no fast path applied (other bases, directed
-	// modes) and those that ended in a range error.
+	// including those where no fast path applied (other bases, the exact
+	// backend) and those that ended in a range error.
 	ParseExact
 	// BatchParseBlocks counts contiguous byte ranges scanned by the
 	// block-at-a-time batch parse engine.
@@ -87,8 +88,9 @@ const (
 	// engine.
 	BatchParseBytes
 	// BatchParseFallbacks counts batch-parse tokens the chunked block
-	// scanner declined and routed through the per-value parser (specials,
-	// '#' marks, '@' exponents, ties, out-of-range magnitudes).
+	// scanner declined and routed to the specials and the exact reader
+	// (specials, '#' marks, '@' exponents, subnormal or out-of-range
+	// magnitudes).
 	BatchParseFallbacks
 	// DirectedRyuHits counts directed (floor/ceil) shortest conversions
 	// served by the one-sided Ryū kernels.
@@ -97,12 +99,12 @@ const (
 	// one-sided kernel was attempted but declined and the exact core
 	// decided.
 	DirectedRyuMisses
-	// DirectedFastHits counts directed-rounding parses certified by the
-	// directed Eisel–Lemire fast path.
+	// DirectedFastHits counts directed-mode parses, in either width,
+	// certified by the Eisel–Lemire fast path.
 	DirectedFastHits
-	// DirectedFastMisses counts directed-rounding parses where the fast
-	// path was attempted (base 10, binary64) but declined and the exact
-	// reader decided.
+	// DirectedFastMisses counts directed-mode parses, in either width,
+	// where the fast path was attempted (base 10) but declined and the
+	// exact reader decided.
 	DirectedFastMisses
 	// IntervalPrints counts intervals formatted by the interval package
 	// (one per [lo,hi] pair, not per endpoint; the endpoints' exact

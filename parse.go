@@ -31,14 +31,14 @@ var ErrRange = errors.New("floatprint: value out of range")
 // "infinity") the string reads as the number it spells.
 //
 // Base-10 inputs take a certified Eisel–Lemire fast path
-// (internal/fastparse): the classic nearest-even variant under the
-// default reader, and a directed variant proving the truncated quotient
-// under ReaderTowardNegInf/ReaderTowardPosInf.  Everything neither can
-// certify — other bases, the remaining tie modes, '#' marks, '@'
-// exponents, exact ties, subnormal or out-of-range magnitudes — falls
-// back to the exact big-integer reader with identical results and
-// errors.  BackendExact in the options forces the exact reader for
-// every input.
+// (internal/fastparse) under every reader mode: one kernel truncates the
+// value at 53 bits, classifies the dropped remainder, and rounds by the
+// exact reader's own rule.  Everything it cannot certify — other bases,
+// '#' marks, '@' exponents, subnormal or out-of-range magnitudes, the
+// rare input whose truncated product leaves the remainder's class in
+// doubt — falls back to the exact big-integer reader with identical
+// results and errors.  BackendExact in the options forces the exact
+// reader for every input.
 func Parse(s string, opts *Options) (float64, error) {
 	o, err := opts.norm()
 	if err != nil {
@@ -69,32 +69,26 @@ func parse64(s string, o Options, tr *Trace) (float64, error) {
 		traceSpecial(tr, o.Base)
 		return f, nil
 	}
-	// Certified fast paths, one per reader family; BackendExact pins the
+	// One certified fast path for every reader mode; BackendExact pins the
 	// exact reader (the documented forced-off knob for differential tests).
 	fastMiss := false
 	if o.Base == 10 && o.Backend != BackendExact {
-		switch mode := o.Reader.reader(); mode {
-		case reader.NearestEven:
-			if f, nd, ok := fastparse.Parse64(s); ok {
-				stats.ParseFastHits.Inc()
-				traceFastParse(tr, o, nd)
-				return f, nil
-			}
-			stats.ParseFastMisses.Inc()
-			fastMiss = true
-		case reader.TowardNegInf, reader.TowardPosInf:
-			// The directed variant certifies error identity too: any input
-			// the exact reader would pair with ErrRange (saturated overflow
-			// included) is declined, so the error text below never forks.
-			if f, nd, ok := fastparse.ParseDirected64(s, mode == reader.TowardPosInf); ok {
-				stats.DirectedFastHits.Inc()
-				traceFastParse(tr, o, nd)
-				return f, nil
-			}
-			stats.DirectedFastMisses.Inc()
-			fastMiss = true
+		mode := o.Reader.reader()
+		hit, miss := fastParseCounters(mode)
+		if f, nd, ok := fastparse.Read64(s, mode); ok {
+			hit.Inc()
+			traceFastParse(tr, o, nd)
+			return f, nil
 		}
+		miss.Inc()
+		fastMiss = true
 	}
+	return parseExact64(s, o, tr, fastMiss)
+}
+
+// parseExact64 is parse64 past the specials and the fast path: the exact
+// reader decides the value and the error.
+func parseExact64(s string, o Options, tr *Trace, fastMiss bool) (float64, error) {
 	n, err := reader.ParseText(s, o.Base)
 	if err != nil {
 		// Text errors carry no value: sign and magnitude are unknown, so
@@ -131,15 +125,14 @@ func Parse32(s string, opts *Options) (float32, error) {
 	if f, ok := parseSpecial(s, o.Base); ok {
 		return float32(f), nil
 	}
-	// Only the nearest fast path exists at single precision; the directed
-	// modes go straight to the exact reader (the 64-bit directed kernel's
-	// certificate does not transfer across the narrowing).
-	if o.Base == 10 && o.Backend != BackendExact && o.Reader.reader() == reader.NearestEven {
-		if f, _, ok := fastparse.Parse32(s); ok {
-			stats.ParseFastHits.Inc()
+	if o.Base == 10 && o.Backend != BackendExact {
+		mode := o.Reader.reader()
+		hit, miss := fastParseCounters(mode)
+		if f, _, ok := fastparse.Read32(s, mode); ok {
+			hit.Inc()
 			return f, nil
 		}
-		stats.ParseFastMisses.Inc()
+		miss.Inc()
 	}
 	n, err := reader.ParseText(s, o.Base)
 	if err != nil {
@@ -149,8 +142,8 @@ func Parse32(s string, opts *Options) (float32, error) {
 	stats.ParseExact.Inc()
 	if err != nil {
 		if errors.Is(err, reader.ErrRange) {
-			// As in parse64: the reader's saturated result (±Inf, or the
-			// largest finite float32 under a truncating directed mode)
+			// As in parseExact64: the reader's saturated result (±Inf, or
+			// the largest finite float32 under a truncating directed mode)
 			// rides along with ErrRange.
 			f, ferr := v.Float32()
 			if ferr != nil {
@@ -161,6 +154,16 @@ func Parse32(s string, opts *Options) (float32, error) {
 		return 0, fmt.Errorf("floatprint: %w", err)
 	}
 	return v.Float32()
+}
+
+// fastParseCounters names the hit and miss counters a fast parse under
+// mode moves, in either width: the directed pair under the directed
+// modes, the nearest pair under the rest.
+func fastParseCounters(mode reader.RoundMode) (hit, miss stats.Counter) {
+	if mode.Directed() {
+		return stats.DirectedFastHits, stats.DirectedFastMisses
+	}
+	return stats.ParseFastHits, stats.ParseFastMisses
 }
 
 // traceFastParse fills tr for a parse certified by the Eisel–Lemire fast

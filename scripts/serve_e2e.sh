@@ -117,10 +117,14 @@ got="$(curl -fsS "$base/v1/fixed?v=3.14159&n=3")"
 echo "== /v1/parse =="
 got="$(curl -fsS "$base/v1/parse?s=0.3")"
 [ "$got" = "0.3" ] || fail "/v1/parse?s=0.3 = $got, want 0.3"
-# 1e23 is the classic nearest-even tie the fast path cannot certify: it
-# must fall back to the exact reader and still answer correctly.
+# 1e23 is the classic nearest-even tie: the read kernel decides it by the
+# exact reader's own rounding rule.
 got="$(curl -fsS "$base/v1/parse?s=1e23")"
 [ "$got" = "1e23" ] || fail "/v1/parse?s=1e23 = $got, want 1e23"
+# 5e-324 is subnormal, which the fast path declines: it must fall back to
+# the exact reader and still answer correctly.
+got="$(curl -fsS "$base/v1/parse?s=5e-324")"
+[ "$got" = "5e-324" ] || fail "/v1/parse?s=5e-324 = $got, want 5e-324"
 # Out-of-range input keeps IEEE semantics: ErrRange maps to +/-Inf.
 got="$(curl -fsS "$base/v1/parse?s=-1e999")"
 [ "$got" = "-Inf" ] || fail "/v1/parse?s=-1e999 = $got, want -Inf"
@@ -229,14 +233,14 @@ batch_values="$(awk '$1 == "floatprint_batch_values_total" { print $2 }' "$workd
 # fpserved_requests_total is labeled by route; sum the samples for the
 # process total and pin the per-route breakdown exactly.
 requests="$(awk '/^fpserved_requests_total\{/ { sum += $2 } END { print sum+0 }' "$workdir/metrics.txt")"
-# Twenty conversion requests so far (nine shortest — including the
+# Twenty-one conversion requests so far (nine shortest — including the
 # two backend selections, the rejected backend=bogus and backend=grisu
 # counted at receipt, the mode=unknown request, and the
-# traceparent-propagation request — one fixed, three parse, three
+# traceparent-propagation request — one fixed, four parse, three
 # interval, one batch, two batch-parse, and the round-trip batch);
 # /healthz, /metrics, and /debug bypass the per-request wrapper and are
 # deliberately not counted.
-[ "$requests" -eq 20 ] || fail "fpserved_requests_total sums to $requests, want 20"
+[ "$requests" -eq 21 ] || fail "fpserved_requests_total sums to $requests, want 21"
 
 echo "== /metrics: per-route RED breakdown =="
 grep -q 'fpserved_requests_total{route="/v1/shortest"} 9' "$workdir/metrics.txt" \
@@ -297,7 +301,7 @@ parse_hits="$(awk '$1 == "floatprint_parse_fast_hits_total" { print $2 }' "$work
 [ "$parse_hits" -ge 1 ] || fail "floatprint_parse_fast_hits_total = $parse_hits, want >= 1"
 parse_exact="$(awk '$1 == "floatprint_parse_exact_total" { print $2 }' "$workdir/metrics.txt")"
 [ -n "$parse_exact" ] || fail "floatprint_parse_exact_total missing from /metrics"
-# The 1e23 tie and the 1e999 overflow both took the exact reader.
+# The 5e-324 subnormal and the 1e999 overflow both took the exact reader.
 [ "$parse_exact" -ge 2 ] || fail "floatprint_parse_exact_total = $parse_exact, want >= 2"
 
 echo "== /metrics: ryu backend counters =="

@@ -44,20 +44,21 @@ type Stats struct {
 	BatchBytes  uint64 // bytes produced by the batch engine
 
 	// Read-side counters (Parse/Parse32).  ParseFastHits and
-	// ParseFastMisses count parses where the Eisel–Lemire fast path was
-	// attempted (base 10, nearest-even reader); ParseExact counts every
-	// run of the exact big-integer reader, including parses where no
-	// fast path applied (other bases, directed rounding modes) and
-	// parses that ended in ErrRange.
-	ParseFastHits   uint64 // parses certified by the fast path
+	// ParseFastMisses count parses under the nearest modes, in either
+	// width, where the Eisel–Lemire fast path was attempted (base 10,
+	// BackendAuto); ParseExact counts every run of the exact big-integer
+	// reader, including parses where no fast path applied (other bases,
+	// BackendExact) and parses that ended in ErrRange.
+	ParseFastHits   uint64 // nearest-mode parses certified by the fast path
 	ParseFastMisses uint64 // fast path attempted, declined to the reader
 	ParseExact      uint64 // parses decided by the exact reader
 
 	// Batch-parse counters (ParseBatch / batch.Pool.ParseAll).  Blocks
 	// counts contiguous byte ranges scanned; Fallbacks counts tokens the
-	// chunked block scanner declined and routed through the per-value
-	// parser (those also advance the ParseFast*/ParseExact counters
-	// above, exactly as a direct Parse call would).
+	// chunked block scanner declined and routed to the specials and the
+	// exact reader (the ones that reach the reader also advance
+	// ParseExact; the scanner's own declines move no ParseFast* counter,
+	// since the per-value fast path would decline them again).
 	BatchParseBlocks    uint64 // contiguous byte ranges scanned
 	BatchParseValues    uint64 // values parsed by the batch engine
 	BatchParseBytes     uint64 // input bytes consumed by the batch engine
@@ -66,12 +67,13 @@ type Stats struct {
 	// Directed-rounding fast paths (floor/ceil printing and parsing, the
 	// interval package's workhorses).  DirectedRyu* count one-sided
 	// shortest conversions where a directed Ryū kernel was attempted;
-	// DirectedFast* count directed-mode parses where the directed
-	// Eisel–Lemire path was attempted.  Misses fall back to the exact
-	// core/reader and also advance ExactFree / ParseExact.
+	// DirectedFast* count parses under the directed modes, in either
+	// width, where the Eisel–Lemire fast path was attempted.  Misses
+	// fall back to the exact core/reader and also advance ExactFree /
+	// ParseExact.
 	DirectedRyuHits    uint64 // directed prints served by one-sided Ryū
 	DirectedRyuMisses  uint64 // one-sided Ryū attempted, declined
-	DirectedFastHits   uint64 // directed parses certified by the fast path
+	DirectedFastHits   uint64 // directed-mode parses certified by the fast path
 	DirectedFastMisses uint64 // directed fast parse attempted, declined
 
 	// Interval counters (the interval package).  Each counts whole

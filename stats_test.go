@@ -152,7 +152,7 @@ func TestTracedCallsCountLikePlainCalls(t *testing.T) {
 		if _, err := fixedPos(123.456, -2, nil); err != nil {
 			t.Fatal(err)
 		}
-		for _, in := range []string{"0.3", "1e23", "-1e999"} { // fast, exact tie, range error
+		for _, in := range []string{"0.3", "5e-324", "-1e999"} { // fast, subnormal, range error
 			if _, err := parse(in, nil); err != nil && !errors.Is(err, ErrRange) {
 				t.Fatal(err)
 			}
@@ -313,7 +313,8 @@ func TestTelemetryAddsNoAllocs(t *testing.T) {
 		{"FixedDigits exact", func() { _, _ = FixedDigits(0.3, 17, nil) }},
 		{"FixedPositionDigits", func() { _, _ = FixedPositionDigits(123.456, -2, nil) }},
 		{"Format", func() { _, _ = Format(0.3, nil) }},
-		{"Parse", func() { _, _ = Parse("1e23", nil) }},
+		{"Parse", func() { _, _ = Parse("0.3", nil) }},
+		{"Parse exact", func() { _, _ = Parse("5e-324", nil) }},
 		{"AppendShortestBatch", func() { batchBuf = AppendShortestBatch(batchBuf[:0], batch, []byte{'\n'}, batchEnds) }},
 	} {
 		if raceEnabled {
