@@ -3,27 +3,22 @@ package floatprint
 import (
 	"math"
 
-	"floatprint/internal/core"
-	"floatprint/internal/fpformat"
 	"floatprint/internal/ryu"
 	"floatprint/internal/stats"
 )
 
-// This file is the shortest-path dispatch: the one place that decides
-// whether a free-format conversion attempts a Ryū kernel before the exact
-// Burger & Dybvig core.  Every kernel follows the decline-don't-error
-// contract — it either serves a request with output byte-identical to the
-// exact core or declines, and a decline always falls through to the exact
-// core — so dispatch affects speed and the path mix, never the answer.
-//
-// Applicability is two-layered.  The static layer below rules the kernels
-// out per request shape: they need base 10, a binary64 or binary32 value,
-// and BackendAuto.  The reader mode picks the kernel, not whether one
-// runs: the four nearest modes share the nearest kernel, which takes its
-// endpoint flags from the exact core's own mode table, and the two
-// directed modes have one-sided kernels.  The dynamic layer is the
-// kernel's own runtime decline (exact-halfway ties), which surfaces as
-// ok == false at the call site.
+// This file is the shortest-path dispatch: the one place a base-10
+// shortest conversion runs a Ryū kernel.  A request has the kernels'
+// shape when it asks for base 10 and BackendAuto (kernelShape); then
+// the reader mode picks the kernel — the four nearest modes share the
+// nearest kernel, which takes its endpoint flags from the exact core's
+// own mode table, and the two directed modes have one-sided kernels —
+// and the kernel decides the value, binary64 or binary32.  A
+// final-digit tie rounds up in the kernel as in the paper's core, so
+// every finite value is decided there and is byte-identical to the
+// exact Burger & Dybvig core, which runs only for the other shapes
+// (another base, BackendExact).  The dispatch affects speed and the
+// path mix, never the answer.
 
 // kernelShape reports whether a normalized request has the shape every
 // fast kernel needs — the Ryū kernels and Gay's fixed-format path:
@@ -32,70 +27,46 @@ func kernelShape(o Options) bool {
 	return o.Base == 10 && o.Backend == BackendAuto
 }
 
-// nearestFastpath reports whether the nearest kernel may serve a
-// normalized free-format request of a binary64 or binary32 value.  The
-// directed reader modes print one-sided half-gap output, a different
-// acceptance test; they have their own kernels behind directedFastpath.
-func nearestFastpath(o Options) bool {
-	return kernelShape(o) && !o.Reader.directed()
-}
-
-// directedFastpath reports whether the one-sided Ryū kernels
-// (ryu.ShortestBelowInto / ShortestAboveInto) may serve a directed
-// shortest conversion: binary64 only (directed float32 printing stays on
-// the exact one-sided core), and a request shape the kernels can serve —
-// they hard-code decimal arithmetic, so a base-16 request must reach the
-// exact core untouched, and BackendExact is the documented way to force
-// the certified fast paths off (corpus tests diff the two).
-func directedFastpath(o Options, val fpformat.Value) bool {
-	return val.Fmt == fpformat.Binary64 && kernelShape(o)
-}
-
-// ryuShortest runs the nearest kernel for a positive finite binary64 or
-// binary32 val under mode, bumping the hit/miss telemetry.  The digits
-// land in buf as ASCII bytes '0'..'9'; buf must hold ryu.BufLen bytes.
-func ryuShortest(buf []byte, val fpformat.Value, mode core.ReaderMode) (n, k int, ok bool) {
-	// val is finite (specials are classified before any kernel runs), so
-	// re-encoding it cannot fail.
-	if val.Fmt == fpformat.Binary32 {
-		v, _ := val.Float32()
-		n, k, ok = ryu.Shortest32Into(buf, v, mode)
-	} else {
-		v, _ := val.Float64()
-		n, k, ok = ryu.ShortestModeInto(buf, v, mode)
+// kernelShortest is the one call site of the Ryū kernels.  It prints
+// the positive finite magnitude v of a kernel-shaped shortest request —
+// a binary64 value, or when f32 is set a binary32 value widened to
+// float64 — into buf (ASCII digits; ryu.BufLen bytes) under reader r
+// and returns the digit count and K.  neg is the value's sign, which
+// picks a directed reader's side (ReaderRounding.printsAbove).
+func kernelShortest(buf []byte, v float64, f32, neg bool, r ReaderRounding) (n, k int) {
+	var ok bool
+	switch {
+	case !r.directed():
+		if f32 {
+			n, k, ok = ryu.Shortest32Into(buf, float32(v), r.core())
+		} else {
+			n, k, ok = ryu.ShortestModeInto(buf, v, r.core())
+		}
+	case r.printsAbove(neg):
+		if f32 {
+			n, k, ok = ryu.ShortestAbove32Into(buf, float32(v))
+		} else {
+			n, k, ok = ryu.ShortestAboveInto(buf, v)
+		}
+	default:
+		if f32 {
+			n, k, ok = ryu.ShortestBelow32Into(buf, float32(v))
+		} else {
+			n, k, ok = ryu.ShortestBelowInto(buf, v)
+		}
 	}
-	ryuResult(ok).count()
-	return n, k, ok
+	if !ok {
+		panic("floatprint: Ryū kernel declined a positive finite value") // unreachable
+	}
+	return n, k
 }
 
-// ryuOutcome is what the nearest Ryū kernel did with one value.  The
-// append path returns it uncounted, so a single-value caller counts it
-// per call and the batch loop sums a run of outcomes and adds each sum
-// to the shared counters once.
-type ryuOutcome uint8
-
-const (
-	ryuNotTried ryuOutcome = iota // a special, or a request outside the kernel's shape
-	ryuHit                        // the kernel served the value
-	ryuMiss                       // the kernel declined; the exact core decided
-)
-
-// ryuResult is the outcome of one kernel attempt.
-func ryuResult(ok bool) ryuOutcome {
-	if ok {
-		return ryuHit
+// kernelHits is the counter a kernel hit under reader r advances.
+func kernelHits(r ReaderRounding) stats.Counter {
+	if r.directed() {
+		return stats.DirectedRyuHits
 	}
-	return ryuMiss
-}
-
-// count records r in the hit/miss telemetry.
-func (r ryuOutcome) count() {
-	switch r {
-	case ryuHit:
-		stats.RyuHits.Inc()
-	case ryuMiss:
-		stats.RyuMisses.Inc()
-	}
+	return stats.RyuHits
 }
 
 // kernelDigits converts a kernel result — ASCII digits in buf[:n] — into
@@ -111,57 +82,54 @@ func kernelDigits(buf []byte, n, k int, neg bool) Digits {
 // AppendShortestWith is AppendShortest under explicit options: it appends
 // the shortest rendering of v to dst using the options' backend, reader
 // assumption, and notation.  Like AppendShortest it performs no heap
-// allocation beyond growing dst when a Ryū kernel serves the value.  It
-// panics on invalid options; use ShortestDigits plus Digits.Append to
-// handle the error instead.
+// allocation beyond growing dst when a Ryū kernel serves the value —
+// every finite value of a base-10 BackendAuto request, under any reader
+// mode.  It panics on invalid options; use ShortestDigits plus
+// Digits.Append to handle the error instead.
 func AppendShortestWith(dst []byte, v float64, opts *Options) []byte {
 	o, err := opts.norm()
 	if err != nil {
 		panic("floatprint: " + err.Error())
 	}
-	dst, r := appendShortestOpts(dst, v, o)
-	r.count()
+	dst, hit := appendShortestOpts(dst, v, o)
+	if hit {
+		kernelHits(o.Reader).Inc()
+	}
 	return dst
 }
 
 // appendShortestOpts is the shared allocation-free append path under
-// normalized options: specials inline, then the nearest kernel into a
-// stack buffer, then the exact fallback for everything declined.  It
-// returns the kernel's outcome uncounted, for the caller to count per
-// call or sum over a batch; the exact fallback counts its own events.
-func appendShortestOpts(dst []byte, v float64, o Options) ([]byte, ryuOutcome) {
+// normalized options: specials inline, then a kernel-shaped request
+// through kernelShortest into a stack buffer, rendered straight into
+// dst, and any other shape through the exact core.  hit reports a
+// kernel result, uncounted, for the caller to count per call or sum
+// over a batch; the exact path counts its own events.
+func appendShortestOpts(dst []byte, v float64, o Options) (_ []byte, hit bool) {
 	// Specials, inline: these never reach digit generation.
 	switch {
 	case math.IsNaN(v):
-		return append(dst, "NaN"...), ryuNotTried
+		return append(dst, "NaN"...), false
 	case math.IsInf(v, 1):
-		return append(dst, "+Inf"...), ryuNotTried
+		return append(dst, "+Inf"...), false
 	case math.IsInf(v, -1):
-		return append(dst, "-Inf"...), ryuNotTried
+		return append(dst, "-Inf"...), false
 	case v == 0:
 		if math.Signbit(v) {
-			return append(dst, '-', '0'), ryuNotTried
+			return append(dst, '-', '0'), false
 		}
-		return append(dst, '0'), ryuNotTried
+		return append(dst, '0'), false
 	}
-	r := ryuNotTried
-	if nearestFastpath(o) {
-		var buf [ryu.BufLen]byte
-		n, k, ok := ryu.ShortestModeInto(buf[:], math.Abs(v), o.Reader.core())
-		r = ryuResult(ok)
-		if ok {
-			return appendFastRender(dst, math.Signbit(v), buf[:], n, k, o), r
+	if !kernelShape(o) {
+		d, err := shortestValueTraced(v, false, o, nil)
+		if err != nil {
+			panic("floatprint: " + err.Error()) // unreachable: options validated
 		}
-		// The kernel declined: run the exact core directly rather than
-		// trying the kernel again inside shortestValueTraced, so the miss
-		// above stays counted exactly once.
-		o.Backend = BackendExact
+		return d.appendRender(dst, o), false
 	}
-	d, err := shortestValueTraced(fpformat.DecodeFloat64(v), o, nil)
-	if err != nil {
-		panic("floatprint: " + err.Error()) // unreachable: options validated
-	}
-	return d.appendRender(dst, o), r
+	var buf [ryu.BufLen]byte
+	neg := math.Signbit(v)
+	n, k := kernelShortest(buf[:], math.Abs(v), false, neg, o.Reader)
+	return appendFastRender(dst, neg, buf[:], n, k, o), true
 }
 
 // appendFastRender renders a kernel result — ASCII digits in

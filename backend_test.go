@@ -3,31 +3,20 @@ package floatprint
 import (
 	"bytes"
 	"math"
-	"math/big"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
 	"floatprint/internal/core"
 	"floatprint/internal/fpformat"
-	"floatprint/internal/ryu"
 	"floatprint/internal/schryer"
 )
 
-// findRyuDecline returns a corpus value the Ryū backend declines (an
-// exact-halfway tie), failing the test if the corpus contains none.
-func findRyuDecline(t *testing.T) float64 {
-	t.Helper()
-	for _, v := range schryer.CorpusN(schryer.CorpusSize) {
-		if _, _, ok := ryu.Shortest(v); !ok {
-			return v
-		}
-	}
-	t.Fatal("no ryu tie decline in the Schryer corpus")
-	return 0
-}
+// digitTie is a final-digit tie: 2⁻²⁵ = 2.98023223876953125e-8 lies
+// exactly halfway between two 17-digit decimals, where the kernel rounds
+// up to ...13 as the paper's core does and strconv rounds to even
+// (...12).  It is an ordinary kernel input.
+const digitTie = 0x1p-25
 
 var backendList = []Backend{BackendAuto, BackendExact}
 
@@ -64,14 +53,14 @@ func TestParseBackend(t *testing.T) {
 
 // TestBackendsByteIdentical is the registry's core contract: every
 // backend selection yields byte-identical Digits for the same value, on
-// random values and on the values Ryū declines.
+// random values and on a final-digit tie.
 func TestBackendsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	values := make([]float64, 0, 2064)
 	for i := 0; i < 2000; i++ {
 		values = append(values, randomFinite(rng))
 	}
-	values = append(values, findRyuDecline(t), 0.3, math.Pi, 1e23, 5e-324,
+	values = append(values, digitTie, 0.3, math.Pi, 1e23, 5e-324,
 		math.MaxFloat64, 0x1p-1022)
 	for _, v := range values {
 		ref, err := ShortestDigits(v, &Options{Backend: BackendExact})
@@ -100,16 +89,16 @@ func TestBackendsByteIdentical(t *testing.T) {
 // differential test of its endpoint flags as much as of the dispatch.
 // It also pins the static dispatch in front of the kernel: every nearest
 // mode, for float64 and float32 and through the append path alike, makes
-// exactly one Ryū attempt (a hit, on 0.3), and the request shapes the
-// kernel cannot serve — another base, a benchmark scaling, the exact
-// backend — run the exact core without an attempt.
+// exactly one Ryū hit and nothing else (on 0.3 and on the digit tie),
+// and the request shapes the kernel cannot serve — another base, the
+// exact backend — run the exact core without a kernel call.
 func TestBackendsAllReaderModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	values := make([]float64, 0, 516)
 	for i := 0; i < 500; i++ {
 		values = append(values, randomFinite(rng))
 	}
-	values = append(values, findRyuDecline(t), 0.3, 1e23, 5e-324)
+	values = append(values, digitTie, 0.3, 1e23, 5e-324)
 	for _, v := range values {
 		val := fpformat.DecodeFloat64(v)
 		for _, mode := range nearestModes {
@@ -134,39 +123,51 @@ func TestBackendsAllReaderModes(t *testing.T) {
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
 	for _, mode := range nearestModes {
-		for name, convert := range map[string]func(*Options) error{
-			"float64": func(o *Options) error { _, err := ShortestDigits(0.3, o); return err },
-			"float32": func(o *Options) error { _, err := ShortestDigits32(0.3, o); return err },
-			"append":  func(o *Options) error { AppendShortestWith(nil, 0.3, o); return nil },
-		} {
-			ResetStats()
-			if err := convert(&Options{Reader: mode}); err != nil {
-				t.Fatal(err)
-			}
-			if s := Snapshot(); s.RyuHits != 1 || s.RyuMisses != 0 || s.ExactFree != 0 {
-				t.Errorf("%s, mode %v: %+v, want one ryu hit", name, mode, s)
-			}
-			for _, o := range []Options{
-				{Reader: mode, Base: 16},
-				{Reader: mode, Backend: BackendExact},
+		for _, v := range []float64{0.3, digitTie} {
+			for name, convert := range map[string]func(*Options) error{
+				"float64": func(o *Options) error { _, err := ShortestDigits(v, o); return err },
+				"float32": func(o *Options) error { _, err := ShortestDigits32(float32(v), o); return err },
+				"append":  func(o *Options) error { AppendShortestWith(nil, v, o); return nil },
 			} {
 				ResetStats()
-				if err := convert(&o); err != nil {
+				if err := convert(&Options{Reader: mode}); err != nil {
 					t.Fatal(err)
 				}
-				if s := Snapshot(); s.RyuHits != 0 || s.RyuMisses != 0 || s.ExactFree != 1 {
-					t.Errorf("%s, options %+v: %+v, want exact only", name, o, s)
+				if s := Snapshot(); s != (Stats{RyuHits: 1}) {
+					t.Errorf("%s(%g), mode %v: %+v, want one ryu hit", name, v, mode, s)
+				}
+				for _, o := range []Options{
+					{Reader: mode, Base: 16},
+					{Reader: mode, Backend: BackendExact},
+				} {
+					ResetStats()
+					if err := convert(&o); err != nil {
+						t.Fatal(err)
+					}
+					if s := Snapshot(); s.RyuHits != 0 || s.DirectedRyuHits != 0 || s.ExactFree != 1 {
+						t.Errorf("%s(%g), options %+v: %+v, want exact only", name, v, o, s)
+					}
 				}
 			}
 		}
 	}
 }
 
+// allModes are the six reader modes: the four nearest ones, which share
+// the nearest kernel, and the two directed ones, each with a one-sided
+// kernel.
+var allModes = append(nearestModes[:len(nearestModes):len(nearestModes)], ReaderTowardNegInf, ReaderTowardPosInf)
+
 // TestRyuVsExactCorpus is the acceptance-criteria differential: over the
-// full 250,680-value Schryer corpus, under each of the four nearest
-// reader modes, the public API's default options must produce exactly
-// the bytes BackendExact produces, and every value the kernel declines
-// must be an exact-halfway tie.
+// full 250,680-value Schryer corpus, in both widths (each value and its
+// float32 rounding), under all six reader modes, the public API's
+// default options must produce exactly the bytes BackendExact produces,
+// through ShortestDigits, ShortestDigits32, AppendShortestWith and, for
+// the directed modes, the ShortestBelowDigits/ShortestAboveDigits entry
+// point that prints the same bound.  The default runs must never reach
+// the exact core: a kernel decides every value, ties included, so they
+// leave ExactFree at 0 and count one kernel hit per call on a nonzero
+// finite value.
 func TestRyuVsExactCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential in -short mode")
@@ -175,81 +176,83 @@ func TestRyuVsExactCorpus(t *testing.T) {
 	if len(corpus) != schryer.CorpusSize {
 		t.Fatalf("corpus size %d, want %d", len(corpus), schryer.CorpusSize)
 	}
+	prev := SetStatsEnabled(true)
+	defer SetStatsEnabled(prev)
 	var tr Trace
 	buf := make([]byte, 0, 32)
-	for _, mode := range nearestModes {
+	for _, mode := range allModes {
 		auto, exact := &Options{Reader: mode}, &Options{Reader: mode, Backend: BackendExact}
-		declines := 0
+		directed := map[ReaderRounding]func(float64, *Options) (Digits, error){
+			ReaderTowardNegInf: ShortestAboveDigits,
+			ReaderTowardPosInf: ShortestBelowDigits,
+		}[mode]
+		ResetStats()
+		calls := uint64(0)
 		for _, v := range corpus {
 			d, err := ShortestDigitsTraced(v, auto, &tr)
 			if err != nil {
 				t.Fatal(err)
 			}
+			d32, err := ShortestDigits32(float32(v), auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = AppendShortestWith(buf[:0], v, auto)
+			calls += 2
+			if f := float32(v); f != 0 && !math.IsInf(float64(f), 0) {
+				calls++ // out of binary32 range, float32(v) is a special
+			}
+			var dd Digits
+			if directed != nil {
+				if dd, err = directed(v, nil); err != nil {
+					t.Fatal(err)
+				}
+				calls++
+			}
+
+			SetStatsEnabled(false) // count the default-option runs only
 			ref, err := ShortestDigits(v, exact)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(d.Digits, ref.Digits) || d.K != ref.K {
-				t.Fatalf("mode %v, %g [%x]: %v ×10^%d, exact %v ×10^%d",
-					mode, v, math.Float64bits(v), d.Digits, d.K, ref.Digits, ref.K)
+			ref32, err := ShortestDigits32(float32(v), exact)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if buf = AppendShortestWith(buf[:0], v, auto); string(buf) != ref.String() {
+			SetStatsEnabled(true)
+			if d.String() != ref.String() || tr.Backend != TraceBackendRyu {
+				t.Fatalf("mode %v, %g [%x]: %q by %v, exact %q",
+					mode, v, math.Float64bits(v), d.String(), tr.Backend, ref.String())
+			}
+			if d32.String() != ref32.String() {
+				t.Fatalf("mode %v, float32 %g [%x]: %q, exact %q",
+					mode, float32(v), math.Float32bits(float32(v)), d32.String(), ref32.String())
+			}
+			if string(buf) != ref.String() {
 				t.Fatalf("mode %v: AppendShortestWith(%g) = %q, exact %q", mode, v, buf, ref.String())
 			}
-			if tr.FastPathMiss {
-				declines++
-				if !exactHalfway(v, ref) {
-					t.Errorf("mode %v: ryu declined %g [%x], which is not an exact-halfway tie",
-						mode, v, math.Float64bits(v))
-				}
+			if directed != nil && dd.String() != ref.String() {
+				t.Fatalf("mode %v: one-sided entry point on %g = %q, exact %q", mode, v, dd.String(), ref.String())
 			}
 		}
-		t.Logf("mode %v: ryu declines %d of %d (%.4f%%)",
-			mode, declines, len(corpus), 100*float64(declines)/float64(len(corpus)))
-		if declines > 42 {
-			t.Errorf("mode %v: %d declines, want at most the corpus's 42 exact-halfway ties", mode, declines)
+		s := Snapshot()
+		hits := s.RyuHits + s.DirectedRyuHits
+		t.Logf("mode %v: %d default-option calls, %d kernel hits, %d exact", mode, calls, hits, s.ExactFree)
+		if s.ExactFree != 0 || hits != calls {
+			t.Errorf("mode %v: default options reached the exact core %d times, kernel hits %d of %d calls",
+				mode, s.ExactFree, hits, calls)
 		}
 	}
-}
-
-// exactHalfway reports whether v lies exactly halfway between two
-// adjacent decimals of the same length and d, its exact-core rendering,
-// is one of them: v's exact decimal expansion ends in a 5, and d is that
-// expansion with the 5 dropped, rounded down or up.
-func exactHalfway(v float64, d Digits) bool {
-	s := strconv.FormatFloat(v, 'e', 767, 64) // every binary64 is exact in 767 digits
-	e := strings.IndexByte(s, 'e')
-	exp, _ := strconv.Atoi(s[e+1:])
-	mant := strings.TrimRight(strings.Replace(s[:e], ".", "", 1), "0")
-	if len(mant) < 2 || mant[len(mant)-1] != '5' {
-		return false
-	}
-	// The candidates below and above v, in units of 10^scale, the weight
-	// of the digit before the 5.
-	lo, _ := new(big.Int).SetString(mant[:len(mant)-1], 10)
-	hi := new(big.Int).Add(lo, big.NewInt(1))
-	scale := exp - (len(mant) - 2)
-	// d is out × 10^(d.K-len(d.Digits)); bring it to the same units.
-	ten := big.NewInt(10)
-	out := new(big.Int)
-	for _, digit := range d.Digits {
-		out.Mul(out, ten).Add(out, big.NewInt(int64(digit)))
-	}
-	if d.K-len(d.Digits) < scale {
-		return false
-	}
-	for i := d.K - len(d.Digits); i > scale; i-- {
-		out.Mul(out, ten)
-	}
-	return out.Cmp(lo) == 0 || out.Cmp(hi) == 0
 }
 
 // TestShortest32MatchesExactAllModes is the float32 sweep: through the
 // public dispatch, ShortestDigits32 must equal the exact core on the
-// binary32 decoding under every nearest reader mode.  The inputs are both
-// ends of every binade (the first and last 32 mantissas of each biased
-// exponent, so both subnormal ends too) and a seeded sample of random bit
-// patterns.
+// binary32 decoding under every reader mode — the free-format core
+// under the nearest ones, the one-sided core under the directed ones —
+// and every nonzero value must be a kernel hit that never reaches the
+// exact core.  The inputs are both ends of every binade (the first and
+// last 32 mantissas of each biased exponent, so both subnormal ends
+// too) and a seeded sample of random bit patterns.
 func TestShortest32MatchesExactAllModes(t *testing.T) {
 	const ends, random = 32, 20000
 	var values []float32
@@ -268,7 +271,7 @@ func TestShortest32MatchesExactAllModes(t *testing.T) {
 	}
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
-	for _, mode := range nearestModes {
+	for _, mode := range allModes {
 		ResetStats()
 		cm := Options{Reader: mode}.Reader.core()
 		nonzero := 0
@@ -281,7 +284,16 @@ func TestShortest32MatchesExactAllModes(t *testing.T) {
 				continue
 			}
 			nonzero++
-			exact, err := core.FreeFormat(fpformat.DecodeFloat32(v), 10, core.ScalingEstimate, cm)
+			val := fpformat.DecodeFloat32(v)
+			var exact core.Result
+			switch mode {
+			case ReaderTowardNegInf:
+				exact, err = core.CeilFormat(val, 10, core.ScalingEstimate)
+			case ReaderTowardPosInf:
+				exact, err = core.FloorFormat(val, 10, core.ScalingEstimate)
+			default:
+				exact, err = core.FreeFormat(val, 10, core.ScalingEstimate, cm)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,10 +303,11 @@ func TestShortest32MatchesExactAllModes(t *testing.T) {
 			}
 		}
 		s := Snapshot()
-		t.Logf("mode %v: %d float32 values, ryu declines %d", mode, len(values), s.RyuMisses)
-		if s.RyuHits+s.RyuMisses != uint64(nonzero) || s.RyuMisses > uint64(nonzero/100) {
-			t.Errorf("mode %v: ryu hits %d, misses %d over %d nonzero values",
-				mode, s.RyuHits, s.RyuMisses, nonzero)
+		hits := s.RyuHits + s.DirectedRyuHits
+		t.Logf("mode %v: %d float32 values, %d kernel hits", mode, len(values), hits)
+		if hits != uint64(nonzero) || s.ExactFree != 0 {
+			t.Errorf("mode %v: kernel hits %d, exact %d over %d nonzero values",
+				mode, hits, s.ExactFree, nonzero)
 		}
 	}
 }
@@ -335,7 +348,6 @@ func TestBackendSelectionConcurrent(t *testing.T) {
 	defer SetStatsEnabled(prev)
 
 	corpus := schryer.CorpusN(2000)
-	tie := findRyuDecline(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -350,7 +362,7 @@ func TestBackendSelectionConcurrent(t *testing.T) {
 			buf := make([]byte, 0, 64)
 			for i, v := range corpus {
 				if i%97 == 0 {
-					v = tie
+					v = digitTie
 				}
 				buf = AppendShortestWith(buf[:0], v, opts)
 				d, err := ShortestDigits(v, opts)

@@ -49,9 +49,9 @@ func (r *BatchResult) WriteTo(w io.Writer) (int64, error) {
 
 // BatchShortest converts values to their shortest renderings in one
 // pass, reusing a single output buffer so the per-call overhead of the
-// conversion amortizes across the whole batch: on the Ryū kernel's path
-// the entire batch costs two allocations (buffer and offsets)
-// regardless of length.  It is the single-shard engine; the
+// conversion amortizes across the whole batch: the Ryū kernel decides
+// every finite value, so the entire batch costs two allocations (buffer
+// and offsets) regardless of length.  It is the single-shard engine; the
 // floatprint/batch package runs the same conversion sharded across a
 // worker pool with cancellation.
 func BatchShortest(values []float64) *BatchResult {
@@ -76,23 +76,20 @@ func BatchShortest(values []float64) *BatchResult {
 // It is the one batch print loop: BatchShortest and the floatprint/batch
 // engines render through it.  The bytes and the telemetry match a
 // per-value AppendShortest loop over the same values exactly, but the
-// nearest kernel's hits and misses are summed in locals and added to
-// the shared counters once per call, so concurrent batch shards do not
-// contend on one counter's cache line for every value.
+// kernel's hits are summed in a local and added to the shared counter
+// once per call, so concurrent batch shards do not contend on one
+// counter's cache line for every value.
 func AppendShortestBatch(dst []byte, values []float64, sep []byte, ends []int) []byte {
 	if ends != nil {
 		ends = ends[:len(values)]
 	}
 	o := defaultOptions()
-	var hits, misses uint64
+	var hits uint64
 	for i, v := range values {
-		var r ryuOutcome
-		dst, r = appendShortestOpts(dst, v, o)
-		switch r {
-		case ryuHit:
+		var hit bool
+		dst, hit = appendShortestOpts(dst, v, o)
+		if hit {
 			hits++
-		case ryuMiss:
-			misses++
 		}
 		dst = append(dst, sep...)
 		if ends != nil {
@@ -100,6 +97,5 @@ func AppendShortestBatch(dst []byte, values []float64, sep []byte, ends []int) [
 		}
 	}
 	stats.RyuHits.Add(hits)
-	stats.RyuMisses.Add(misses)
 	return dst
 }

@@ -9,18 +9,15 @@
 // bookkeeping, scheduling, and telemetry.  Each shard owns one append
 // buffer for its whole range and renders it a ChunkSize chunk at a time
 // through floatprint.AppendShortestBatch, the one batch print loop (the
-// Ryū kernel into a stack buffer, pooled bignat limbs on the rare exact
-// fallback).  Output is byte-identical to calling
-// floatprint.AppendShortest on each value in order, whatever the shard
-// count.
+// Ryū kernel into a stack buffer, which decides every finite value).
+// Output is byte-identical to calling floatprint.AppendShortest on each
+// value in order, whatever the shard count.
 //
 // Telemetry: a call adds its value and byte totals to the global
-// counters once, at the end, and each chunk adds its kernel hit and miss
-// tallies once, so shards touch the shared counters a few times per
-// call rather than once per value.  The counts are exactly those of a
-// per-value AppendShortest loop, and every one has landed when the call
-// returns.  The exact fallback still counts per conversion, where its
-// events happen; it serves under two corpus values in 10,000.
+// counters once, at the end, and each chunk adds its kernel hit tally
+// once, so shards touch the shared counters a few times per call rather
+// than once per value.  The counts are exactly those of a per-value
+// AppendShortest loop, and every one has landed when the call returns.
 package batch
 
 import (

@@ -47,11 +47,12 @@ func ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, error) {
 //
 // On a malformed token, ParseAll writes the values preceding it and
 // returns a *floatprint.BatchParseError whose Record and Offset locate
-// the token in the whole stream.  A separator-free run longer than
-// MaxTokenBytes is rejected the same way rather than buffering without
-// bound.  The writer-side contract matches WriteAll: whatever reached w
-// when ParseAll returns — on success, error, or cancellation — is a
-// prefix of the full output, ending on a value boundary.
+// the token in the whole stream.  A token longer than MaxTokenBytes is
+// rejected the same way, whether or not a separator ends it, rather than
+// buffered without bound or handed to the exact reader.  The writer-side
+// contract matches WriteAll: whatever reached w when ParseAll returns —
+// on success, error, or cancellation — is a prefix of the full output,
+// ending on a value boundary.
 func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, error) {
 	var (
 		written int64 // values written to w
@@ -114,14 +115,22 @@ func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, e
 			// EOF, and a stream's last read may carry EOF with its bytes:
 			// the cap holds for the final token too.
 			if len(buf) > p.maxToken {
-				return written, &floatprint.BatchParseError{
-					Record: recBase, Offset: offBase,
-					Err: fmt.Errorf("floatprint: token exceeds %d bytes", p.maxToken),
-				}
+				return written, p.tokenCapError(recBase, offBase)
 			}
 			cut = len(buf) // final unterminated token
 		}
 		block := buf[:cut]
+		// A token longer than the cap can only sit in a block longer than
+		// it, so blocks no longer than the cap (every block under the
+		// default configuration) skip the search.  The values before the
+		// long token are parsed and written; then the cap error stops the
+		// stream where that token begins.
+		long := -1
+		if len(block) > p.maxToken {
+			if long = longToken(block, p.maxToken); long >= 0 {
+				block = block[:long]
+			}
+		}
 
 		vals, perr := p.parseBlock64(block, scratch)
 		// Pack and write everything parsed before any failure: the output
@@ -152,6 +161,9 @@ func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, e
 			perr.Offset += offBase
 			return written, perr
 		}
+		if long >= 0 {
+			return written, p.tokenCapError(recBase+total, offBase+long)
+		}
 		recBase += total
 		offBase += cut
 		buf = append(buf[:0], buf[cut:]...)
@@ -159,6 +171,37 @@ func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, e
 			return written, nil
 		}
 	}
+}
+
+// tokenCapError is the located error for a token longer than
+// MaxTokenBytes that begins at stream offset offset, after record
+// values.
+func (p *Pool) tokenCapError(record, offset int) *floatprint.BatchParseError {
+	return &floatprint.BatchParseError{
+		Record: record, Offset: offset,
+		Err: fmt.Errorf("floatprint: token exceeds %d bytes", p.maxToken),
+	}
+}
+
+// longToken returns the offset of the first token in block longer than
+// max bytes, or -1.  Offset 0 must begin a token or a separator run.
+// From each point start that may begin a token it probes the byte max
+// past it and scans back to the nearest separator: none in between means
+// the token at start is longer than max, and otherwise every token
+// beginning before that separator ends by it.  A block of short tokens
+// so costs a few bytes' look per max bytes of input.
+func longToken(block []byte, max int) int {
+	for start := 0; start+max < len(block); {
+		j := start + max
+		for j >= start && !floatprint.BatchSep(block[j]) {
+			j--
+		}
+		if j < start {
+			return start
+		}
+		start = j + 1
+	}
+	return -1
 }
 
 // parseBlock64 scans one separator-terminated block across the pool's

@@ -175,12 +175,54 @@ func TestParseAllMaxTokenBytes(t *testing.T) {
 	if !errors.As(err, &be) || be.Record != 0 || be.Offset != 0 || !strings.Contains(err.Error(), "exceeds 1024 bytes") {
 		t.Fatalf("final-read token: err = %v, want the cap error at record 0 offset 0", err)
 	}
+	// A separator-terminated token over the cap, inside one block, meets
+	// the cap too: the value before it is written, and the error locates
+	// the long token.  The last configuration is the default one, a
+	// 1 MiB block and a 1 MiB cap.
+	for _, c := range []struct {
+		cfg Config
+		n   int
+	}{
+		{Config{ParseBlockBytes: 512, MaxTokenBytes: 1024}, 2000},
+		{Config{ParseBlockBytes: 65536, MaxTokenBytes: 1024}, 5000},
+		{Config{}, 1<<20 + 4096},
+	} {
+		out.Reset()
+		in := "1\n" + strings.Repeat("1", c.n) + "\n"
+		n, err := New(c.cfg).ParseAll(context.Background(), strings.NewReader(in), &out)
+		if !errors.As(err, &be) || be.Record != 1 || be.Offset != 2 || !strings.Contains(err.Error(), "token exceeds") {
+			t.Fatalf("%+v, %d-byte token: n=%d err=%v, want the cap error at record 1 offset 2", c.cfg, c.n, n, err)
+		}
+		if n != 1 || out.Len() != 8 {
+			t.Fatalf("%+v, %d-byte token: wrote %d values in %d bytes, want the value before it", c.cfg, c.n, n, out.Len())
+		}
+	}
 	// A long-but-capped token still parses when the cap allows it.
 	p = New(Config{ParseBlockBytes: 512, MaxTokenBytes: 1 << 20})
 	out.Reset()
 	n, err := p.ParseAll(context.Background(), strings.NewReader("7\n"+long+"\n"), &out)
 	if err != nil || n != 2 {
 		t.Fatalf("capped parse: n=%d err=%v", n, err)
+	}
+}
+
+// TestLongToken pins the cap search against a direct scan: a token of
+// exactly max bytes passes, one byte more is found at its start, and
+// separator runs, a block-initial token and a block-final token are all
+// measured.
+func TestLongToken(t *testing.T) {
+	const max = 4
+	for _, c := range []struct {
+		block string
+		want  int
+	}{
+		{"", -1}, {"1234", -1}, {"12345", 0}, {"1234\n", -1}, {"12345\n", 0},
+		{"1\n1234\n", -1}, {"1\n12345\n", 2}, {"1,,  \t12345", 6},
+		{"12\n34\n56\n78\n9", -1}, {"1234\n1234\n123456", 10}, {"\n\n\n\n\n\n", -1},
+	} {
+		if got := longToken([]byte(c.block), max); got != c.want {
+			t.Errorf("longToken(%q, %d) = %d, want %d", c.block, max, got, c.want)
+		}
 	}
 }
 

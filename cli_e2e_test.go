@@ -99,7 +99,7 @@ func TestCLIFpbenchBatch(t *testing.T) {
 
 func TestCLIFpbenchStats(t *testing.T) {
 	out := runTool(t, "fpbench", "-stats", "-n", "2000")
-	for _, want := range []string{"mean shortest digits", "ryu hit rate", "exact free-format"} {
+	for _, want := range []string{"mean shortest digits", "ryu hits", "exact free-format"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fpbench -stats missing %q:\n%s", want, out)
 		}

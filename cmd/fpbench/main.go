@@ -19,8 +19,7 @@
 //	                     verification
 //	fpbench -shootout    backend head-to-head: the default backend under
 //	                     each nearest reader mode vs exact vs strconv over
-//	                     the corpus, with decline rates and byte-identity
-//	                     verification
+//	                     the corpus, with byte-identity verification
 //	fpbench -all         everything
 //	fpbench -n 50000     corpus size (default: the paper's full 250,680)
 //	fpbench -json out    also write results as a BENCH_*.json artifact
@@ -425,8 +424,7 @@ func runShootout(corpus []float64, art *harness.Artifact) error {
 		if art == nil {
 			continue
 		}
-		art.Append("Shootout/"+slug(r.Name), r.NsPerOp,
-			map[string][]float64{"decline_rate": {r.Rate}})
+		art.Append("Shootout/"+slug(r.Name), r.NsPerOp, nil)
 	}
 	fmt.Println()
 	return nil
@@ -474,9 +472,9 @@ func runStats(corpus []float64) error {
 
 	// Path-hit telemetry: drive the public hot paths over the corpus with
 	// collection enabled and report which algorithm decided each value, so
-	// the throughput tables above are interpretable (a run where Ryū
-	// serves ~99.98% measures 128-bit integer arithmetic; the rest is the
-	// exact big-integer algorithm).
+	// the throughput tables above are interpretable (Ryū decides every
+	// shortest value, so they measure 128-bit integer arithmetic; fixed
+	// format mixes Gay's fast path with the exact big-integer algorithm).
 	fmt.Println("== Path-hit telemetry (floatprint.Snapshot) ==")
 	prev := floatprint.SetStatsEnabled(true)
 	before := floatprint.Snapshot()
@@ -507,7 +505,7 @@ func runStats(corpus []float64) error {
 	fmt.Println()
 
 	// Estimator behavior on the exact path, measured corpus-wide: the
-	// public API above routes ~99.98% of values through Ryū, so the §3.2
+	// public API above routes every shortest value through Ryū, so the §3.2
 	// scale estimator's fixup rate must be measured by driving the exact
 	// algorithm directly over every value.  The exact core counts its
 	// own estimator and digit-loop events, so the telemetry delta is the

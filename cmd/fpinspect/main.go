@@ -123,13 +123,9 @@ func explain(v float64) {
 	fmt.Printf("shortest  %s\n", d.String())
 	fmt.Printf("path      %s", tr.Backend)
 	if tr.Backend == floatprint.TraceBackendRyu {
-		fmt.Printf(" (certified fast path: %d digits, exact algorithm skipped)\n", tr.Digits)
-	} else {
-		if tr.FastPathMiss {
-			fmt.Printf(" (ryu attempted, declined an exact-halfway tie)")
-		}
-		fmt.Println()
+		fmt.Printf(" (certified fast path: %d digits, exact algorithm skipped)", tr.Digits)
 	}
+	fmt.Println()
 
 	// The exact algorithm's plan, forced even when a fast path decided the
 	// public conversion above.

@@ -1,12 +1,5 @@
 package floatprint
 
-import (
-	"floatprint/internal/core"
-	"floatprint/internal/fpformat"
-	"floatprint/internal/ryu"
-	"floatprint/internal/stats"
-)
-
 // Directed (one-sided) shortest conversion: the printing half of interval
 // I/O.  Where ShortestDigits emits the shortest string anywhere inside v's
 // rounding range, ShortestBelowDigits confines the output to the lower
@@ -29,25 +22,18 @@ import (
 // value is ≤ v while still identifying v (it lies in v's lower half-gap).
 // Specials pass through: ±0, ±Inf, and NaN format as in ShortestDigits —
 // zero and the infinities are their own exact bounds, and NaN has no
-// ordered bound, which the interval layer rejects.
+// ordered bound, which the interval layer rejects.  opts.Reader is
+// ignored: the bound is what a toward-positive reader needs printed.
 func ShortestBelowDigits(v float64, opts *Options) (Digits, error) {
-	o, err := opts.norm()
-	if err != nil {
-		return Digits{}, err
-	}
-	d, _, err := directedValue(fpformat.DecodeFloat64(v), o, false)
-	return d, err
+	return directedDigits(v, opts, ReaderTowardPosInf)
 }
 
 // ShortestAboveDigits converts v to the shortest digit string whose exact
 // value is ≥ v while still identifying v (it lies in v's upper half-gap).
+// opts.Reader is ignored: the bound is what a toward-negative reader
+// needs printed.
 func ShortestAboveDigits(v float64, opts *Options) (Digits, error) {
-	o, err := opts.norm()
-	if err != nil {
-		return Digits{}, err
-	}
-	d, _, err := directedValue(fpformat.DecodeFloat64(v), o, true)
-	return d, err
+	return directedDigits(v, opts, ReaderTowardNegInf)
 }
 
 // ShortestBelow renders ShortestBelowDigits under default options.
@@ -68,46 +54,16 @@ func ShortestAbove(v float64) string {
 	return d.String()
 }
 
-// directedValue is the directed analog of shortestValueTraced: specials
-// first, then the one-sided Ryū kernels when the request shape admits
-// them, then the one-sided exact core on the magnitude.  above selects
-// the bound in *value* order; for a negative value the magnitude rounding
-// flips (the largest decimal ≤ v is the negation of the smallest decimal
-// ≥ |v|).
-// fast reports whether a one-sided kernel served the result (trace
-// attribution); the kernels follow the decline-don't-error contract, so a
-// decline falls through to the exact core and the output never depends on
-// the path taken.
-func directedValue(val fpformat.Value, o Options, above bool) (d Digits, fast bool, err error) {
-	if d, done := specialDigits(val, o.Base); done {
-		return d, false, nil
-	}
-	if directedFastpath(o, val) {
-		if v, verr := abs(val).Float64(); verr == nil {
-			var buf [ryu.BufLen]byte
-			var n, k int
-			var ok bool
-			if above != val.Neg {
-				n, k, ok = ryu.ShortestAboveInto(buf[:], v)
-			} else {
-				n, k, ok = ryu.ShortestBelowInto(buf[:], v)
-			}
-			if ok {
-				stats.DirectedRyuHits.Inc()
-				return kernelDigits(buf[:], n, k, val.Neg), true, nil
-			}
-			stats.DirectedRyuMisses.Inc()
-		}
-	}
-	var res core.Result
-	if above != val.Neg {
-		res, err = core.CeilFormat(abs(val), o.Base, core.ScalingEstimate)
-	} else {
-		res, err = core.FloorFormat(abs(val), o.Base, core.ScalingEstimate)
-	}
+// directedDigits is ShortestDigits under opts with the reader replaced
+// by r, the directed mode whose printed form is the wanted bound, so the
+// one-sided conversions share the nearest ones' dispatch: the one-sided
+// Ryū kernels for a base-10 BackendAuto request, the exact core's floor
+// and ceiling loops otherwise.
+func directedDigits(v float64, opts *Options, r ReaderRounding) (Digits, error) {
+	o, err := opts.norm()
 	if err != nil {
-		return Digits{}, false, err
+		return Digits{}, err
 	}
-	stats.ExactFree.Inc()
-	return fromResult(res, val.Neg, o.Base), false, nil
+	o.Reader = r
+	return shortestValueTraced(v, false, o, nil)
 }

@@ -50,7 +50,7 @@ func ShortestDigits(v float64, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return shortestValueTraced(fpformat.DecodeFloat64(v), o, nil)
+	return shortestValueTraced(v, false, o, nil)
 }
 
 // ShortestDigits32 is ShortestDigits for float32 values; the shorter
@@ -61,72 +61,70 @@ func ShortestDigits32(v float32, opts *Options) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return shortestValueTraced(fpformat.DecodeFloat32(v), o, nil)
+	return shortestValueTraced(float64(v), true, o, nil)
 }
 
-// shortestValueTraced runs the free-format conversion under
+// shortestValueTraced runs the free-format conversion of v — a binary64
+// value, or when f32 is set a binary32 value widened to float64 — under
 // already-normalized options, filling tr (nil allowed) with the
-// conversion's execution record.  The telemetry counters advance where
-// each event happens, so a nil record counts exactly like a non-nil one.
-func shortestValueTraced(val fpformat.Value, o Options, tr *Trace) (Digits, error) {
+// conversion's execution record.  A finite nonzero value of a
+// kernel-shaped request goes to its Ryū kernel (backend.go); every other
+// request runs the exact core, which prints the directed modes'
+// one-sided bounds with its floor and ceiling loops.  The telemetry
+// counters advance where each event happens, so a nil record counts
+// exactly like a non-nil one.
+func shortestValueTraced(v float64, f32 bool, o Options, tr *Trace) (Digits, error) {
+	neg := math.Signbit(v)
+	if a := math.Abs(v); kernelShape(o) && a > 0 && a <= math.MaxFloat64 {
+		var buf [ryu.BufLen]byte
+		n, k := kernelShortest(buf[:], a, f32, neg, o.Reader)
+		kernelHits(o.Reader).Inc()
+		if tr != nil {
+			tr.Reset()
+			tr.Backend = TraceBackendRyu
+			tr.Base = 10
+			tr.Mode = o.Reader.String()
+			tr.Iterations = n
+			tr.K = k
+			tr.Digits = n
+			tr.NSig = n
+		}
+		return kernelDigits(buf[:], n, k, neg), nil
+	}
+	val := fpformat.DecodeFloat64(v)
+	if f32 {
+		val = fpformat.DecodeFloat32(float32(v))
+	}
 	if d, done := specialDigits(val, o.Base); done {
 		traceSpecial(tr, o.Base)
 		return d, nil
 	}
-	if o.Reader.directed() {
-		// A toward-negative reader truncates every inexact value, so only
-		// a string in [v, v+m⁺) reads back as v: print the upper one-sided
-		// bound (and the mirror for toward-positive).  directedValue runs
-		// the one-sided Ryū kernels where they apply and the exact core's
-		// one-sided loops otherwise.
-		d, fast, err := directedValue(val, o, o.Reader == ReaderTowardNegInf)
-		if err == nil && tr != nil {
-			tr.Reset()
-			tr.Backend = TraceBackendExactFree
-			if fast {
-				tr.Backend = TraceBackendRyu
-			}
-			tr.Base = o.Base
-			tr.Mode = o.Reader.String()
-			tr.K = d.K
-			tr.Digits = len(d.Digits)
-			tr.NSig = d.NSig
-		}
-		return d, err
+	var res core.Result
+	var err error
+	switch {
+	case !o.Reader.directed():
+		res, err = core.FreeFormatTraced(abs(val), o.Base, core.ScalingEstimate, o.Reader.core(), tr)
+	case o.Reader.printsAbove(neg):
+		res, err = core.CeilFormat(abs(val), o.Base, core.ScalingEstimate)
+	default:
+		res, err = core.FloorFormat(abs(val), o.Base, core.ScalingEstimate)
 	}
-	// Fast-path dispatch (see backend.go): the nearest Ryū kernel serves
-	// base-10 requests of either format under all four nearest reader
-	// modes.  It follows the decline-don't-error contract — its rare
-	// declines (exact-halfway ties) take the exact path below, so the
-	// output never depends on the path.
-	fastMiss := false
-	if nearestFastpath(o) && (val.Fmt == fpformat.Binary64 || val.Fmt == fpformat.Binary32) {
-		var buf [ryu.BufLen]byte
-		if n, k, ok := ryuShortest(buf[:], abs(val), o.Reader.core()); ok {
-			if tr != nil {
-				tr.Reset()
-				tr.Backend = TraceBackendRyu
-				tr.Base = 10
-				tr.Mode = o.Reader.String()
-				tr.Iterations = n
-				tr.K = k
-				tr.Digits = n
-				tr.NSig = n
-			}
-			return kernelDigits(buf[:], n, k, val.Neg), nil
-		}
-		fastMiss = true
-	}
-	res, err := core.FreeFormatTraced(abs(val), o.Base, core.ScalingEstimate, o.Reader.core(), tr)
 	if err != nil {
 		return Digits{}, err
 	}
-	if tr != nil {
-		// Set after the core call: the traced core entry resets the record.
-		tr.FastPathMiss = fastMiss
-	}
 	stats.ExactFree.Inc()
-	return fromResult(res, val.Neg, o.Base), nil
+	d := fromResult(res, neg, o.Base)
+	if tr != nil && o.Reader.directed() {
+		// The one-sided loops keep no record of their own.
+		tr.Reset()
+		tr.Backend = TraceBackendExactFree
+		tr.Base = o.Base
+		tr.Mode = o.Reader.String()
+		tr.K = d.K
+		tr.Digits = len(d.Digits)
+		tr.NSig = d.NSig
+	}
+	return d, nil
 }
 
 // FixedDigits converts v to exactly n significant digit positions,
@@ -303,15 +301,17 @@ func Shortest32(v float32) string {
 }
 
 // AppendShortest appends the Shortest rendering of v to dst and returns
-// the extended slice.  On the fast path (Ryū, serving all but a handful
-// of exact-halfway ties) it performs no heap allocation beyond growing
-// dst: the digits are generated into a stack buffer and rendered directly
-// into dst, so a caller that reuses dst serializes floats with zero
-// allocations per call.  Use AppendShortestWith to select a backend or
-// rendering options explicitly.
+// the extended slice.  The Ryū kernel decides every finite value, so it
+// performs no heap allocation beyond growing dst: the digits are
+// generated into a stack buffer and rendered directly into dst, and a
+// caller that reuses dst serializes floats with zero allocations per
+// call.  Use AppendShortestWith to select a backend or rendering options
+// explicitly.
 func AppendShortest(dst []byte, v float64) []byte {
-	dst, r := appendShortestOpts(dst, v, defaultOptions())
-	r.count()
+	dst, hit := appendShortestOpts(dst, v, defaultOptions())
+	if hit {
+		stats.RyuHits.Inc()
+	}
 	return dst
 }
 
@@ -354,7 +354,7 @@ func Format(v float64, opts *Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d, err := shortestValueTraced(fpformat.DecodeFloat64(v), o, nil)
+	d, err := shortestValueTraced(v, false, o, nil)
 	if err != nil {
 		return "", err
 	}

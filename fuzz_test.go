@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"floatprint/internal/core"
+	"floatprint/internal/decimal"
 	"floatprint/internal/fpformat"
 	"floatprint/internal/ryu"
 )
@@ -92,12 +93,12 @@ func FuzzShortestRoundTrip(f *testing.F) {
 }
 
 // FuzzRyuVsStrconv differences the ryu backend against strconv's own
-// Ryū implementation on every value the kernel serves: the digits and
-// exponent must match strconv's shortest scientific form exactly.  On a
-// decline the exact-core fallback must still round-trip — exact-halfway
-// ties are precisely where the round-up core may legitimately render
-// different digits than strconv's round-to-even, so byte comparison
-// would be wrong there and round-trip identity is the real invariant.
+// Ryū implementation: the digits and exponent must match strconv's
+// shortest scientific form exactly, except on a final-digit tie
+// (decimal.Halfway), where strconv rounds to even and the kernel rounds
+// up as the paper's core does; there the kernel must match the exact
+// core instead.  The kernel decides every positive finite value, so a
+// decline fails.
 //
 // strconv knows only the nearest-even reader, so the kernel's other
 // inputs are differenced against the exact core instead: the fuzzed bits
@@ -108,9 +109,9 @@ func FuzzRyuVsStrconv(f *testing.F) {
 	for _, bits := range fuzzSeeds {
 		f.Add(bits)
 	}
-	// One exact-halfway decline representative so the fallback arm is
-	// seeded too: 2.9802322387695312e-08 (2^-25) is a genuine tie where
-	// round-to-even keeps ...12 but the exact core rounds up to ...13.
+	// One final-digit tie so the tie arm is seeded too:
+	// 2.98023223876953125e-08 (2^-25) lies halfway between ...12, which
+	// round-to-even keeps, and ...13, which the exact core rounds up to.
 	f.Add(uint64(0x3e60000000000000))
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		f32 := math.Float32frombits(uint32(bits))
@@ -134,13 +135,7 @@ func FuzzRyuVsStrconv(f *testing.F) {
 		var buf [ryu.BufLen]byte
 		n, k, ok := ryu.ShortestInto(buf[:], v)
 		if !ok {
-			out := AppendShortest(nil, v)
-			back, err := strconv.ParseFloat(string(out), 64)
-			if err != nil || math.Float64bits(back) != math.Float64bits(v) {
-				t.Fatalf("decline fallback: v=%x rendered %q, read back %g, err=%v",
-					bits, out, back, err)
-			}
-			return
+			t.Fatalf("ryu declined v=%x", bits)
 		}
 		want := strconv.FormatFloat(v, 'e', -1, 64)
 		mant, expPart, found := strings.Cut(want, "e")
@@ -152,9 +147,22 @@ func FuzzRyuVsStrconv(f *testing.F) {
 		if err != nil {
 			t.Fatalf("strconv %q exponent: %v", want, err)
 		}
-		if got := string(buf[:n]); got != mant || k != e+1 {
-			t.Fatalf("ryu vs strconv: v=%x ryu %q K=%d, strconv %q (digits %q K=%d)",
-				bits, got, k, want, mant, e+1)
+		got := string(buf[:n])
+		if got == mant && k == e+1 {
+			return
+		}
+		// A final-digit tie: the kernel must hold the exact core's digits.
+		digits := make([]byte, n)
+		for i := range digits {
+			digits[i] = buf[i] - '0'
+		}
+		ref, err := core.FreeFormat(fpformat.DecodeFloat64(v), 10, core.ScalingEstimate, core.ReaderNearestEven)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !decimal.Halfway(v, digits, k) || string(digits) != string(ref.Digits) || k != ref.K {
+			t.Fatalf("ryu vs strconv: v=%x ryu %q K=%d, strconv %q (digits %q K=%d), exact core %v K=%d",
+				bits, got, k, want, mant, e+1, ref.Digits, ref.K)
 		}
 	})
 }
@@ -293,21 +301,26 @@ func FuzzFixedVsExact(f *testing.F) {
 // FuzzDirectedPrintVsExact differences the one-sided Ryū kernels against
 // the exact one-sided core through the public dispatch, for any bit
 // pattern and both bounds: the default options (fast-eligible) and the
-// forced-exact backend must render identical bytes.  The outputs also
-// get an enclosure sanity check — Below reads back ≤ v and Above ≥ v
-// under strconv — so a coordinated bug in both paths still has to fight
-// an independent oracle.
+// forced-exact backend must render identical bytes.  The low 32 bits
+// get the same check as a float32, through ShortestDigits32 under both
+// directed reader modes.  The outputs also get an enclosure sanity
+// check — Below reads back ≤ v and Above ≥ v under strconv, in the
+// value's own width — so a coordinated bug in both paths still has to
+// fight an independent oracle.
 func FuzzDirectedPrintVsExact(f *testing.F) {
 	for _, bits := range fuzzSeeds {
 		f.Add(bits)
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
+		f32 := math.Float32frombits(uint32(bits))
 		exact := &Options{Backend: BackendExact}
 		for _, above := range []bool{false, true} {
 			get := ShortestBelowDigits
+			mode := ReaderTowardPosInf // prints the lower bound
 			if above {
 				get = ShortestAboveDigits
+				mode = ReaderTowardNegInf
 			}
 			fd, err := get(v, nil)
 			if err != nil {
@@ -320,16 +333,36 @@ func FuzzDirectedPrintVsExact(f *testing.F) {
 			if fd.String() != ed.String() {
 				t.Fatalf("directed(%x, above=%v): fast %q, exact %q", bits, above, fd.String(), ed.String())
 			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
+			fd32, err := ShortestDigits32(f32, &Options{Reader: mode})
+			if err != nil {
+				t.Fatalf("directed float32 %x, above=%v: %v", uint32(bits), above, err)
 			}
-			back, perr := strconv.ParseFloat(fd.String(), 64)
-			if perr != nil {
-				t.Fatalf("strconv rejects directed output %q: %v", fd.String(), perr)
+			ed32, err := ShortestDigits32(f32, &Options{Reader: mode, Backend: BackendExact})
+			if err != nil {
+				t.Fatalf("exact directed float32 %x, above=%v: %v", uint32(bits), above, err)
 			}
-			if above && back < v || !above && back > v {
-				t.Fatalf("enclosure: v=%x above=%v printed %q which reads back %g on the wrong side",
-					bits, above, fd.String(), back)
+			if fd32.String() != ed32.String() {
+				t.Fatalf("directed float32 %x, above=%v: fast %q, exact %q", uint32(bits), above, fd32.String(), ed32.String())
+			}
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				back, perr := strconv.ParseFloat(fd.String(), 64)
+				if perr != nil {
+					t.Fatalf("strconv rejects directed output %q: %v", fd.String(), perr)
+				}
+				if above && back < v || !above && back > v {
+					t.Fatalf("enclosure: v=%x above=%v printed %q which reads back %g on the wrong side",
+						bits, above, fd.String(), back)
+				}
+			}
+			if !math.IsNaN(float64(f32)) && !math.IsInf(float64(f32), 0) {
+				back, perr := strconv.ParseFloat(fd32.String(), 32)
+				if perr != nil {
+					t.Fatalf("strconv rejects directed float32 output %q: %v", fd32.String(), perr)
+				}
+				if b := float32(back); above && b < f32 || !above && b > f32 {
+					t.Fatalf("enclosure: float32 %x above=%v printed %q which reads back %g on the wrong side",
+						uint32(bits), above, fd32.String(), b)
+				}
 			}
 		}
 	})

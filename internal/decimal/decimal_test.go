@@ -137,6 +137,35 @@ func TestRoundTieRules(t *testing.T) {
 	}
 }
 
+// TestHalfway pins the tie detector on hand-checked values: a tie
+// matches either adjacent candidate and nothing else, and a value whose
+// expansion does not end in 5 is never a tie.
+func TestHalfway(t *testing.T) {
+	for _, c := range []struct {
+		v      float64
+		digits []byte
+		k      int
+		want   bool
+	}{
+		{1.5, []byte{1}, 1, true},
+		{1.5, []byte{2}, 1, true},
+		{1.5, []byte{2, 0}, 1, true}, // trailing zeros are ignored
+		{1.5, []byte{1, 5}, 1, false},
+		{1.5, []byte{3}, 1, false},
+		{9.5, []byte{1}, 2, true}, // the carry into a new leading digit
+		{0.3, []byte{3}, 0, false},
+		// 2⁻²⁵ = 2.98023223876953125e-8: strconv keeps ...12, the
+		// paper's core takes ...13.
+		{0x1p-25, []byte{2, 9, 8, 0, 2, 3, 2, 2, 3, 8, 7, 6, 9, 5, 3, 1, 2}, -7, true},
+		{0x1p-25, []byte{2, 9, 8, 0, 2, 3, 2, 2, 3, 8, 7, 6, 9, 5, 3, 1, 3}, -7, true},
+		{0x1p-25, []byte{2, 9, 8, 0, 2, 3, 2, 2, 3, 8, 7, 6, 9, 5, 3, 1, 4}, -7, false},
+	} {
+		if got := Halfway(c.v, c.digits, c.k); got != c.want {
+			t.Errorf("Halfway(%g, %v, %d) = %v, want %v", c.v, c.digits, c.k, got, c.want)
+		}
+	}
+}
+
 // TestShortestMatchesCoreExactly: the decimal-walk shortest conversion and
 // the paper's integer-scaling one share the tie rule, so they must agree
 // digit-for-digit with NO tolerance.

@@ -1,6 +1,9 @@
 package decimal
 
-import "math"
+import (
+	"bytes"
+	"math"
+)
 
 // ShortestFloat64 converts a positive finite v to its shortest decimal
 // form for a round-to-nearest-even reader, by walking the exact decimal
@@ -14,16 +17,7 @@ func ShortestFloat64(v float64) (digits []byte, k int) {
 	if v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 		return nil, 0
 	}
-	bits := math.Float64bits(v)
-	mant := bits & (1<<52 - 1)
-	be := int(bits >> 52 & 0x7ff)
-	var f uint64
-	var e int
-	if be == 0 {
-		f, e = mant, -1074
-	} else {
-		f, e = mant|1<<52, be-1075
-	}
+	f, e, mant, be := split(v)
 
 	// Exact decimal expansions of the value and the two midpoints.
 	d := FromUint64(f)
@@ -120,4 +114,39 @@ func FixedFloat64(v float64, n int, tie TieRule) (digits []byte, k int) {
 	out := make([]byte, n)
 	copy(out, d.D) // trailing zeros (trimmed by Round) read back as zero values
 	return out, d.DP
+}
+
+// split decomposes a positive finite v into v = f·2ᵉ, also returning
+// the raw mantissa field and biased exponent.
+func split(v float64) (f uint64, e int, mant uint64, be int) {
+	bits := math.Float64bits(v)
+	mant = bits & (1<<52 - 1)
+	be = int(bits >> 52 & 0x7ff)
+	if be == 0 {
+		return mant, -1074, mant, be
+	}
+	return mant | 1<<52, be - 1075, mant, be
+}
+
+// Halfway reports whether a positive finite v (a float64, or a float32
+// widened to one) is a final-digit tie of the decimal 0.d₁…dₙ × 10ᵏ,
+// digits given as values: v's exact expansion ends in a 5, and digits is
+// that expansion with the 5 dropped, rounded down or up.  On such a tie
+// the paper's core rounds up where strconv rounds to even, so the
+// differential tests use Halfway to tell a tie from a real disagreement.
+func Halfway(v float64, digits []byte, k int) bool {
+	f, e, _, _ := split(v)
+	d := FromUint64(f)
+	d.Shift(e)
+	n := len(d.D) - 1
+	if n < 1 || d.D[n] != 5 {
+		return false
+	}
+	up := d.Clone()
+	up.roundUp(n)
+	d.roundDown(n)
+	for len(digits) > 0 && digits[len(digits)-1] == 0 {
+		digits = digits[:len(digits)-1]
+	}
+	return d.DP == k && bytes.Equal(d.D, digits) || up.DP == k && bytes.Equal(up.D, digits)
 }

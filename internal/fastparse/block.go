@@ -66,13 +66,18 @@ func eightDigitsValue(v uint64) uint64 {
 // optimistic — digits fold into man as they are read, which cannot wrap
 // while the significant digit count stays ≤ 19 (10¹⁹−1 < 2⁶⁴) — and
 // the rare longer token is recomputed by scanLong under the exact
-// 19-digit cap and dp/trunc bookkeeping.  n is the number of bytes
-// consumed; the token must end at a separator or the end of input.
-// Anything outside the grammar returns ok=false.
-func scanToken(b []byte) (d decimal, n int, ok bool) {
+// 19-digit cap and dp/trunc bookkeeping.  The scan fills the caller's
+// d, whose fields the rounding step then reads in place: a returned
+// struct is copied by the caller with wide loads that straddle the
+// narrow stores building it, a store-forwarding stall per token.  n is
+// the number of bytes consumed; the token must end at a separator or
+// the end of input.  Anything outside the grammar returns ok=false,
+// with d unspecified.
+func scanToken(b []byte, d *decimal) (n int, ok bool) {
 	i := 0
+	neg := false
 	if i < len(b) && (b[i] == '+' || b[i] == '-') {
-		d.neg = b[i] == '-'
+		neg = b[i] == '-'
 		i++
 	}
 	var man uint64
@@ -117,7 +122,7 @@ func scanToken(b []byte) (d decimal, n int, ok bool) {
 		fracLen = i - fracStart
 	}
 	if intLen == 0 && fracLen == 0 {
-		return decimal{}, 0, false
+		return 0, false
 	}
 	exp := 0
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
@@ -135,12 +140,12 @@ func scanToken(b []byte) (d decimal, n int, ok bool) {
 			}
 			exp = exp*10 + int(c)
 			if exp > maxExponent {
-				return decimal{}, 0, false // reader: "exponent overflow"
+				return 0, false // reader: "exponent overflow"
 			}
 			i++
 		}
 		if i == edStart {
-			return decimal{}, 0, false // reader: "missing exponent digits"
+			return 0, false // reader: "missing exponent digits"
 		}
 		if eneg {
 			exp = -exp
@@ -149,7 +154,7 @@ func scanToken(b []byte) (d decimal, n int, ok bool) {
 	if i != len(b) && !sepTable[b[i]] {
 		// Anything else before the separator — '#' marks, '@' exponents,
 		// a second point, junk — declines to the exact reader.
-		return decimal{}, 0, false
+		return 0, false
 	}
 
 	// Leading zeros carry no significance; sig is the true significant
@@ -171,18 +176,21 @@ func scanToken(b []byte) (d decimal, n int, ok bool) {
 		// the value is man × 10^(exp − fracLen) regardless of where the
 		// leading zeros sat.
 		d.man = man
-		d.nd = sig
 		d.exp10 = exp - fracLen
-		return d, i, true
+		d.nd = sig
+		d.neg = neg
+		d.trunc = false
+		return i, true
 	}
-	return scanLong(b, d.neg, intStart, intLen, fracStart, fracLen, exp, i)
+	scanLong(b, d, neg, intStart, intLen, fracStart, fracLen, exp)
+	return i, true
 }
 
 // scanLong recomputes a >19-significant-digit token under exact
 // bookkeeping: at most 19 digits fold into man, dropped integer
 // digits still scale the value, and any nonzero drop marks man as
 // truncated.
-func scanLong(b []byte, neg bool, intStart, intLen, fracStart, fracLen, exp, n int) (decimal, int, bool) {
+func scanLong(b []byte, d *decimal, neg bool, intStart, intLen, fracStart, fracLen, exp int) {
 	intRun := b[intStart : intStart+intLen]
 	fracRun := b[fracStart : fracStart+fracLen]
 	for len(intRun) > 0 && intRun[0] == '0' {
@@ -195,7 +203,7 @@ func scanLong(b []byte, neg bool, intStart, intLen, fracStart, fracLen, exp, n i
 			dp--
 		}
 	}
-	d := decimal{neg: neg}
+	*d = decimal{neg: neg}
 	take := min(19, len(intRun))
 	d.man = accumDigits(d.man, intRun[:take])
 	d.nd = take
@@ -215,7 +223,6 @@ func scanLong(b []byte, neg bool, intStart, intLen, fracStart, fracLen, exp, n i
 		}
 	}
 	d.exp10 = dp + exp
-	return d, n, true
 }
 
 // accumDigits folds an already-validated digit run into man, eight
@@ -241,7 +248,8 @@ func accumDigits(man uint64, run []byte) uint64 {
 // reader (which also covers the grammar this scanner deliberately omits
 // — specials, '#' marks, '@' exponents).
 func ParseToken64(b []byte) (f float64, n int, ok bool) {
-	d, n, ok := scanToken(b)
+	var d decimal
+	n, ok = scanToken(b, &d)
 	if !ok {
 		return 0, 0, false
 	}

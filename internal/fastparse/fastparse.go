@@ -77,12 +77,13 @@ type decimal struct {
 	trunc bool
 }
 
-// scanWhole scans all of s with scanToken.  A token that ends before the
-// last byte, at a separator, declines, so "1 2" is no number here.  The
-// conversion does not copy s: scanToken neither keeps nor writes b.
-func scanWhole(s string) (decimal, bool) {
-	d, n, ok := scanToken([]byte(s))
-	return d, ok && n == len(s)
+// scanWhole scans all of s into d with scanToken.  A token that ends
+// before the last byte, at a separator, declines, so "1 2" is no number
+// here.  The conversion does not copy s: scanToken neither keeps nor
+// writes b.
+func scanWhole(s string, d *decimal) bool {
+	n, ok := scanToken([]byte(s), d)
+	return ok && n == len(s)
 }
 
 // Read64 converts a base-10 literal to the binary64 the exact reader
@@ -90,8 +91,8 @@ func scanWhole(s string) (decimal, bool) {
 // decimal digits consumed (for telemetry).  ok=false means the fast path
 // declines — for any reason — and the caller must use the exact reader.
 func Read64(s string, mode reader.RoundMode) (f float64, digits int, ok bool) {
-	d, ok := scanWhole(s)
-	if !ok {
+	var d decimal
+	if !scanWhole(s, &d) {
 		return 0, 0, false
 	}
 	b, ok := round[uint64](&d, mode)
@@ -104,8 +105,8 @@ func Read64(s string, mode reader.RoundMode) (f float64, digits int, ok bool) {
 // Read32 is Read64 targeting binary32: one rounding, directly to single
 // precision.
 func Read32(s string, mode reader.RoundMode) (f float32, digits int, ok bool) {
-	d, ok := scanWhole(s)
-	if !ok {
+	var d decimal
+	if !scanWhole(s, &d) {
 		return 0, 0, false
 	}
 	b, ok := round[uint32](&d, mode)

@@ -277,7 +277,8 @@ type SuccessorRow struct {
 
 // RunSuccessors compares three generations of shortest-form printing on
 // the corpus: the paper's exact algorithm (1996), Grisu3 with exact
-// fallback (2010), and Ryū (2018), plus Go's strconv for reference.
+// fallback (2010), and Ryū (2018), which decides every value, plus Go's
+// strconv for reference.
 func RunSuccessors(corpus []float64) ([]SuccessorRow, error) {
 	values := decode(corpus)
 	rows := make([]SuccessorRow, 0, 4)
@@ -303,17 +304,11 @@ func RunSuccessors(corpus []float64) ([]SuccessorRow, error) {
 	rows = append(rows, SuccessorRow{Name: "Grisu3 + exact fallback (2010)", Elapsed: time.Since(start), Fallbacks: fallbacks})
 
 	start = time.Now()
-	ryuFallbacks := 0
 	var ryuBuf [ryu.BufLen]byte
-	for i, f := range corpus {
-		if _, _, ok := ryu.ShortestInto(ryuBuf[:], f); !ok {
-			ryuFallbacks++
-			if _, err := core.FreeFormat(values[i], 10, core.ScalingEstimate, core.ReaderNearestEven); err != nil {
-				return nil, err
-			}
-		}
+	for _, f := range corpus {
+		ryu.ShortestInto(ryuBuf[:], f)
 	}
-	rows = append(rows, SuccessorRow{Name: "Ryu + exact fallback (2018)", Elapsed: time.Since(start), Fallbacks: ryuFallbacks})
+	rows = append(rows, SuccessorRow{Name: "Ryu (2018)", Elapsed: time.Since(start)})
 
 	start = time.Now()
 	for _, f := range corpus {

@@ -37,9 +37,10 @@ type IntervalRow struct {
 	Elapsed         time.Duration // best of batchRuns passes
 	IntervalsPerSec float64
 	// FastHits and FastMisses are the directed fast-path attempts during
-	// one (untimed) counting pass: per-endpoint directed Ryū attempts for
-	// the print rows, directed Eisel–Lemire attempts for the parse rows.
-	// Both stay zero for the forced-exact rows.
+	// one (untimed) counting pass: per-endpoint directed Ryū hits for the
+	// print rows (the one-sided kernels decide every value, so FastMisses
+	// stays zero there), directed Eisel–Lemire attempts for the parse
+	// rows.  Both stay zero for the forced-exact rows.
 	FastHits, FastMisses uint64
 }
 
@@ -119,9 +120,9 @@ func RunInterval(corpus []float64) ([]IntervalRow, error) {
 }
 
 // countDirected runs one untimed pass with telemetry enabled and returns
-// the directed fast-path hit/miss delta it produced.  Counting is kept
-// out of the timed passes so the throughput numbers never include the
-// per-conversion atomic increments.
+// the directed fast-path hit/miss delta it produced: the print kernels
+// have hits only.  Counting is kept out of the timed passes so the
+// throughput numbers never include the per-conversion atomic increments.
 func countDirected(pass func() error, print bool) (hits, misses uint64, err error) {
 	prev := floatprint.SetStatsEnabled(true)
 	defer floatprint.SetStatsEnabled(prev)
@@ -131,7 +132,7 @@ func countDirected(pass func() error, print bool) (hits, misses uint64, err erro
 	}
 	d := floatprint.Snapshot().Sub(before)
 	if print {
-		return d.DirectedRyuHits, d.DirectedRyuMisses, nil
+		return d.DirectedRyuHits, 0, nil
 	}
 	return d.DirectedFastHits, d.DirectedFastMisses, nil
 }

@@ -18,16 +18,13 @@ import (
 )
 
 // ShootoutRow is one contender's measurement: per-pass ns/op samples
-// (medianable by the bench-JSON schema), the decline mix of its fast
-// path, and whether its output was verified byte-identical to the exact
-// core.
+// (medianable by the bench-JSON schema) and whether its output was
+// verified byte-identical to the exact core.
 type ShootoutRow struct {
 	Name     string
 	NsPerOp  []float64 // one sample per timed pass
 	Median   float64
-	Declines uint64  // fast-path declines over one pass (exact fallbacks)
-	Rate     float64 // Declines / corpus size
-	Verified bool    // byte-identical to BackendExact under the same mode
+	Verified bool // byte-identical to BackendExact under the same mode
 }
 
 // shootoutContender is one row's driver: the options of its per-value
@@ -44,9 +41,9 @@ var shootoutModes = []floatprint.ReaderRounding{
 }
 
 // RunShootout measures every contender over the corpus with `passes`
-// timed passes each (after one warm-up), plus a non-timed telemetry pass
-// for decline rates and a verification pass pinning byte-identity of the
-// floatprint rows against BackendExact under the row's reader mode.  The
+// timed passes each (after one warm-up), plus a verification pass
+// pinning byte-identity of the floatprint rows against BackendExact
+// under the row's reader mode.  The
 // strconv row is Go's own Ryū via AppendFloat, the natural external
 // reference.
 func RunShootout(corpus []float64, passes int) ([]ShootoutRow, error) {
@@ -91,17 +88,6 @@ func RunShootout(corpus []float64, passes int) ([]ShootoutRow, error) {
 			rows[ci].Verified = true
 		}
 
-		// Telemetry pass: decline mix with collection enabled.  Only the
-		// nearest kernel declines; the exact and strconv rows read 0.
-		prev := floatprint.SetStatsEnabled(true)
-		before := floatprint.Snapshot()
-		for _, v := range corpus {
-			buf = runs[ci](buf[:0], v)
-		}
-		rows[ci].Declines = floatprint.Snapshot().Sub(before).RyuMisses
-		floatprint.SetStatsEnabled(prev)
-		rows[ci].Rate = float64(rows[ci].Declines) / float64(len(corpus))
-
 		// Warm-up with collection off (also primes caches before timing).
 		for _, v := range corpus {
 			buf = runs[ci](buf[:0], v)
@@ -129,7 +115,7 @@ func RunShootout(corpus []float64, passes int) ([]ShootoutRow, error) {
 }
 
 // RenderShootout renders the head-to-head as a table with each row's
-// median ns/op, speed relative to the exact core, and decline rate.
+// median ns/op and speed relative to the exact core.
 func RenderShootout(rows []ShootoutRow, corpusSize, passes int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "backend shootout: %d values, best-of-%d medians (AppendShortest path)\n",
@@ -140,7 +126,7 @@ func RenderShootout(rows []ShootoutRow, corpusSize, passes int) string {
 			exact = r.Median
 		}
 	}
-	fmt.Fprintf(&sb, "  %-26s %12s %10s %12s %10s\n", "backend", "ns/op", "vs exact", "declines", "verified")
+	fmt.Fprintf(&sb, "  %-26s %12s %10s %10s\n", "backend", "ns/op", "vs exact", "verified")
 	for _, r := range rows {
 		rel := "-"
 		if exact > 0 {
@@ -150,8 +136,7 @@ func RenderShootout(rows []ShootoutRow, corpusSize, passes int) string {
 		if r.Verified {
 			verified = "yes"
 		}
-		fmt.Fprintf(&sb, "  %-26s %12.1f %10s %7d (%.4f%%) %7s\n",
-			r.Name, r.Median, rel, r.Declines, 100*r.Rate, verified)
+		fmt.Fprintf(&sb, "  %-26s %12.1f %10s %10s\n", r.Name, r.Median, rel, verified)
 	}
 	return sb.String()
 }

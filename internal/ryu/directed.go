@@ -16,33 +16,45 @@
 //     remove digits while the next truncation still clears the midpoint.
 //   - Above: the candidate is the ceiling of the scaled value, valid
 //     while it stays strictly below the upper midpoint.  Ceilings and
-//     the strict bound both hinge on integrality, so this side carries
-//     the exactness flags the nearest kernel tracks for vr and vp: the
-//     ceiling is vr+1 unless the scaled value is exactly the integer vr,
-//     and the largest admissible integer is vp−1 when the scaled
-//     midpoint is exactly vp.
+//     the strict bound both hinge on integrality, so this side tracks
+//     whether the scaled value and midpoint are exact, with the nearest
+//     kernel's divisibility windows: the ceiling is vr+1 unless the
+//     scaled value is exactly the integer vr, and the largest admissible
+//     integer is vp−1 when the scaled midpoint is exactly vp.
 //
 // Output is byte-identical to the exact core's FloorFormat/CeilFormat
 // (the §3 loop with a one-sided exit): both sides produce the unique
 // shortest admissible candidate, and at the shortest length that
-// candidate is unique.  Like every fast path here, the kernels follow
-// the decline-don't-error contract — out-of-domain input and the
-// (provably unreachable, but still guarded) case of an empty candidate
-// range return ok == false for the exact core to handle.
+// candidate is unique.  Each kernel has a binary64 and a binary32 entry
+// point; the binary32 one runs the same code on the float32
+// decomposition, as the nearest kernel does.  The entry points decline
+// (ok == false) out-of-domain input, as the nearest kernel's do, and
+// guard one provably empty case each (an empty candidate range).
 package ryu
-
-import "math"
 
 // ShortestBelowInto converts a positive finite v to the shortest decimal
 // in its lower half-gap (v−m⁻, v], writing ASCII digits into buf (at
 // least BufLen bytes) and returning the digit count and K with
-// value = 0.d₁…dₙ × 10ᴷ.  A decline (ok == false) means the caller must
-// fall back to the exact core's FloorFormat.
+// value = 0.d₁…dₙ × 10ᴷ.  ok is false when the input is out of domain
+// (v <= 0, Inf, NaN, a short buffer).
 func ShortestBelowInto(buf []byte, v float64) (n, k int, ok bool) {
-	if len(buf) < BufLen || !(v > 0) || v > math.MaxFloat64 {
+	return below(buf, v, false)
+}
+
+// ShortestBelow32Into is ShortestBelowInto for a binary32 value: the
+// shortest decimal in its lower half-gap among float32s (at most 9
+// digits).
+func ShortestBelow32Into(buf []byte, v float32) (n, k int, ok bool) {
+	return below(buf, float64(v), true)
+}
+
+// below is the lower one-sided kernel on v, a binary64 value or, when
+// f32 is set, a binary32 value widened to float64.
+func below(buf []byte, v float64, f32 bool) (n, k int, ok bool) {
+	if !inDomain(buf, v) {
 		return 0, 0, false
 	}
-	mv, e2, mmShift := decompose64(v)
+	mv, e2, mmShift := decomposeWidth(v, f32)
 
 	// Scale the value and the lower midpoint to decimal, exactly as the
 	// nearest kernel does: vr = floor(v·10^−e10), vm = floor(lowermid·10^−e10).
@@ -85,7 +97,7 @@ func ShortestBelowInto(buf []byte, v float64) (n, k int, ok bool) {
 		// The scaled half-gap (vm, vr] always contains an integer before
 		// any removal (the gap spans at least one scaled quarter-ulp
 		// unit, which is ≥ 1 in every q branch), so this is unreachable;
-		// guarded per the decline-don't-error contract.
+		// guarded so a broken invariant declines instead of printing.
 		return 0, 0, false
 	}
 	// vr cannot end in 0 here: vr = 10a > vm with vm/10 == a would force
@@ -96,12 +108,23 @@ func ShortestBelowInto(buf []byte, v float64) (n, k int, ok bool) {
 
 // ShortestAboveInto converts a positive finite v to the shortest decimal
 // in its upper half-gap [v, v+m⁺), with the same contract as
-// ShortestBelowInto; a decline falls back to the exact core's CeilFormat.
+// ShortestBelowInto.
 func ShortestAboveInto(buf []byte, v float64) (n, k int, ok bool) {
-	if len(buf) < BufLen || !(v > 0) || v > math.MaxFloat64 {
+	return above(buf, v, false)
+}
+
+// ShortestAbove32Into is ShortestAboveInto for a binary32 value.
+func ShortestAbove32Into(buf []byte, v float32) (n, k int, ok bool) {
+	return above(buf, float64(v), true)
+}
+
+// above is the upper one-sided kernel on v, a binary64 value or, when
+// f32 is set, a binary32 value widened to float64.
+func above(buf []byte, v float64, f32 bool) (n, k int, ok bool) {
+	if !inDomain(buf, v) {
 		return 0, 0, false
 	}
-	mv, e2, _ := decompose64(v)
+	mv, e2, _ := decomposeWidth(v, f32)
 
 	// Scale the value and the upper midpoint, tracking integrality: the
 	// ceiling candidate needs to know whether the scaled value is exactly
@@ -161,7 +184,7 @@ func ShortestAboveInto(buf []byte, v float64) (n, k int, ok bool) {
 	if ceil > vpAdj {
 		// Unreachable: the scaled half-gap [v, uppermid) spans at least
 		// two quarter-ulp units, so it always contains an integer at full
-		// length.  Guarded per the decline-don't-error contract.
+		// length.  Guarded as in below.
 		return 0, 0, false
 	}
 	removed := 0

@@ -112,6 +112,63 @@ func TestDirectedRandomBits(t *testing.T) {
 	}
 }
 
+// TestDirected32MatchesExact runs the binary32 entry points against the
+// exact one-sided core on the binary32 decoding: the first and last 64
+// mantissas of every biased exponent (both subnormal ends included) and
+// a seeded sample of random bit patterns, each in both directions, with
+// no decline.
+func TestDirected32MatchesExact(t *testing.T) {
+	const ends = 64
+	random := 50000
+	if testing.Short() {
+		random = 2000
+	}
+	var values []float32
+	for be := uint32(0); be < 255; be++ {
+		for m := uint32(0); m < ends; m++ {
+			values = append(values,
+				math.Float32frombits(be<<23|m),
+				math.Float32frombits(be<<23|(1<<23-1-m)))
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for range random {
+		if b := rng.Uint32() &^ (1 << 31); b>>23 != 255 {
+			values = append(values, math.Float32frombits(b))
+		}
+	}
+	var buf [BufLen]byte
+	for _, v := range values {
+		if v == 0 {
+			continue
+		}
+		val := fpformat.DecodeFloat32(v)
+		for _, above := range []bool{false, true} {
+			var n, k int
+			var ok bool
+			var res core.Result
+			var err error
+			if above {
+				n, k, ok = ShortestAbove32Into(buf[:], v)
+				res, err = core.CeilFormat(val, 10, core.ScalingEstimate)
+			} else {
+				n, k, ok = ShortestBelow32Into(buf[:], v)
+				res, err = core.FloorFormat(val, 10, core.ScalingEstimate)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("directed binary32 kernel declined %g [%x] above=%v", v, math.Float32bits(v), above)
+			}
+			if got, want := string(buf[:n]), digitsString(res.Digits); got != want || k != res.K {
+				t.Fatalf("directed32(%g [%x], above=%v) = %q K=%d, exact core = %q K=%d",
+					v, math.Float32bits(v), above, got, k, want, res.K)
+			}
+		}
+	}
+}
+
 // TestDirectedDomainDeclines pins the decline contract on out-of-domain
 // input: non-positive, non-finite, and undersized buffers must return
 // ok == false, never garbage.
@@ -124,6 +181,14 @@ func TestDirectedDomainDeclines(t *testing.T) {
 		}
 		if _, _, ok := ShortestAboveInto(buf[:], v); ok {
 			t.Errorf("ShortestAboveInto accepted out-of-domain %v", v)
+		}
+	}
+	for _, v := range []float32{0, float32(math.Copysign(0, -1)), -1, float32(math.Inf(1)), float32(math.NaN())} {
+		if _, _, ok := ShortestBelow32Into(buf[:], v); ok {
+			t.Errorf("ShortestBelow32Into accepted out-of-domain %v", v)
+		}
+		if _, _, ok := ShortestAbove32Into(buf[:], v); ok {
+			t.Errorf("ShortestAbove32Into accepted out-of-domain %v", v)
 		}
 	}
 	short := make([]byte, BufLen-1)

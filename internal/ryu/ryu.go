@@ -16,15 +16,16 @@
 // so one kernel serves all four nearest reader modes, for binary64
 // (ShortestModeInto, with ShortestInto as the nearest-even entry) and
 // binary32 (Shortest32Into) alike.  The directed modes print one-sided
-// ranges instead and have their own kernels (directed.go).
+// ranges instead and have their own kernels (directed.go), in both
+// widths as well.
 //
-// Like the other fast paths in this repository (fastparse, fastpath),
-// the entry points follow the decline-don't-error contract: out-of-domain
-// inputs (v <= 0, Inf, NaN) and the rare exact-halfway values where Ryū's
-// round-to-even tie policy would diverge from the exact Burger & Dybvig
-// core's round-up policy return ok == false, and the caller falls back to
-// the exact algorithm.  A result with ok == true is byte-identical to the
-// exact core's free-format output under the same reader mode.
+// A final-digit tie — v exactly halfway between the two shortest
+// candidates — rounds up, as the paper's core does (Figure 1 takes the
+// high digit when 2r = s), where Ryū and Go's strconv round it to even.
+// So every result is byte-identical to the exact core's free-format
+// output under the same reader mode, and differs from strconv on digit
+// ties only.  The entry points decline (ok == false) only out-of-domain
+// input: v <= 0, Inf, NaN, or a buffer shorter than BufLen.
 //
 // The power tables are generated at package init with this repository's
 // own bignat arithmetic rather than embedded as literals, and every value
@@ -145,9 +146,7 @@ const BufLen = 20
 // Shortest converts a positive finite v to its shortest decimal form under
 // a round-to-nearest-even reader, returning digit values and K with
 // V = 0.d₁…dₙ × 10ᴷ.  ok is false when the input is out of domain
-// (v <= 0, Inf, NaN) or the value is an exact halfway case where Ryū's
-// tie policy diverges from the exact core's; callers must treat a decline
-// as fall-through to the exact algorithm, never as a result.
+// (v <= 0, Inf, NaN).
 func Shortest(v float64) (digits []byte, k int, ok bool) {
 	var buf [BufLen]byte
 	n, k, ok := ShortestInto(buf[:], v)
@@ -173,7 +172,7 @@ func ShortestInto(buf []byte, v float64) (n, k int, ok bool) {
 
 // ShortestModeInto is ShortestInto for a reader that rounds under mode:
 // the output is byte-identical to the exact core's free-format result
-// under the same mode (core.FreeFormat), or the call declines.
+// under the same mode (core.FreeFormat).
 func ShortestModeInto(buf []byte, v float64, mode core.ReaderMode) (n, k int, ok bool) {
 	return shortest(buf, v, false, mode)
 }
@@ -185,10 +184,22 @@ func Shortest32Into(buf []byte, v float32, mode core.ReaderMode) (n, k int, ok b
 	return shortest(buf, float64(v), true, mode)
 }
 
-// decompose64 splits a positive finite float64 into the kernels'
-// step-1/2 quantities (see decompose).
-func decompose64(v float64) (mv uint64, e2 int, mmShift uint64) {
+// decomposeWidth splits a positive finite v — a binary64 value, or when
+// f32 is set a binary32 value widened to float64 (exactly) — into the
+// kernels' step-1/2 quantities (see decompose).
+func decomposeWidth(v float64, f32 bool) (mv uint64, e2 int, mmShift uint64) {
+	if f32 {
+		return decompose(uint64(math.Float32bits(float32(v))), 23, 8, 127)
+	}
 	return decompose(math.Float64bits(v), mantBits, expBits, bias)
+}
+
+// inDomain condenses the kernels' domain check: a buffer of at least
+// BufLen bytes and a positive finite v.  !(v > 0) rejects zero,
+// negatives, and NaN in one compare, and the only positive non-finite
+// left is +Inf.
+func inDomain(buf []byte, v float64) bool {
+	return len(buf) >= BufLen && v > 0 && v <= math.MaxFloat64
 }
 
 // decompose splits the IEEE encoding b of a positive finite value
@@ -221,19 +232,10 @@ func decompose(b uint64, mantBits, expBits uint, bias int) (mv uint64, e2 int, m
 // keeps the entry points cheap enough to inline, so the append path pays
 // one call into the kernel.
 func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, ok bool) {
-	// The guard condenses the domain check: !(v > 0) rejects zero,
-	// negatives, and NaN in one compare, and the only positive
-	// non-finite left is +Inf.
-	if len(buf) < BufLen || !(v > 0) || v > math.MaxFloat64 {
+	if !inDomain(buf, v) {
 		return 0, 0, false
 	}
-	var mv, mmShift uint64
-	var e2 int
-	if f32 {
-		mv, e2, mmShift = decompose(uint64(math.Float32bits(float32(v))), 23, 8, 127)
-	} else {
-		mv, e2, mmShift = decompose64(v)
-	}
+	mv, e2, mmShift := decomposeWidth(v, f32)
 
 	// The endpoint policy: a lower bound the reader rounds up to the
 	// value may itself be output (acceptLow), and so may an upper bound
@@ -245,7 +247,6 @@ func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, 
 	var vr, vp, vm uint64
 	var e10 int
 	vmIsTrailingZeros := false
-	vrIsTrailingZeros := false
 	if e2 >= 0 {
 		q := log10Pow2(e2)
 		if e2 > 3 {
@@ -262,16 +263,12 @@ func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, 
 		// lower bound is a candidate (vmIsTrailingZeros); an exact
 		// inadmissible upper bound is not, so the largest candidate is
 		// one below it.
-		if q <= 21 {
-			if mv%5 == 0 {
-				vrIsTrailingZeros = multipleOfPowerOf5(mv, q)
-			} else {
-				if acceptLow {
-					vmIsTrailingZeros = multipleOfPowerOf5(mv-1-mmShift, q)
-				}
-				if !acceptHigh && multipleOfPowerOf5(mv+2, q) {
-					vp--
-				}
+		if q <= 21 && mv%5 != 0 {
+			if acceptLow {
+				vmIsTrailingZeros = multipleOfPowerOf5(mv-1-mmShift, q)
+			}
+			if !acceptHigh && multipleOfPowerOf5(mv+2, q) {
+				vp--
 			}
 		}
 	} else {
@@ -287,31 +284,30 @@ func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, 
 		vp = mulShift64(mv+2, pow5Split[i], j)
 		vm = mulShift64(mv-1-mmShift, pow5Split[i], j)
 		if q <= 1 {
-			// mv = 4·m2 has at least two trailing zero bits and mv+2
-			// exactly one, and mv-1-mmShift has one iff mmShift == 1:
-			// with q <= 1 the scaled vr and vp are exact, and vm is when
-			// mmShift == 1.
-			vrIsTrailingZeros = true
+			// mv+2 has exactly one trailing zero bit, and mv-1-mmShift
+			// has one iff mmShift == 1: with q <= 1 the scaled vp is
+			// exact, and vm is when mmShift == 1.
 			if acceptLow {
 				vmIsTrailingZeros = mmShift == 1
 			}
 			if !acceptHigh {
 				vp--
 			}
-		} else if q < 63 {
-			vrIsTrailingZeros = multipleOfPowerOf2(mv, q)
 		}
 	}
 
 	// Step 4: find the shortest representation in the range (vm, vp),
-	// closed at either end the policy admits.
+	// closed at either end the policy admits, and round it half up: the
+	// last removed digit alone decides, so a final-digit tie (a removed
+	// tail of exactly 5) takes the high candidate, as the paper's core
+	// does, where Ryū's round-to-even would need vr's own trailing zeros.
+	// Only an exact admissible lower bound needs its zeros tracked.
 	removed := 0
-	var lastRemovedDigit uint8
 	var out uint64
-	if vmIsTrailingZeros || vrIsTrailingZeros {
+	if vmIsTrailingZeros {
+		var lastRemovedDigit uint8
 		for vp/10 > vm/10 {
 			vmIsTrailingZeros = vmIsTrailingZeros && vm%10 == 0
-			vrIsTrailingZeros = vrIsTrailingZeros && lastRemovedDigit == 0
 			lastRemovedDigit = uint8(vr % 10)
 			vr /= 10
 			vp /= 10
@@ -320,25 +316,12 @@ func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, 
 		}
 		if vmIsTrailingZeros {
 			for vm%10 == 0 {
-				vrIsTrailingZeros = vrIsTrailingZeros && lastRemovedDigit == 0
 				lastRemovedDigit = uint8(vr % 10)
 				vr /= 10
 				vp /= 10
 				vm /= 10
 				removed++
 			}
-		}
-		if vrIsTrailingZeros && lastRemovedDigit == 5 && vr%2 == 0 &&
-			(vr != vm || vmIsTrailingZeros) {
-			// Exact halfway with an even candidate that is admissible
-			// output: Ryū would round the digits to even (keep vr) but the
-			// exact Burger & Dybvig core rounds ties up, so the two outputs
-			// diverge here — and only here.  Decline and let the exact
-			// algorithm decide.  (An odd candidate rounds up under both
-			// policies, and when vr equals an inadmissible lower bound the
-			// forced increment below settles the digit the same way for
-			// both, so those cases are served normally.)
-			return 0, 0, false
 		}
 		out = vr
 		if (vr == vm && !vmIsTrailingZeros) || lastRemovedDigit >= 5 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"floatprint/internal/core"
+	"floatprint/internal/decimal"
 	"floatprint/internal/fpformat"
 	"floatprint/internal/schryer"
 )
@@ -33,23 +34,53 @@ func strconvDigits(v float64) (string, int) {
 	return d, exp + 1
 }
 
-// TestMatchesStrconvExactly: both are Ryū, so every served (ok) result must
-// agree bit-for-bit with strconv.  Declines are the exact-halfway tie cases
-// ceded to the Burger & Dybvig core; they must stay rare.
+// exactDigits is the exact Burger & Dybvig free format of v under a
+// nearest-even reader, as a digit string and K.
+func exactDigits(t *testing.T, v float64) (string, int) {
+	t.Helper()
+	exact, err := core.FreeFormat(fpformat.DecodeFloat64(v), 10, core.ScalingEstimate, core.ReaderNearestEven)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digitsString(exact.Digits), exact.K
+}
+
+// checkVsStrconv runs the kernel on v and compares it with strconv, the
+// other Ryū: the two agree byte for byte except on a final-digit tie,
+// where strconv rounds to even and the kernel rounds up as the exact
+// core does.  There the kernel must match the exact core instead, and
+// v must really be halfway (decimal.Halfway).  A decline fails: the
+// kernel decides every positive finite value.  It reports whether v was
+// such a tie.
+func checkVsStrconv(t *testing.T, v float64) (tie bool) {
+	t.Helper()
+	digits, k, ok := Shortest(v)
+	if !ok {
+		t.Fatalf("ryu declined %g [%x]", v, math.Float64bits(v))
+	}
+	got := digitsString(digits)
+	wantD, wantK := strconvDigits(v)
+	if got == wantD && k == wantK {
+		return false
+	}
+	exactD, exactK := exactDigits(t, v)
+	if !decimal.Halfway(v, digits, k) || got != exactD || k != exactK {
+		t.Fatalf("ryu(%g [%x]) = %q K=%d, strconv = %q K=%d, exact core = %q K=%d",
+			v, math.Float64bits(v), got, k, wantD, wantK, exactD, exactK)
+	}
+	return true
+}
+
+// TestMatchesStrconvExactly: both are Ryū, so every result must agree
+// byte for byte with strconv, except on the final-digit ties where the
+// kernel rounds up as the paper's core does; those must stay rare.
 func TestMatchesStrconvExactly(t *testing.T) {
-	declines, total := 0, 0
+	ties, total := 0, 0
 	check := func(v float64) {
 		t.Helper()
 		total++
-		digits, k, ok := Shortest(v)
-		if !ok {
-			declines++
-			return
-		}
-		wantD, wantK := strconvDigits(v)
-		if digitsString(digits) != wantD || k != wantK {
-			t.Fatalf("ryu(%g [%x]) = %q K=%d, strconv = %q K=%d",
-				v, math.Float64bits(v), digitsString(digits), k, wantD, wantK)
+		if checkVsStrconv(t, v) {
+			ties++
 		}
 	}
 	for _, v := range []float64{
@@ -59,8 +90,9 @@ func TestMatchesStrconvExactly(t *testing.T) {
 		math.Nextafter(1, 2), math.Nextafter(1, 0), math.Nextafter(2, 1),
 		123456789012345680000, 1e300, 1e-300,
 		2.2250738585072011e-308, 4.35, 123e45, 1.2e-5,
-		// The float32-derived tie value from the core tests.
+		// The float32-derived tie value from the core tests, and 2⁻²⁵.
 		float64(math.Float32frombits(0b1000011001111010101010000000000)),
+		0x1p-25,
 	} {
 		check(v)
 	}
@@ -75,23 +107,14 @@ func TestMatchesStrconvExactly(t *testing.T) {
 	for _, v := range schryer.CorpusN(50000) {
 		check(v)
 	}
-	if declines*100 > total {
-		t.Errorf("implausibly many tie declines: %d of %d", declines, total)
+	if ties*100 > total {
+		t.Errorf("implausibly many digit ties: %d of %d", ties, total)
 	}
 }
 
 func TestMatchesStrconvDenormals(t *testing.T) {
 	for bits := uint64(1); bits < 1<<52; bits = bits*3 + 1 {
-		v := math.Float64frombits(bits)
-		digits, k, ok := Shortest(v)
-		if !ok {
-			continue // exact-halfway tie ceded to the exact core
-		}
-		wantD, wantK := strconvDigits(v)
-		if digitsString(digits) != wantD || k != wantK {
-			t.Fatalf("denormal %x: ryu %q K=%d, strconv %q K=%d",
-				bits, digitsString(digits), k, wantD, wantK)
-		}
+		checkVsStrconv(t, math.Float64frombits(bits))
 	}
 }
 
@@ -102,28 +125,17 @@ func TestMatchesStrconvExponentSweep(t *testing.T) {
 	for be := 1; be <= 2046; be++ {
 		for trial := 0; trial < 10; trial++ {
 			mant := r.Uint64() & (1<<52 - 1)
-			v := math.Float64frombits(uint64(be)<<52 | mant)
-			digits, k, ok := Shortest(v)
-			if !ok {
-				continue
-			}
-			wantD, wantK := strconvDigits(v)
-			if digitsString(digits) != wantD || k != wantK {
-				t.Fatalf("be=%d mant=%x: ryu %q K=%d, strconv %q K=%d",
-					be, mant, digitsString(digits), k, wantD, wantK)
-			}
+			checkVsStrconv(t, math.Float64frombits(uint64(be)<<52|mant))
 		}
 	}
 }
 
 // TestMatchesBurgerDybvigNearestEven ties the successor back to the paper:
-// every result Ryū serves (ok == true) must be byte-identical to the exact
-// Burger-Dybvig free format under the nearest-even reader.  The exact
-// halfway ties where the two tie policies diverge (paper: up; Ryū: to even)
-// are exactly the inputs Ryū declines, so no tolerance remains.
+// every result must be byte-identical to the exact Burger-Dybvig free
+// format under the nearest-even reader, ties included (both round them
+// up), with no decline.
 func TestMatchesBurgerDybvigNearestEven(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	declines := 0
 	for i := 0; i < 20000; i++ {
 		v := math.Abs(math.Float64frombits(r.Uint64()))
 		if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 {
@@ -131,51 +143,30 @@ func TestMatchesBurgerDybvigNearestEven(t *testing.T) {
 		}
 		digits, k, ok := Shortest(v)
 		if !ok {
-			declines++
-			continue
+			t.Fatalf("ryu declined %g [%x]", v, math.Float64bits(v))
 		}
-		exact, err := core.FreeFormat(fpformat.DecodeFloat64(v), 10, core.ScalingEstimate, core.ReaderNearestEven)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if digitsString(digits) != digitsString(exact.Digits) || k != exact.K {
+		if wantD, wantK := exactDigits(t, v); digitsString(digits) != wantD || k != wantK {
 			t.Fatalf("ryu(%g [%x]) = %q K=%d, exact = %q K=%d",
-				v, math.Float64bits(v),
-				digitsString(digits), k, digitsString(exact.Digits), exact.K)
+				v, math.Float64bits(v), digitsString(digits), k, wantD, wantK)
 		}
-	}
-	if declines > 40 {
-		t.Errorf("implausibly many tie declines: %d", declines)
 	}
 }
 
-// TestTieValuesDecline pins the decline contract on values whose shortest
-// form is an exact halfway case with an even candidate: Ryū must cede these
-// to the exact core rather than emit its round-to-even answer.
-func TestTieValuesDecline(t *testing.T) {
-	found := 0
+// TestTieValuesRoundUp pins the tie rule on the corpus's final-digit
+// ties, the values where strconv's round-to-even and the paper's
+// round-up disagree: the kernel must serve each with the exact core's
+// digits (checkVsStrconv), and the corpus must hold some.
+func TestTieValuesRoundUp(t *testing.T) {
+	ties := 0
 	for _, v := range schryer.CorpusN(schryer.CorpusSize) {
-		_, _, ok := Shortest(v)
-		if ok {
-			continue
-		}
-		found++
-		// The declined value must be a genuine divergence: strconv's
-		// round-to-even output differs from the exact core's round-up.
-		wantD, wantK := strconvDigits(v)
-		exact, err := core.FreeFormat(fpformat.DecodeFloat64(v), 10, core.ScalingEstimate, core.ReaderNearestEven)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if digitsString(exact.Digits) == wantD && exact.K == wantK {
-			t.Errorf("ryu declined %g [%x] but strconv and the exact core agree (%q K=%d): spurious decline",
-				v, math.Float64bits(v), wantD, wantK)
-		}
-		if found > 100 {
-			t.Fatalf("decline rate over the corpus is implausibly high")
+		if checkVsStrconv(t, v) {
+			ties++
 		}
 	}
-	t.Logf("corpus declines: %d of %d", found, schryer.CorpusSize)
+	t.Logf("corpus digit ties: %d of %d", ties, schryer.CorpusSize)
+	if ties == 0 {
+		t.Error("no digit tie in the corpus: the tie rule went untested")
+	}
 }
 
 func TestSpecialsDecline(t *testing.T) {

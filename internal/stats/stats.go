@@ -6,9 +6,9 @@
 //
 // The counters exist to make the paper's Table-2/3 style measurements
 // self-describing: a throughput number is only meaningful alongside the
-// path mix that produced it (~99.98% of base-10 shortest conversions are
-// Ryū hits under every nearest reader mode; a corpus that drives the
-// exact path harder is measuring a different algorithm).
+// path mix that produced it (every base-10 shortest conversion is a Ryū
+// hit unless the exact backend is forced; a run that drives the exact
+// path is measuring a different algorithm).
 //
 // Collection is off by default and enabled with Enable(true): when
 // disabled, every hot-path hook is a single predictable branch on an
@@ -41,18 +41,15 @@ func Enabled() bool { return enabled.Load() }
 // on a fixed address.
 type Counter uint8
 
-// The counters, in the order every derived form lists them.  Hit/miss
-// pairs count only conversions where the fast path was *attempted*
-// (base 10, fast paths not switched off); ExactFree and ExactFixed count
-// every conversion that ran the exact big-integer algorithm, including
-// those where no fast path applied (other bases, explicit positions).
+// The counters, in the order every derived form lists them.  Hits and
+// hit/miss pairs count only conversions where the fast path ran (base
+// 10, fast paths not switched off); ExactFree and ExactFixed count every
+// conversion that ran the exact big-integer algorithm, including those
+// where no fast path applied (other bases, explicit positions).
 const (
 	// RyuHits counts nearest-mode shortest conversions served by the Ryū
 	// kernel (binary64 and binary32).
 	RyuHits Counter = iota
-	// RyuMisses counts shortest conversions where Ryū was attempted but
-	// declined (exact-halfway ties) and the exact core decided.
-	RyuMisses
 	// GayHits counts fixed-format conversions certified by Gay's
 	// extended-float fast path.
 	GayHits
@@ -93,12 +90,8 @@ const (
 	// magnitudes).
 	BatchParseFallbacks
 	// DirectedRyuHits counts directed (floor/ceil) shortest conversions
-	// served by the one-sided Ryū kernels.
+	// served by the one-sided Ryū kernels (binary64 and binary32).
 	DirectedRyuHits
-	// DirectedRyuMisses counts directed shortest conversions where a
-	// one-sided kernel was attempted but declined and the exact core
-	// decided.
-	DirectedRyuMisses
 	// DirectedFastHits counts directed-mode parses, in either width,
 	// certified by the Eisel–Lemire fast path.
 	DirectedFastHits

@@ -24,7 +24,7 @@ func TestEnableIncAndSnapshot(t *testing.T) {
 
 	before := Read()
 	RyuHits.Inc()
-	RyuMisses.Add(2)
+	DirectedRyuHits.Add(2)
 	BatchValues.Add(100)
 	BatchBytes.Add(2400)
 	after := Read()
@@ -32,7 +32,7 @@ func TestEnableIncAndSnapshot(t *testing.T) {
 	for i := range d {
 		d[i] = after[i] - before[i]
 	}
-	if d[RyuHits] != 1 || d[RyuMisses] != 2 || d[BatchValues] != 100 || d[BatchBytes] != 2400 {
+	if d[RyuHits] != 1 || d[DirectedRyuHits] != 2 || d[BatchValues] != 100 || d[BatchBytes] != 2400 {
 		t.Fatalf("delta = %+v", d)
 	}
 	if d[GayHits] != 0 || d[ExactFree] != 0 {

@@ -55,9 +55,19 @@ func (r ReaderRounding) directed() bool {
 	return r == ReaderTowardNegInf || r == ReaderTowardPosInf
 }
 
+// printsAbove reports whether directed reader r prints the upper
+// one-sided bound of a magnitude whose value has sign neg.  A
+// toward-negative reader truncates every inexact value, so only a
+// string in [v, v+m⁺) reads back as v: it gets the upper bound in value
+// order, and a toward-positive reader the lower one; a negative value's
+// magnitude takes the other side.
+func (r ReaderRounding) printsAbove(neg bool) bool {
+	return (r == ReaderTowardNegInf) != neg
+}
+
 // core maps r to the exact core's nearest-range reader assumption.  The
 // directed modes never reach the free-format core (shortestValueTraced
-// routes them to Floor/CeilFormat first); where a nearest-range
+// routes them to the one-sided kernels or Floor/CeilFormat); where a nearest-range
 // assumption is still needed — the fixed-format significance analysis —
 // they fall back to the conservative ReaderUnknown, whose output is valid
 // under every reader.
@@ -90,12 +100,13 @@ func (r ReaderRounding) reader() reader.RoundMode {
 }
 
 // Backend selects whether conversions may take the certified fast paths.
-// Every choice produces byte-identical output: the fast paths follow the
-// decline-don't-error contract, falling through to the exact Burger &
-// Dybvig core whenever they cannot certifiably serve a request
-// (non-base-10, Ryū's exact-halfway ties).
-// Selecting a backend therefore changes the path mix and the speed, never
-// the answer.
+// Every choice produces byte-identical output: the Ryū kernels decide
+// every base-10 shortest value exactly as the Burger & Dybvig core does,
+// ties included, and the fixed-format and parse fast paths follow the
+// decline-don't-error contract, falling through to the exact algorithms
+// whenever they cannot certify a result.  Other bases always run the
+// exact algorithms.  Selecting a backend therefore changes the path mix
+// and the speed, never the answer.
 //
 // Backend also gates Parse's certified fast paths: BackendExact forces
 // every parse through the exact big-integer reader, where BackendAuto
@@ -106,12 +117,11 @@ func (r ReaderRounding) reader() reader.RoundMode {
 type Backend int
 
 const (
-	// BackendAuto lets the certified fast paths serve what they can: the
-	// Ryū kernels every base-10 shortest request of a binary64 or
-	// binary32 value under any reader mode (binary64 only under the
-	// directed modes), Gay's fast path base-10 fixed-format requests of
-	// a binary64 value, and Parse's Eisel–Lemire paths.  This is the
-	// default.
+	// BackendAuto lets the fast paths serve what they can: the Ryū
+	// kernels every base-10 shortest request of a binary64 or binary32
+	// value under any reader mode, Gay's fast path base-10 fixed-format
+	// requests of a binary64 value, and Parse's Eisel–Lemire paths.  This
+	// is the default.
 	BackendAuto Backend = iota
 	// BackendExact always runs the paper's exact big-integer algorithm,
 	// and for Parse the exact big-integer reader.

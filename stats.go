@@ -11,15 +11,16 @@ import (
 // Stats is a snapshot of the package's conversion-path telemetry: how
 // many conversions each algorithm actually decided.  The paper's
 // evaluation is a throughput table; the path mix is what makes such a
-// number interpretable (a corpus where the Ryū kernel serves ~99.98% of
-// shortest conversions measures 128-bit integer arithmetic, one where it
-// declines measures the exact big-integer algorithm).
+// number interpretable (a run whose shortest conversions are all Ryū
+// hits measures 128-bit integer arithmetic, one forced onto the exact
+// backend measures the big-integer algorithm).
 //
-// Hit/miss pairs count conversions where the fast path was attempted
-// (base 10, BackendAuto); ExactFree and ExactFixed count every run of the
-// exact algorithm, including conversions where no fast path applied at
-// all (other bases, absolute positions).  BatchValues and BatchBytes
-// total the batch engine's output.
+// Hits and hit/miss pairs count conversions where the fast path ran
+// (base 10, BackendAuto): the Ryū kernels decide every such shortest
+// conversion, so they have no misses.  ExactFree and ExactFixed count
+// every run of the exact algorithm, including conversions where no fast
+// path applied at all (other bases, absolute positions, BackendExact).
+// BatchValues and BatchBytes total the batch engine's output.
 //
 // Each counter is advanced once, by the code where its event happens:
 // the dispatch layer counts its own hit/miss/exact decisions and the
@@ -34,8 +35,10 @@ type Stats struct {
 	// Deprecated: always zero, like GrisuHits.
 	GrisuMisses uint64
 
-	RyuHits     uint64 // nearest-mode shortest conversions served by Ryū
-	RyuMisses   uint64 // Ryū attempted, declined (exact-halfway ties)
+	RyuHits uint64 // nearest-mode shortest conversions served by Ryū
+	// Deprecated: always zero.  The nearest kernel rounds a final-digit
+	// tie up, as the exact core does, so it decides every value.
+	RyuMisses   uint64
 	GayHits     uint64 // fixed conversions certified by Gay's fast path
 	GayMisses   uint64 // Gay fast path attempted, declined
 	ExactFree   uint64 // exact free-format (shortest) conversions
@@ -65,21 +68,23 @@ type Stats struct {
 	BatchParseFallbacks uint64 // tokens declined to the per-value parser
 
 	// Directed-rounding fast paths (floor/ceil printing and parsing, the
-	// interval package's workhorses).  DirectedRyu* count one-sided
-	// shortest conversions where a directed Ryū kernel was attempted;
-	// DirectedFast* count parses under the directed modes, in either
-	// width, where the Eisel–Lemire fast path was attempted.  Misses
-	// fall back to the exact core/reader and also advance ExactFree /
+	// interval package's workhorses).  DirectedRyuHits counts one-sided
+	// shortest conversions, in either width, served by a directed Ryū
+	// kernel; DirectedFast* count parses under the directed modes, in
+	// either width, where the Eisel–Lemire fast path was attempted.
+	// Parse misses fall back to the exact reader and also advance
 	// ParseExact.
-	DirectedRyuHits    uint64 // directed prints served by one-sided Ryū
-	DirectedRyuMisses  uint64 // one-sided Ryū attempted, declined
+	DirectedRyuHits uint64 // directed prints served by one-sided Ryū
+	// Deprecated: always zero, like RyuMisses: the one-sided kernels
+	// decide every value.
+	DirectedRyuMisses  uint64
 	DirectedFastHits   uint64 // directed-mode parses certified by the fast path
 	DirectedFastMisses uint64 // directed fast parse attempted, declined
 
 	// Interval counters (the interval package).  Each counts whole
 	// [lo,hi] operations; the per-endpoint directed conversions behind
 	// them also advance the directed fast-path counters above (hits) or
-	// ExactFree / ParseExact (misses and forced-exact runs).
+	// ExactFree / ParseExact (parse misses and forced-exact runs).
 	IntervalPrints uint64 // intervals formatted by interval.AppendShortest
 	IntervalParses uint64 // intervals read by interval.Parse
 
@@ -143,9 +148,6 @@ var statsTable = [stats.NumCounters]statRow{
 	stats.RyuHits: {field: func(s *Stats) *uint64 { return &s.RyuHits },
 		name: "floatprint_ryu_hits_total", help: "Shortest conversions served by the Ryu fast path.",
 		label: "ryu hits"},
-	stats.RyuMisses: {field: func(s *Stats) *uint64 { return &s.RyuMisses },
-		name: "floatprint_ryu_misses_total", help: "Shortest conversions where Ryu declined (exact-halfway ties).",
-		label: "ryu misses", ratio: hitRate("ryu hit rate", stats.RyuHits)},
 	stats.GayHits: {field: func(s *Stats) *uint64 { return &s.GayHits },
 		name: "floatprint_gay_hits_total", help: "Fixed conversions certified by Gay's fast path.",
 		label: "gay fast-path hits"},
@@ -188,9 +190,6 @@ var statsTable = [stats.NumCounters]statRow{
 	stats.DirectedRyuHits: {field: func(s *Stats) *uint64 { return &s.DirectedRyuHits },
 		name: "floatprint_directed_ryu_hits_total", help: "Directed shortest conversions served by the one-sided Ryu kernels.",
 		label: "directed ryu hits"},
-	stats.DirectedRyuMisses: {field: func(s *Stats) *uint64 { return &s.DirectedRyuMisses },
-		name: "floatprint_directed_ryu_misses_total", help: "Directed shortest conversions where a one-sided kernel declined.",
-		label: "directed ryu misses", ratio: hitRate("directed ryu hit rate", stats.DirectedRyuHits)},
 	stats.DirectedFastHits: {field: func(s *Stats) *uint64 { return &s.DirectedFastHits },
 		name: "floatprint_directed_fast_hits_total", help: "Directed parses certified by the directed Eisel-Lemire fast path.",
 		label: "directed parse hits"},

@@ -58,7 +58,7 @@ func TestStatsPathMix(t *testing.T) {
 	}
 
 	out := d.String()
-	for _, want := range []string{"ryu hit rate", "gay fast-path hits", "exact free-format"} {
+	for _, want := range []string{"ryu hits", "gay fast-path hits", "exact free-format"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Stats.String() missing %q:\n%s", want, out)
 		}
@@ -81,26 +81,33 @@ func TestStatsFallbackCounting(t *testing.T) {
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
 
-	// A value whose shortest form is an exact halfway tie (a genuine Ryū
-	// decline, found by scanning the corpus) counts one miss and one
-	// exact conversion, under any nearest reader and through either entry
-	// point: no double-counting from the append path's fallback into the
-	// exact core.
-	tie := findRyuDecline(t)
+	// A final-digit tie counts one Ryū hit and nothing else under any
+	// nearest reader and through either entry point: the kernel rounds
+	// it up as the exact core does, so no value falls back.  The exact
+	// run comes from BackendExact, which counts one exact conversion and
+	// no hit: no double-counting through the append path either.
 	for _, mode := range []ReaderRounding{ReaderNearestEven, ReaderUnknown} {
-		for name, convert := range map[string]func(){
-			"append": func() { AppendShortestWith(nil, tie, &Options{Reader: mode}) },
-			"digits": func() {
-				if _, err := ShortestDigits(tie, &Options{Reader: mode}); err != nil {
-					t.Fatal(err)
-				}
-			},
+		for _, c := range []struct {
+			backend Backend
+			ok      func(Stats) bool
+		}{
+			{BackendAuto, func(d Stats) bool { return d == Stats{RyuHits: 1} }},
+			{BackendExact, func(d Stats) bool { return d.ExactFree == 1 && d.RyuHits == 0 && d.TraceEstimates == 1 }},
 		} {
-			ResetStats()
-			convert()
-			if d := Snapshot(); d.RyuMisses != 1 || d.ExactFree != 1 || d.RyuHits != 0 {
-				t.Fatalf("%s, mode %v: ryu fallback for %x counted %+v, want 1 miss + 1 exact",
-					name, mode, tie, d)
+			o := &Options{Reader: mode, Backend: c.backend}
+			for name, convert := range map[string]func(){
+				"append": func() { AppendShortestWith(nil, digitTie, o) },
+				"digits": func() {
+					if _, err := ShortestDigits(digitTie, o); err != nil {
+						t.Fatal(err)
+					}
+				},
+			} {
+				ResetStats()
+				convert()
+				if d := Snapshot(); !c.ok(d) {
+					t.Fatalf("%s, mode %v, backend %v: %x counted %+v", name, mode, c.backend, digitTie, d)
+				}
 			}
 		}
 	}
@@ -113,7 +120,6 @@ func TestStatsFallbackCounting(t *testing.T) {
 // decisions, the exact core its estimator and digit-loop events — so
 // asking for a record cannot change the telemetry.
 func TestTracedCallsCountLikePlainCalls(t *testing.T) {
-	tie := findRyuDecline(t)
 	prev := SetStatsEnabled(true)
 	defer SetStatsEnabled(prev)
 
@@ -132,7 +138,7 @@ func TestTracedCallsCountLikePlainCalls(t *testing.T) {
 			o *Options
 		}{
 			{0.3, nil},                  // Ryū hit
-			{tie, nil},                  // Ryū decline, exact core
+			{digitTie, nil},             // a final-digit tie, also a Ryū hit
 			{255.5, &Options{Base: 16}}, // no kernel in base 16
 			{0.1, &Options{Backend: BackendExact}},
 			{0.3, &Options{Reader: ReaderTowardNegInf}}, // one-sided kernels
@@ -165,7 +171,7 @@ func TestTracedCallsCountLikePlainCalls(t *testing.T) {
 	if plain != traced {
 		t.Errorf("plain calls counted\n%v\ntraced twins counted\n%v", plain, traced)
 	}
-	if plain.RyuHits == 0 || plain.RyuMisses != 1 || plain.GayHits == 0 || plain.GayMisses == 0 ||
+	if plain.RyuHits != 2 || plain.ExactFree != 4 || plain.GayHits == 0 || plain.GayMisses == 0 ||
 		plain.DirectedRyuHits != 2 || plain.ParseFastHits == 0 || plain.ParseExact != 2 {
 		t.Errorf("call set missed a path: %+v", plain)
 	}
@@ -382,9 +388,6 @@ func TestStatsWritePrometheus(t *testing.T) {
 	want := `# HELP floatprint_ryu_hits_total Shortest conversions served by the Ryu fast path.
 # TYPE floatprint_ryu_hits_total counter
 floatprint_ryu_hits_total 900
-# HELP floatprint_ryu_misses_total Shortest conversions where Ryu declined (exact-halfway ties).
-# TYPE floatprint_ryu_misses_total counter
-floatprint_ryu_misses_total 3
 # HELP floatprint_gay_hits_total Fixed conversions certified by Gay's fast path.
 # TYPE floatprint_gay_hits_total counter
 floatprint_gay_hits_total 80
@@ -427,9 +430,6 @@ floatprint_batch_parse_fallbacks_total 7
 # HELP floatprint_directed_ryu_hits_total Directed shortest conversions served by the one-sided Ryu kernels.
 # TYPE floatprint_directed_ryu_hits_total counter
 floatprint_directed_ryu_hits_total 40
-# HELP floatprint_directed_ryu_misses_total Directed shortest conversions where a one-sided kernel declined.
-# TYPE floatprint_directed_ryu_misses_total counter
-floatprint_directed_ryu_misses_total 2
 # HELP floatprint_directed_fast_hits_total Directed parses certified by the directed Eisel-Lemire fast path.
 # TYPE floatprint_directed_fast_hits_total counter
 floatprint_directed_fast_hits_total 36
@@ -489,8 +489,6 @@ func TestStatsStringGolden(t *testing.T) {
 	untraced.TraceIterations, untraced.TraceDigits, untraced.TraceRoundUps = 0, 0, 0
 
 	const conversionLines = `  ryu hits                     270637
-  ryu misses                       43
-  ryu hit rate                 99.98%
   gay fast-path hits               80
   gay fast-path misses             20
   gay fast-path hit rate       80.00%
@@ -508,8 +506,6 @@ func TestStatsStringGolden(t *testing.T) {
   batch-parse fallbacks             7
   batch-parse fb rate         0.1400%
   directed ryu hits                40
-  directed ryu misses               2
-  directed ryu hit rate        95.24%
   directed parse hits              36
   directed parse misses             4
   directed parse hit rate       90.00%
@@ -531,7 +527,6 @@ func TestStatsStringGolden(t *testing.T) {
 		{"trace fields zero", untraced, conversionLines},
 		{"zero denominators", Stats{TraceIterations: 10, TraceDigits: 9, TraceRoundUps: 1},
 			`  ryu hits                          0
-  ryu misses                        0
   gay fast-path hits                0
   gay fast-path misses              0
   exact free-format                 0
@@ -546,7 +541,6 @@ func TestStatsStringGolden(t *testing.T) {
   batch-parse bytes                 0
   batch-parse fallbacks             0
   directed ryu hits                 0
-  directed ryu misses               0
   directed parse hits               0
   directed parse misses             0
   interval prints                   0
@@ -559,9 +553,10 @@ func TestStatsStringGolden(t *testing.T) {
 	}
 }
 
-// TestStatsTableComplete: every uint64 field of Stats except the two
-// deprecated Grisu fields has exactly one statsTable row, and every row
-// carries a distinct floatprint_<name>_total family with help text.
+// TestStatsTableComplete: every uint64 field of Stats except the four
+// deprecated, always-zero ones (the Grisu pair and the two Ryū miss
+// counts) has exactly one statsTable row, and every row carries a
+// distinct floatprint_<name>_total family with help text.
 func TestStatsTableComplete(t *testing.T) {
 	var s Stats
 	v := reflect.ValueOf(&s).Elem()
@@ -590,7 +585,8 @@ func TestStatsTableComplete(t *testing.T) {
 			continue
 		}
 		want := 1
-		if f.Name == "GrisuHits" || f.Name == "GrisuMisses" {
+		switch f.Name {
+		case "GrisuHits", "GrisuMisses", "RyuMisses", "DirectedRyuMisses":
 			want = 0
 		}
 		if rows[f.Name] != want {

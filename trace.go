@@ -39,7 +39,7 @@ func ShortestDigitsTraced(v float64, opts *Options, tr *Trace) (Digits, error) {
 	if err != nil {
 		return Digits{}, err
 	}
-	return shortestValueTraced(fpformat.DecodeFloat64(v), o, tr)
+	return shortestValueTraced(v, false, o, tr)
 }
 
 // FixedDigitsTraced is FixedDigits recording the conversion's execution
