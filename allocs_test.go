@@ -66,6 +66,9 @@ func TestParseAllocs(t *testing.T) {
 		o := &Options{Reader: mode}
 		for _, s := range []string{
 			"0.3", "1.5E10", "NaN", "-Infinity", "0.000000000000000000000000000000000012345",
+			// Subnormal results, in binary64 and (the last) in binary32,
+			// whose shortest string of 2⁻¹²⁶ reads below it toward −∞.
+			"5e-324", "-5e-324", "1e-310", "1.1754943508222875e-38",
 		} {
 			if n := testing.AllocsPerRun(100, func() { _, _ = Parse(s, o) }); n != 0 {
 				t.Errorf("Parse(%q, %v): %v allocations, want 0", s, mode, n)

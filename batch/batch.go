@@ -1,7 +1,10 @@
-// Package batch is the bulk-conversion engine: it turns a []float64
-// into shortest decimal renderings across a sharded worker pool,
-// producing either a packed buffer with offsets (Convert) or an ordered
-// stream into an io.Writer (WriteAll).
+// Package batch is the bulk-conversion engine, in both directions,
+// across a sharded worker pool.  The print side turns a []float64 into
+// shortest decimal renderings, producing either a packed buffer with
+// offsets (Convert) or an ordered stream into an io.Writer (WriteAll).
+// The parse side, ParseAll, streams separator-delimited decimal text in
+// and packed little-endian float64s out, in bounded memory (see
+// parse.go).
 //
 // The design target is the corpus-scale regime of the paper's
 // evaluation — millions of conversions measured end to end — where the

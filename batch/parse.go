@@ -9,6 +9,7 @@
 // decline), and written as one ordered packed write — so the values are
 // bit-identical to a sequential per-value floatprint.Parse loop,
 // whatever the shard count or block size.
+
 package batch
 
 import (

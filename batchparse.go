@@ -75,7 +75,7 @@ func AppendParseBatch(dst []float64, data []byte) ([]float64, error) {
 			continue
 		}
 		// The block scanner declined: specials, '#' marks, '@' exponents,
-		// subnormal or out-of-range magnitudes, or genuine garbage.
+		// out-of-range magnitudes, or genuine garbage.
 		// Delimit the token the general way and read it as Parse would,
 		// minus the fast path it has just failed.
 		start := i

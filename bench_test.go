@@ -409,9 +409,10 @@ func benchModeStrings() []string {
 	benchModeOnce.Do(func() {
 		floats, _ := benchCorpus()
 		for _, f := range floats {
-			// Strictly inside binary32's normal range: the shortest string
-			// of 2⁻¹²⁶ itself lies just below it, so toward −∞ reads it as
-			// a subnormal, which only the exact reader produces.
+			// Strictly inside binary32's normal range, so every row times
+			// normal results in both widths (the shortest string of 2⁻¹²⁶
+			// itself lies just below it, so toward −∞ reads a subnormal,
+			// which the kernel rounds at a coarser place).
 			if a := math.Abs(f); a > 0x1p-126 && a < math.MaxFloat32 && len(benchModeStrs) < 1024 {
 				benchModeStrs = append(benchModeStrs, Shortest(f))
 			}

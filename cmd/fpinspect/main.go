@@ -50,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, arg := range flag.Args() {
-		v, err := strconv.ParseFloat(arg, 64)
+		v, err := floatprint.Parse(arg, nil)
 		if err != nil {
 			fatal(err)
 		}

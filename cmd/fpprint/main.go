@@ -1,6 +1,8 @@
 // Command fpprint converts floating-point numbers using the Burger-Dybvig
-// algorithms.  Each argument (or stdin line) is parsed as a base-10
-// float64 and reprinted.
+// algorithms.  Each argument (or stdin line) is read as a base-10
+// float64 with floatprint.Parse (the library's own grammar: '#' marks
+// and '@' exponents read, hex floats and underscores do not) and
+// reprinted.
 //
 //	fpprint 0.3 1e23                     shortest form
 //	fpprint -base 16 255.5               shortest form in another base
@@ -58,7 +60,7 @@ func main() {
 	}
 
 	convert := func(arg string) {
-		v, err := strconv.ParseFloat(arg, 64)
+		v, err := floatprint.Parse(arg, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fpprint: %q: %v\n", arg, err)
 			return

@@ -391,6 +391,12 @@ func FuzzParseVsExact(f *testing.F) {
 		// ties, decimal ties, the binary32 overflow and normal frontiers.
 		"4503599627370496.5", "524288.03125", "16777217", "-1e23",
 		"3.4028235677973366e38", "1.1754943508222875e-38",
+		// Subnormal results, which the kernel rounds at their own last
+		// place: both ends of binary64's range, a carry into the smallest
+		// normal, a tie at half the smallest subnormal, binary32's.
+		"-5e-324", "1e-310", "2.2250738585072011e-308", "2.2250738585072012e-308",
+		"2.4703282292062328e-324", "2.4703282292062327e-324", "1.4e-45", "-7e-46",
+		"1.1754942e-38", "4.9406564584124654417656879286822137236505980e-324",
 	} {
 		f.Add(s)
 	}

@@ -44,10 +44,11 @@
 // either certifies the exact reader's result (ok=true) — including that
 // the exact reader reports no error for the input — or reports ok=false
 // for *any* reason: syntax outside that grammar ('#' marks and '@'
-// exponents included), uncertainty, overflow into Inf, underflow into
-// the subnormal range, a directed truncation onto the largest finite
-// value (which the exact reader pairs with ErrRange), an exponent
-// outside the table.  The caller falls back to the exact big-integer
+// exponents included), uncertainty, overflow into Inf, a directed
+// truncation onto the largest finite value (which the exact reader pairs
+// with ErrRange), an exponent outside the table.  A subnormal result is
+// the kernel's: it rounds at the subnormal last place, which sits above
+// the normal cut.  The caller falls back to the exact big-integer
 // reader, which keeps every error message and range condition
 // byte-identical to the pre-fast-path behavior.
 package fastparse
@@ -130,14 +131,15 @@ func ParseDirected64(s string, towardPos bool) (f float64, digits int, ok bool) 
 
 // round is the rounding step of both widths: it rounds d under mode to
 // the IEEE binary64 (T = uint64) or binary32 (T = uint32) bits the exact
-// reader returns, or declines.  The subnormal range and Inf belong to
-// the exact reader, and so does a directed truncation onto the largest
-// finite value from above, which IEEE (and the exact reader) signals as
-// overflow.  The significand stays at binary64's scale until the
-// encoding's final shift, so binary32 rounds at bit cut of the kernel's
-// 53 bits, with the kernel's class as the sticky bit of the bits below:
-// no value rounds twice.  Each width compiles to its own instantiation
-// with its constants folded; passing them as arguments instead made
+// reader returns, or declines.  Inf belongs to the exact reader, and so
+// does a directed truncation onto the largest finite value from above,
+// which IEEE (and the exact reader) signals as overflow.  The
+// significand stays at binary64's scale until the encoding's final
+// shift, so binary32 rounds at bit cut of the kernel's 53 bits, with the
+// kernel's class as the sticky bit of the bits below: no value rounds
+// twice.  A subnormal result rounds the same way at its own, coarser
+// last place.  Each width compiles to its own instantiation with its
+// constants folded; passing them as arguments instead made
 // BenchmarkParseToken64 about 5% slower.
 func round[T uint32 | uint64](d *decimal, mode reader.RoundMode) (T, bool) {
 	// cut is how many of the kernel's 53 bits the width drops; inf is its
@@ -157,29 +159,44 @@ func round[T uint32 | uint64](d *decimal, mode reader.RoundMode) (T, bool) {
 	if !ok {
 		return 0, false
 	}
-	unit := uint64(1) << cut
-	if cut != 0 {
-		class = classOf(2*(mant&(unit-1))|b2u(class != reader.Zero), unit)
-		mant &^= unit - 1
-		exp2 -= 1023 - inf>>1
-	}
-	up := b2u(reader.RoundsUp(class, mode, d.neg, mant&unit != 0))
-	mant += up << cut
-	if mant>>53 != 0 {
-		mant >>= 1
-		exp2++
-	}
-	// Inf/NaN territory and the subnormal range in one unsigned compare
-	// (exp2 ≤ 0 wraps): subnormals round at a coarser bit than the cut.
+	exp2 -= 1023 - inf>>1 // rebias to the width (binary64: no change)
+	var b uint64
 	if exp2-1 >= inf-1 {
-		return 0, false
+		// Inf/NaN territory and the subnormal range in one unsigned
+		// compare (exp2 ≤ 0 wraps).
+		if int64(exp2) > 0 {
+			return 0, false
+		}
+		// A subnormal's last place sits 1−exp2 bits above the cut.  From
+		// 54 bits up the quotient is 0 and the remainder below half, so
+		// every deeper shift rounds alike.  A carry out of the largest
+		// subnormal is the smallest normal's encoding.
+		sh := min(cut+uint(1-exp2), 54)
+		class = classOf(2*(mant&(1<<sh-1))|b2u(class != reader.Zero), 1<<sh)
+		m := mant >> sh
+		m += b2u(reader.RoundsUp(class, mode, d.neg, m&1 != 0))
+		b = sign<<52>>cut | m
+	} else {
+		unit := uint64(1) << cut
+		if cut != 0 {
+			class = classOf(2*(mant&(unit-1))|b2u(class != reader.Zero), unit)
+			mant &^= unit - 1
+		}
+		up := b2u(reader.RoundsUp(class, mode, d.neg, mant&unit != 0))
+		mant += up << cut
+		if mant>>53 != 0 {
+			mant >>= 1
+			if exp2++; exp2 == inf {
+				return 0, false
+			}
+		}
+		// mode.Directed() first: it is the same on every call of a
+		// stream, so the test stays off the data-dependent branches.
+		if mode.Directed() && up == 0 && class != reader.Zero && exp2 == inf-1 && mant == 1<<53-unit {
+			return 0, false
+		}
+		b = ((sign|exp2)<<52 | mant&(1<<52-1)) >> cut
 	}
-	// mode.Directed() first: it is the same on every call of a stream, so
-	// the test stays off the data-dependent branches.
-	if mode.Directed() && up == 0 && class != reader.Zero && exp2 == inf-1 && mant == 1<<53-unit {
-		return 0, false
-	}
-	b := ((sign|exp2)<<52 | mant&(1<<52-1)) >> cut
 	if d.trunc {
 		// man stands for a value strictly inside (man, man+1) × 10^exp10.
 		// Rounding is monotone: when both ends round to the same bits,

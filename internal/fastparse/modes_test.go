@@ -173,3 +173,56 @@ func TestDirectedParseRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestSubnormalFamily reads renderings of subnormal values of both
+// widths, random and at the range's ends, with both signs, under every
+// mode in both widths against the exact reader: the shortest, 17-, 26-
+// and 31-digit renderings of binary64 subnormals, and the shortest, 13-
+// and 21-digit renderings of binary32 subnormals.  The kernel rounds a
+// subnormal result at its own last place, so no rendering of at most 19
+// digits may decline in the width it was printed from; past 19 digits
+// the truncated significand's pinch may straddle a representable value
+// under the directed modes, and those inputs may decline.
+func TestSubnormalFamily(t *testing.T) {
+	rng := rand.New(rand.NewSource(324))
+	n := 4000
+	if testing.Short() {
+		n = 400
+	}
+	bits64 := []uint64{1, 2, 3, 1<<52 - 1, 1<<52 - 2, 1 << 51, 1<<51 + 1, 1 << 52}
+	bits32 := []uint32{1, 2, 3, 1<<23 - 1, 1<<23 - 2, 1 << 22, 1<<22 + 1, 1 << 23}
+	for i := 0; i < n; i++ {
+		bits64 = append(bits64, (rng.Uint64()&(1<<52-1))>>uint(rng.Intn(52))|1)
+		bits32 = append(bits32, (rng.Uint32()&(1<<23-1))>>uint(rng.Intn(23))|1)
+	}
+	check := func(s string, short, width32 bool) {
+		for _, s := range []string{s, "-" + s} {
+			declined := checkAgainstReader(t, s)
+			if !short {
+				continue
+			}
+			for i, mode := range modes {
+				if width32 {
+					if _, _, ok := Read32(s, mode); !ok {
+						t.Errorf("Read32(%q, %v) declined", s, mode)
+					}
+				} else if declined[i] {
+					t.Errorf("Read64(%q, %v) declined", s, mode)
+				}
+			}
+		}
+	}
+	for _, b := range bits64 {
+		v := math.Float64frombits(b)
+		check(strconv.FormatFloat(v, 'g', -1, 64), true, false)
+		check(strconv.FormatFloat(v, 'e', 16, 64), true, false)
+		check(strconv.FormatFloat(v, 'e', 25, 64), false, false)
+		check(strconv.FormatFloat(v, 'e', 30, 64), false, false)
+	}
+	for _, b := range bits32 {
+		v := float64(math.Float32frombits(b))
+		check(strconv.FormatFloat(v, 'g', -1, 32), true, true)
+		check(strconv.FormatFloat(v, 'e', 12, 32), true, true)
+		check(strconv.FormatFloat(v, 'e', 20, 32), false, true)
+	}
+}

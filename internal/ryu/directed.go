@@ -30,6 +30,7 @@
 // decomposition, as the nearest kernel does.  The entry points decline
 // (ok == false) out-of-domain input, as the nearest kernel's do, and
 // guard one provably empty case each (an empty candidate range).
+
 package ryu
 
 // ShortestBelowInto converts a positive finite v to the shortest decimal

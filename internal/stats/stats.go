@@ -86,8 +86,7 @@ const (
 	BatchParseBytes
 	// BatchParseFallbacks counts batch-parse tokens the chunked block
 	// scanner declined and routed to the specials and the exact reader
-	// (specials, '#' marks, '@' exponents, subnormal or out-of-range
-	// magnitudes).
+	// (specials, '#' marks, '@' exponents, out-of-range magnitudes).
 	BatchParseFallbacks
 	// DirectedRyuHits counts directed (floor/ceil) shortest conversions
 	// served by the one-sided Ryū kernels (binary64 and binary32).

@@ -33,11 +33,11 @@ var ErrRange = errors.New("floatprint: value out of range")
 // Base-10 inputs take a certified Eisel–Lemire fast path
 // (internal/fastparse) under every reader mode: one kernel truncates the
 // value at 53 bits, classifies the dropped remainder, and rounds by the
-// exact reader's own rule.  Everything it cannot certify — other bases,
-// '#' marks, '@' exponents, subnormal or out-of-range magnitudes, the
-// rare input whose truncated product leaves the remainder's class in
-// doubt — falls back to the exact big-integer reader with identical
-// results and errors.  BackendExact in the options forces the exact
+// exact reader's own rule, subnormal results included.  Everything it
+// cannot certify — other bases, '#' marks, '@' exponents, out-of-range
+// magnitudes and exponents outside its power table, the rare input whose
+// truncated product leaves the remainder's class in doubt — falls back
+// to the exact big-integer reader with identical results and errors.  BackendExact in the options forces the exact
 // reader for every input.
 func Parse(s string, opts *Options) (float64, error) {
 	o, err := opts.norm()

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
 	"floatprint"
+	"floatprint/internal/schryer"
 )
 
 // reusedWriter is a ResponseWriter that keeps nothing per request
@@ -79,4 +82,36 @@ func TestRequestAllocBudget(t *testing.T) {
 			t.Errorf("GET %s: %v allocations per request, want at most %v", c.target, n, c.budget)
 		}
 	}
+}
+
+// TestBatchTextAllocBudget pins what a 65,536-value text body costs
+// /v1/batch in process at two shards: the pool's parse engine reads it
+// block by block into the same packed-value sink a binary body feeds, so
+// the count is per request, not per value.
+func TestBatchTextAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	h := New(Config{BatchShards: 2, Logger: log.New(io.Discard, "", 0)}).Handler()
+	var payload []byte
+	for _, v := range schryer.CorpusN(65536) {
+		payload = append(strconv.AppendFloat(payload, v, 'g', -1, 64), '\n')
+	}
+	body := bytes.NewReader(payload)
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", io.NopCloser(body))
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	w := &reusedWriter{header: http.Header{}}
+	n := testing.AllocsPerRun(5, func() {
+		body.Reset(payload)
+		clear(w.header)
+		w.status = 0
+		h.ServeHTTP(w, req)
+	})
+	if w.status != http.StatusOK {
+		t.Fatalf("POST /v1/batch = %d, want 200", w.status)
+	}
+	if n > 150 {
+		t.Errorf("POST /v1/batch, 65,536 text values: %v allocations per request, want at most 150", n)
+	}
+	t.Logf("%v allocations per request", n)
 }

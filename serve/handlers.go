@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,23 +79,39 @@ func bitsFromQuery(q url.Values) (bits32 bool, err error) {
 	}
 }
 
-// parseValue reads the v query parameter.  Out-of-range literals keep
-// strconv's IEEE semantics (±Inf) instead of failing: a client that
-// sends 1e999 gets back what a float64 read of 1e999 is.
-func parseValue(q url.Values, bitSize int) (float64, error) {
-	return parseFloatParam(q, "v", bitSize)
+// queryValue returns the named query parameter, refusing an absent one
+// and one longer than MaxValueBytes.
+func queryValue(q url.Values, name string) (string, error) {
+	s := q.Get(name)
+	if s == "" {
+		return "", fmt.Errorf("missing %s parameter", name)
+	}
+	if len(s) > MaxValueBytes {
+		return "", fmt.Errorf("%s exceeds the limit of %d bytes", name, MaxValueBytes)
+	}
+	return s, nil
 }
 
-// parseFloatParam reads one named float query parameter with
-// parseValue's IEEE range semantics.
-func parseFloatParam(q url.Values, name string, bitSize int) (float64, error) {
-	vs := q.Get(name)
-	if vs == "" {
-		return 0, fmt.Errorf("missing %s parameter", name)
+// floatParam reads one named float query parameter with Parse, or
+// Parse32 (one rounding) for bits32: base 10 and nearest-even whatever
+// the request's base and mode, so a literal means the same value on
+// every route.  Out-of-range literals keep IEEE semantics: 1e999 reads
+// as +Inf, not an error.
+func floatParam(q url.Values, name string, bits32 bool) (float64, error) {
+	s, err := queryValue(q, name)
+	if err != nil {
+		return 0, err
 	}
-	v, err := strconv.ParseFloat(vs, bitSize)
-	if err != nil && !errors.Is(err, strconv.ErrRange) {
-		return 0, fmt.Errorf("bad %s %q", name, vs)
+	var v float64
+	if bits32 {
+		var f float32
+		f, err = floatprint.Parse32(s, nil)
+		v = float64(f)
+	} else {
+		v, err = floatprint.Parse(s, nil)
+	}
+	if err != nil && !errors.Is(err, floatprint.ErrRange) {
+		return 0, fmt.Errorf("bad %s %q", name, s)
 	}
 	return v, nil
 }
@@ -146,11 +161,7 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 	}
 	var v float64
 	if err == nil {
-		if bits32 {
-			v, err = parseValue(q, 32)
-		} else {
-			v, err = parseValue(q, 64)
-		}
+		v, err = floatParam(q, "v", bits32)
 	}
 	dec.End()
 	if err != nil {
@@ -182,9 +193,9 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 // exact fallback, under the same base/mode options as the print
 // endpoints — and responds with the shortest rendering of the parsed
 // value under those options.  Out-of-range literals keep IEEE
-// semantics: the response is ±Inf's rendering, not an error, matching
-// parseValue's treatment of v elsewhere.  bits=32 parses directly to
-// single precision (one rounding).
+// semantics: the response is ±Inf's rendering, not an error, as for v
+// elsewhere.  bits=32 parses directly to single precision (one
+// rounding).
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -198,9 +209,9 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		bits32, err = bitsFromQuery(q)
 	}
-	in := q.Get("s")
-	if err == nil && in == "" {
-		err = errors.New("missing s parameter")
+	var in string
+	if err == nil {
+		in, err = queryValue(q, "s")
 	}
 	dec.End()
 	if err != nil {
@@ -208,28 +219,28 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	conv := sp.StartChild("convert")
-	var d floatprint.Digits
+	var (
+		d   floatprint.Digits
+		v   float64
+		v32 float32
+	)
 	if bits32 {
 		conv.SetAttr("bits", "32")
-		v, perr := floatprint.Parse32(in, opts)
-		if perr != nil && !errors.Is(perr, floatprint.ErrRange) {
-			conv.End()
-			http.Error(w, perr.Error(), http.StatusBadRequest)
-			return
-		}
-		d, err = floatprint.ShortestDigits32(v, opts)
+		v32, err = floatprint.Parse32(in, opts)
 	} else {
 		// The parse is this endpoint's conversion of interest — the
 		// attached algorithm record describes the read path (fast-path
 		// certification, exact fallback), not the response rendering.
 		rec := convRecord(conv)
-		v, perr := floatprint.ParseTraced(in, opts, rec)
+		v, err = floatprint.ParseTraced(in, opts, rec)
 		attachConversion(conv, rec)
-		if perr != nil && !errors.Is(perr, floatprint.ErrRange) {
-			conv.End()
-			http.Error(w, perr.Error(), http.StatusBadRequest)
-			return
-		}
+	}
+	switch {
+	case err != nil && !errors.Is(err, floatprint.ErrRange):
+		err = fmt.Errorf("reading s: %w", err)
+	case bits32:
+		d, err = floatprint.ShortestDigits32(v32, opts)
+	default:
 		d, err = floatprint.ShortestDigits(v, opts)
 	}
 	conv.End()
@@ -266,11 +277,13 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	var iv interval.Interval
 	if err == nil {
 		if in != "" {
-			iv, err = interval.Parse(in, opts)
+			if in, err = queryValue(q, "s"); err == nil {
+				iv, err = interval.Parse(in, opts)
+			}
 		} else {
 			var lo, hi float64
-			if lo, err = parseFloatParam(q, "lo", 64); err == nil {
-				if hi, err = parseFloatParam(q, "hi", 64); err == nil {
+			if lo, err = floatParam(q, "lo", false); err == nil {
+				if hi, err = floatParam(q, "hi", false); err == nil {
 					iv, err = interval.New(lo, hi)
 				}
 			}
@@ -292,6 +305,15 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(append(out, '\n'))
 }
+
+// MaxValueBytes bounds every value the service reads: each query value
+// (v, lo, hi, s) and each token of a /v1/batch or /v1/batch-parse body
+// (the pool's batch.Config.MaxTokenBytes).  A longer one gets 400 naming
+// the limit, before any read.  The exact reader's cost grows with about
+// the square of a literal's length; at the bound the worst literal reads
+// in tens of milliseconds, not seconds.  The cap refuses nothing that
+// carries information: a binary64 midpoint has 767 significant digits.
+const MaxValueBytes = 64 << 10
 
 // MaxFixedPositions bounds /v1/fixed's digit count n and absolute
 // position |pos|; a request beyond it gets 400.  The exact fixed-format
@@ -334,10 +356,8 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 				err = fmt.Errorf("bad n %q", ns)
 			} else if n > MaxFixedPositions {
 				err = fmt.Errorf("n %d exceeds the limit of %d digits", n, MaxFixedPositions)
-			} else if bits32 {
-				v, err = parseValue(q, 32)
 			} else {
-				v, err = parseValue(q, 64)
+				v, err = floatParam(q, "v", bits32)
 			}
 		default:
 			if pos, err = strconv.Atoi(ps); err != nil {
@@ -347,7 +367,7 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 			} else if bits32 {
 				err = errors.New("pos does not take bits=32: there is no single-precision absolute-position conversion")
 			} else {
-				v, err = parseValue(q, 64)
+				v, err = floatParam(q, "v", false)
 			}
 		}
 	}
@@ -385,15 +405,18 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 // how long the request stream is.
 const batchBlockValues = 65536
 
-// handleBatch serves POST /v1/batch: a stream of float64 values in
-// (NDJSON lines, or packed little-endian binary with Content-Type
-// application/octet-stream), the shortest rendering of each value out,
-// one per line, in input order.  Conversion and response writing
-// overlap through batch.Pool.WriteAll, and the request context —
-// carrying both the per-request timeout and client disconnect —
-// cancels mid-stream conversion.
+// handleBatch serves POST /v1/batch: a stream of float64 values in, the
+// shortest rendering of each value out, one per line, in input order.
+// A body with Content-Type application/octet-stream is packed
+// little-endian float64s; any other is text in the batch grammar
+// (floatprint.BatchSep), read by the pool's parse engine as
+// /v1/batch-parse reads it.  Both feed one sink, the batchStream, and
+// conversion and response writing overlap through batch.Pool.WriteAll.
+// The request context (timeout and client disconnect) cancels
+// mid-stream.
 //
-// Input errors before the first output byte produce a 4xx; after
+// Input errors before the first output byte produce a 4xx (a malformed
+// text token is a 400 carrying its record and byte offset); after
 // output has started the handler aborts the connection (the net/http
 // abort sentinel), so a malformed tail can never masquerade as a
 // complete response.
@@ -417,48 +440,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
 		conv.SetAttr("format", "binary")
-		err = st.runBinary(body)
+		if _, err = io.Copy(st, body); err == nil && st.npart > 0 {
+			err = fmt.Errorf("body length not a multiple of 8 (%d trailing bytes)", st.npart)
+		}
 	} else {
-		conv.SetAttr("format", "ndjson")
-		err = st.runNDJSON(body)
+		conv.SetAttr("format", "text")
+		_, err = s.pool.ParseAll(r.Context(), body, st)
+	}
+	if err == nil {
+		err = st.finish()
 	}
 	if err != nil {
 		st.fail(err)
 	}
 }
 
-// batchStream is the per-request state of a streaming batch: the
-// accumulating block and whether output has started (which decides
-// between a clean 4xx and a connection abort on failure).
+// batchStream is the per-request state of a streaming batch: the sink
+// both formats write packed float64s into, the accumulating block, and
+// whether output has started (which decides between a clean 4xx and a
+// connection abort on failure).
 type batchStream struct {
 	s       *Server
 	w       http.ResponseWriter
 	r       *http.Request
 	block   []float64
+	part    [8]byte // a value split across writes, npart bytes of it
+	npart   int
 	started bool
 	values  int64 // values accepted so far, for the convert span
 }
 
-// statusError carries the HTTP status a pre-stream failure should map
-// to.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-// fail reports err: as an HTTP status if nothing has been written yet,
-// otherwise by aborting the connection.
+// fail reports err: as an HTTP status if nothing has been written yet
+// (400 unless the body read or the context failed), otherwise by
+// aborting the connection.
 func (st *batchStream) fail(err error) {
 	if st.started {
 		st.s.log.Printf("serve: [%s] aborting batch stream: %v", RequestID(st.r.Context()), err)
 		panic(http.ErrAbortHandler)
-	}
-	var se *statusError
-	if errors.As(err, &se) {
-		http.Error(st.w, se.msg, se.code)
-		return
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -476,12 +494,38 @@ func (st *batchStream) fail(err error) {
 	http.Error(st.w, err.Error(), http.StatusBadRequest)
 }
 
-// push adds one value, flushing the block to the pool when full.
-func (st *batchStream) push(v float64) error {
+// Write takes packed little-endian float64s and adds each whole value
+// to the block.  The parse engine writes whole values, but a binary body
+// can arrive split anywhere, so a partial value waits in part for the
+// next write.
+func (st *batchStream) Write(p []byte) (int, error) {
+	n := len(p)
+	if st.npart > 0 {
+		c := copy(st.part[st.npart:], p)
+		if st.npart += c; st.npart < 8 {
+			return n, nil
+		}
+		st.npart, p = 0, p[c:]
+		if err := st.push(st.part[:]); err != nil {
+			return 0, err
+		}
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		if err := st.push(p); err != nil {
+			return 0, err
+		}
+	}
+	st.npart = copy(st.part[:], p)
+	return n, nil
+}
+
+// push adds the value packed in p[:8], flushing the block to the pool
+// when full.
+func (st *batchStream) push(p []byte) error {
 	if st.block == nil {
 		st.block = make([]float64, 0, batchBlockValues)
 	}
-	st.block = append(st.block, v)
+	st.block = append(st.block, math.Float64frombits(binary.LittleEndian.Uint64(p)))
 	st.values++
 	if len(st.block) == cap(st.block) {
 		return st.flush()
@@ -526,61 +570,6 @@ func (st *batchStream) finish() error {
 		st.w.WriteHeader(http.StatusOK)
 	}
 	return nil
-}
-
-// runNDJSON consumes newline-delimited numeric values.
-func (st *batchStream) runNDJSON(body io.Reader) error {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(text, 64)
-		if err != nil && !errors.Is(err, strconv.ErrRange) {
-			return &statusError{http.StatusBadRequest, fmt.Sprintf("line %d: bad value %q", line, text)}
-		}
-		if err := st.push(v); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return st.finish()
-}
-
-// runBinary consumes packed little-endian float64s.
-func (st *batchStream) runBinary(body io.Reader) error {
-	buf := make([]byte, 8*4096)
-	rem := 0
-	for {
-		n, err := io.ReadFull(body, buf[rem:])
-		n += rem
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			if n%8 != 0 {
-				return &statusError{http.StatusBadRequest,
-					fmt.Sprintf("body length not a multiple of 8 (%d trailing bytes)", n%8)}
-			}
-		} else if err != nil {
-			return err
-		}
-		for i := 0; i+8 <= n; i += 8 {
-			if perr := st.push(math.Float64frombits(binary.LittleEndian.Uint64(buf[i:]))); perr != nil {
-				return perr
-			}
-		}
-		rem = n % 8
-		if rem > 0 {
-			copy(buf, buf[n-rem:n])
-		}
-		if err != nil { // EOF with a whole number of values
-			return st.finish()
-		}
-	}
 }
 
 // handleBatchParse serves POST /v1/batch-parse: the ingestion inverse

@@ -14,6 +14,11 @@
 //     slot, and the batch routes also stop converting at the deadline
 //     (batch.Pool.WriteAll checks it per chunk, ParseAll per block).
 //     A single-value conversion runs to completion.
+//   - Bounded work per value: every number the service reads — each
+//     query value and each batch token — goes through the library's
+//     own reader and grammar (floatprint.Parse, or the pool's parse
+//     engine for a text body), and MaxValueBytes caps it, so no value
+//     can make a conversion's cost run away.
 //   - Panic recovery that converts handler panics to 500s and counts
 //     them, without masking net/http's own abort sentinel.
 //   - Graceful shutdown: Shutdown stops accepting and drains in-flight
@@ -41,7 +46,8 @@
 //	                                    rendering of the parsed endpoints
 //	GET  /v1/fixed?v=3.14159&n=3        (or &pos=-2 for absolute position;
 //	                                    bits=32 takes n only)
-//	POST /v1/batch                      NDJSON lines, or packed little-endian
+//	POST /v1/batch                      separator-delimited decimal text (the
+//	                                    batch grammar), or packed little-endian
 //	                                    float64s with Content-Type
 //	                                    application/octet-stream; responds with
 //	                                    NDJSON shortest renderings, streamed
@@ -94,10 +100,10 @@ type Config struct {
 	InFlight int
 	// RequestTimeout is each conversion request's deadline.  As a read
 	// deadline it bounds body reads on every route; as context
-	// cancellation only the batch routes observe it — /v1/batch between
-	// chunks, /v1/batch-parse between blocks.  A single-value
-	// conversion runs to completion however long it takes.  Zero means
-	// 30s.
+	// cancellation only the batch routes observe it — between chunks and
+	// between parse blocks.  A single-value conversion runs to
+	// completion, which MaxValueBytes bounds: its worst input reads in
+	// tens of milliseconds.  Zero means 30s.
 	RequestTimeout time.Duration
 	// RetryAfter is the hint returned with shed responses.  Zero
 	// means 1s.
@@ -193,9 +199,10 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		pool: batch.New(batch.Config{
-			Shards:    cfg.BatchShards,
-			ChunkSize: cfg.BatchChunk,
-			Sep:       []byte{'\n'},
+			Shards:        cfg.BatchShards,
+			ChunkSize:     cfg.BatchChunk,
+			Sep:           []byte{'\n'},
+			MaxTokenBytes: MaxValueBytes,
 		}),
 		limiter:   newLimiter(cfg.InFlight),
 		metrics:   newMetrics(),
