@@ -21,6 +21,12 @@
 // once, so shards touch the shared counters a few times per call rather
 // than once per value.  The counts are exactly those of a per-value
 // AppendShortest loop, and every one has landed when the call returns.
+//
+// Buffers: a Pool keeps its idle WriteAll chunk buffers and ParseAll
+// states in sync.Pools, so a long-lived Pool (a server's) stops
+// allocating them per call, and the GC may still reclaim any that sit
+// idle.  A call gives a buffer back only once no goroutine it started
+// can touch it.
 package batch
 
 import (
@@ -52,8 +58,9 @@ type Config struct {
 	// inserts separators: its packed buffer is delimited by offsets.
 	Sep []byte
 	// ParseBlockBytes is ParseAll's input block target: how many bytes
-	// are buffered (and sharded) per scan-and-write round.  Zero or
-	// negative means 1 MiB.
+	// are buffered (and sharded) per scan-and-write round, and the
+	// capacity of the block buffer the Pool keeps for reuse across
+	// calls.  Zero or negative means 1 MiB.
 	ParseBlockBytes int
 	// MaxTokenBytes caps a single separator-free token in ParseAll; a
 	// longer run is a malformed stream, not a number, and is rejected
@@ -61,15 +68,22 @@ type Config struct {
 	MaxTokenBytes int
 }
 
-// Pool is a reusable batch-conversion engine.  A Pool carries no
-// per-call state, so one Pool may run any number of concurrent Convert
-// and WriteAll calls.
+// Pool is a reusable batch-conversion engine.  It keeps idle ParseAll
+// and WriteAll buffers for the next call, which the GC may reclaim; no
+// call shares a buffer with another while it runs, so one Pool may run
+// any number of concurrent Convert, WriteAll and ParseAll calls.
 type Pool struct {
 	shards     int
 	chunk      int
 	sep        []byte
 	parseBlock int
 	maxToken   int
+
+	// Idle buffers, as pointers so that Put does not allocate.  A chunk
+	// buffer holds a whole chunk's longest renderings and separators, so
+	// it never regrows.
+	chunkBufs   sync.Pool // *[]byte: a WriteAll chunk
+	parseStates sync.Pool // *parseState: a ParseAll call's buffers
 }
 
 // New builds a Pool from cfg, applying defaults.
@@ -90,7 +104,20 @@ func New(cfg Config) *Pool {
 	if maxToken <= 0 {
 		maxToken = 1 << 20
 	}
-	return &Pool{shards: shards, chunk: chunk, sep: cfg.Sep, parseBlock: parseBlock, maxToken: maxToken}
+	p := &Pool{shards: shards, chunk: chunk, sep: cfg.Sep, parseBlock: parseBlock, maxToken: maxToken}
+	p.chunkBufs.New = func() any {
+		b := make([]byte, 0, p.chunk*(perValueBytes+len(p.sep)))
+		return &b
+	}
+	p.parseStates.New = func() any {
+		return &parseState{
+			buf:     make([]byte, 0, p.parseBlock),
+			scratch: make([][]float64, p.shards),
+			bounds:  make([]int, p.shards+1),
+			errs:    make([]*floatprint.BatchParseError, p.shards),
+		}
+	}
+	return p
 }
 
 // Shards returns the pool's effective worker count.
@@ -181,15 +208,17 @@ func (p *Pool) Convert(ctx context.Context, values []float64) (*floatprint.Batch
 // and the ordering writer.
 type chunkOut struct {
 	idx int
-	buf []byte
+	buf *[]byte
 }
 
 // WriteAll streams the shortest renderings of values to w in input
 // order, each followed by the pool's Sep.  Values are converted in
 // ChunkSize chunks by the worker pool while the calling goroutine
 // writes completed chunks in order; at most 2×Shards chunks are in
-// flight, so memory stays bounded regardless of input length and chunk
-// buffers are recycled.  It returns the byte count written to w and the
+// flight, so memory stays bounded regardless of input length.  Chunk
+// buffers come from the Pool and go back to it when the call ends, and
+// each is reused for later chunks meanwhile, so w must not retain the
+// slices it is given.  It returns the byte count written to w and the
 // first error (a write error, or ctx.Err() on cancellation).
 //
 // Writer-side cancel contract: chunks reach w strictly in input order,
@@ -212,20 +241,21 @@ func (p *Pool) WriteAll(ctx context.Context, values []float64, w io.Writer) (int
 		shards = nchunks
 	}
 
-	convertChunk := func(ci int, buf []byte) []byte {
+	convertChunk := func(ci int, bp *[]byte) {
 		lo := ci * p.chunk
-		return floatprint.AppendShortestBatch(buf, values[lo:min(lo+p.chunk, n)], p.sep, nil)
+		*bp = floatprint.AppendShortestBatch((*bp)[:0], values[lo:min(lo+p.chunk, n)], p.sep, nil)
 	}
 
 	var written int64
 	if shards <= 1 {
-		buf := make([]byte, 0, p.chunk*perValueBytes)
+		bp := p.chunkBufs.Get().(*[]byte)
+		defer p.chunkBufs.Put(bp)
 		for ci := 0; ci < nchunks; ci++ {
 			if err := ctx.Err(); err != nil {
 				return written, err
 			}
-			buf = convertChunk(ci, buf[:0])
-			nw, err := w.Write(buf)
+			convertChunk(ci, bp)
+			nw, err := w.Write(*bp)
 			written += int64(nw)
 			if err != nil {
 				return written, err
@@ -239,18 +269,21 @@ func (p *Pool) WriteAll(ctx context.Context, values []float64, w io.Writer) (int
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	bufPool := sync.Pool{New: func() any {
-		b := make([]byte, 0, p.chunk*perValueBytes)
-		return &b
-	}}
 	var next atomic.Int64
 	resCh := make(chan chunkOut, shards)
-	// sem bounds chunks in flight (converting or awaiting their turn at
-	// the writer).  Workers take a slot before claiming a chunk and the
-	// writer releases it after the chunk is written; because chunk
-	// indices are claimed in increasing order, the lowest unwritten
-	// chunk always holds a slot, so the writer can always make progress.
-	sem := make(chan struct{}, 2*shards)
+	// free holds the chunk buffers not in flight (converting or awaiting
+	// their turn at the writer), at most 2×shards of them, taken from
+	// the Pool here and given back once every worker has exited, all on
+	// this goroutine, so a warm Pool serves them from one P's cache.
+	// Workers take a buffer before claiming a chunk and the writer
+	// returns it after the chunk is written; because chunk indices are
+	// claimed in increasing order, the lowest unwritten chunk always
+	// holds a buffer, so the writer can always make progress.
+	inflight := min(2*shards, nchunks)
+	free := make(chan *[]byte, inflight)
+	for range inflight {
+		free <- p.chunkBufs.Get().(*[]byte)
+	}
 
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -258,24 +291,24 @@ func (p *Pool) WriteAll(ctx context.Context, values []float64, w io.Writer) (int
 		go func() {
 			defer wg.Done()
 			for {
+				var bp *[]byte
 				select {
-				case sem <- struct{}{}:
+				case bp = <-free:
 				case <-ctx.Done():
 					return
 				}
 				ci := int(next.Add(1) - 1)
 				if ci >= nchunks {
-					<-sem
+					free <- bp
 					return
 				}
-				bp := bufPool.Get().(*[]byte)
-				*bp = convertChunk(ci, (*bp)[:0])
+				convertChunk(ci, bp)
 				select {
-				case resCh <- chunkOut{idx: ci, buf: *bp}:
-					// The writer owns the buffer now and re-pools it after
+				case resCh <- chunkOut{idx: ci, buf: bp}:
+					// The writer owns the buffer now and frees it after
 					// writing.
 				case <-ctx.Done():
-					<-sem
+					free <- bp
 					return
 				}
 			}
@@ -286,36 +319,39 @@ func (p *Pool) WriteAll(ctx context.Context, values []float64, w io.Writer) (int
 		close(resCh)
 	}()
 
-	pending := make(map[int][]byte, 2*shards)
+	pending := make(map[int]*[]byte, inflight)
 	nextWrite := 0
-	release := func(buf []byte) {
-		<-sem
-		b := buf
-		bufPool.Put(&b)
-	}
 	var firstErr error
 	for res := range resCh {
 		if firstErr != nil {
-			release(res.buf) // drain so no worker blocks on resCh
+			free <- res.buf // drain so no worker blocks on resCh
 			continue
 		}
 		pending[res.idx] = res.buf
 		for {
-			buf, ok := pending[nextWrite]
+			bp, ok := pending[nextWrite]
 			if !ok {
 				break
 			}
 			delete(pending, nextWrite)
 			nextWrite++
-			nw, err := w.Write(buf)
+			nw, err := w.Write(*bp)
 			written += int64(nw)
-			release(buf)
+			free <- bp
 			if err != nil {
 				firstErr = err
 				cancel()
 				break
 			}
 		}
+	}
+	// Every worker has exited, so each buffer is free or holds a chunk
+	// that a cancel or write error left unwritten.
+	for _, bp := range pending {
+		free <- bp
+	}
+	for range inflight {
+		p.chunkBufs.Put(<-free)
 	}
 	if firstErr != nil {
 		return written, firstErr

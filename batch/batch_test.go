@@ -461,13 +461,21 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkBatchWriteAll runs with telemetry off (the library default)
 // and, under stats=on, with it on as fpserved ships, where shards add
-// their kernel tallies to the shared counters.
+// their kernel tallies to the shared counters.  Each row measures a
+// warm Pool: one untimed call fills the chunk buffers a fresh Pool
+// builds on its first call, so the allocation columns read the per-call
+// cost at any b.N.
 func BenchmarkBatchWriteAll(b *testing.B) {
 	values := schryer.CorpusN(65536)
 	shardRows := func(b *testing.B) {
 		for _, shards := range []int{1, runtime.NumCPU()} {
 			b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 				p := New(Config{Shards: shards, Sep: []byte{'\n'}})
+				for range 3 {
+					if _, err := p.WriteAll(context.Background(), values, discard{}); err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.SetBytes(int64(len(values) * 8))
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -8,7 +8,9 @@
 // 8-digit chunks into the Eisel–Lemire certifier, per-value fallback on
 // decline), and written as one ordered packed write — so the values are
 // bit-identical to a sequential per-value floatprint.Parse loop,
-// whatever the shard count or block size.
+// whatever the shard count or block size.  The block buffer, the
+// per-shard scratch and the packed output live in a parseState the Pool
+// keeps between calls.
 
 package batch
 
@@ -26,6 +28,20 @@ import (
 // parseMinShardBytes is the smallest per-shard range worth a goroutine:
 // below it, scheduling overhead beats the parallelism.
 const parseMinShardBytes = 64 << 10
+
+// parseState is one ParseAll call's buffers, taken from the Pool when
+// the call starts and returned when it ends: the block buffer (the carry
+// plus fresh reads, capacity ParseBlockBytes), each shard's parsed
+// values, the packed output of one block, and the shard cut points and
+// errors of one block.  Scratch and output keep the capacity of the
+// largest block the Pool has parsed.
+type parseState struct {
+	buf     []byte
+	scratch [][]float64
+	out     []byte
+	bounds  []int
+	errs    []*floatprint.BatchParseError
+}
 
 // ParseAll parses with the default configuration (GOMAXPROCS shards);
 // see Pool.ParseAll.
@@ -53,17 +69,23 @@ func ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, error) {
 // buffered without bound or handed to the exact reader.  The writer-side
 // contract matches WriteAll: whatever reached w when ParseAll returns —
 // on success, error, or cancellation — is a prefix of the full output,
-// ending on a value boundary.
+// ending on a value boundary.  The buffer handed to w is reused for the
+// next block and by later calls, so w must not retain it.
 func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, error) {
+	st := p.parseStates.Get().(*parseState)
+	// parseBlock64 has joined its shards before any return, so nothing
+	// touches st once ParseAll is done with it.
+	defer p.parseStates.Put(st)
 	var (
 		written int64 // values written to w
 		recBase int   // values consumed from the stream (for error coordinates)
 		offBase int   // bytes consumed from the stream
-		buf     = make([]byte, 0, p.parseBlock)
-		out     []byte // packed output, reused across blocks
-		eof     bool
+		// A token longer than the block target grows buf into a new
+		// array, which the GC takes after this call; st keeps the
+		// block-sized one.
+		buf = st.buf[:0]
+		eof bool
 	)
-	scratch := make([][]float64, p.shards)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -133,17 +155,17 @@ func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, e
 			}
 		}
 
-		vals, perr := p.parseBlock64(block, scratch)
+		vals, perr := p.parseBlock64(block, st)
 		// Pack and write everything parsed before any failure: the output
 		// prefix contract holds on errors too.
 		total := 0
 		for _, v := range vals {
 			total += len(v)
 		}
-		if cap(out) < 8*total {
-			out = make([]byte, 0, 8*total)
+		if cap(st.out) < 8*total {
+			st.out = make([]byte, 0, 8*total)
 		}
-		out = out[:0]
+		out := st.out[:0]
 		for _, shard := range vals {
 			for _, f := range shard {
 				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
@@ -206,19 +228,21 @@ func longToken(block []byte, max int) int {
 }
 
 // parseBlock64 scans one separator-terminated block across the pool's
-// shards and returns the per-shard value slices in input order.  On a
+// shards into st's scratch and returns the per-shard value slices in
+// input order, after every shard goroutine has finished.  On a
 // malformed token it returns the values preceding it and a
 // *floatprint.BatchParseError with Record/Offset relative to the block.
-func (p *Pool) parseBlock64(block []byte, scratch [][]float64) ([][]float64, *floatprint.BatchParseError) {
+func (p *Pool) parseBlock64(block []byte, st *parseState) ([][]float64, *floatprint.BatchParseError) {
 	shards := p.shards
 	if max := len(block)/parseMinShardBytes + 1; shards > max {
 		shards = max
 	}
+	scratch := st.scratch
 	// Cut points: each advanced to the next separator so every token is
 	// wholly inside one range (a range may begin with separators, which
 	// the scanner skips).
-	bounds := make([]int, shards+1)
-	bounds[shards] = len(block)
+	bounds := st.bounds[:shards+1]
+	bounds[0], bounds[shards] = 0, len(block)
 	for s := 1; s < shards; s++ {
 		c := s * len(block) / shards
 		if c < bounds[s-1] {
@@ -230,7 +254,8 @@ func (p *Pool) parseBlock64(block []byte, scratch [][]float64) ([][]float64, *fl
 		bounds[s] = c
 	}
 
-	errs := make([]*floatprint.BatchParseError, shards)
+	errs := st.errs[:shards]
+	clear(errs)
 	if shards <= 1 {
 		var err error
 		scratch[0], err = floatprint.AppendParseBatch(scratch[0][:0], block)

@@ -8,9 +8,10 @@
 //
 // Convert mode reads benchmark lines from stdin and writes JSON to
 // stdout.  Compare mode loads two JSON artifacts, matches benchmarks by
-// name, compares median ns/op, and exits 1 when any benchmark present
-// in both is more than -max-regress percent slower in head, or reports
-// a median of 0 allocs/op in base and more in head; medians over
+// name, compares medians, and exits 1 when any benchmark present in
+// both is more than -max-regress percent slower in head, reports a
+// higher median allocs/op in head, or a median B/op more than 7% higher
+// (the allocation columns of `go test -benchmem`); medians over
 // repeated -count runs make the gate robust to a single noisy pass.
 //
 // -floor adds an absolute acceptance bar on the head artifact alone:

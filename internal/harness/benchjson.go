@@ -129,13 +129,20 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// maxBytesRegress is the rise in median B/op, in percent of the base
+// median, beyond which CompareArtifacts fails a benchmark.  Bytes per op
+// move a little with b.N (a buffer rebuilt once per run, a sync.Pool
+// refilled after a GC), so they get a small margin; allocs/op gets none.
+const maxBytesRegress = 7
+
 // CompareArtifacts matches benchmarks by name and reports every pair
 // whose head median ns/op exceeds the base median by more than
-// maxRegress percent, and every pair whose base median allocs/op is 0
-// while its head median is above 0 (when both sides report allocs/op).
-// Time is noisy, so it gets a threshold; a zero allocation count is
-// exact, so losing it fails outright.  Counts above zero are not
-// gated: amortized ones move with b.N.  Benchmarks present on only one
+// maxRegress percent, every pair whose head median allocs/op exceeds
+// the base median at all, and every pair whose head median B/op exceeds
+// the base median by more than maxBytesRegress percent (the last two
+// when both sides report the metric, as `go test -benchmem` does).
+// Time is noisy, so it gets a threshold; allocation counts repeat at
+// CI's run lengths, so any rise fails.  Benchmarks present on only one
 // side are listed but never fail the gate (new benchmarks have no
 // baseline; removed ones have no head).
 func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int, report string) {
@@ -153,11 +160,9 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 			continue
 		}
 		delete(baseBy, h.Name)
-		mark := ""
-		if ba, ha := b.Metrics["allocs/op"], h.Metrics["allocs/op"]; len(ba) > 0 && len(ha) > 0 &&
-			median(ba) == 0 && median(ha) > 0 {
+		mark := allocRise(b, h)
+		if mark != "" {
 			allocating++
-			mark = fmt.Sprintf("  ALLOCS 0 -> %g", median(ha))
 		}
 		if b.MedianNsPerOp == 0 {
 			if mark != "" {
@@ -182,12 +187,28 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) regressed more than %.0f%%\n", slower, maxRegress)
 	}
 	if allocating > 0 {
-		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) went from 0 allocs/op to more\n", allocating)
+		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) allocate more: median allocs/op rose, or median B/op rose more than %d%%\n",
+			allocating, maxBytesRegress)
 	}
 	if slower+allocating == 0 {
-		fmt.Fprintf(&sb, "ok: no benchmark regressed more than %.0f%% or started allocating\n", maxRegress)
+		fmt.Fprintf(&sb, "ok: no benchmark regressed more than %.0f%% or allocated more\n", maxRegress)
 	}
 	return slower + allocating, sb.String()
+}
+
+// allocRise marks a benchmark whose head allocates more than its base:
+// a higher median allocs/op, or a median B/op more than maxBytesRegress
+// percent higher.  It returns "" when neither holds.
+func allocRise(b, h Benchmark) string {
+	mark := ""
+	if ba, ha := b.Metrics["allocs/op"], h.Metrics["allocs/op"]; len(ba) > 0 && len(ha) > 0 && median(ha) > median(ba) {
+		mark += fmt.Sprintf("  ALLOCS %g -> %g", median(ba), median(ha))
+	}
+	if bb, hb := b.Metrics["B/op"], h.Metrics["B/op"]; len(bb) > 0 && len(hb) > 0 &&
+		median(hb) > median(bb)*(1+maxBytesRegress/100.0) {
+		mark += fmt.Sprintf("  B/OP %g -> %g", median(bb), median(hb))
+	}
+	return mark
 }
 
 // CheckFloor enforces an absolute throughput floor on an artifact:

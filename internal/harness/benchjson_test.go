@@ -127,37 +127,80 @@ func TestCompareArtifactsFlagsRegression(t *testing.T) {
 	}
 }
 
-// TestCompareArtifactsFlagsNewAllocs pins the exact half of the gate: a
-// benchmark whose base median allocs/op is 0 fails when its head median
-// is above 0, however fast it got, while nonzero counts that move, a
-// lone nonzero run under a zero median, and sides that do not report
-// allocs pass.
-func TestCompareArtifactsFlagsNewAllocs(t *testing.T) {
-	withAllocs := func(name string, ns float64, allocs ...float64) Benchmark {
-		return Benchmark{Name: name, Runs: len(allocs), MedianNsPerOp: ns,
-			Metrics: map[string][]float64{"allocs/op": allocs}}
+// withAllocs is a benchmark whose runs report allocs/op and, when
+// bytes is non-nil, B/op.
+func withAllocs(name string, ns float64, bytes []float64, allocs ...float64) Benchmark {
+	b := Benchmark{Name: name, Runs: len(allocs), MedianNsPerOp: ns,
+		Metrics: map[string][]float64{"allocs/op": allocs}}
+	if bytes != nil {
+		b.Metrics["B/op"] = bytes
 	}
+	return b
+}
+
+// TestCompareArtifactsFlagsNewAllocs pins the zero case of the exact
+// gate: a benchmark whose base median allocs/op is 0 fails when its
+// head median is above 0, however fast it got, while a lone nonzero run
+// under a zero median and sides that do not report allocs pass.
+func TestCompareArtifactsFlagsNewAllocs(t *testing.T) {
 	base := &Artifact{Benchmarks: []Benchmark{
-		withAllocs("Lost", 100, 0, 0, 0),
-		withAllocs("Amortized", 100, 15, 15, 16),
-		withAllocs("Blip", 100, 0, 0, 0),
-		withAllocs("NoHeadAllocs", 100, 0, 0, 0),
+		withAllocs("Lost", 100, nil, 0, 0, 0),
+		withAllocs("Blip", 100, nil, 0, 0, 0),
+		withAllocs("NoHeadAllocs", 100, nil, 0, 0, 0),
 	}}
 	head := &Artifact{Benchmarks: []Benchmark{
-		withAllocs("Lost", 50, 6, 6, 6),
-		withAllocs("Amortized", 100, 16, 16, 16),
-		withAllocs("Blip", 100, 0, 1, 0),
+		withAllocs("Lost", 50, nil, 6, 6, 6),
+		withAllocs("Blip", 100, nil, 0, 1, 0),
 		{Name: "NoHeadAllocs", Runs: 1, MedianNsPerOp: 100},
 	}}
 	regressions, report := CompareArtifacts(base, head, 10)
 	if regressions != 1 {
 		t.Fatalf("regressions = %d, want 1 (Lost only)\n%s", regressions, report)
 	}
-	if !strings.Contains(report, "ALLOCS 0 -> 6") || !strings.Contains(report, "FAIL: 1 benchmark(s) went from 0 allocs/op") {
+	if !strings.Contains(report, "ALLOCS 0 -> 6") || !strings.Contains(report, "FAIL: 1 benchmark(s) allocate more") {
 		t.Errorf("report lacks the allocs failure:\n%s", report)
 	}
 	if strings.Contains(report, "regressed more than") {
 		t.Errorf("a faster benchmark was reported as a time regression:\n%s", report)
+	}
+}
+
+// TestCompareArtifactsFlagsAllocRise pins the rest of the exact gate:
+// any rise in median allocs/op fails, and a rise in median B/op fails
+// past maxBytesRegress percent; falls, equal medians, a B/op rise within
+// the margin, and a metric only one side reports pass.
+func TestCompareArtifactsFlagsAllocRise(t *testing.T) {
+	base := &Artifact{Benchmarks: []Benchmark{
+		withAllocs("OneMore", 100, []float64{4096, 4096, 4096}, 15, 15, 16),
+		withAllocs("Fewer", 100, []float64{4096}, 290),
+		withAllocs("SameMedian", 100, []float64{1000, 1000, 1000}, 3, 3, 9),
+		withAllocs("BytesWithin", 100, []float64{1000, 1000, 1000}, 5, 5, 5),
+		withAllocs("BytesPast", 100, []float64{1000, 1000, 1000}, 5, 5, 5),
+		withAllocs("BaseOnlyBytes", 100, []float64{10}, 5),
+	}}
+	head := &Artifact{Benchmarks: []Benchmark{
+		withAllocs("OneMore", 90, []float64{4096, 4096, 4096}, 16, 16, 16),
+		withAllocs("Fewer", 100, []float64{2048}, 148),
+		withAllocs("SameMedian", 100, []float64{1000, 1000, 1000}, 1, 3, 3),
+		withAllocs("BytesWithin", 100, []float64{1070, 1070, 1070}, 5, 5, 5),
+		withAllocs("BytesPast", 100, []float64{1071, 1071, 9}, 5, 5, 5),
+		withAllocs("BaseOnlyBytes", 100, nil, 5),
+	}}
+	regressions, report := CompareArtifacts(base, head, 10)
+	if regressions != 2 {
+		t.Fatalf("regressions = %d, want 2 (OneMore, BytesPast)\n%s", regressions, report)
+	}
+	for _, want := range []string{"ALLOCS 15 -> 16", "B/OP 1000 -> 1071", "FAIL: 2 benchmark(s) allocate more"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, name := range []string{"Fewer", "SameMedian", "BytesWithin", "BaseOnlyBytes"} {
+		for _, line := range strings.Split(report, "\n") {
+			if strings.HasPrefix(line, name+" ") && (strings.Contains(line, "ALLOCS") || strings.Contains(line, "B/OP")) {
+				t.Errorf("%s was flagged: %s", name, line)
+			}
+		}
 	}
 }
 

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -40,6 +44,62 @@ func (w *reusedWriter) Write(p []byte) (int, error) {
 }
 
 func (w *reusedWriter) SetReadDeadline(time.Time) error { return nil }
+
+// reset readies w for the next request.
+func (w *reusedWriter) reset() {
+	clear(w.header)
+	w.status = 0
+}
+
+// postOp is one in-process POST that can be served again and again:
+// its body rewinds to the same payload before every request.
+type postOp struct {
+	req     *http.Request
+	body    *bytes.Reader
+	payload []byte
+}
+
+func newPost(target, contentType string, payload []byte) *postOp {
+	body := bytes.NewReader(payload)
+	req := httptest.NewRequest(http.MethodPost, target, io.NopCloser(body))
+	req.Header.Set("Content-Type", contentType)
+	return &postOp{req: req, body: body, payload: payload}
+}
+
+// serve rewinds the body and runs the request through h into w.
+func (op *postOp) serve(h http.Handler, w http.ResponseWriter) {
+	op.body.Reset(op.payload)
+	h.ServeHTTP(w, op.req)
+}
+
+// medianAllocBytes runs f n times and returns the median of the bytes
+// each run allocated (runtime.MemStats.TotalAlloc).  A median, not a
+// mean: a sync.Pool misses now and then (after two GCs, or when the
+// goroutine moved to another P since its Put), and one miss costs a
+// whole buffer.
+func medianAllocBytes(n int, f func()) uint64 {
+	var ms runtime.MemStats
+	per := make([]uint64, n)
+	for i := range per {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(per)
+	return per[n/2]
+}
+
+// packedAndText renders values as a binary /v1/batch body (packed
+// little-endian float64s) and as text in the batch grammar.
+func packedAndText(values []float64) (packed, text []byte) {
+	for _, v := range values {
+		packed = binary.LittleEndian.AppendUint64(packed, math.Float64bits(v))
+		text = append(strconv.AppendFloat(text, v, 'g', -1, 64), '\n')
+	}
+	return packed, text
+}
 
 // TestRequestAllocBudget pins what one single-value request allocates
 // in process, through Handler as fpserved ships it: telemetry on, the
@@ -114,4 +174,80 @@ func TestBatchTextAllocBudget(t *testing.T) {
 		t.Errorf("POST /v1/batch, 65,536 text values: %v allocations per request, want at most 150", n)
 	}
 	t.Logf("%v allocations per request", n)
+}
+
+// TestBatchCycleBytesBudget pins what a serve-bulk-shaped cycle
+// allocates in process at two shards: a long and a short 65,536-value
+// body, each sent packed to /v1/batch and as text to /v1/batch-parse.
+// The pool's parse states and chunk buffers, and the handlers' value
+// blocks, held blocks and copy buffers, are reused across requests, so
+// a warm cycle allocates per-request bookkeeping only: one parse state
+// or value slab rebuilt per request would exceed the budget.
+func TestBatchCycleBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	h := New(Config{BatchShards: 2, Logger: log.New(io.Discard, "", 0)}).Handler()
+	short := make([]float64, 65536)
+	for i := range short {
+		short[i] = float64(i*7919%2_000_001-1_000_000) / 100
+	}
+	var cycle []*postOp
+	for _, values := range [][]float64{schryer.CorpusN(65536), short} {
+		packed, text := packedAndText(values)
+		cycle = append(cycle,
+			newPost("/v1/batch", "application/octet-stream", packed),
+			newPost("/v1/batch-parse", "application/x-ndjson", text))
+	}
+	w := &reusedWriter{header: http.Header{}}
+	run := func() {
+		for _, op := range cycle {
+			w.reset()
+			op.serve(h, w)
+			if w.status != http.StatusOK {
+				t.Fatalf("POST %s = %d, want 200", op.req.URL.Path, w.status)
+			}
+		}
+	}
+	// Each P keeps its own idle buffers, and the GCs that the first
+	// cycles' buffers set off empty the pools, so warming takes a few
+	// cycles.
+	for range 5 {
+		run()
+	}
+	const budget = 1 << 20
+	got := medianAllocBytes(11, run)
+	if got > budget {
+		t.Errorf("serve-bulk cycle: %d bytes allocated, want at most %d", got, budget)
+	}
+	t.Logf("%d bytes per cycle", got)
+}
+
+// TestBatchOneValueBytesBudget pins what a one-value text body costs
+// each batch route in process: the parse state, value block, chunk
+// buffer and held block come from their pools, so a small body does not
+// pay for a block-sized buffer (a parse state alone holds 1 MiB).
+func TestBatchOneValueBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	h := New(Config{BatchShards: 2, Logger: log.New(io.Discard, "", 0)}).Handler()
+	w := &reusedWriter{header: http.Header{}}
+	for _, target := range []string{"/v1/batch", "/v1/batch-parse"} {
+		op := newPost(target, "application/x-ndjson", []byte("0.3\n"))
+		run := func() {
+			w.reset()
+			op.serve(h, w)
+			if w.status != http.StatusOK {
+				t.Fatalf("POST %s = %d, want 200", target, w.status)
+			}
+		}
+		run()
+		const budget = 16 << 10
+		got := medianAllocBytes(101, run)
+		if got > budget {
+			t.Errorf("POST %s, one value: %d bytes allocated, want at most %d", target, got, budget)
+		}
+		t.Logf("POST %s, one value: %d bytes per request", target, got)
+	}
 }

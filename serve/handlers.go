@@ -11,6 +11,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 
 	"floatprint"
 	"floatprint/internal/span"
@@ -402,8 +403,27 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 // is handed to the pool: large enough that the shard pipeline has real
 // work per block, small enough that in-flight memory stays bounded
 // (one block slab plus the pool's 2×shards chunk buffers) no matter
-// how long the request stream is.
+// how long the request stream is.  The slab comes from blockSlabs and
+// goes back when the request ends, so requests reuse it.
 const batchBlockValues = 65536
+
+// The batch sinks' buffers, reused across requests; the GC may reclaim
+// idle ones.  Each pool holds pointers so that Put does not allocate.
+var (
+	// blockSlabs holds batchStream value blocks.
+	blockSlabs = sync.Pool{New: func() any {
+		b := make([]float64, 0, batchBlockValues)
+		return &b
+	}}
+	// heldBlocks holds packedWriter's copies of a first output block.
+	heldBlocks = sync.Pool{New: func() any { return new([]byte) }}
+	// copyBufs holds the buffers binary /v1/batch bodies are read
+	// through, io.Copy's size.
+	copyBufs = sync.Pool{New: func() any {
+		b := make([]byte, 32<<10)
+		return &b
+	}}
+)
 
 // handleBatch serves POST /v1/batch: a stream of float64 values in, the
 // shortest rendering of each value out, one per line, in input order.
@@ -428,6 +448,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
 
 	st := &batchStream{s: s, w: w, r: r}
+	defer st.release()
 	// One convert span covers the whole stream: decode and conversion
 	// interleave block by block, so per-stage children would mostly
 	// measure each other.  The deferred End keeps the span honest on
@@ -440,7 +461,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
 		conv.SetAttr("format", "binary")
-		if _, err = io.Copy(st, body); err == nil && st.npart > 0 {
+		cb := copyBufs.Get().(*[]byte)
+		defer copyBufs.Put(cb)
+		if _, err = io.CopyBuffer(st, body, *cb); err == nil && st.npart > 0 {
 			err = fmt.Errorf("body length not a multiple of 8 (%d trailing bytes)", st.npart)
 		}
 	} else {
@@ -463,11 +486,21 @@ type batchStream struct {
 	s       *Server
 	w       http.ResponseWriter
 	r       *http.Request
+	slab    *[]float64 // block's backing array, from blockSlabs on the first value
 	block   []float64
 	part    [8]byte // a value split across writes, npart bytes of it
 	npart   int
 	started bool
 	values  int64 // values accepted so far, for the convert span
+}
+
+// release returns the block slab to blockSlabs.  Handlers defer it, so
+// it runs after WriteAll, which reads the block from its shards, has
+// returned, on the abort path too.
+func (st *batchStream) release() {
+	if st.slab != nil {
+		blockSlabs.Put(st.slab)
+	}
 }
 
 // fail reports err: as an HTTP status if nothing has been written yet
@@ -522,8 +555,9 @@ func (st *batchStream) Write(p []byte) (int, error) {
 // push adds the value packed in p[:8], flushing the block to the pool
 // when full.
 func (st *batchStream) push(p []byte) error {
-	if st.block == nil {
-		st.block = make([]float64, 0, batchBlockValues)
+	if st.slab == nil {
+		st.slab = blockSlabs.Get().(*[]float64)
+		st.block = (*st.slab)[:0]
 	}
 	st.block = append(st.block, math.Float64frombits(binary.LittleEndian.Uint64(p)))
 	st.values++
@@ -592,6 +626,7 @@ func (s *Server) handleBatchParse(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
 	st := &batchStream{s: s, w: w, r: r}
 	pw := &packedWriter{st: st}
+	defer pw.release()
 	conv := spanOf(r.Context()).StartChild("convert")
 	var parsed int64
 	defer func() {
@@ -620,17 +655,19 @@ func (s *Server) handleBatchParse(w http.ResponseWriter, r *http.Request) {
 // to a located 400, the same first-block buffering /v1/batch gets from
 // its value accumulator, at a bounded cost (8 output bytes per value of
 // one input block).  From the second block on, each write streams with
-// a flush.
+// a flush.  ParseAll reuses the buffer it writes, so the held block is
+// a copy, in a buffer from heldBlocks.
 type packedWriter struct {
 	st        *batchStream
-	first     []byte
+	first     *[]byte
 	haveFirst bool
 	committed bool
 }
 
 func (pw *packedWriter) Write(p []byte) (int, error) {
 	if !pw.committed && !pw.haveFirst {
-		pw.first = append(pw.first, p...)
+		pw.first = heldBlocks.Get().(*[]byte)
+		*pw.first = append((*pw.first)[:0], p...)
 		pw.haveFirst = true
 		return len(p), nil
 	}
@@ -648,9 +685,16 @@ func (pw *packedWriter) commit() error {
 		return nil
 	}
 	pw.haveFirst = false
-	_, err := pw.send(pw.first)
-	pw.first = nil
+	_, err := pw.send(*pw.first)
 	return err
+}
+
+// release returns the held block's buffer to heldBlocks.  The handler
+// defers it, so it runs after ParseAll, its only writer, has returned.
+func (pw *packedWriter) release() {
+	if pw.first != nil {
+		heldBlocks.Put(pw.first)
+	}
 }
 
 func (pw *packedWriter) send(p []byte) (int, error) {
