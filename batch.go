@@ -12,12 +12,6 @@ import (
 // average well under that, so one up-front allocation usually suffices.
 const meanShortestBytes = 24
 
-// BatchShardStats is one shard's contribution to a batch conversion.
-type BatchShardStats struct {
-	Values int // values this shard converted
-	Bytes  int // output bytes this shard produced
-}
-
 // BatchResult is a packed batch conversion: every value's shortest
 // rendering concatenated into one buffer, delimited by offsets.  Value i
 // occupies Buf[Offsets[i]:Offsets[i+1]]; the bytes are exactly what
@@ -29,7 +23,6 @@ type BatchShardStats struct {
 type BatchResult struct {
 	Buf     []byte
 	Offsets []int // len(values)+1 entries; Offsets[0] == 0
-	Shards  []BatchShardStats
 }
 
 // Len returns the number of values in the result.
@@ -60,11 +53,7 @@ func BatchShortest(values []float64) *BatchResult {
 	buf = AppendShortestBatch(buf, values, nil, offsets[1:])
 	stats.BatchValues.Add(uint64(len(values)))
 	stats.BatchBytes.Add(uint64(len(buf)))
-	return &BatchResult{
-		Buf:     buf,
-		Offsets: offsets,
-		Shards:  []BatchShardStats{{Values: len(values), Bytes: len(buf)}},
-	}
+	return &BatchResult{Buf: buf, Offsets: offsets}
 }
 
 // AppendShortestBatch appends the AppendShortest rendering of each

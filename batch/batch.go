@@ -9,24 +9,27 @@
 // The design target is the corpus-scale regime of the paper's
 // evaluation — millions of conversions measured end to end — where the
 // costs that matter are amortizable: output-buffer growth, offset
-// bookkeeping, scheduling, and telemetry.  Each shard owns one append
-// buffer for its whole range and renders it a ChunkSize chunk at a time
-// through floatprint.AppendShortestBatch, the one batch print loop (the
-// Ryū kernel into a stack buffer, which decides every finite value).
-// Output is byte-identical to calling floatprint.AppendShortest on each
-// value in order, whatever the shard count.
+// bookkeeping, scheduling, and telemetry.  Both print entry points run
+// one chunk pipeline: the input is cut into ChunkSize chunks, workers
+// claim them in order and render each into a chunk buffer through
+// floatprint.AppendShortestBatch, the one batch print loop (the Ryū
+// kernel into a stack buffer, which decides every finite value), and the
+// calling goroutine takes the chunks in input order, writing each to w
+// (WriteAll) or appending it to one packed buffer (Convert).  A Pool of
+// one shard, or an input of one chunk, renders on the calling goroutine
+// instead.  Output is byte-identical to calling floatprint.AppendShortest
+// on each value in order, whatever the shard count or chunk size.
 //
 // Telemetry: a call adds its value and byte totals to the global
 // counters once, at the end, and each chunk adds its kernel hit tally
-// once, so shards touch the shared counters a few times per call rather
+// once, so workers touch the shared counters a few times per call rather
 // than once per value.  The counts are exactly those of a per-value
 // AppendShortest loop, and every one has landed when the call returns.
 //
-// Buffers: a Pool keeps its idle WriteAll chunk buffers and ParseAll
-// states in sync.Pools, so a long-lived Pool (a server's) stops
-// allocating them per call, and the GC may still reclaim any that sit
-// idle.  A call gives a buffer back only once no goroutine it started
-// can touch it.
+// Buffers: a Pool keeps its idle chunk buffers and ParseAll states in
+// sync.Pools, so a long-lived Pool (a server's) stops allocating them
+// per call, and the GC may still reclaim any that sit idle.  A call
+// gives a buffer back only once no goroutine it started can touch it.
 package batch
 
 import (
@@ -49,9 +52,10 @@ type Config struct {
 	// Shards is the worker count.  Zero or negative means
 	// runtime.GOMAXPROCS(0).
 	Shards int
-	// ChunkSize is the number of values per unit of work: the
-	// cancellation-check granularity in Convert and the write granularity
-	// in WriteAll.  Zero or negative means 4096.
+	// ChunkSize is the number of values per unit of work: what a worker
+	// renders at once, the write granularity of WriteAll, and the
+	// cancellation-check granularity of both print calls.  Zero or
+	// negative means 4096.
 	ChunkSize int
 	// Sep, when non-nil, terminates every value written by WriteAll
 	// (e.g. []byte{'\n'} for line-oriented output).  Convert never
@@ -69,7 +73,7 @@ type Config struct {
 }
 
 // Pool is a reusable batch-conversion engine.  It keeps idle ParseAll
-// and WriteAll buffers for the next call, which the GC may reclaim; no
+// and chunk buffers for the next call, which the GC may reclaim; no
 // call shares a buffer with another while it runs, so one Pool may run
 // any number of concurrent Convert, WriteAll and ParseAll calls.
 type Pool struct {
@@ -82,7 +86,7 @@ type Pool struct {
 	// Idle buffers, as pointers so that Put does not allocate.  A chunk
 	// buffer holds a whole chunk's longest renderings and separators, so
 	// it never regrows.
-	chunkBufs   sync.Pool // *[]byte: a WriteAll chunk
+	chunkBufs   sync.Pool // *[]byte: a rendered chunk
 	parseStates sync.Pool // *parseState: a ParseAll call's buffers
 }
 
@@ -120,95 +124,26 @@ func New(cfg Config) *Pool {
 	return p
 }
 
-// Shards returns the pool's effective worker count.
-func (p *Pool) Shards() int { return p.shards }
-
-// Convert converts values with the default configuration
-// (GOMAXPROCS shards); see Pool.Convert.
-func Convert(ctx context.Context, values []float64) (*floatprint.BatchResult, error) {
-	return New(Config{}).Convert(ctx, values)
-}
-
 // Convert renders every value to its shortest form and packs the
-// results into one BatchResult.  The input is split into contiguous
-// per-shard ranges; each shard converts its range into a private buffer
-// (checking ctx every ChunkSize values) and the buffers are stitched in
-// input order, so the output is byte-identical to sequential per-value
-// AppendShortest calls.  On cancellation the partial work is discarded
-// and ctx.Err() returned.
+// results into one BatchResult, byte-identical to sequential per-value
+// AppendShortest calls.  The Pool's workers render ChunkSize chunks, as
+// for WriteAll, and the calling goroutine appends each chunk to one
+// buffer sized for the longest renderings, so it never regrows.  On
+// cancellation the partial work is discarded and ctx.Err() returned.
 func (p *Pool) Convert(ctx context.Context, values []float64) (*floatprint.BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := len(values)
-	shards := p.shards
-	if shards > n {
-		shards = n
+	buf := make([]byte, 0, len(values)*perValueBytes)
+	offsets := make([]int, len(values)+1)
+	err := p.pipeline(ctx, values, nil, offsets[1:], func(chunk []byte) error {
+		buf = append(buf, chunk...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if n == 0 {
-		return &floatprint.BatchResult{Offsets: []int{0}}, nil
-	}
-
-	type shardOut struct {
-		buf  []byte
-		ends []int // per-value end positions, local to buf
-		err  error
-	}
-	outs := make([]shardOut, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*n/shards, (s+1)*n/shards
-			buf := make([]byte, 0, (hi-lo)*perValueBytes)
-			ends := make([]int, hi-lo)
-			for i := lo; i < hi; i += p.chunk {
-				if err := ctx.Err(); err != nil {
-					outs[s].err = err
-					return
-				}
-				j := min(i+p.chunk, hi)
-				buf = floatprint.AppendShortestBatch(buf, values[i:j], nil, ends[i-lo:j-lo])
-			}
-			outs[s].buf, outs[s].ends = buf, ends
-		}(s)
-	}
-	wg.Wait()
-
-	total := 0
-	for s := range outs {
-		if outs[s].err != nil {
-			return nil, outs[s].err
-		}
-		total += len(outs[s].buf)
-	}
-
-	buf := make([]byte, 0, total)
-	offsets := make([]int, n+1)
-	shardStats := make([]floatprint.BatchShardStats, shards)
-	idx := 1
-	for s := range outs {
-		shift := len(buf)
-		buf = append(buf, outs[s].buf...)
-		for _, end := range outs[s].ends {
-			offsets[idx] = shift + end
-			idx++
-		}
-		shardStats[s] = floatprint.BatchShardStats{
-			Values: len(outs[s].ends), Bytes: len(outs[s].buf),
-		}
-	}
-	stats.BatchValues.Add(uint64(n))
-	stats.BatchBytes.Add(uint64(total))
-	return &floatprint.BatchResult{Buf: buf, Offsets: offsets, Shards: shardStats}, nil
-}
-
-// chunkOut is one converted chunk in flight between a WriteAll worker
-// and the ordering writer.
-type chunkOut struct {
-	idx int
-	buf *[]byte
+	return &floatprint.BatchResult{Buf: buf, Offsets: offsets}, nil
 }
 
 // WriteAll streams the shortest renderings of values to w in input
@@ -231,135 +166,189 @@ type chunkOut struct {
 // response mid-stream and trust both the bytes already sent and its
 // goroutine budget.  The byte count returned is exactly what reached w.
 func (p *Pool) WriteAll(ctx context.Context, values []float64, w io.Writer) (int64, error) {
+	var written int64
+	err := p.pipeline(ctx, values, p.sep, nil, func(chunk []byte) error {
+		nw, err := w.Write(chunk)
+		written += int64(nw)
+		return err
+	})
+	return written, err
+}
+
+// chunks is one call's input cut into units of work: chunk ci holds
+// values [ci*size, min((ci+1)*size, len(values))).
+type chunks struct {
+	values []float64
+	sep    []byte // written after every value, or nil
+	// ends, when non-nil, receives each value's end offset in the whole
+	// output: the worker that renders a chunk writes offsets within the
+	// chunk, and the emitting goroutine shifts them into place.
+	ends  []int
+	size  int
+	count int
+}
+
+// bounds returns chunk ci's value range [lo, hi).
+func (c *chunks) bounds(ci int) (lo, hi int) {
+	lo = ci * c.size
+	return lo, min(lo+c.size, len(c.values))
+}
+
+// render converts chunk ci into *bp, replacing its contents.
+func (c *chunks) render(ci int, bp *[]byte) {
+	lo, hi := c.bounds(ci)
+	var ends []int
+	if c.ends != nil {
+		ends = c.ends[lo:hi]
+	}
+	*bp = floatprint.AppendShortestBatch((*bp)[:0], c.values[lo:hi], c.sep, ends)
+}
+
+// deliver shifts rendered chunk ci's ends past the *total bytes emitted
+// before it, adds its length to *total and passes it to emit.
+func (c *chunks) deliver(ci int, chunk []byte, total *int, emit func([]byte) error) error {
+	if c.ends != nil {
+		lo, hi := c.bounds(ci)
+		for i := lo; i < hi; i++ {
+			c.ends[i] += *total
+		}
+	}
+	*total += len(chunk)
+	return emit(chunk)
+}
+
+// pipeline renders values a ChunkSize chunk at a time, each value
+// followed by sep, and hands each chunk to emit in input order on the
+// calling goroutine, checking ctx before each one; ends, when non-nil,
+// receives every value's end offset in the concatenated output.  A Pool
+// of one shard, or an input of one chunk, renders on the calling
+// goroutine into one buffer; otherwise workers render ahead (see
+// parallel).  Every worker has exited when it returns.  On success the
+// call's values and bytes go to the batch counters.
+func (p *Pool) pipeline(ctx context.Context, values []float64, sep []byte, ends []int, emit func([]byte) error) error {
 	n := len(values)
 	if n == 0 {
-		return 0, ctx.Err()
+		return ctx.Err()
 	}
-	nchunks := (n + p.chunk - 1) / p.chunk
-	shards := p.shards
-	if shards > nchunks {
-		shards = nchunks
-	}
-
-	convertChunk := func(ci int, bp *[]byte) {
-		lo := ci * p.chunk
-		*bp = floatprint.AppendShortestBatch((*bp)[:0], values[lo:min(lo+p.chunk, n)], p.sep, nil)
-	}
-
-	var written int64
-	if shards <= 1 {
+	c := chunks{values: values, sep: sep, ends: ends, size: p.chunk, count: (n + p.chunk - 1) / p.chunk}
+	total := 0
+	var err error
+	if shards := min(p.shards, c.count); shards > 1 {
+		err = p.parallel(ctx, c, shards, &total, emit)
+	} else {
 		bp := p.chunkBufs.Get().(*[]byte)
-		defer p.chunkBufs.Put(bp)
-		for ci := 0; ci < nchunks; ci++ {
-			if err := ctx.Err(); err != nil {
-				return written, err
-			}
-			convertChunk(ci, bp)
-			nw, err := w.Write(*bp)
-			written += int64(nw)
-			if err != nil {
-				return written, err
-			}
-		}
-		stats.BatchValues.Add(uint64(n))
-		stats.BatchBytes.Add(uint64(written))
-		return written, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var next atomic.Int64
-	resCh := make(chan chunkOut, shards)
-	// free holds the chunk buffers not in flight (converting or awaiting
-	// their turn at the writer), at most 2×shards of them, taken from
-	// the Pool here and given back once every worker has exited, all on
-	// this goroutine, so a warm Pool serves them from one P's cache.
-	// Workers take a buffer before claiming a chunk and the writer
-	// returns it after the chunk is written; because chunk indices are
-	// claimed in increasing order, the lowest unwritten chunk always
-	// holds a buffer, so the writer can always make progress.
-	inflight := min(2*shards, nchunks)
-	free := make(chan *[]byte, inflight)
-	for range inflight {
-		free <- p.chunkBufs.Get().(*[]byte)
-	}
-
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				var bp *[]byte
-				select {
-				case bp = <-free:
-				case <-ctx.Done():
-					return
-				}
-				ci := int(next.Add(1) - 1)
-				if ci >= nchunks {
-					free <- bp
-					return
-				}
-				convertChunk(ci, bp)
-				select {
-				case resCh <- chunkOut{idx: ci, buf: bp}:
-					// The writer owns the buffer now and frees it after
-					// writing.
-				case <-ctx.Done():
-					free <- bp
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	pending := make(map[int]*[]byte, inflight)
-	nextWrite := 0
-	var firstErr error
-	for res := range resCh {
-		if firstErr != nil {
-			free <- res.buf // drain so no worker blocks on resCh
-			continue
-		}
-		pending[res.idx] = res.buf
-		for {
-			bp, ok := pending[nextWrite]
-			if !ok {
+		for ci := 0; ci < c.count; ci++ {
+			if err = ctx.Err(); err != nil {
 				break
 			}
-			delete(pending, nextWrite)
-			nextWrite++
-			nw, err := w.Write(*bp)
-			written += int64(nw)
-			free <- bp
-			if err != nil {
-				firstErr = err
-				cancel()
+			c.render(ci, bp)
+			if err = c.deliver(ci, *bp, &total, emit); err != nil {
 				break
 			}
 		}
+		p.chunkBufs.Put(bp)
 	}
-	// Every worker has exited, so each buffer is free or holds a chunk
-	// that a cancel or write error left unwritten.
-	for _, bp := range pending {
-		free <- bp
-	}
-	for range inflight {
-		p.chunkBufs.Put(<-free)
-	}
-	if firstErr != nil {
-		return written, firstErr
-	}
-	if err := ctx.Err(); err != nil && nextWrite < nchunks {
-		return written, err
+	if err != nil {
+		return err
 	}
 	stats.BatchValues.Add(uint64(n))
-	stats.BatchBytes.Add(uint64(written))
-	return written, nil
+	stats.BatchBytes.Add(uint64(total))
+	return nil
+}
+
+// job is the state of one parallel pipeline, shared by its workers.
+type job struct {
+	chunks
+	bufs []*[]byte     // the call's chunk buffers
+	next atomic.Int64  // chunks claimed; set to count to stop the claiming
+	free chan int      // buffers no chunk holds, as indices into bufs
+	done chan rendered // rendered chunks, in any order
+	wg   sync.WaitGroup
+}
+
+// rendered is chunk ci, rendered into bufs[buf].
+type rendered struct{ ci, buf int }
+
+// work is one worker: it takes a free buffer, claims the next chunk,
+// renders it and sends it on, until no chunk is left to claim.  No send
+// blocks: each channel holds as many entries as there are buffers.
+func (j *job) work() {
+	defer j.wg.Done()
+	for {
+		b := <-j.free
+		ci := int(j.next.Add(1) - 1)
+		if ci >= j.count {
+			j.free <- b
+			return
+		}
+		j.render(ci, j.bufs[b])
+		j.done <- rendered{ci, b}
+	}
+}
+
+// parallel runs the pipeline on shards workers and 2×shards buffers
+// (at most one per chunk), taken from the Pool on the calling goroutine
+// and given back there once every worker has exited, so a warm Pool
+// serves them from one P's cache.  Chunks are claimed in increasing
+// order and each holds a buffer until it is emitted, so the chunks in
+// flight span no more indices than there are buffers, and the lowest
+// one always holds a buffer: the emitting goroutine can always make
+// progress, and returns each buffer to the free list once its chunk is
+// emitted.
+func (p *Pool) parallel(ctx context.Context, c chunks, shards int, total *int, emit func([]byte) error) error {
+	nbufs := min(2*shards, c.count)
+	j := &job{chunks: c, bufs: make([]*[]byte, nbufs), free: make(chan int, nbufs), done: make(chan rendered, nbufs)}
+	for b := range j.bufs {
+		j.bufs[b] = p.chunkBufs.Get().(*[]byte)
+		j.free <- b
+	}
+	j.wg.Add(shards)
+	work := j.work // one closure for every worker; go j.work() makes one each
+	for range shards {
+		go work()
+	}
+
+	// held[ci%nbufs] is 1 + the buffer of chunk ci, from its arrival
+	// until its turn.
+	held := make([]int, nbufs)
+	emitted := 0
+	var err error
+	for emitted < c.count {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		h := &held[emitted%nbufs]
+		for *h == 0 {
+			r := <-j.done
+			held[r.ci%nbufs] = r.buf + 1
+		}
+		b := *h - 1
+		*h = 0
+		err = j.deliver(emitted, *j.bufs[b], total, emit)
+		emitted++
+		j.free <- b
+		if err != nil {
+			break
+		}
+	}
+	if err != nil {
+		// Stop the claiming, then free the buffers of the chunks claimed
+		// but not emitted, so that every worker gets a turn to find no
+		// chunk left.
+		pending := min(int(j.next.Swap(int64(c.count))), c.count) - emitted
+		for _, h := range held {
+			if h != 0 {
+				j.free <- h - 1
+				pending--
+			}
+		}
+		for range pending {
+			j.free <- (<-j.done).buf
+		}
+	}
+	j.wg.Wait()
+	for _, bp := range j.bufs {
+		p.chunkBufs.Put(bp)
+	}
+	return err
 }

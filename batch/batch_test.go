@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -76,47 +77,42 @@ func TestConvertMatchesAppendShortestFullCorpus(t *testing.T) {
 
 func TestConvertShardsSpecialsAndSigns(t *testing.T) {
 	values := testCorpus(5000)
-	wantBuf, _ := referenceConcat(values)
+	wantBuf, wantOffsets := referenceConcat(values)
 	for _, shards := range []int{1, 2, 3, 7, runtime.NumCPU(), 64} {
-		res, err := New(Config{Shards: shards, ChunkSize: 128}).Convert(context.Background(), values)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !bytes.Equal(res.Buf, wantBuf) {
-			t.Fatalf("shards=%d: output differs", shards)
-		}
-		if res.Len() != len(values) {
-			t.Fatalf("shards=%d: Len = %d, want %d", shards, res.Len(), len(values))
-		}
-		// Value accessor agrees with single-value conversion.
-		for _, i := range []int{0, 1, 2, 3, 4, 17, len(values) - 1} {
-			want := floatprint.AppendShortest(nil, values[i])
-			if got := res.Value(i); !bytes.Equal(got, want) {
-				t.Fatalf("shards=%d: Value(%d) = %q, want %q", shards, i, got, want)
+		for _, chunk := range []int{1, 7, 128, 4096} {
+			res, err := New(Config{Shards: shards, ChunkSize: chunk}).Convert(context.Background(), values)
+			if err != nil {
+				t.Fatalf("shards=%d chunk=%d: %v", shards, chunk, err)
 			}
-		}
-		// Shard stats add up to the totals.
-		vals, bs := 0, 0
-		for _, s := range res.Shards {
-			vals += s.Values
-			bs += s.Bytes
-		}
-		if vals != len(values) || bs != len(res.Buf) {
-			t.Fatalf("shards=%d: shard stats %d values/%d bytes, want %d/%d",
-				shards, vals, bs, len(values), len(res.Buf))
+			if !bytes.Equal(res.Buf, wantBuf) {
+				t.Fatalf("shards=%d chunk=%d: output differs", shards, chunk)
+			}
+			if res.Len() != len(values) {
+				t.Fatalf("shards=%d chunk=%d: Len = %d, want %d", shards, chunk, res.Len(), len(values))
+			}
+			if !slices.Equal(res.Offsets, wantOffsets) {
+				t.Fatalf("shards=%d chunk=%d: offsets differ from per-value AppendShortest", shards, chunk)
+			}
+			// Value accessor agrees with single-value conversion.
+			for _, i := range []int{0, 1, 2, 3, 4, 17, len(values) - 1} {
+				want := floatprint.AppendShortest(nil, values[i])
+				if got := res.Value(i); !bytes.Equal(got, want) {
+					t.Fatalf("shards=%d chunk=%d: Value(%d) = %q, want %q", shards, chunk, i, got, want)
+				}
+			}
 		}
 	}
 }
 
 func TestConvertEmptyAndTiny(t *testing.T) {
-	res, err := Convert(context.Background(), nil)
+	res, err := New(Config{}).Convert(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() != 0 || len(res.Buf) != 0 {
 		t.Fatalf("empty input: %d values, %d bytes", res.Len(), len(res.Buf))
 	}
-	res, err = Convert(context.Background(), []float64{0.3})
+	res, err = New(Config{}).Convert(context.Background(), []float64{0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +176,7 @@ func TestWriteAllSeparator(t *testing.T) {
 func TestConvertCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Convert(ctx, schryer.CorpusN(10000)); !errors.Is(err, context.Canceled) {
+	if _, err := New(Config{}).Convert(ctx, schryer.CorpusN(10000)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Convert: err = %v", err)
 	}
 
@@ -435,12 +431,19 @@ func TestBatchTelemetry(t *testing.T) {
 }
 
 // Parallel benchmarks: batch throughput by shard count.  Run with
-// -cpu=1,2,4,... or read the per-shard rows directly.
+// -cpu=1,2,4,... or read the per-shard rows directly.  Each row measures
+// a warm Pool, as BenchmarkBatchWriteAll's do: Convert takes the Pool's
+// chunk buffers too.
 func BenchmarkBatchConvert(b *testing.B) {
 	values := schryer.CorpusN(65536)
 	for _, shards := range []int{1, 2, 4, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			p := New(Config{Shards: shards})
+			for range 3 {
+				if _, err := p.Convert(context.Background(), values); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.SetBytes(int64(len(values) * 8))
 			b.ReportAllocs()
 			b.ResetTimer()

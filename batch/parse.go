@@ -1,16 +1,15 @@
 // The parse side of the batch engine: ParseAll streams separator-
 // delimited decimal text in and packed little-endian float64 out, in
-// bounded memory, through the same sharded worker shape as the print
-// side.  Each block of input is cut at a separator boundary, split into
-// contiguous per-shard ranges (boundaries advanced to the next
-// separator so no token straddles two shards), scanned by the
-// block-at-a-time kernel (floatprint.AppendParseBatch: SWAR-validated
-// 8-digit chunks into the Eisel–Lemire certifier, per-value fallback on
-// decline), and written as one ordered packed write — so the values are
-// bit-identical to a sequential per-value floatprint.Parse loop,
-// whatever the shard count or block size.  The block buffer, the
-// per-shard scratch and the packed output live in a parseState the Pool
-// keeps between calls.
+// bounded memory, across the Pool's workers.  Each block of input is
+// cut at a separator boundary, split into contiguous per-shard ranges
+// (boundaries advanced to the next separator so no token straddles two
+// shards), scanned by the block-at-a-time kernel
+// (floatprint.AppendParseBatch: SWAR-validated 8-digit chunks into the
+// Eisel–Lemire certifier, per-value fallback on decline), and written
+// as one ordered packed write — so the values are bit-identical to a
+// sequential per-value floatprint.Parse loop, whatever the shard count
+// or block size.  The block buffer, the per-shard scratch and the
+// packed output live in a parseState the Pool keeps between calls.
 
 package batch
 
@@ -41,12 +40,6 @@ type parseState struct {
 	out     []byte
 	bounds  []int
 	errs    []*floatprint.BatchParseError
-}
-
-// ParseAll parses with the default configuration (GOMAXPROCS shards);
-// see Pool.ParseAll.
-func ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, error) {
-	return New(Config{}).ParseAll(ctx, r, w)
 }
 
 // ParseAll reads separator-delimited base-10 numbers from r (see

@@ -138,7 +138,7 @@ func TestParseAllErrorCoordinates(t *testing.T) {
 // stream continues, exactly as per-value Parse's ErrRange contract.
 func TestParseAllRangeSemantics(t *testing.T) {
 	var out bytes.Buffer
-	n, err := ParseAll(context.Background(), strings.NewReader("1e999\n-1e999\n0.5\n"), &out)
+	n, err := New(Config{}).ParseAll(context.Background(), strings.NewReader("1e999\n-1e999\n0.5\n"), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestLongToken(t *testing.T) {
 // still parses the last token.
 func TestParseAllUnterminatedFinalToken(t *testing.T) {
 	var out bytes.Buffer
-	n, err := ParseAll(context.Background(), strings.NewReader("1.5\n2.5"), &out)
+	n, err := New(Config{}).ParseAll(context.Background(), strings.NewReader("1.5\n2.5"), &out)
 	if err != nil || n != 2 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
@@ -243,7 +243,7 @@ func TestParseAllUnterminatedFinalToken(t *testing.T) {
 func TestParseAllEmpty(t *testing.T) {
 	for _, in := range []string{"", "\n\n", " \t\r\n,"} {
 		var out bytes.Buffer
-		n, err := ParseAll(context.Background(), strings.NewReader(in), &out)
+		n, err := New(Config{}).ParseAll(context.Background(), strings.NewReader(in), &out)
 		if err != nil || n != 0 || out.Len() != 0 {
 			t.Fatalf("ParseAll(%q): n=%d err=%v len=%d", in, n, err, out.Len())
 		}
@@ -255,7 +255,7 @@ func TestParseAllCancel(t *testing.T) {
 	cancel()
 	var out bytes.Buffer
 	in := corpusNDJSON(schryer.CorpusN(10000))
-	if _, err := ParseAll(ctx, bytes.NewReader(in), &out); !errors.Is(err, context.Canceled) {
+	if _, err := New(Config{}).ParseAll(ctx, bytes.NewReader(in), &out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -298,10 +298,10 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestParseAllSmallReads(t *testing.T) {
 	in := corpusNDJSON(schryer.CorpusN(500))
 	var want, got bytes.Buffer
-	if _, err := ParseAll(context.Background(), bytes.NewReader(in), &want); err != nil {
+	if _, err := New(Config{}).ParseAll(context.Background(), bytes.NewReader(in), &want); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseAll(context.Background(), iotest(bytes.NewReader(in)), &got); err != nil {
+	if _, err := New(Config{}).ParseAll(context.Background(), iotest(bytes.NewReader(in)), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {

@@ -31,22 +31,53 @@ func checkReuse(t *testing.T, name string, disrupt func(), normal func() []byte,
 	if raceEnabled {
 		return
 	}
-	var ms runtime.MemStats
-	per := make([]uint64, 11)
-	for i := range per {
-		disrupt()
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		normal()
-		runtime.ReadMemStats(&ms)
-		per[i] = ms.TotalAlloc - before
-	}
-	slices.Sort(per)
-	got := per[len(per)/2]
+	got := medianAllocBytes(disrupt, func() { normal() })
 	if got > budget {
 		t.Errorf("%s, then a normal call: the normal call allocated %d bytes, want at most %d", name, got, budget)
 	}
 	t.Logf("%s, then a normal call: %d bytes", name, got)
+}
+
+// medianAllocBytes runs before, then f, 11 times, and returns the
+// median of the bytes f allocated.
+func medianAllocBytes(before, f func()) uint64 {
+	var ms runtime.MemStats
+	per := make([]uint64, 11)
+	for i := range per {
+		before()
+		runtime.ReadMemStats(&ms)
+		start := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - start
+	}
+	slices.Sort(per)
+	return per[len(per)/2]
+}
+
+// TestConvertBytesBudget: a warm Pool's Convert allocates its result,
+// one packed buffer at 24 bytes per value and the offsets, and renders
+// through the Pool's chunk buffers, so 65,536 values cost about 2.1 MB
+// whatever the shard count.
+func TestConvertBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are not exact under -race")
+	}
+	values := schryer.CorpusN(65536)
+	for _, shards := range []int{1, 2} {
+		p := New(Config{Shards: shards})
+		convert := func() {
+			if _, err := p.Convert(context.Background(), values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		convert()
+		got := medianAllocBytes(func() {}, convert)
+		if got > 2_300_000 {
+			t.Errorf("shards=%d: Convert of %d values allocated %d bytes, want at most 2,300,000", shards, len(values), got)
+		}
+		t.Logf("shards=%d: %d bytes", shards, got)
+	}
 }
 
 // TestParseAllReuseAfterFailure: a ParseAll that fails in its second
@@ -102,8 +133,9 @@ func TestParseAllReuseAfterFailure(t *testing.T) {
 
 // TestWriteAllReuseAfterStop: a WriteAll cancelled mid-stream, and one
 // a writer error stops, leave chunk buffers in the Pool with their
-// chunks in them; the next call on the Pool must write like a fresh
-// Pool and reuse those buffers.
+// chunks in them; the next call on the Pool, a WriteAll or a Convert
+// (which writes no separators), must write like a fresh Pool and reuse
+// those buffers.
 func TestWriteAllReuseAfterStop(t *testing.T) {
 	values := testCorpus(120000)
 	small := testCorpus(20000)
@@ -111,6 +143,10 @@ func TestWriteAllReuseAfterStop(t *testing.T) {
 		cfg := Config{Shards: shards, Sep: []byte{'\n'}}
 		var want bytes.Buffer
 		if _, err := New(cfg).WriteAll(context.Background(), small, &want); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(cfg).Convert(context.Background(), small)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range []struct {
@@ -148,22 +184,36 @@ func TestWriteAllReuseAfterStop(t *testing.T) {
 				return out.Bytes()
 			}
 			checkReuse(t, c.name, disrupt, normal, want.Bytes(), 16<<10)
+			convert := func() []byte {
+				res, err := p.Convert(context.Background(), small)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Offsets, fresh.Offsets) {
+					t.Fatalf("shards=%d %s, then Convert: offsets differ from a fresh Pool's", shards, c.name)
+				}
+				return res.Buf
+			}
+			// Convert allocates its packed buffer and offsets, and no
+			// chunk buffer.
+			checkReuse(t, c.name+" (Convert)", disrupt, convert, fresh.Buf, uint64(len(small))*(perValueBytes+8)+16<<10)
 		}
 	}
 }
 
-// TestConcurrentReuseRace runs ParseAll and WriteAll calls with
-// different inputs on one Pool at once, so that buffers pass between
-// calls of different sizes while others run; every call must produce
-// what a fresh Pool produces for its input.  Run it under -race.
+// TestConcurrentReuseRace runs ParseAll, WriteAll and Convert calls
+// with different inputs on one Pool at once, so that buffers pass
+// between calls of different sizes while others run; every call must
+// produce what a fresh Pool produces for its input.  Run it under -race.
 func TestConcurrentReuseRace(t *testing.T) {
 	cfg := Config{Shards: 4, ChunkSize: 256, Sep: []byte{'\n'}, ParseBlockBytes: 8 << 10}
 	corpus := testCorpus(12000)
 	type job struct {
 		values []float64
 		text   []byte
-		packed []byte // ParseAll's output for text
-		lines  []byte // WriteAll's output for values
+		packed []byte                  // ParseAll's output for text
+		lines  []byte                  // WriteAll's output for values
+		res    *floatprint.BatchResult // Convert's output for values
 	}
 	var jobs []job
 	for _, n := range []int{1, 700, 3000, 12000} {
@@ -175,7 +225,11 @@ func TestConcurrentReuseRace(t *testing.T) {
 		if _, err := New(cfg).WriteAll(context.Background(), j.values, &lines); err != nil {
 			t.Fatal(err)
 		}
-		j.packed, j.lines = packed.Bytes(), lines.Bytes()
+		res, err := New(cfg).Convert(context.Background(), j.values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.packed, j.lines, j.res = packed.Bytes(), lines.Bytes(), res
 		jobs = append(jobs, j)
 	}
 
@@ -189,7 +243,8 @@ func TestConcurrentReuseRace(t *testing.T) {
 			for i := range 6 {
 				j := jobs[(g+i)%len(jobs)]
 				out.Reset()
-				if (g+i)%2 == 0 {
+				switch (g + i) % 3 {
+				case 0:
 					if _, err := p.ParseAll(context.Background(), bytes.NewReader(j.text), &out); err != nil {
 						t.Error(err)
 						return
@@ -197,13 +252,22 @@ func TestConcurrentReuseRace(t *testing.T) {
 					if !bytes.Equal(out.Bytes(), j.packed) {
 						t.Errorf("concurrent ParseAll of %d values differs from a fresh Pool's", len(j.values))
 					}
-				} else {
+				case 1:
 					if _, err := p.WriteAll(context.Background(), j.values, &out); err != nil {
 						t.Error(err)
 						return
 					}
 					if !bytes.Equal(out.Bytes(), j.lines) {
 						t.Errorf("concurrent WriteAll of %d values differs from a fresh Pool's", len(j.values))
+					}
+				default:
+					res, err := p.Convert(context.Background(), j.values)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(res.Buf, j.res.Buf) || !slices.Equal(res.Offsets, j.res.Offsets) {
+						t.Errorf("concurrent Convert of %d values differs from a fresh Pool's", len(j.values))
 					}
 				}
 			}

@@ -17,6 +17,7 @@ package floatprint
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -291,6 +292,22 @@ func BenchmarkShortestParallel(b *testing.B) {
 			i++
 		}
 	})
+	b.StopTimer()
+
+	// RunParallel's own goroutine start-up allocates, and b.ReportAllocs
+	// would spread that over b.N, so the allocation columns report the
+	// conversion loop alone: one pass over the corpus on this goroutine,
+	// which reads the same at any b.N.
+	var ms runtime.MemStats
+	buf := make([]byte, 0, 64)
+	runtime.ReadMemStats(&ms)
+	mallocs, bytes := ms.Mallocs, ms.TotalAlloc
+	for _, f := range floats {
+		buf = AppendShortest(buf[:0], f)
+	}
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(len(floats)), "allocs/op")
+	b.ReportMetric(float64(ms.TotalAlloc-bytes)/float64(len(floats)), "B/op")
 }
 
 // The fixed-format twin of BenchmarkShortestParallel: 17 significant

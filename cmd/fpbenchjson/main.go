@@ -5,6 +5,7 @@
 //	go test -run '^$' -bench Shortest -count 8 . | fpbenchjson > BENCH_head.json
 //	fpbenchjson -base BENCH_base.json -head BENCH_head.json -max-regress 10
 //	fpbenchjson -head BENCH_head.json -floor "BatchParse/block:MB/s:300"
+//	fpbenchjson -head BENCH_head.json -floor "BatchParse/block:MB/s:2*BatchParse/strconv"
 //
 // Convert mode reads benchmark lines from stdin and writes JSON to
 // stdout.  Compare mode loads two JSON artifacts, matches benchmarks by
@@ -14,11 +15,13 @@
 // (the allocation columns of `go test -benchmem`); medians over
 // repeated -count runs make the gate robust to a single noisy pass.
 //
-// -floor adds an absolute acceptance bar on the head artifact alone:
-// every benchmark whose name contains the substring must report a
-// median for the named metric of at least the minimum, or the exit
-// status is 1.  It composes with compare mode (floor first, then the
-// relative gate) or runs standalone with just -head.
+// -floor adds an acceptance bar on the head artifact alone: every
+// benchmark whose name contains the substring must report a median for
+// the named metric of at least the minimum, or the exit status is 1.
+// Written min*per, the bar is min times the median of the one benchmark
+// whose name contains per, a ratio between two rows of the same run.
+// It composes with compare mode (floor first, then the relative gate)
+// or runs standalone with just -head.
 //
 // The schema and comparison logic live in internal/harness, shared with
 // `fpbench -json`, so the gate consumes artifacts from either tool.
@@ -36,14 +39,14 @@ func main() {
 	base := flag.String("base", "", "baseline BENCH JSON (enables compare mode)")
 	head := flag.String("head", "", "head BENCH JSON (compare mode)")
 	maxRegress := flag.Float64("max-regress", 10, "max allowed median ns/op regression, percent")
-	floor := flag.String("floor", "", `absolute floor check "substr:metric:min" on -head (e.g. "BatchParse/block:MB/s:300")`)
+	floor := flag.String("floor", "", `floor check "substr:metric:min" or "substr:metric:min*per" on -head (e.g. "BatchParse/block:MB/s:300")`)
 	flag.Parse()
 
 	if *floor != "" {
 		if *head == "" {
 			fatal(fmt.Errorf("-floor needs -head"))
 		}
-		substr, metric, min, err := harness.ParseFloorSpec(*floor)
+		substr, metric, min, per, err := harness.ParseFloorSpec(*floor)
 		if err != nil {
 			fatal(err)
 		}
@@ -51,7 +54,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		failures, report, err := harness.CheckFloor(art, substr, metric, min)
+		failures, report, err := harness.CheckFloor(art, substr, metric, min, per)
 		if err != nil {
 			fatal(err)
 		}

@@ -211,15 +211,34 @@ func allocRise(b, h Benchmark) string {
 	return mark
 }
 
-// CheckFloor enforces an absolute throughput floor on an artifact:
-// every benchmark whose name contains substr must report a median for
-// the named metric of at least min.  Unlike CompareArtifacts this needs
-// no baseline, so it holds even when base and head regress together —
-// the shape of an acceptance bar like "the batch parser sustains 300
-// MB/s", not "no slower than yesterday".  It returns the number of
-// failures, and errors when no benchmark matches (a silently vacuous
-// gate is a disabled gate).
-func CheckFloor(art *Artifact, substr, metric string, min float64) (failures int, report string, err error) {
+// CheckFloor enforces a throughput floor on an artifact: every
+// benchmark whose name contains substr must report a median for the
+// named metric of at least min, or, when per is not empty, of at least
+// min times the median of the one benchmark whose name contains per.
+// Unlike CompareArtifacts this needs no baseline, so it holds even when
+// base and head regress together — the shape of an acceptance bar like
+// "the batch parser sustains 300 MB/s", not "no slower than
+// yesterday".  A ratio floor ("at least twice strconv's MB/s") compares
+// two rows of one run, which ran under the same host load, so it keeps
+// its meaning on a busy machine where an absolute one does not.  It
+// returns the number of failures, and errors when no benchmark matches
+// substr, or not exactly one matches per (a silently vacuous gate is a
+// disabled gate).
+func CheckFloor(art *Artifact, substr, metric string, min float64, per string) (failures int, report string, err error) {
+	bar, of := min, ""
+	if per != "" {
+		var den []Benchmark
+		for _, b := range art.Benchmarks {
+			if strings.Contains(b.Name, per) && len(b.Metrics[metric]) > 0 {
+				den = append(den, b)
+			}
+		}
+		if len(den) != 1 {
+			return 0, "", fmt.Errorf("floor %q:%s: %d benchmarks matched the denominator %q, want 1", substr, metric, len(den), per)
+		}
+		d := median(den[0].Metrics[metric])
+		bar, of = min*d, fmt.Sprintf(" (%g × %.1f, %s)", min, d, den[0].Name)
+	}
 	var sb strings.Builder
 	matched := 0
 	for _, b := range art.Benchmarks {
@@ -233,11 +252,11 @@ func CheckFloor(art *Artifact, substr, metric string, min float64) (failures int
 		matched++
 		got := median(samples)
 		mark := "ok"
-		if got < min {
+		if got < bar {
 			failures++
 			mark = "FAIL"
 		}
-		fmt.Fprintf(&sb, "%-52s %s %12.1f >= %.1f  %s\n", b.Name, metric, got, min, mark)
+		fmt.Fprintf(&sb, "%-52s %s %12.1f >= %.1f%s  %s\n", b.Name, metric, got, bar, of, mark)
 	}
 	if matched == 0 {
 		return 0, "", fmt.Errorf("floor %q:%s: no benchmark matched", substr, metric)
@@ -246,21 +265,23 @@ func CheckFloor(art *Artifact, substr, metric string, min float64) (failures int
 }
 
 // ParseFloorSpec parses a -floor flag value of the form
-// "substr:metric:min" (e.g. "BatchParse/block:MB/s:300").  The metric
-// may itself contain colons-free slashes; the split is at the first and
-// last colon so "MB/s" survives intact.
-func ParseFloorSpec(spec string) (substr, metric string, min float64, err error) {
+// "substr:metric:min" (e.g. "BatchParse/block:MB/s:300"), or
+// "substr:metric:min*per" for a floor of min times the metric of the
+// benchmark matching per (e.g. "BatchParse/block:MB/s:2*BatchParse/strconv").
+// The metric may contain slashes but no colons: the split is at the
+// first and last colon, so "MB/s" survives intact.
+func ParseFloorSpec(spec string) (substr, metric string, min float64, per string, err error) {
 	first := strings.Index(spec, ":")
 	last := strings.LastIndex(spec, ":")
-	if first < 0 || first == last {
-		return "", "", 0, fmt.Errorf("floor spec %q: want substr:metric:min", spec)
+	if first >= 0 && first < last {
+		substr, metric = spec[:first], spec[first+1:last]
+		bar, den, ratio := strings.Cut(spec[last+1:], "*")
+		min, err = strconv.ParseFloat(bar, 64)
+		if err == nil && substr != "" && metric != "" && (!ratio || den != "") {
+			return substr, metric, min, den, nil
+		}
 	}
-	substr, metric = spec[:first], spec[first+1:last]
-	min, err = strconv.ParseFloat(spec[last+1:], 64)
-	if err != nil || substr == "" || metric == "" {
-		return "", "", 0, fmt.Errorf("floor spec %q: want substr:metric:min", spec)
-	}
-	return substr, metric, min, nil
+	return "", "", 0, "", fmt.Errorf("floor spec %q: want substr:metric:min or substr:metric:min*per", spec)
 }
 
 // LoadArtifact reads a BENCH_*.json file.

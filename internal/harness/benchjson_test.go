@@ -205,12 +205,16 @@ func TestCompareArtifactsFlagsAllocRise(t *testing.T) {
 }
 
 func TestParseFloorSpec(t *testing.T) {
-	substr, metric, min, err := ParseFloorSpec("BatchParse/block:MB/s:300")
-	if err != nil || substr != "BatchParse/block" || metric != "MB/s" || min != 300 {
-		t.Fatalf("ParseFloorSpec = (%q, %q, %v, %v)", substr, metric, min, err)
+	substr, metric, min, per, err := ParseFloorSpec("BatchParse/block:MB/s:300")
+	if err != nil || substr != "BatchParse/block" || metric != "MB/s" || min != 300 || per != "" {
+		t.Fatalf("ParseFloorSpec = (%q, %q, %v, %q, %v)", substr, metric, min, per, err)
 	}
-	for _, bad := range []string{"", "a", "a:b", ":MB/s:300", "a::300", "a:b:nope"} {
-		if _, _, _, err := ParseFloorSpec(bad); err == nil {
+	substr, metric, min, per, err = ParseFloorSpec("BatchParse/block:MB/s:2.5*BatchParse/strconv")
+	if err != nil || substr != "BatchParse/block" || metric != "MB/s" || min != 2.5 || per != "BatchParse/strconv" {
+		t.Fatalf("ratio ParseFloorSpec = (%q, %q, %v, %q, %v)", substr, metric, min, per, err)
+	}
+	for _, bad := range []string{"", "a", "a:b", ":MB/s:300", "a::300", "a:b:nope", "a:b:2*", "a:b:*c", "a:b:x*c"} {
+		if _, _, _, _, err := ParseFloorSpec(bad); err == nil {
 			t.Fatalf("ParseFloorSpec(%q) accepted, want error", bad)
 		}
 	}
@@ -222,7 +226,7 @@ func TestCheckFloor(t *testing.T) {
 	art.Append("BatchParse/strconv", []float64{110}, map[string][]float64{"MB/s": {190}})
 	art.Append("Shortest", []float64{100}, nil)
 
-	failures, report, err := CheckFloor(art, "BatchParse", "MB/s", 300)
+	failures, report, err := CheckFloor(art, "BatchParse", "MB/s", 300, "")
 	if err != nil || failures != 1 {
 		t.Fatalf("CheckFloor(300) = %d failures, err %v; want 1 (strconv below)", failures, err)
 	}
@@ -230,14 +234,43 @@ func TestCheckFloor(t *testing.T) {
 		t.Fatalf("report lacks FAIL mark or median:\n%s", report)
 	}
 
-	failures, _, err = CheckFloor(art, "BatchParse/block", "MB/s", 300)
+	failures, _, err = CheckFloor(art, "BatchParse/block", "MB/s", 300, "")
 	if err != nil || failures != 0 {
 		t.Fatalf("CheckFloor(block, 300) = %d failures, err %v; want 0", failures, err)
 	}
 
 	// A floor that matches nothing is an error, not a silent pass: the
 	// metric-less Shortest entry must not satisfy an MB/s floor either.
-	if _, _, err := CheckFloor(art, "Shortest", "MB/s", 1); err == nil {
+	if _, _, err := CheckFloor(art, "Shortest", "MB/s", 1, ""); err == nil {
 		t.Fatal("vacuous floor passed, want error")
+	}
+}
+
+// TestCheckFloorRatio: a floor written min*per holds each matched row
+// to min times the median of the one row per matches, in the same
+// artifact, and refuses a denominator that matches no row or several.
+func TestCheckFloorRatio(t *testing.T) {
+	art := &Artifact{}
+	art.Append("BatchParse/block", []float64{50}, map[string][]float64{"MB/s": {420, 431, 405}})
+	art.Append("BatchParse/per_value", []float64{80}, map[string][]float64{"MB/s": {250}})
+	art.Append("BatchParse/strconv", []float64{110}, map[string][]float64{"MB/s": {190, 200, 210}})
+
+	// 420 against 2 × 200 passes; against 2.2 × 200 it fails.
+	failures, report, err := CheckFloor(art, "BatchParse/block", "MB/s", 2, "BatchParse/strconv")
+	if err != nil || failures != 0 {
+		t.Fatalf("CheckFloor(block, 2×strconv) = %d failures, err %v; want 0\n%s", failures, err, report)
+	}
+	if !strings.Contains(report, "400.0") || !strings.Contains(report, "BatchParse/strconv") {
+		t.Fatalf("report lacks the bar or the denominator row:\n%s", report)
+	}
+	failures, report, err = CheckFloor(art, "BatchParse/block", "MB/s", 2.2, "BatchParse/strconv")
+	if err != nil || failures != 1 || !strings.Contains(report, "FAIL") {
+		t.Fatalf("CheckFloor(block, 2.2×strconv) = %d failures, err %v; want 1\n%s", failures, err, report)
+	}
+
+	for _, per := range []string{"BatchParse/missing", "BatchParse/"} {
+		if _, _, err := CheckFloor(art, "BatchParse/block", "MB/s", 1, per); err == nil {
+			t.Errorf("denominator %q: floor passed, want error", per)
+		}
 	}
 }
