@@ -27,9 +27,10 @@
 // AppendShortest loop, and every one has landed when the call returns.
 //
 // Buffers: a Pool keeps its idle chunk buffers and ParseAll states in
-// sync.Pools, so a long-lived Pool (a server's) stops allocating them
-// per call, and the GC may still reclaim any that sit idle.  A call
-// gives a buffer back only once no goroutine it started can touch it.
+// idle.Pools, which every goroutine takes from alike, so a long-lived
+// Pool (a server's) stops allocating them after its first calls, and
+// the GC still reclaims any left idle through two GCs.  A call gives a
+// buffer back only once no goroutine it started can touch it.
 package batch
 
 import (
@@ -40,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"floatprint"
+	"floatprint/internal/idle"
 	"floatprint/internal/stats"
 )
 
@@ -83,11 +85,10 @@ type Pool struct {
 	parseBlock int
 	maxToken   int
 
-	// Idle buffers, as pointers so that Put does not allocate.  A chunk
-	// buffer holds a whole chunk's longest renderings and separators, so
-	// it never regrows.
-	chunkBufs   sync.Pool // *[]byte: a rendered chunk
-	parseStates sync.Pool // *parseState: a ParseAll call's buffers
+	// Idle buffers.  A chunk buffer holds a whole chunk's longest
+	// renderings and separators, so it never regrows.
+	chunkBufs   idle.Pool[[]byte]     // a rendered chunk
+	parseStates idle.Pool[parseState] // a ParseAll call's buffers
 }
 
 // New builds a Pool from cfg, applying defaults.
@@ -109,11 +110,11 @@ func New(cfg Config) *Pool {
 		maxToken = 1 << 20
 	}
 	p := &Pool{shards: shards, chunk: chunk, sep: cfg.Sep, parseBlock: parseBlock, maxToken: maxToken}
-	p.chunkBufs.New = func() any {
+	p.chunkBufs.New = func() *[]byte {
 		b := make([]byte, 0, p.chunk*(perValueBytes+len(p.sep)))
 		return &b
 	}
-	p.parseStates.New = func() any {
+	p.parseStates.New = func() *parseState {
 		return &parseState{
 			buf:     make([]byte, 0, p.parseBlock),
 			scratch: make([][]float64, p.shards),
@@ -236,7 +237,7 @@ func (p *Pool) pipeline(ctx context.Context, values []float64, sep []byte, ends 
 	if shards := min(p.shards, c.count); shards > 1 {
 		err = p.parallel(ctx, c, shards, &total, emit)
 	} else {
-		bp := p.chunkBufs.Get().(*[]byte)
+		bp := p.chunkBufs.Get()
 		for ci := 0; ci < c.count; ci++ {
 			if err = ctx.Err(); err != nil {
 				break
@@ -288,18 +289,17 @@ func (j *job) work() {
 
 // parallel runs the pipeline on shards workers and 2×shards buffers
 // (at most one per chunk), taken from the Pool on the calling goroutine
-// and given back there once every worker has exited, so a warm Pool
-// serves them from one P's cache.  Chunks are claimed in increasing
-// order and each holds a buffer until it is emitted, so the chunks in
-// flight span no more indices than there are buffers, and the lowest
-// one always holds a buffer: the emitting goroutine can always make
-// progress, and returns each buffer to the free list once its chunk is
-// emitted.
+// and given back there once every worker has exited.  Chunks are
+// claimed in increasing order and each holds a buffer until it is
+// emitted, so the chunks in flight span no more indices than there are
+// buffers, and the lowest one always holds a buffer: the emitting
+// goroutine can always make progress, and returns each buffer to the
+// free list once its chunk is emitted.
 func (p *Pool) parallel(ctx context.Context, c chunks, shards int, total *int, emit func([]byte) error) error {
 	nbufs := min(2*shards, c.count)
 	j := &job{chunks: c, bufs: make([]*[]byte, nbufs), free: make(chan int, nbufs), done: make(chan rendered, nbufs)}
 	for b := range j.bufs {
-		j.bufs[b] = p.chunkBufs.Get().(*[]byte)
+		j.bufs[b] = p.chunkBufs.Get()
 		j.free <- b
 	}
 	j.wg.Add(shards)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -434,27 +435,58 @@ func TestBatchTelemetry(t *testing.T) {
 // -cpu=1,2,4,... or read the per-shard rows directly.  Each row measures
 // a warm Pool, as BenchmarkBatchWriteAll's do: Convert takes the Pool's
 // chunk buffers too.
+//
+// The allocation columns count calls made after the timed loop, not the
+// loop itself: a 2.1 MB call triggers about one GC per call, a GC
+// empties the Pool's sync.Pools, and their refills move the loop's
+// average from run to run (11 or 12 allocs/op at two shards).
+// callAllocs holds the collector off and takes the median of per-call
+// counts, which reads the call's own allocations every run.
 func BenchmarkBatchConvert(b *testing.B) {
 	values := schryer.CorpusN(65536)
 	for _, shards := range []int{1, 2, 4, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			p := New(Config{Shards: shards})
-			for range 3 {
+			convert := func() {
 				if _, err := p.Convert(context.Background(), values); err != nil {
 					b.Fatal(err)
 				}
+			}
+			for range 3 {
+				convert()
 			}
 			b.SetBytes(int64(len(values) * 8))
-			b.ReportAllocs()
+			b.ReportAllocs() // prints the columns without -benchmem; callAllocs sets them
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Convert(context.Background(), values); err != nil {
-					b.Fatal(err)
-				}
+				convert()
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(len(values))*float64(b.N)/b.Elapsed().Seconds(), "values/s")
+			allocs, bytes := callAllocs(convert)
+			b.ReportMetric(allocs, "allocs/op")
+			b.ReportMetric(bytes, "B/op")
 		})
 	}
+}
+
+// callAllocs runs f five times with the collector held off and returns
+// the median of the per-call allocation counts and of the per-call
+// bytes.
+func callAllocs(f func()) (allocs, bytes float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	var counts, sizes [5]uint64
+	for i := range counts {
+		runtime.ReadMemStats(&ms)
+		mallocs, total := ms.Mallocs, ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		counts[i], sizes[i] = ms.Mallocs-mallocs, ms.TotalAlloc-total
+	}
+	slices.Sort(counts[:])
+	slices.Sort(sizes[:])
+	return float64(counts[2]), float64(sizes[2])
 }
 
 // discard is io.Discard without the interface-dispatch noise.

@@ -65,7 +65,7 @@ type parseState struct {
 // ending on a value boundary.  The buffer handed to w is reused for the
 // next block and by later calls, so w must not retain it.
 func (p *Pool) ParseAll(ctx context.Context, r io.Reader, w io.Writer) (int64, error) {
-	st := p.parseStates.Get().(*parseState)
+	st := p.parseStates.Get()
 	// parseBlock64 has joined its shards before any return, so nothing
 	// touches st once ParseAll is done with it.
 	defer p.parseStates.Put(st)

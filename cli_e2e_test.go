@@ -1,7 +1,10 @@
 package floatprint
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -132,5 +135,51 @@ func TestCLIFpinspect(t *testing.T) {
 				t.Errorf("fpinspect %v missing %q:\n%s", c.args, want, out)
 			}
 		}
+	}
+}
+
+// TestCLIInitBudget holds the package init every binary importing
+// floatprint runs: fpprint under GODEBUG=inittrace=1 must allocate at
+// most 7,000 times across the floatprint packages' init lines, and the
+// print kernels must build no table of their own (they read the one
+// 128-bit table internal/fastparse builds).  Sharing that table took
+// the sum from 30,449 to 6,505.
+func TestCLIInitBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI end-to-end test in short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "fpprint")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/fpprint").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/fpprint: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "1")
+	cmd.Env = append(os.Environ(), "GODEBUG=inittrace=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("fpprint: %v\n%s", err, stderr.String())
+	}
+	allocs, lines := 0, 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		// init floatprint/internal/bignat @0.81 ms, 0.45 ms clock, 208192 bytes, 1981 allocs
+		if !strings.HasPrefix(line, "init floatprint/") {
+			continue
+		}
+		lines++
+		if strings.HasPrefix(line, "init floatprint/internal/ryu ") || strings.HasPrefix(line, "init floatprint/internal/extfloat ") {
+			t.Errorf("internal/ryu and internal/extfloat must read fastparse.Pow10, not build a table at init: %s", line)
+		}
+		fields := strings.Fields(line)
+		n, err := strconv.Atoi(fields[len(fields)-2])
+		if err != nil || fields[len(fields)-1] != "allocs" {
+			t.Fatalf("unexpected inittrace line %q", line)
+		}
+		allocs += n
+	}
+	if lines == 0 {
+		t.Fatalf("no floatprint init lines in fpprint's inittrace:\n%s", stderr.String())
+	}
+	if allocs > 7000 {
+		t.Errorf("floatprint package init made %d allocations, budget 7000:\n%s", allocs, stderr.String())
 	}
 }

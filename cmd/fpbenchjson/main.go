@@ -9,11 +9,14 @@
 //
 // Convert mode reads benchmark lines from stdin and writes JSON to
 // stdout.  Compare mode loads two JSON artifacts, matches benchmarks by
-// name, compares medians, and exits 1 when any benchmark present in
-// both is more than -max-regress percent slower in head, reports a
-// higher median allocs/op in head, or a median B/op more than 7% higher
-// (the allocation columns of `go test -benchmem`); medians over
-// repeated -count runs make the gate robust to a single noisy pass.
+// name, and exits 1 when any benchmark present in both is more than
+// -max-regress percent slower in head, reports a higher median
+// allocs/op in head, or a median B/op more than 7% higher (the
+// allocation columns of `go test -benchmem`).  Slower means the median
+// of the per-run head/base ratios when both sides report the same
+// number of runs, which pair in order (scripts/pairbench.sh interleaves
+// them round by round), and the ratio of the medians otherwise; either
+// way one noisy pass does not decide the gate.
 //
 // -floor adds an acceptance bar on the head artifact alone: every
 // benchmark whose name contains the substring must report a median for

@@ -2,21 +2,25 @@
 // floating point: a 64-bit mantissa with an unconstrained exponent and
 // round-to-nearest-even multiplication.
 //
-// Its role in this reproduction is to back the NaivePrintf baseline: the
-// 1990s C libraries whose printf the paper benchmarks in Table 3 performed
-// binary-to-decimal scaling in hardware long double (or plain double).
-// With 64 mantissa bits, scaling by a correctly rounded power of ten and
-// peeling 17 digits leaves a relative error of a few units in 2⁻⁶⁴, which
-// flips the 17th digit on a small fraction of inputs — the "Incorrect"
-// column of Table 3.  Reproducing that failure mode requires exactly this
-// arithmetic, since modern libraries (and Go's strconv) round correctly.
+// It backs Gay's fixed-digit fast path (internal/fastpath), which the
+// product tries first for base-10 fixed-digit output, and Grisu3
+// (internal/grisu): both scale by its correctly rounded powers of ten
+// and certify the result.  And it backs the NaivePrintf baseline: the
+// 1990s C libraries whose printf the paper benchmarks in Table 3
+// performed binary-to-decimal scaling in hardware long double (or plain
+// double).  With 64 mantissa bits, scaling by a correctly rounded power
+// of ten and peeling 17 digits leaves a relative error of a few units in
+// 2⁻⁶⁴, which flips the 17th digit on a small fraction of inputs — the
+// "Incorrect" column of Table 3.  Reproducing that failure mode requires
+// exactly this arithmetic, since modern libraries (and Go's strconv)
+// round correctly.
 package extfloat
 
 import (
 	"math"
 	"math/bits"
 
-	"floatprint/internal/bignat"
+	"floatprint/internal/fastparse"
 )
 
 // Ext is a non-negative extended float: value = M × 2ᴱ with the mantissa
@@ -150,63 +154,23 @@ func (x Ext) MulPow10(k int) Ext {
 	return Mul(x, Pow10(k))
 }
 
-const pow10Range = 360
-
-var pow10Table = buildPow10Table()
+// pow10Range is the span of the shared 128-bit table (fastparse.Pow10)
+// Pow10 rounds, which covers the double range with margin.
+const pow10Range = 347
 
 // Pow10 returns the correctly rounded extended-precision value of 10ᵏ for
-// |k| <= 360, covering the double range with margin.
+// |k| <= 347 (a long-double constant, half an ulp at most from 10ᵏ): the
+// shared 128-bit entry for 10ᵏ, rounded to its top 64 bits.
 func Pow10(k int) Ext {
 	if k < -pow10Range || k > pow10Range {
 		panic("extfloat: Pow10 exponent out of range")
 	}
-	return pow10Table[k+pow10Range]
-}
-
-// buildPow10Table computes each power exactly with bignat and rounds it
-// once to 64 bits, so every table entry has at most half an ulp of error —
-// matching a correctly rounded long-double constant table.
-func buildPow10Table() []Ext {
-	table := make([]Ext, 2*pow10Range+1)
-	for k := -pow10Range; k <= pow10Range; k++ {
-		table[k+pow10Range] = roundedPow10(k)
-	}
-	return table
-}
-
-func roundedPow10(k int) Ext {
-	if k >= 0 {
-		return roundNatSticky(bignat.PowUint(10, uint(k)), 0, false)
-	}
-	// 10ᵏ for k < 0: compute floor(2ᴺ / 10⁻ᵏ) with N chosen so the
-	// quotient has at least 65 bits, keeping a guard bit; any nonzero
-	// division remainder supplies the sticky bit.
-	den := bignat.PowUint(10, uint(-k))
-	shift := den.BitLen() + 65
-	q, rem := bignat.DivMod(bignat.Shl(bignat.Nat{1}, uint(shift)), den)
-	return roundNatSticky(q, -shift, !rem.IsZero())
-}
-
-func roundNatSticky(n bignat.Nat, e int, sticky bool) Ext {
-	bl := n.BitLen()
-	if bl <= 64 {
-		// Sticky bits strictly below a mantissa that already fits cannot
-		// change the rounding of an exact 64-bit value.
-		u, _ := n.Uint64()
-		return normalize(u, e)
-	}
-	shift := uint(bl - 64)
-	top := bignat.Shr(n, shift)
-	u, _ := top.Uint64()
-	rem := bignat.Sub(n, bignat.Shl(top, shift))
-	half := bignat.Shl(bignat.Nat{1}, shift-1)
-	c := bignat.Cmp(rem, half)
-	roundUp := c > 0 || (c == 0 && (sticky || u&1 == 1))
-	if roundUp {
-		u++
-		if u == 0 {
-			return Ext{M: 1 << 63, E: e + int(shift) + 1}
-		}
-	}
-	return Ext{M: u, E: e + int(shift)}
+	// The entry is 10ᵏ's significand exact or within one unit of its low
+	// word: truncated for k >= 0, rounded up for k < 0.  So rounding it
+	// half up on that word's top bit rounds 10ᵏ to nearest, unless the
+	// low word is exactly half (the true value could lie on either side)
+	// or the high word is all ones (the carry would wrap).  No entry has
+	// either; TestPow10CorrectlyRounded checks every k against math/big.
+	p := fastparse.Pow10(k)
+	return Ext{M: p[1] + p[0]>>63, E: 217706*k>>16 - 63} // E = ⌊k·log₂10⌋ − 63
 }

@@ -19,7 +19,22 @@ const (
 // binary fraction) it is rounded *up*, which is what makes the
 // Mushtak–Lemire uncertainty test sound: the true product always lies in
 // [approx·m − m, approx·m), a half-open interval one multiplicand wide.
+//
+// It is the product's only table of powers of ten, with three readers:
+// this package's read kernel; internal/ryu's print kernels, which
+// multiply by an entry where Ryū multiplies by its 125-bit power of
+// five, with the shift raised three bits; and internal/extfloat's 64-bit
+// powers of ten, each an entry rounded once.
 var pow10 [maxExp10 - minExp10 + 1][2]uint64
+
+// Pow10 returns the table entry for 10^q, minExp10 <= q <= maxExp10,
+// in place: a pointer, so a kernel reads the two words without copying
+// them per call.  The entry is the 128-bit significand, in [2¹²⁷, 2¹²⁸),
+// truncated for q ≥ 0 and rounded up for q < 0, so that
+// 10^q ≈ entry × 2^(⌊q·log₂10⌋ − 127).
+func Pow10(q int) *[2]uint64 {
+	return &pow10[q-minExp10]
+}
 
 // The table is generated at init from this repository's own big-integer
 // arithmetic rather than pasted as a 22 KB literal: the build produces

@@ -136,15 +136,15 @@ func median(xs []float64) float64 {
 const maxBytesRegress = 7
 
 // CompareArtifacts matches benchmarks by name and reports every pair
-// whose head median ns/op exceeds the base median by more than
-// maxRegress percent, every pair whose head median allocs/op exceeds
-// the base median at all, and every pair whose head median B/op exceeds
-// the base median by more than maxBytesRegress percent (the last two
-// when both sides report the metric, as `go test -benchmem` does).
-// Time is noisy, so it gets a threshold; allocation counts repeat at
-// CI's run lengths, so any rise fails.  Benchmarks present on only one
-// side are listed but never fail the gate (new benchmarks have no
-// baseline; removed ones have no head).
+// whose head ns/op exceeds the base by more than maxRegress percent
+// (timeDelta), every pair whose head median allocs/op exceeds the base
+// median at all, and every pair whose head median B/op exceeds the base
+// median by more than maxBytesRegress percent (the last two when both
+// sides report the metric, as `go test -benchmem` does).  Time is noisy,
+// so it gets a threshold; allocation counts repeat at CI's run lengths,
+// so any rise fails.  Benchmarks present on only one side are listed but
+// never fail the gate (new benchmarks have no baseline; removed ones
+// have no head).
 func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int, report string) {
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
@@ -170,7 +170,7 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 			}
 			continue
 		}
-		deltaPct := 100 * (h.MedianNsPerOp - b.MedianNsPerOp) / b.MedianNsPerOp
+		deltaPct := timeDelta(b, h)
 		if deltaPct > maxRegress {
 			slower++
 			mark = "  REGRESSION" + mark
@@ -183,6 +183,7 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 			fmt.Fprintf(&sb, "%-52s %14.1f %14s %9s\n", b.Name, b.MedianNsPerOp, "(removed)", "")
 		}
 	}
+	sb.WriteString("(ns/op: medians; delta: median per-round head/base ratio when the runs pair, else ratio of medians)\n")
 	if slower > 0 {
 		fmt.Fprintf(&sb, "FAIL: %d benchmark(s) regressed more than %.0f%%\n", slower, maxRegress)
 	}
@@ -194,6 +195,25 @@ func CompareArtifacts(base, head *Artifact, maxRegress float64) (regressions int
 		fmt.Fprintf(&sb, "ok: no benchmark regressed more than %.0f%% or allocated more\n", maxRegress)
 	}
 	return slower + allocating, sb.String()
+}
+
+// timeDelta is the head's ns/op change against the base, in percent.
+// When both sides report the same number of runs, the runs pair in
+// order, as scripts/pairbench.sh interleaves them one round at a time,
+// and the delta is the median of the per-round head/base ratios: a
+// change in the host's load between rounds moves both runs of a round,
+// so it cancels in that round's ratio where it would shift one side's
+// median.  Otherwise it is the ratio of the medians.
+func timeDelta(b, h Benchmark) float64 {
+	n := len(b.NsPerOp)
+	if n == 0 || n != len(h.NsPerOp) {
+		return 100 * (h.MedianNsPerOp - b.MedianNsPerOp) / b.MedianNsPerOp
+	}
+	ratios := make([]float64, n)
+	for i := range ratios {
+		ratios[i] = h.NsPerOp[i] / b.NsPerOp[i]
+	}
+	return 100 * (median(ratios) - 1)
 }
 
 // allocRise marks a benchmark whose head allocates more than its base:

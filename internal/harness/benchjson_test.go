@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,47 @@ func TestCompareArtifactsFlagsRegression(t *testing.T) {
 	}
 	if !strings.Contains(report, "REGRESSION") || !strings.Contains(report, "FAIL: 1 benchmark") {
 		t.Errorf("report:\n%s", report)
+	}
+}
+
+// runs is a benchmark with per-run ns/op samples, in round order.
+func runs(name string, ns ...float64) Benchmark {
+	return Benchmark{Name: name, Runs: len(ns), NsPerOp: ns, MedianNsPerOp: median(ns)}
+}
+
+// TestCompareArtifactsPairsRuns covers both time statistics on one pair
+// of artifacts where they disagree.  The host's load rises by half after
+// round two, and in round three it rises between the base's run and the
+// head's: every round's head/base ratio but that one reads 1.04, while
+// the head's median lands in the loaded rounds and the base's does not.
+// Paired in order, the rounds' median ratio is +4%; the medians' ratio
+// is +56%, which is what an unpaired gate would see.
+func TestCompareArtifactsPairsRuns(t *testing.T) {
+	base := &Artifact{Benchmarks: []Benchmark{runs("A", 100, 100, 100, 150, 150)}}
+	head := &Artifact{Benchmarks: []Benchmark{runs("A", 104, 104, 156, 156, 156)}}
+	if got := timeDelta(base.Benchmarks[0], head.Benchmarks[0]); math.Abs(got-4) > 1e-9 {
+		t.Fatalf("paired delta = %v%%, want +4%%", got)
+	}
+	if regressions, report := CompareArtifacts(base, head, 10); regressions != 0 {
+		t.Fatalf("paired runs: regressions = %d, want 0\n%s", regressions, report)
+	}
+
+	// A head run missing: the runs no longer pair, so the gate falls
+	// back to the ratio of medians, 156/100.
+	short := &Artifact{Benchmarks: []Benchmark{runs("A", 104, 156, 156, 156)}}
+	if got := timeDelta(base.Benchmarks[0], short.Benchmarks[0]); math.Abs(got-56) > 1e-9 {
+		t.Fatalf("unpaired delta = %v%%, want +56%%", got)
+	}
+	regressions, report := CompareArtifacts(base, short, 10)
+	if regressions != 1 || !strings.Contains(report, "+56.0%  REGRESSION") {
+		t.Fatalf("unpaired runs: regressions = %d, want 1\n%s", regressions, report)
+	}
+
+	// Paired runs still fail a slowdown every round shows: ratios 1.12,
+	// 1.12, 1.08, 1.2 and 1.12, median +12%.
+	slow := &Artifact{Benchmarks: []Benchmark{runs("A", 112, 112, 108, 180, 168)}}
+	if regressions, report := CompareArtifacts(base, slow, 10); regressions != 1 {
+		t.Fatalf("paired slowdown: regressions = %d, want 1\n%s", regressions, report)
 	}
 }
 

@@ -33,6 +33,8 @@
 
 package ryu
 
+import "floatprint/internal/fastparse"
+
 // ShortestBelowInto converts a positive finite v to the shortest decimal
 // in its lower half-gap (v−m⁻, v], writing ASCII digits into buf (at
 // least BufLen bytes) and returning the digit count and K with
@@ -67,9 +69,10 @@ func below(buf []byte, v float64, f32 bool) (n, k int, ok bool) {
 			q--
 		}
 		e10 = q
-		i := -e2 + q + pow5InvBitCount + pow5bits(q) - 1
-		vr = mulShift64(mv, pow5InvSplit[q], i)
-		vm = mulShift64(mv-1-mmShift, pow5InvSplit[q], i)
+		i := -e2 + q + pow5bits(q) + 126 + min(q, 1)
+		mul := fastparse.Pow10(-q)
+		vr = mulShift64(mv, mul, i)
+		vm = mulShift64(mv-1-mmShift, mul, i)
 	} else {
 		q := log10Pow5(-e2)
 		if -e2 > 1 {
@@ -77,9 +80,10 @@ func below(buf []byte, v float64, f32 bool) (n, k int, ok bool) {
 		}
 		e10 = q + e2
 		i := -e2 - q
-		j := q - (pow5bits(i) - pow5BitCount)
-		vr = mulShift64(mv, pow5Split[i], j)
-		vm = mulShift64(mv-1-mmShift, pow5Split[i], j)
+		j := q - pow5bits(i) + 128
+		mul := fastparse.Pow10(i)
+		vr = mulShift64(mv, mul, j)
+		vm = mulShift64(mv-1-mmShift, mul, j)
 	}
 
 	// Remove digits while the shorter truncation still clears the lower
@@ -140,9 +144,10 @@ func above(buf []byte, v float64, f32 bool) (n, k int, ok bool) {
 			q--
 		}
 		e10 = q
-		i := -e2 + q + pow5InvBitCount + pow5bits(q) - 1
-		vr = mulShift64(mv, pow5InvSplit[q], i)
-		vp = mulShift64(mv+2, pow5InvSplit[q], i)
+		i := -e2 + q + pow5bits(q) + 126 + min(q, 1)
+		mul := fastparse.Pow10(-q)
+		vr = mulShift64(mv, mul, i)
+		vp = mulShift64(mv+2, mul, i)
 		if q <= 21 {
 			// x·2^(e2−q)/5^q is an integer iff 5^q divides x (e2 ≥ q holds
 			// for every e2 in this branch).
@@ -156,9 +161,10 @@ func above(buf []byte, v float64, f32 bool) (n, k int, ok bool) {
 		}
 		e10 = q + e2
 		i := -e2 - q
-		j := q - (pow5bits(i) - pow5BitCount)
-		vr = mulShift64(mv, pow5Split[i], j)
-		vp = mulShift64(mv+2, pow5Split[i], j)
+		j := q - pow5bits(i) + 128
+		mul := fastparse.Pow10(i)
+		vr = mulShift64(mv, mul, j)
+		vp = mulShift64(mv+2, mul, j)
 		// x·5^i/2^q is an integer iff 2^q divides x: mv = 4·m2 always has
 		// two factors of two, mv+2 = 2(2·m2+1) exactly one.
 		if q <= 1 {

@@ -27,69 +27,35 @@
 // ties only.  The entry points decline (ok == false) only out-of-domain
 // input: v <= 0, Inf, NaN, or a buffer shorter than BufLen.
 //
-// The power tables are generated at package init with this repository's
-// own bignat arithmetic rather than embedded as literals, and every value
-// path is differentially tested against both strconv and the exact
+// The powers come from the read kernel's 128-bit table of powers of ten
+// (fastparse.Pow10), the one table of powers in the product, and every
+// value path is differentially tested against both strconv and the exact
 // Burger & Dybvig implementation.
+//
+// Ryū tabulates 125-bit slices: the top 125 bits of 5^i, and
+// ⌊2^(pow5bits(q)+124)/5^q⌋+1 for 5^−q.  The shared entries are the same
+// powers to 128 bits, truncated for 10^i and rounded up for 10^−q, so
+// an entry shifted right three bits lies between Ryū's slice and the
+// exact power.  Each product below uses the entry with its shift raised
+// by three bits, and so lies between Ryū's product and the exact one;
+// Ryū proves those two have the same floor, so the shared entry gives it
+// too.  The divisibility checks read the inputs, not the products, and
+// are Ryū's unchanged.
 package ryu
 
 import (
 	"math"
 	"math/bits"
 
-	"floatprint/internal/bignat"
 	"floatprint/internal/core"
+	"floatprint/internal/fastparse"
 )
 
 const (
 	mantBits = 52
 	expBits  = 11
 	bias     = 1023
-
-	pow5InvBitCount = 125
-	pow5BitCount    = 125
-
-	maxPow5Inv = 291
-	maxPow5    = 326
 )
-
-// pow5Split[i] holds the top 125 bits of 5^i; pow5InvSplit[q] holds
-// floor(2^(pow5bits(q)+124)/5^q)+1.  Each entry is {lo, hi}.
-var (
-	pow5Split    [maxPow5][2]uint64
-	pow5InvSplit [maxPow5Inv][2]uint64
-)
-
-func init() {
-	for i := 0; i < maxPow5; i++ {
-		p := bignat.PowUint(5, uint(i))
-		shift := p.BitLen() - pow5BitCount
-		var top bignat.Nat
-		if shift >= 0 {
-			top = bignat.Shr(p, uint(shift))
-		} else {
-			top = bignat.Shl(p, uint(-shift))
-		}
-		pow5Split[i] = split128(top)
-	}
-	for q := 0; q < maxPow5Inv; q++ {
-		den := bignat.PowUint(5, uint(q))
-		num := bignat.Shl(bignat.Nat{1}, uint(pow5bits(q)+pow5InvBitCount-1))
-		quo, _ := bignat.DivMod(num, den)
-		quo = bignat.AddWord(quo, 1)
-		pow5InvSplit[q] = split128(quo)
-	}
-}
-
-func split128(n bignat.Nat) [2]uint64 {
-	hiNat := bignat.Shr(n, 64)
-	hi, ok := hiNat.Uint64()
-	if !ok {
-		panic("ryu: table entry exceeds 128 bits")
-	}
-	lo, _ := bignat.Sub(n, bignat.Shl(hiNat, 64)).Uint64() // n mod 2^64
-	return [2]uint64{lo, hi}
-}
 
 // pow5bits returns ceil(log2(5^e)) + 1... precisely the bit count used by
 // Ryū: floor(e·log2(5)) + 1 for 0 <= e <= 3528.
@@ -107,8 +73,9 @@ func log10Pow5(e int) int {
 	return int((uint64(e) * 732923) >> 20)
 }
 
-// mulShift64 returns (m × mul) >> j for a 128-bit mul, 64 < j−64 < 64+64.
-func mulShift64(m uint64, mul [2]uint64, j int) uint64 {
+// mulShift64 returns (m × mul) >> j for a 128-bit mul, 64 < j < 128.
+// mul points into the shared table, so the entry is read in place.
+func mulShift64(m uint64, mul *[2]uint64, j int) uint64 {
 	b0hi, _ := bits.Mul64(m, mul[0])
 	b2hi, b2lo := bits.Mul64(m, mul[1])
 	sumLo, carry := bits.Add64(b0hi, b2lo, 0)
@@ -253,11 +220,13 @@ func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, 
 			q--
 		}
 		e10 = q
-		kk := pow5InvBitCount + pow5bits(q) - 1
-		i := -e2 + q + kk
-		vr = mulShift64(mv, pow5InvSplit[q], i)
-		vp = mulShift64(mv+2, pow5InvSplit[q], i)
-		vm = mulShift64(mv-1-mmShift, pow5InvSplit[q], i)
+		// The entry is 2^(127+b)/5^q rounded up, with b = ⌈q·log₂5⌉:
+		// pow5bits(q) for q >= 1, and 0 at q = 0, where the entry is 2¹²⁷.
+		i := -e2 + q + pow5bits(q) + 126 + min(q, 1)
+		mul := fastparse.Pow10(-q)
+		vr = mulShift64(mv, mul, i)
+		vp = mulShift64(mv+2, mul, i)
+		vm = mulShift64(mv-1-mmShift, mul, i)
 		// Only one of mv-1-mmShift, mv, mv+2 can be a multiple of 5, so
 		// at most one of the scaled values is exact.  An exact admissible
 		// lower bound is a candidate (vmIsTrailingZeros); an exact
@@ -278,11 +247,11 @@ func shortest(buf []byte, v float64, f32 bool, mode core.ReaderMode) (n, k int, 
 		}
 		e10 = q + e2
 		i := -e2 - q
-		kk := pow5bits(i) - pow5BitCount
-		j := q - kk
-		vr = mulShift64(mv, pow5Split[i], j)
-		vp = mulShift64(mv+2, pow5Split[i], j)
-		vm = mulShift64(mv-1-mmShift, pow5Split[i], j)
+		j := q - pow5bits(i) + 128
+		mul := fastparse.Pow10(i)
+		vr = mulShift64(mv, mul, j)
+		vp = mulShift64(mv+2, mul, j)
+		vm = mulShift64(mv-1-mmShift, mul, j)
 		if q <= 1 {
 			// mv+2 has exactly one trailing zero bit, and mv-1-mmShift
 			// has one iff mmShift == 1: with q <= 1 the scaled vp is

@@ -2,13 +2,16 @@ package ryu
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	"floatprint/internal/bignat"
 	"floatprint/internal/core"
 	"floatprint/internal/decimal"
+	"floatprint/internal/fastparse"
 	"floatprint/internal/fpformat"
 	"floatprint/internal/schryer"
 )
@@ -273,5 +276,55 @@ func BenchmarkRyuShortest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ShortestInto(buf[:], corpus[i%len(corpus)])
+	}
+}
+
+// TestSharedTableHoldsRyuSlices checks the premise of reading
+// fastparse.Pow10: an entry shifted right three bits is the 125-bit
+// slice Ryū tabulates for 5^i, and ((entry−1)>>3)+1 the one for 5^−q.
+// The oracle is Ryū's own table generator, run here with bignat.
+func TestSharedTableHoldsRyuSlices(t *testing.T) {
+	split := func(n bignat.Nat) [2]uint64 {
+		hiNat := bignat.Shr(n, 64)
+		hi, ok := hiNat.Uint64()
+		if !ok {
+			t.Fatalf("slice %v exceeds 128 bits", n)
+		}
+		lo, _ := bignat.Sub(n, bignat.Shl(hiNat, 64)).Uint64()
+		return [2]uint64{lo, hi}
+	}
+	shr3 := func(e [2]uint64) [2]uint64 {
+		return [2]uint64{e[0]>>3 | e[1]<<61, e[1] >> 3}
+	}
+	// The top 125 bits of 5^i.
+	for i := 0; i <= 325; i++ {
+		p := bignat.PowUint(5, uint(i))
+		var top bignat.Nat
+		if shift := p.BitLen() - 125; shift >= 0 {
+			top = bignat.Shr(p, uint(shift))
+		} else {
+			top = bignat.Shl(p, uint(-shift))
+		}
+		if got, want := shr3(*fastparse.Pow10(i)), split(top); got != want {
+			t.Fatalf("Pow10(%d)>>3 = %x, want the top 125 bits of 5^%d, %x", i, got, i, want)
+		}
+	}
+	// ⌊2^(pow5bits(q)+124)/5^q⌋+1.
+	for q := 1; q <= 290; q++ {
+		quo, _ := bignat.DivMod(bignat.Shl(bignat.Nat{1}, uint(pow5bits(q)+124)), bignat.PowUint(5, uint(q)))
+		want := split(bignat.AddWord(quo, 1))
+		e := *fastparse.Pow10(-q)
+		lo, borrow := bits.Sub64(e[0], 1, 0)
+		got := shr3([2]uint64{lo, e[1] - borrow})
+		got[0]++
+		if got[0] == 0 {
+			got[1]++
+		}
+		if got != want {
+			t.Fatalf("((Pow10(-%d)-1)>>3)+1 = %x, want %x", q, got, want)
+		}
+	}
+	if got := *fastparse.Pow10(0); got != [2]uint64{0, 1 << 63} {
+		t.Fatalf("Pow10(0) = %x, want 2^127", got)
 	}
 }

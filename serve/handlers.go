@@ -11,9 +11,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"floatprint"
+	"floatprint/internal/idle"
 	"floatprint/internal/span"
 	"floatprint/interval"
 )
@@ -408,18 +408,18 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 const batchBlockValues = 65536
 
 // The batch sinks' buffers, reused across requests; the GC may reclaim
-// idle ones.  Each pool holds pointers so that Put does not allocate.
+// idle ones.
 var (
 	// blockSlabs holds batchStream value blocks.
-	blockSlabs = sync.Pool{New: func() any {
+	blockSlabs = idle.Pool[[]float64]{New: func() *[]float64 {
 		b := make([]float64, 0, batchBlockValues)
 		return &b
 	}}
 	// heldBlocks holds packedWriter's copies of a first output block.
-	heldBlocks = sync.Pool{New: func() any { return new([]byte) }}
+	heldBlocks = idle.Pool[[]byte]{New: func() *[]byte { return new([]byte) }}
 	// copyBufs holds the buffers binary /v1/batch bodies are read
 	// through, io.Copy's size.
-	copyBufs = sync.Pool{New: func() any {
+	copyBufs = idle.Pool[[]byte]{New: func() *[]byte {
 		b := make([]byte, 32<<10)
 		return &b
 	}}
@@ -461,7 +461,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
 		conv.SetAttr("format", "binary")
-		cb := copyBufs.Get().(*[]byte)
+		cb := copyBufs.Get()
 		defer copyBufs.Put(cb)
 		if _, err = io.CopyBuffer(st, body, *cb); err == nil && st.npart > 0 {
 			err = fmt.Errorf("body length not a multiple of 8 (%d trailing bytes)", st.npart)
@@ -556,7 +556,7 @@ func (st *batchStream) Write(p []byte) (int, error) {
 // when full.
 func (st *batchStream) push(p []byte) error {
 	if st.slab == nil {
-		st.slab = blockSlabs.Get().(*[]float64)
+		st.slab = blockSlabs.Get()
 		st.block = (*st.slab)[:0]
 	}
 	st.block = append(st.block, math.Float64frombits(binary.LittleEndian.Uint64(p)))
@@ -666,7 +666,7 @@ type packedWriter struct {
 
 func (pw *packedWriter) Write(p []byte) (int, error) {
 	if !pw.committed && !pw.haveFirst {
-		pw.first = heldBlocks.Get().(*[]byte)
+		pw.first = heldBlocks.Get()
 		*pw.first = append((*pw.first)[:0], p...)
 		pw.haveFirst = true
 		return len(p), nil
