@@ -444,7 +444,7 @@ func TestBatchTelemetry(t *testing.T) {
 // counts, which reads the call's own allocations every run.
 func BenchmarkBatchConvert(b *testing.B) {
 	values := schryer.CorpusN(65536)
-	for _, shards := range []int{1, 2, 4, runtime.NumCPU()} {
+	for _, shards := range distinct(1, 2, 4, runtime.NumCPU()) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			p := New(Config{Shards: shards})
 			convert := func() {
@@ -468,6 +468,19 @@ func BenchmarkBatchConvert(b *testing.B) {
 			b.ReportMetric(bytes, "B/op")
 		})
 	}
+}
+
+// distinct returns ns without repeats, in order, so a benchmark runs
+// each shard count once whatever runtime.NumCPU is: a repeated count
+// would time the same row again, as its "#01" twin.
+func distinct(ns ...int) []int {
+	var out []int
+	for _, n := range ns {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // callAllocs runs f five times with the collector held off and returns
@@ -503,7 +516,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func BenchmarkBatchWriteAll(b *testing.B) {
 	values := schryer.CorpusN(65536)
 	shardRows := func(b *testing.B) {
-		for _, shards := range []int{1, runtime.NumCPU()} {
+		for _, shards := range distinct(1, runtime.NumCPU()) {
 			b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 				p := New(Config{Shards: shards, Sep: []byte{'\n'}})
 				for range 3 {

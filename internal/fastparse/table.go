@@ -1,6 +1,6 @@
 package fastparse
 
-import "floatprint/internal/bignat"
+import "math/bits"
 
 // The table covers 10^q for q ∈ [minExp10, maxExp10] — the same span as
 // the canonical Eisel–Lemire implementations.  Outside it a decimal
@@ -36,51 +36,78 @@ func Pow10(q int) *[2]uint64 {
 	return &pow10[q-minExp10]
 }
 
-// The table is generated at init from this repository's own big-integer
-// arithmetic rather than pasted as a 22 KB literal: the build produces
-// exactly the constants the papers tabulate (spot-checked against a
-// math/big oracle in the tests), and the generation rule — not 696
-// opaque numbers — is what gets reviewed.
+// The table is generated at init rather than pasted as a 22 KB
+// literal, with 64-bit word arithmetic on one fixed array: the build
+// produces exactly the constants the papers tabulate (checked entry by
+// entry against a math/big oracle in the tests), and the generation
+// rule — not 696 opaque numbers — is what gets reviewed.  The init
+// allocates nothing.
 func init() {
+	// p holds a number of up to 960 bits, least significant word
+	// first: 5^347 has 806 bits, and 2^959 is 960.
+	var p [15]uint64
+
 	// q ≥ 0: 10^q = 5^q · 2^q, and the power of two only shifts the
 	// binary point, so the 128-bit significand of 10^q is the top 128
 	// bits of 5^q (truncated).
-	p := bignat.FromUint64(1)
+	p[0] = 1
 	for q := 0; q <= maxExp10; q++ {
-		pow10[q-minExp10] = top128(p)
-		p = bignat.MulWord(p, 5)
+		pow10[q-minExp10] = top128(&p)
+		mulWord(&p, 5)
 	}
+
 	// q < 0: 10^q = 2^-q / 5^-q up to binary-point placement, so the
-	// significand is the reciprocal of 5^-q, normalized to 128 bits and
-	// rounded up: ceil(2^(127+L) / 5^-q) with L = bitlen(5^-q), which
-	// lands in [2¹²⁷, 2¹²⁸) because 2^(L-1) ≤ 5^-q < 2^L.
-	p = bignat.FromUint64(5)
+	// significand is the reciprocal of 5^k, k = -q, normalized to 128
+	// bits and rounded up: ⌈2^(127+L) / 5^k⌉ with L = bitlen(5^k),
+	// which lands in [2¹²⁷, 2¹²⁸) because 2^(L-1) < 5^k < 2^L.  Dividing
+	// a running ⌊2^959 / 5^(k-1)⌋ by 5 gives ⌊2^959 / 5^k⌋ (nested floors
+	// compose), a number of 960-L bits whose top 128 are therefore
+	// ⌊2^(127+L) / 5^k⌋; 5^k divides no power of two, so adding one
+	// rounds up.
+	p = [15]uint64{14: 1 << 63}
 	for q := -1; q >= minExp10; q-- {
-		l := uint(p.BitLen())
-		quo, rem := bignat.DivMod(bignat.Shl(bignat.FromUint64(1), 127+l), p)
-		if !rem.IsZero() {
-			quo = bignat.AddWord(quo, 1)
-		}
-		pow10[q-minExp10] = split128(quo)
-		p = bignat.MulWord(p, 5)
+		divWord(&p, 5)
+		e := top128(&p)
+		var c uint64
+		e[0], c = bits.Add64(e[0], 1, 0)
+		e[1] += c
+		pow10[q-minExp10] = e
 	}
 }
 
-// top128 normalizes p to exactly 128 bits — shifting up when short,
-// truncating when long — and splits it into (lo, hi) words.
-func top128(p bignat.Nat) [2]uint64 {
-	l := p.BitLen()
-	if l <= 128 {
-		return split128(bignat.Shl(p, uint(128-l)))
+// mulWord sets p to p·m; the product must fit.
+func mulWord(p *[15]uint64, m uint64) {
+	var carry uint64
+	for i := range p {
+		hi, lo := bits.Mul64(p[i], m)
+		var c uint64
+		p[i], c = bits.Add64(lo, carry, 0)
+		carry = hi + c
 	}
-	return split128(bignat.Shr(p, uint(l-128)))
 }
 
-// split128 splits a value known to fit 128 bits into its two 64-bit
-// halves, independent of the platform limb width.
-func split128(c bignat.Nat) [2]uint64 {
-	hiNat := bignat.Shr(c, 64)
-	hi, _ := hiNat.Uint64()
-	lo, _ := bignat.Sub(c, bignat.Shl(hiNat, 64)).Uint64()
-	return [2]uint64{lo, hi}
+// divWord sets p to ⌊p/d⌋.
+func divWord(p *[15]uint64, d uint64) {
+	var rem uint64
+	for i := len(p) - 1; i >= 0; i-- {
+		p[i], rem = bits.Div64(rem, p[i], d)
+	}
+}
+
+// top128 returns the top 128 bits of p, nonzero — shifted up when p is
+// shorter, truncated when longer — as (lo, hi) words.
+func top128(p *[15]uint64) [2]uint64 {
+	i := len(p) - 1
+	for p[i] == 0 {
+		i--
+	}
+	var mid, low uint64
+	if i >= 1 {
+		mid = p[i-1]
+	}
+	if i >= 2 {
+		low = p[i-2]
+	}
+	s := uint(bits.LeadingZeros64(p[i]))
+	return [2]uint64{mid<<s | low>>(64-s), p[i]<<s | mid>>(64-s)}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,15 +19,41 @@ import (
 	"floatprint/interval"
 )
 
+// query is a request's raw URL query, read one name at a time as
+// url.ParseQuery followed by url.Values.Get reads it, without building
+// the map: Get returns the first pair whose unescaped key is name,
+// skipping pairs that contain ';' or fail to unescape, as ParseQuery
+// does.  Unescaping allocates only for a key or value with '%' or '+'.
+type query string
+
+// Get returns the first value of name, or "" when no pair has it.
+func (q query) Get(name string) string {
+	for rest := string(q); rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // optionsFromQuery maps the common query parameters onto
 // floatprint.Options; the library's own validation (Options.norm at
 // the API boundary) rejects bad bases, so only syntax is checked here.
-func optionsFromQuery(q url.Values) (*floatprint.Options, error) {
-	opts := &floatprint.Options{}
+func optionsFromQuery(q query) (floatprint.Options, error) {
+	var opts floatprint.Options
 	if b := q.Get("base"); b != "" {
 		n, err := strconv.Atoi(b)
 		if err != nil {
-			return nil, fmt.Errorf("bad base %q", b)
+			return opts, fmt.Errorf("bad base %q", b)
 		}
 		opts.Base = n
 	}
@@ -40,7 +67,7 @@ func optionsFromQuery(q url.Values) (*floatprint.Options, error) {
 	case "zero":
 		opts.Reader = floatprint.ReaderNearestTowardZero
 	default:
-		return nil, fmt.Errorf("bad mode %q (want even, unknown, away, zero)", q.Get("mode"))
+		return opts, fmt.Errorf("bad mode %q (want even, unknown, away, zero)", q.Get("mode"))
 	}
 	switch q.Get("notation") {
 	case "", "auto":
@@ -50,18 +77,18 @@ func optionsFromQuery(q url.Values) (*floatprint.Options, error) {
 	case "pos":
 		opts.Notation = floatprint.NotationPositional
 	default:
-		return nil, fmt.Errorf("bad notation %q (want auto, sci, pos)", q.Get("notation"))
+		return opts, fmt.Errorf("bad notation %q (want auto, sci, pos)", q.Get("notation"))
 	}
 	switch q.Get("nomarks") {
 	case "", "0", "false":
 	case "1", "true":
 		opts.NoMarks = true
 	default:
-		return nil, fmt.Errorf("bad nomarks %q", q.Get("nomarks"))
+		return opts, fmt.Errorf("bad nomarks %q", q.Get("nomarks"))
 	}
 	backend, err := floatprint.ParseBackend(q.Get("backend"))
 	if err != nil {
-		return nil, fmt.Errorf("bad backend %q (want auto, exact)", q.Get("backend"))
+		return opts, fmt.Errorf("bad backend %q (want auto, exact)", q.Get("backend"))
 	}
 	opts.Backend = backend
 	return opts, nil
@@ -69,7 +96,7 @@ func optionsFromQuery(q url.Values) (*floatprint.Options, error) {
 
 // bitsFromQuery reads the bits query parameter of /v1/shortest,
 // /v1/parse and /v1/fixed: "" or "64" selects binary64, "32" binary32.
-func bitsFromQuery(q url.Values) (bits32 bool, err error) {
+func bitsFromQuery(q query) (bits32 bool, err error) {
 	switch b := q.Get("bits"); b {
 	case "", "64":
 		return false, nil
@@ -82,7 +109,7 @@ func bitsFromQuery(q url.Values) (bits32 bool, err error) {
 
 // queryValue returns the named query parameter, refusing an absent one
 // and one longer than MaxValueBytes.
-func queryValue(q url.Values, name string) (string, error) {
+func queryValue(q query, name string) (string, error) {
 	s := q.Get(name)
 	if s == "" {
 		return "", fmt.Errorf("missing %s parameter", name)
@@ -98,7 +125,7 @@ func queryValue(q url.Values, name string) (string, error) {
 // the request's base and mode, so a literal means the same value on
 // every route.  Out-of-range literals keep IEEE semantics: 1e999 reads
 // as +Inf, not an error.
-func floatParam(q url.Values, name string, bits32 bool) (float64, error) {
+func floatParam(q query, name string, bits32 bool) (float64, error) {
 	s, err := queryValue(q, name)
 	if err != nil {
 		return 0, err
@@ -121,7 +148,7 @@ func floatParam(q url.Values, name string, bits32 bool) (float64, error) {
 // timing the rendering as the request's encode span.
 func writeDigits(w http.ResponseWriter, sp *span.Span, d floatprint.Digits, opts *floatprint.Options) {
 	enc := sp.StartChild("encode")
-	out, err := d.Append(make([]byte, 0, 32), opts)
+	out, err := d.Append(lineBuf(w), opts)
 	if err != nil {
 		enc.End()
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -129,8 +156,7 @@ func writeDigits(w http.ResponseWriter, sp *span.Span, d floatprint.Digits, opts
 	}
 	enc.SetAttrInt("bytes", int64(len(out)+1))
 	enc.End()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(append(out, '\n'))
+	writeLine(w, out)
 }
 
 // convRecord allocates a per-conversion algorithm record when the
@@ -152,9 +178,9 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := spanOf(r.Context())
+	sp := spanOf(w)
 	dec := sp.StartChild("decode")
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	opts, err := optionsFromQuery(q)
 	var bits32 bool
 	if err == nil {
@@ -175,10 +201,10 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 		// The traced twins are 64-bit only; single precision converts
 		// through the plain API, span timing still applies.
 		conv.SetAttr("bits", "32")
-		d, err = floatprint.ShortestDigits32(float32(v), opts)
+		d, err = floatprint.ShortestDigits32(float32(v), &opts)
 	} else {
 		rec := convRecord(conv)
-		d, err = floatprint.ShortestDigitsTraced(v, opts, rec)
+		d, err = floatprint.ShortestDigitsTraced(v, &opts, rec)
 		attachConversion(conv, rec)
 	}
 	conv.End()
@@ -186,7 +212,7 @@ func (s *Server) handleShortest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeDigits(w, sp, d, opts)
+	writeDigits(w, sp, d, &opts)
 }
 
 // handleParse serves GET /v1/parse: reads the s query parameter with
@@ -202,9 +228,9 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := spanOf(r.Context())
+	sp := spanOf(w)
 	dec := sp.StartChild("decode")
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	opts, err := optionsFromQuery(q)
 	var bits32 bool
 	if err == nil {
@@ -227,29 +253,29 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	)
 	if bits32 {
 		conv.SetAttr("bits", "32")
-		v32, err = floatprint.Parse32(in, opts)
+		v32, err = floatprint.Parse32(in, &opts)
 	} else {
 		// The parse is this endpoint's conversion of interest — the
 		// attached algorithm record describes the read path (fast-path
 		// certification, exact fallback), not the response rendering.
 		rec := convRecord(conv)
-		v, err = floatprint.ParseTraced(in, opts, rec)
+		v, err = floatprint.ParseTraced(in, &opts, rec)
 		attachConversion(conv, rec)
 	}
 	switch {
 	case err != nil && !errors.Is(err, floatprint.ErrRange):
 		err = fmt.Errorf("reading s: %w", err)
 	case bits32:
-		d, err = floatprint.ShortestDigits32(v32, opts)
+		d, err = floatprint.ShortestDigits32(v32, &opts)
 	default:
-		d, err = floatprint.ShortestDigits(v, opts)
+		d, err = floatprint.ShortestDigits(v, &opts)
 	}
 	conv.End()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeDigits(w, sp, d, opts)
+	writeDigits(w, sp, d, &opts)
 }
 
 // handleInterval serves GET /v1/interval: interval I/O with the
@@ -266,9 +292,9 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := spanOf(r.Context())
+	sp := spanOf(w)
 	dec := sp.StartChild("decode")
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	opts, err := optionsFromQuery(q)
 	in := q.Get("s")
 	hasPair := q.Get("lo") != "" || q.Get("hi") != ""
@@ -279,7 +305,7 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		if in != "" {
 			if in, err = queryValue(q, "s"); err == nil {
-				iv, err = interval.Parse(in, opts)
+				iv, err = interval.Parse(in, &opts)
 			}
 		} else {
 			var lo, hi float64
@@ -297,14 +323,13 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	}
 	// Interval conversion has no traced twin; the span still times it.
 	conv := sp.StartChild("convert")
-	out, err := interval.AppendShortest(make([]byte, 0, 64), iv, opts)
+	out, err := interval.AppendShortest(lineBuf(w), iv, &opts)
 	conv.End()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(append(out, '\n'))
+	writeLine(w, out)
 }
 
 // MaxValueBytes bounds every value the service reads: each query value
@@ -336,9 +361,9 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	sp := spanOf(r.Context())
+	sp := spanOf(w)
 	dec := sp.StartChild("decode")
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	opts, err := optionsFromQuery(q)
 	ns, ps := q.Get("n"), q.Get("pos")
 	if err == nil && (ns == "") == (ps == "") {
@@ -381,13 +406,13 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 	var d floatprint.Digits
 	if bits32 {
 		conv.SetAttr("bits", "32")
-		d, err = floatprint.FixedDigits32(float32(v), n, opts)
+		d, err = floatprint.FixedDigits32(float32(v), n, &opts)
 	} else {
 		rec := convRecord(conv)
 		if ns != "" {
-			d, err = floatprint.FixedDigitsTraced(v, n, opts, rec)
+			d, err = floatprint.FixedDigitsTraced(v, n, &opts, rec)
 		} else {
-			d, err = floatprint.FixedPositionDigitsTraced(v, pos, opts, rec)
+			d, err = floatprint.FixedPositionDigitsTraced(v, pos, &opts, rec)
 		}
 		attachConversion(conv, rec)
 	}
@@ -396,7 +421,7 @@ func (s *Server) handleFixed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeDigits(w, sp, d, opts)
+	writeDigits(w, sp, d, &opts)
 }
 
 // batchBlockValues is how many input values accumulate before a block
@@ -432,8 +457,8 @@ var (
 // (floatprint.BatchSep), read by the pool's parse engine as
 // /v1/batch-parse reads it.  Both feed one sink, the batchStream, and
 // conversion and response writing overlap through batch.Pool.WriteAll.
-// The request context (timeout and client disconnect) cancels
-// mid-stream.
+// The request context, bounded by RequestTimeout, cancels mid-stream on
+// the deadline or a client disconnect.
 //
 // Input errors before the first output byte produce a 4xx (a malformed
 // text token is a 400 carrying its record and byte offset); after
@@ -445,15 +470,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
 
-	st := &batchStream{s: s, w: w, r: r}
+	st := &batchStream{s: s, w: w, ctx: ctx}
 	defer st.release()
 	// One convert span covers the whole stream: decode and conversion
 	// interleave block by block, so per-stage children would mostly
 	// measure each other.  The deferred End keeps the span honest on
 	// the abort path (st.fail panics after output has started).
-	conv := spanOf(r.Context()).StartChild("convert")
+	conv := spanOf(w).StartChild("convert")
 	defer func() {
 		conv.SetAttrInt("values", st.values)
 		conv.End()
@@ -468,7 +495,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		conv.SetAttr("format", "text")
-		_, err = s.pool.ParseAll(r.Context(), body, st)
+		_, err = s.pool.ParseAll(ctx, body, st)
 	}
 	if err == nil {
 		err = st.finish()
@@ -485,8 +512,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 type batchStream struct {
 	s       *Server
 	w       http.ResponseWriter
-	r       *http.Request
-	slab    *[]float64 // block's backing array, from blockSlabs on the first value
+	ctx     context.Context // the request's, bounded by RequestTimeout
+	slab    *[]float64      // block's backing array, from blockSlabs on the first value
 	block   []float64
 	part    [8]byte // a value split across writes, npart bytes of it
 	npart   int
@@ -508,7 +535,7 @@ func (st *batchStream) release() {
 // aborting the connection.
 func (st *batchStream) fail(err error) {
 	if st.started {
-		st.s.log.Printf("serve: [%s] aborting batch stream: %v", RequestID(st.r.Context()), err)
+		st.s.log.Printf("serve: [%s] aborting batch stream: %v", requestID(st.w), err)
 		panic(http.ErrAbortHandler)
 	}
 	var mbe *http.MaxBytesError
@@ -520,7 +547,7 @@ func (st *batchStream) fail(err error) {
 		http.Error(st.w, "request body read timed out", http.StatusRequestTimeout)
 		return
 	}
-	if errors.Is(err, st.r.Context().Err()) && st.r.Context().Err() != nil {
+	if errors.Is(err, st.ctx.Err()) && st.ctx.Err() != nil {
 		http.Error(st.w, "request timed out or canceled", http.StatusServiceUnavailable)
 		return
 	}
@@ -577,12 +604,12 @@ func (st *batchStream) flush() error {
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
 		st.started = true
 	}
-	n, err := st.s.pool.WriteAll(st.r.Context(), st.block, st.w)
+	n, err := st.s.pool.WriteAll(st.ctx, st.block, st.w)
 	st.block = st.block[:0]
 	if err != nil {
 		if n > 0 {
 			// Partial output reached the wire: only an abort is honest.
-			st.s.log.Printf("serve: [%s] aborting batch stream mid-write: %v", RequestID(st.r.Context()), err)
+			st.s.log.Printf("serve: [%s] aborting batch stream mid-write: %v", requestID(st.w), err)
 			panic(http.ErrAbortHandler)
 		}
 		return err
@@ -617,24 +644,27 @@ func (st *batchStream) finish() error {
 // A malformed token before the first output block produces a 400 whose
 // text carries the stream-level record index and byte offset; after
 // output has started the handler aborts the connection, the same
-// honesty contract as /v1/batch.
+// honesty contract as /v1/batch.  The request context, bounded by
+// RequestTimeout, cancels between blocks.
 func (s *Server) handleBatchParse(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	st := &batchStream{s: s, w: w, r: r}
+	st := &batchStream{s: s, w: w, ctx: ctx}
 	pw := &packedWriter{st: st}
 	defer pw.release()
-	conv := spanOf(r.Context()).StartChild("convert")
+	conv := spanOf(w).StartChild("convert")
 	var parsed int64
 	defer func() {
 		conv.SetAttrInt("values", parsed)
 		conv.End()
 	}()
 	var err error
-	if parsed, err = s.pool.ParseAll(r.Context(), body, pw); err != nil {
+	if parsed, err = s.pool.ParseAll(ctx, body, pw); err != nil {
 		st.fail(err)
 		return
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -17,9 +16,10 @@ import (
 // record is one served conversion request's record and the
 // response writer its handler writes through: it counts the status and
 // bytes the handler produced, and holds the request id, start time and
-// root span (nil when tracing is off).  limited puts it on the request
-// context — the only value it adds there — where RequestID and the
-// handlers' span lookup read it back.
+// root span (nil when tracing is off).  Handlers reach it through the
+// writer they receive (spanOf, requestID, lineBuf, writeLine).  It also
+// backs what a single-value response would otherwise allocate: the
+// X-Request-Id and Content-Type header values, and the response line.
 type record struct {
 	http.ResponseWriter
 	id     string
@@ -27,6 +27,9 @@ type record struct {
 	span   *span.Span
 	status int
 	bytes  int64
+	idHdr  [1]string // X-Request-Id's value slice
+	ctHdr  [1]string // Content-Type's value slice, set by writeLine
+	line   [64]byte  // lineBuf's backing array
 }
 
 func (w *record) WriteHeader(code int) {
@@ -53,31 +56,56 @@ func (w *record) Flush() {
 	}
 }
 
-// Unwrap lets http.NewResponseController reach the real writer through
+// Unwrap lets http.ResponseController reach the real writer through
 // the record.
 func (w *record) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// recordKey keys the record on the context.
-type recordKey struct{}
+// spanOf returns the root span of the conversion request w serves, nil
+// when tracing is off or w is not a record — the nil flows safely into
+// every Span method.
+func spanOf(w http.ResponseWriter) *span.Span {
+	if rec, ok := w.(*record); ok {
+		return rec.span
+	}
+	return nil
+}
 
-// RequestID returns the request id limited assigned, or "" outside a
-// conversion request.  Handlers and downstream code use it to tie their
-// own log lines to the access log.
-func RequestID(ctx context.Context) string {
-	if rec, ok := ctx.Value(recordKey{}).(*record); ok {
+// requestID returns the request id limited assigned to the request w
+// serves, or "" when w is not a record.
+func requestID(w http.ResponseWriter) string {
+	if rec, ok := w.(*record); ok {
 		return rec.id
 	}
 	return ""
 }
 
-// spanOf returns the root span of the conversion request ctx belongs
-// to, nil when tracing is off — the nil flows safely into every Span
-// method.
-func spanOf(ctx context.Context) *span.Span {
-	if rec, ok := ctx.Value(recordKey{}).(*record); ok {
-		return rec.span
+// lineBuf returns an empty buffer for w's response line: the record's
+// array when w is one, so a line that fits it allocates nothing.
+func lineBuf(w http.ResponseWriter) []byte {
+	if rec, ok := w.(*record); ok {
+		return rec.line[:0]
 	}
 	return nil
+}
+
+// textPlain is the single-value routes' Content-Type.
+const textPlain = "text/plain; charset=utf-8"
+
+// writeLine writes out and a newline as a text/plain response; out
+// usually comes from lineBuf(w).
+func writeLine(w http.ResponseWriter, out []byte) {
+	if rec, ok := w.(*record); ok {
+		rec.ctHdr[0] = textPlain
+		w.Header()["Content-Type"] = rec.ctHdr[:]
+	} else {
+		w.Header().Set("Content-Type", textPlain)
+	}
+	w.Write(append(out, '\n'))
+}
+
+// deadliner is the read-deadline method of net/http's response writer.
+type deadliner interface {
+	SetReadDeadline(time.Time) error
 }
 
 // requestIDs mints process-unique request ids: a random 4-byte hex
@@ -111,8 +139,8 @@ func (g *requestIDs) next() string {
 // the arrival; mint the request id and echo it (and, when tracing is
 // on, the trace id, adopted from an upstream W3C traceparent when the
 // client sent one); admit the request or shed it with 429 and a
-// Retry-After hint; bound it with RequestTimeout; run the handler on a
-// clone of the request whose context carries the record.
+// Retry-After hint; set the connection's read deadline RequestTimeout
+// ahead; run the handler with the record as its writer.
 //
 // Identity is echoed before admission, so X-Request-Id and X-Trace-Id
 // come back on every outcome — 429 sheds, 400s and panic 500s
@@ -122,18 +150,19 @@ func (g *requestIDs) next() string {
 // overload shows the cheap 429s next to the admitted requests, which
 // is the shape an operator needs to see.
 //
-// RequestTimeout reaches the handler two ways: as a connection read
-// deadline, which bounds body reads on every route (a client that
+// The read deadline bounds body reads on every route: a client that
 // stalls mid-body fails its next Read instead of pinning an admission
-// slot), and as context cancellation, which only the batch routes
-// observe — between chunks while printing, between blocks while
-// parsing.  A single-value conversion runs to completion.
+// slot, and net/http's discard of a body the handler left unread ends
+// there too, so the response goes out.  Only the batch routes observe
+// cancellation, so they alone derive a RequestTimeout context; a
+// single-value conversion runs to completion.
 func (s *Server) limited(route string, h http.HandlerFunc) http.Handler {
 	rm := s.metrics.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rm.requests.Inc()
 		rec := &record{ResponseWriter: w, id: s.reqIDs.next(), start: time.Now()}
-		w.Header().Set("X-Request-Id", rec.id)
+		rec.idHdr[0] = rec.id
+		w.Header()["X-Request-Id"] = rec.idHdr[:]
 		if s.tracer != nil {
 			rec.span = s.tracer.StartRequest(r.Header.Get("traceparent"))
 			w.Header().Set("X-Trace-Id", rec.span.TraceID())
@@ -149,12 +178,12 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.Handler {
 		}
 		defer s.limiter.release()
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		// Best effort: a writer without deadline support (httptest's
-		// recorder) still gets the context deadline.
-		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-		h(rec, r.WithContext(context.WithValue(ctx, recordKey{}, rec)))
+		// Best effort: a writer without the method (httptest's
+		// recorder) gets no deadline.
+		if d, ok := w.(deadliner); ok {
+			_ = d.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
+		}
+		h(rec, r)
 	})
 }
 

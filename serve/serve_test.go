@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -786,6 +787,35 @@ func TestStalledBodyTimesOut(t *testing.T) {
 	}
 }
 
+// TestStalledGetBodyAnswers: a single-value GET that declares a body
+// and sends only part of it still gets its answer, at the request
+// timeout.  The handler never reads the body, but net/http discards the
+// unread rest before it sends the response; the read deadline limited
+// sets on every route ends that discard, and the admission slot is
+// already free.
+func TestStalledGetBodyAnswers(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: 300 * time.Millisecond})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/shortest?v=0.3 HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\n0.3\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no status line within 2 s: %v", err)
+	}
+	if !strings.HasPrefix(line, "HTTP/1.1 200 ") {
+		t.Fatalf("status line %q, want 200", line)
+	}
+	if n := s.limiter.inFlight(); n != 0 {
+		t.Fatalf("%d requests in flight after the answer, want 0", n)
+	}
+}
+
 // TestGracefulShutdownDrains boots a real listener, starts a batch
 // mid-stream, shuts down, and checks the in-flight request completes
 // and the server exits cleanly within the drain deadline.
@@ -996,11 +1026,10 @@ func benchServeShortest(b *testing.B, cfg Config) {
 // tracing-disabled budget check against pre-tracing baselines.
 func BenchmarkServeShortest(b *testing.B) { benchServeShortest(b, Config{}) }
 
-// The TraceOff/TraceOn pair measures the tracing tax directly: same
-// request, nil tracer versus a root span plus decode/convert/encode
-// children and ring publication on every request.
-func BenchmarkServeShortest_TraceOff(b *testing.B) { benchServeShortest(b, Config{}) }
-
+// BenchmarkServeShortest and _TraceOn measure the tracing tax
+// directly: same request, nil tracer versus a root span plus
+// decode/convert/encode children and ring publication on every
+// request.
 func BenchmarkServeShortest_TraceOn(b *testing.B) {
 	benchServeShortest(b, Config{TraceSample: 1})
 }

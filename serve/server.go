@@ -11,7 +11,8 @@
 //     its body buffers while it waits).
 //   - Per-request timeouts: a read deadline bounds body reads on every
 //     conversion route, so a stalled client cannot hold an admission
-//     slot, and the batch routes also stop converting at the deadline
+//     slot or hold back its answer, and the batch routes alone derive
+//     a deadline context and stop converting at it
 //     (batch.Pool.WriteAll checks it per chunk, ParseAll per block).
 //     A single-value conversion runs to completion.
 //   - Bounded work per value: every number the service reads — each
@@ -98,12 +99,13 @@ type Config struct {
 	// means 64.  /healthz and /metrics are exempt so the service stays
 	// observable under pressure.
 	InFlight int
-	// RequestTimeout is each conversion request's deadline.  As a read
-	// deadline it bounds body reads on every route; as context
-	// cancellation only the batch routes observe it — between chunks and
-	// between parse blocks.  A single-value conversion runs to
-	// completion, which MaxValueBytes bounds: its worst input reads in
-	// tens of milliseconds.  Zero means 30s.
+	// RequestTimeout is each conversion request's deadline.  As the
+	// connection's read deadline it bounds body reads on every route,
+	// including net/http's discard of a body a handler left unread.  The
+	// batch routes also derive a context with it, and stop between
+	// chunks and between parse blocks when it expires.  A single-value
+	// conversion runs to completion, which MaxValueBytes bounds: its
+	// worst input reads in tens of milliseconds.  Zero means 30s.
 	RequestTimeout time.Duration
 	// RetryAfter is the hint returned with shed responses.  Zero
 	// means 1s.
@@ -122,8 +124,8 @@ type Config struct {
 	// Slog, when non-nil, receives one structured access-log record per
 	// conversion request (request_id, method, path, status, bytes,
 	// duration; level Warn for 5xx).  The request id is also returned in
-	// the X-Request-Id response header and available to handlers via
-	// RequestID(ctx).  Nil disables access logging; request ids are
+	// the X-Request-Id response header, and the batch routes' abort log
+	// lines carry it.  Nil disables access logging; request ids are
 	// still assigned.
 	Slog *slog.Logger
 	// Debug mounts the profiling surface: /debug/pprof/* (net/http/pprof)

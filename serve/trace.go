@@ -43,7 +43,7 @@ func attachConversion(sp *span.Span, rec *floatprint.Trace) {
 // is set; like the other ops endpoints it bypasses the limiter, because
 // traces of an overloaded service are exactly what the ring is for.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	route := q.Get("route")
 	var minMS float64
 	if ms := q.Get("min_ms"); ms != "" {
